@@ -13,8 +13,8 @@ Commands:
   ``--attribution`` adds per-stage latency + stall-cause accounting to
   the metrics, ``--timeline-out`` a cycle-windowed time-series document
   (shard-aware under ``REPRO_SIM_SHARDS``), and ``--profile`` the
-  simulator's own ``sim.*`` self-profile (tick/skip ratios,
-  vector-kernel hits, PDES window utilization);
+  simulator's own ``sim.*`` self-profile (tick/skip ratios, PDES window
+  utilization);
 * ``analyze``  — bottleneck report: run a benchmark closed-loop with
   attribution (or load a ``--metrics`` / ``--report-out`` artifact) and
   print the per-stage latency table + top stall sites; ``--diff A B``
@@ -39,7 +39,7 @@ from repro.core.mac import coalesce_trace_fast
 from repro.core.stats import MACStats
 from repro.eval.report import format_table, human_bytes, pct
 from repro.seeding import DEFAULT_SEED, derive_seed
-from repro.sim import ENGINE_ENV_VAR, engine_names
+from repro.sim import DEFAULT_ENGINE, engine_names
 from repro.trace.record import to_requests
 from repro.trace.tracefile import dump, load
 from repro.workloads.registry import AUXILIARY, BENCHMARKS, make
@@ -130,9 +130,9 @@ def _add_engine_arg(p: argparse.ArgumentParser) -> None:
         "--engine",
         choices=engine_names(),
         default=None,
-        help="simulation engine: lockstep clocks every cycle, skip "
-        "fast-forwards over quiescent spans with identical results "
-        f"(default: ${ENGINE_ENV_VAR} or lockstep)",
+        help="simulation engine: skip fast-forwards over quiescent spans, "
+        "lockstep clocks every cycle with identical results (the test "
+        f"oracle; default {DEFAULT_ENGINE})",
     )
 
 
@@ -232,7 +232,12 @@ def cmd_replay(args) -> int:
     if args.device == "hmc":
         from repro.hmc.device import HMCDevice
 
-        dev = HMCDevice(_hmc_config(args, faults=_fault_config(args)))
+        try:
+            hmc_config = _hmc_config(args, faults=_fault_config(args))
+        except ValueError as exc:
+            print(f"replay: {exc}", file=sys.stderr)
+            return 2
+        dev = HMCDevice(hmc_config)
         t = 0.0
         for p in packets:
             dev.submit(p, int(t))
@@ -924,8 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--profile",
         action="store_true",
-        help="self-profile the simulator: tick/skip ratios, vector-kernel "
-        "hits, PDES window utilization; printed as a table, merged into "
+        help="self-profile the simulator: tick/skip ratios, PDES window "
+        "utilization; printed as a table, merged into "
         "--metrics-out under sim.*, and added as a process lane to a "
         "Chrome --trace-out",
     )

@@ -21,7 +21,6 @@ from typing import Deque, Dict, List, Optional
 
 from ..obs.tracer import NULL_TRACER
 from ..sim import register_wake_protocol
-from ..sim import vector as _vector
 from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
 from .config import MACConfig
@@ -74,10 +73,9 @@ class AggregatedRequestQueue:
     encoder over the comparator hit vector resolves towards the head of
     the FIFO.  The ``_index`` dict therefore always maps a key to the
     oldest mergeable same-epoch entry, and :meth:`_unindex` promotes the
-    next-oldest duplicate when the winner leaves.  The vectorized
-    argmax-style match (:func:`repro.sim.vector.oldest_match`) encodes
-    the same rule over all entries at once; under ``REPRO_SIM_CHECK=1``
-    every dict hit is cross-validated against it.
+    next-oldest duplicate when the winner leaves.  :meth:`match_oldest`
+    encodes the same rule as a scan over all entries; under
+    ``REPRO_SIM_CHECK=1`` every dict hit is cross-validated against it.
     """
 
     def __init__(
@@ -112,8 +110,8 @@ class AggregatedRequestQueue:
         # fills / fence demotes); drives the oldest-wins promotion in
         # :meth:`_unindex` without scanning the queue on every pop.
         self._dup_keys: set = set()
-        # Cross-validate dict hits against the vectorized all-entries
-        # comparator match (oldest-wins) when the sanitizer is armed.
+        # Cross-validate dict hits against the all-entries comparator
+        # scan (oldest-wins) when the sanitizer is armed.
         self._check_match = sanitize_enabled()
         # Stats hooks.
         self.merges = 0
@@ -191,7 +189,7 @@ class AggregatedRequestQueue:
             raise InvariantViolation(
                 cycle,
                 f"comparator divergence for key {key}: indexed hit does not "
-                "match the oldest-wins vectorized scan",
+                "match the oldest-wins comparator scan",
             )
         if hit is not None:
             self._merge(hit, request, cycle)
@@ -372,7 +370,7 @@ class AggregatedRequestQueue:
         if matches <= 1:
             self._dup_keys.discard(key)
 
-    # -- vectorized comparator match ----------------------------------------
+    # -- all-entries comparator match ---------------------------------------
 
     def comparator_view(self) -> List[Optional[int]]:
         """Comparator-visible key per entry, oldest first.
@@ -380,8 +378,7 @@ class AggregatedRequestQueue:
         ``None`` masks slots that cannot merge: fences, atomics, entries
         at target capacity, and — because merging across a fence would
         reorder — every entry allocated before the youngest pending
-        fence.  This is the input the batch comparator kernel
-        (:func:`repro.sim.vector.oldest_match`) operates on.
+        fence.  This is the input :meth:`match_oldest` scans.
         """
         view: List[Optional[int]] = []
         cap = self.config.target_capacity
@@ -400,13 +397,12 @@ class AggregatedRequestQueue:
         """All-entries comparator match, oldest hit wins (hardware form).
 
         Semantically identical to the ``_index`` dict lookup (the
-        equivalence is property-tested and sanitizer-checked); used as
-        the reference for the vectorized argmax-style match.
+        equivalence is property-tested and sanitizer-checked).
         """
-        idx = _vector.oldest_match(self.comparator_view(), key)
-        if idx is None:
-            return None
-        return self._entries[idx]
+        for i, k in enumerate(self.comparator_view()):
+            if k == key:
+                return self._entries[i]
+        return None
 
     # -- quiescence skipping -------------------------------------------------
 

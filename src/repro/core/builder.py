@@ -35,9 +35,7 @@ class RequestBuilder:
     """Cycle-level model of the two-stage pipelined request builder.
 
     Stage 1's OR-reduction goes through :meth:`FlitMap.group_bits
-    <repro.core.flit.FlitMap.group_bits>`, which serves the paper
-    geometry from the precomputed vector table when the
-    ``REPRO_SIM_VECTOR`` kernels are on.
+    <repro.core.flit.FlitMap.group_bits>`.
     """
 
     def __init__(

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..sim import vector as _vector
-
 
 @dataclass(slots=True)
 class FlitMap:
@@ -84,16 +82,9 @@ class FlitMap:
         Returns an integer whose bit *g* is set iff any FLIT in group *g*
         (a consecutive 64 B chunk for the default geometry) is requested.
         Bit 0 corresponds to the lowest-addressed chunk.
-
-        When the vectorized kernels are enabled (``REPRO_SIM_VECTOR``,
-        see :mod:`repro.sim.vector`) and the geometry is tableable, the
-        reduction is one lookup in a precomputed table instead of a
-        per-group shift-and-mask loop.
         """
         if groups < 1 or self.nflits % groups:
             raise ValueError(f"cannot split {self.nflits} FLITs into {groups} groups")
-        if _vector.group_table_ready(self.nflits, groups):
-            return _vector.group_bits(self.bits, self.nflits, groups)
         per = self.nflits // groups
         mask = (1 << per) - 1
         out = 0

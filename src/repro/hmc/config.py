@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.config import FaultConfig
+from repro.faults.models import LinkDegradation, LinkFailure
 
 from .bank import PAGE_POLICIES
 from .noc import NOC_ARBITRATIONS, NOC_TOPOLOGIES
@@ -76,6 +77,16 @@ class HMCConfig:
                 f"(choose from {PAGE_POLICIES})"
             )
         if self.faults is not None:
+            for model in self.faults.models:
+                if (
+                    isinstance(model, (LinkFailure, LinkDegradation))
+                    and model.link >= self.links
+                ):
+                    raise ValueError(
+                        f"{type(model).__name__} names link {model.link}, but "
+                        f"the cube has {self.links} links "
+                        f"(0..{self.links - 1})"
+                    )
             # The largest packet (max payload + control FLITs) must fit
             # in both link-level buffers or flow control deadlocks.
             worst = (

@@ -37,7 +37,6 @@ from repro.obs.attribution import NULL_ATTRIBUTION
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import register_wake_protocol
-from repro.sim import vector as _vector
 
 from .config import HMCConfig
 from .link import Link, LinkFailedError
@@ -323,13 +322,14 @@ class HMCDevice:
     def busy_until(self) -> int:
         """Latest cycle any device resource is still occupied.
 
-        A strided sweep over every vault's bank-timing array and both
-        channels of every link (vectorized, see :mod:`repro.sim.vector`)
-        — the memory-side horizon the busy-phase bench reports.
+        A sweep over every vault's bank timing and both channels of every
+        link — the memory-side horizon the busy-phase bench reports.
         """
-        horizon = _vector.max_ready([v.busy_until() for v in self.vaults])
-        horizon = max(horizon, self.noc.busy_until())
-        return max(horizon, _vector.max_ready([l.busy_until() for l in self.links]))
+        return max(
+            self.noc.busy_until(),
+            max((v.busy_until() for v in self.vaults), default=0),
+            max((l.busy_until() for l in self.links), default=0),
+        )
 
     def busy_vaults(self, now: int) -> int:
         """Vaults with at least one occupied bank at cycle ``now``."""

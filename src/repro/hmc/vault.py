@@ -16,7 +16,6 @@ from ..obs.attribution import NULL_ATTRIBUTION, StallCause
 from ..obs.protocol import StatsMixin
 from ..obs.tracer import NULL_TRACER
 from ..sim import register_wake_protocol
-from ..sim import vector as _vector
 from .bank import Bank
 from .config import HMCConfig
 from .timing import HMCTiming
@@ -132,21 +131,13 @@ class Vault:
         """All state is absolute timestamps: skipping costs nothing."""
 
     def busy_banks(self, now: int) -> int:
-        """Banks still occupied at ``now`` (strided timing query).
-
-        Batched over the vault's bank array by the vectorized kernels
-        (:func:`repro.sim.vector.busy_count`) — the introspection form
-        of "all vaults busy every cycle" used by hang snapshots and the
-        busy-phase bench.
-        """
-        return _vector.busy_count([b.ready_cycle for b in self.banks], now)
+        """Banks still occupied at ``now`` (introspection for hang
+        snapshots and the busy-phase bench)."""
+        return sum(1 for b in self.banks if b.ready_cycle > now)
 
     def busy_until(self) -> int:
         """Latest cycle at which any of this vault's banks is occupied."""
-        return max(
-            self.frontend_ready,
-            _vector.max_ready([b.ready_cycle for b in self.banks]),
-        )
+        return max(self.frontend_ready, *(b.ready_cycle for b in self.banks))
 
     # -- aggregates -----------------------------------------------------------
 

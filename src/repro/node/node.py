@@ -591,8 +591,7 @@ class Node(ClockedModel):
         """Simulate until every stream drains; returns the filled stats.
 
         ``engine`` selects the simulation engine (name or instance, see
-        :mod:`repro.sim`); the default honours ``$REPRO_SIM_ENGINE`` and
-        falls back to lockstep.
+        :mod:`repro.sim`); the default is the skip engine.
         """
         self._run_loop(max_cycles, engine=engine)
         self._sync_cores()

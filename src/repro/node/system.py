@@ -371,8 +371,7 @@ class NUMASystem(ClockedModel):
         """Simulate until every node drains; returns the filled stats.
 
         ``engine`` selects the simulation engine (name or instance, see
-        :mod:`repro.sim`); the default honours ``$REPRO_SIM_ENGINE`` and
-        falls back to lockstep.  ``shards`` > 1 — defaulting to
+        :mod:`repro.sim`); the default is the skip engine.  ``shards`` > 1 — defaulting to
         ``$REPRO_SIM_SHARDS`` — runs the mesh under conservative PDES
         (:mod:`repro.sim.pdes`), bit-identical to the serial engines;
         configurations that cannot shard (see :meth:`shard_blockers`)

@@ -21,8 +21,8 @@ on (DESIGN.md section 9):
   series (per-epoch rates and levels) pumped by the engines, shard-
   aware under PDES, consumed by ``repro analyze --timeline``;
 * :class:`SimProfiler` / :data:`NULL_PROFILER` — wall-clock
-  self-profiling of the simulator (tick/skip ratios, vector-kernel
-  hits, PDES window utilization), the ``sim.*`` metrics namespace.
+  self-profiling of the simulator (tick/skip ratios, PDES window
+  utilization), the ``sim.*`` metrics namespace.
 """
 
 from .attribution import (

@@ -7,9 +7,6 @@ collects, per driving loop:
 
 * tick and skip counts, executed vs skipped cycles (the skip-engine's
   effectiveness as a ratio, not an anecdote);
-* vector-kernel hit counts (:mod:`repro.sim.vector` counts table/array
-  dispatches only while a profiler has switched profiling on — the hot
-  kernels stay increment-free otherwise);
 * under the sharded-PDES backend, per-shard busy wall-seconds and window
   counts reported at each barrier, from which the parent derives barrier
   wait (window wall time minus the busiest shard).
@@ -81,7 +78,6 @@ class SimProfiler:
         "shard_busy_s",
         "_window_spans",
         "_t0",
-        "_vector_base",
     )
 
     def __init__(self) -> None:
@@ -100,19 +96,14 @@ class SimProfiler:
         #: Chrome lane (relative to run start).
         self._window_spans: List[tuple] = []
         self._t0 = 0.0
-        self._vector_base: Dict[str, int] = {}
 
     # -- engine hooks --------------------------------------------------------
 
     def run_started(self, engine: str = "") -> None:
-        from repro.sim import vector
-
         if engine:
             self.engine = engine
         if not self._t0:
             self._t0 = time.perf_counter()
-            vector.set_profiling(True)
-            self._vector_base = vector.kernel_counters()
 
     def note_tick(self) -> None:
         self.ticks += 1
@@ -165,8 +156,6 @@ class SimProfiler:
 
     def metrics(self) -> Dict[str, Any]:
         """Flat ``sim.*`` metrics namespace for ``--profile`` output."""
-        from repro.sim import vector
-
         out: Dict[str, Any] = {
             "sim.engine": self.engine,
             "sim.ticks": self.ticks,
@@ -177,11 +166,6 @@ class SimProfiler:
             "sim.final_cycle": self.final_cycle,
             "sim.wall_s": self.wall_s,
         }
-        counts = vector.kernel_counters()
-        for name in sorted(counts):
-            out[f"sim.vector.{name}"] = counts[name] - self._vector_base.get(
-                name, 0
-            )
         if self.windows:
             out["sim.pdes.windows"] = self.windows
             out["sim.pdes.barrier_wait_s"] = self.barrier_wait_s

@@ -3,15 +3,14 @@
 Shared clocking machinery for every closed-loop model: the
 :class:`Clocked` component protocol, the :class:`ClockedModel` base class
 (cycle counter + run loop, deduplicated out of ``MAC``, ``Node`` and
-``NUMASystem``) and the two interchangeable engines —
-:class:`LockstepEngine` (one tick per cycle) and :class:`SkipEngine`
-(quiescence detection + fast-forward to the next wake event), which are
-bit-identical by contract.
+``NUMASystem``) and its one run loop — :class:`SkipEngine` (quiescence
+detection + fast-forward to the next wake event, the default) and
+:class:`LockstepEngine` (the same loop ticking every cycle, the test
+oracle), which are bit-identical by contract.
 """
 
 from .kernel import (
     DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
     ENGINES,
     WAKE_PROTOCOL_REGISTRY,
     Clocked,
@@ -52,7 +51,6 @@ __all__ = [
     "LockstepEngine",
     "SkipEngine",
     "ENGINES",
-    "ENGINE_ENV_VAR",
     "DEFAULT_ENGINE",
     "engine_names",
     "get_engine",

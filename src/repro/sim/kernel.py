@@ -7,30 +7,27 @@ carry its own copy of the same ``_cycle`` counter, ``cycle`` property,
 that machinery once, and adds the piece the lockstep loops could never
 express: *quiescence skipping*.
 
-Two interchangeable engines drive a :class:`ClockedModel`:
+One run loop, :meth:`SkipEngine.run`, drives a :class:`ClockedModel`.  After
+each tick it asks the model for its earliest *wake event*
+(``next_event_cycle``).  When the model reports that nothing non-uniform can
+happen before cycle ``w`` (all cores blocked on an in-flight memory response,
+MAC drained, fabric empty, no timeout due), the engine calls ``skip_to(w)``:
+the model bulk-applies the per-cycle accounting the skipped ticks would have
+performed (stall counters, idle counters, cooldown drains, strided
+attribution samples) and jumps its cycle counter.  The contract — enforced
+by the equivalence property tests — is that a skip is **bit-identical** to
+ticking through the gap: same final cycle count, same ``metrics()``
+snapshot, same attribution marks, with or without fault injection.
 
-* :class:`LockstepEngine` — exactly the historical semantics: one ``tick()``
-  per cycle until ``done()``, with the model's max-cycles guard.
-* :class:`SkipEngine` — after each tick it asks the model for its earliest
-  *wake event* (``next_event_cycle``).  When the model reports that nothing
-  non-uniform can happen before cycle ``w`` (all cores blocked on an
-  in-flight memory response, MAC drained, fabric empty, no timeout due), the
-  engine calls ``skip_to(w)``: the model bulk-applies the per-cycle
-  accounting the skipped ticks would have performed (stall counters, idle
-  counters, cooldown drains, strided attribution samples) and jumps its
-  cycle counter.  The contract — enforced by the equivalence property tests —
-  is that a skip is **bit-identical** to ticking through the gap: same final
-  cycle count, same ``metrics()`` snapshot, same attribution marks, with or
-  without fault injection.
+:class:`LockstepEngine` is the same loop with the wake probe switched off —
+one ``tick()`` per cycle — kept as the oracle those tests compare against.
 
-Engine selection:  pass an engine instance or name (``"lockstep"`` /
-``"skip"``) to any ``run()``; ``None`` falls back to the ``REPRO_SIM_ENGINE``
-environment variable, then to lockstep.
+Engine selection:  pass an engine instance or name (``"skip"`` /
+``"lockstep"``) to any ``run()``; ``None`` selects the skip engine.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
@@ -38,9 +35,6 @@ from repro.obs.profiler import NULL_PROFILER
 from repro.obs.timeline import NULL_TIMELINE
 
 from .watchdog import default_watchdog
-
-#: Environment variable consulted when no engine is given explicitly.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
 
 #: Every component class participating in the per-component wake
@@ -193,10 +187,19 @@ class ClockedModel:
         )
 
 
-class LockstepEngine:
-    """One ``tick()`` per cycle — the extracted historical semantics."""
+class SkipEngine:
+    """Event-wheel scheduler: fast-forwards through quiescent spans.
 
-    name = "lockstep"
+    Bit-identical to ticking every cycle by construction: a skip is taken
+    only when the model proves, via ``next_event_cycle``, that every cycle
+    in the gap would have been a no-op apart from uniform per-cycle
+    accounting, which ``skip_to`` applies in bulk.
+    """
+
+    name = "skip"
+
+    #: Probe ``next_event_cycle`` after each tick and skip to the wake.
+    skipping = True
 
     def __init__(self, watchdog=None):
         #: Hang detector / invariant sanitizer observing each iteration
@@ -212,65 +215,12 @@ class LockstepEngine:
         relative: bool = False,
     ) -> int:
         start = sim.cycle if relative else 0
-        wd = self.watchdog
-        if wd.enabled:
-            wd.reset()
-        tl = getattr(sim, "timeline", NULL_TIMELINE)
-        prof = getattr(sim, "profiler", NULL_PROFILER)
-        observed = tl.enabled or prof.enabled
-        if tl.enabled:
-            tl.bind(sim)
-        if prof.enabled:
-            prof.run_started(self.name)
-        while not sim.done():
-            out = sim.tick()
-            if on_tick is not None and out:
-                on_tick(out)
-            if observed:
-                if tl.enabled:
-                    tl.pump(sim.cycle)
-                prof.note_tick()
-            if wd.enabled:
-                wd.observe(sim)
-            if sim.cycle - start > max_cycles:
-                raise RuntimeError(sim._overrun_msg)
-        if observed:
-            if tl.enabled:
-                tl.finish(sim.cycle)
-            prof.run_finished(sim.cycle)
-        if wd.enabled:
-            wd.finish(sim)
-        return sim.cycle
-
-
-class SkipEngine:
-    """Event-wheel scheduler: fast-forwards through quiescent spans.
-
-    Bit-identical to :class:`LockstepEngine` by construction: a skip is
-    taken only when the model proves, via ``next_event_cycle``, that every
-    cycle in the gap would have been a no-op apart from uniform per-cycle
-    accounting, which ``skip_to`` applies in bulk.
-    """
-
-    name = "skip"
-
-    def __init__(self, watchdog=None):
-        #: See :class:`LockstepEngine.watchdog`.
-        self.watchdog = watchdog if watchdog is not None else default_watchdog()
-
-    def run(
-        self,
-        sim: ClockedModel,
-        max_cycles: int,
-        on_tick: Optional[Callable[[list], None]] = None,
-        relative: bool = False,
-    ) -> int:
-        start = sim.cycle if relative else 0
         limit = start + max_cycles
+        skipping = self.skipping
         wd = self.watchdog
         if wd.enabled:
             wd.reset()
-            if getattr(wd, "sanitize", False):
+            if skipping and getattr(wd, "sanitize", False):
                 _warn_default_wake(sim)
         tl = getattr(sim, "timeline", NULL_TIMELINE)
         prof = getattr(sim, "profiler", NULL_PROFILER)
@@ -297,16 +247,18 @@ class SkipEngine:
                 wd.observe(sim)
             if sim.cycle - start > max_cycles:
                 raise RuntimeError(sim._overrun_msg)
+            if not skipping:
+                continue
             wake = sim.next_event_cycle(sim.cycle)
             if wake is not None and wake > sim.cycle:
-                # Never skip past the guard: lockstep raises with the
-                # counter at limit + 1, and so must we.
+                # Never skip past the guard: ticking through the gap
+                # raises with the counter at limit + 1, and so must we.
                 before = sim.cycle
                 sim.skip_to(min(wake, limit))
                 if observed:
                     # A boundary landing exactly on the skip target is
                     # sampled here, before the next tick — the same
-                    # pre-tick ordering lockstep gives it.
+                    # pre-tick ordering ticking through the gap gives it.
                     if tl.enabled:
                         tl.pump(sim.cycle)
                     prof.note_skip(sim.cycle - before)
@@ -319,13 +271,27 @@ class SkipEngine:
         return sim.cycle
 
 
+class LockstepEngine(SkipEngine):
+    """One ``tick()`` per cycle: the skip loop with the wake probe off.
+
+    The historical semantics, kept as the oracle the equivalence tests
+    hold :class:`SkipEngine` to (and selectable as ``--engine lockstep``).
+    """
+
+    name = "lockstep"
+    skipping = False
+    # Its own class entry, so per-class wrappers (profiling spans) can
+    # tell the two engines apart.
+    run = SkipEngine.run
+
+
 #: Engine registry, keyed by CLI-facing name.
 ENGINES = {
-    LockstepEngine.name: LockstepEngine,
     SkipEngine.name: SkipEngine,
+    LockstepEngine.name: LockstepEngine,
 }
 
-DEFAULT_ENGINE = LockstepEngine.name
+DEFAULT_ENGINE = SkipEngine.name
 
 
 def engine_names() -> List[str]:
@@ -334,14 +300,13 @@ def engine_names() -> List[str]:
 
 
 def get_engine(spec=None):
-    """Resolve an engine instance from a name, instance, or the environment.
+    """Resolve an engine instance from a name or instance.
 
-    ``None`` consults ``$REPRO_SIM_ENGINE`` (so a whole test suite can run
-    under the skip engine without touching call sites), then defaults to
-    lockstep.  Unknown names raise ``ValueError``.
+    ``None`` selects :data:`DEFAULT_ENGINE` (skip).  Unknown names raise
+    ``ValueError``.
     """
     if spec is None:
-        spec = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+        spec = DEFAULT_ENGINE
     if isinstance(spec, str):
         try:
             return ENGINES[spec]()

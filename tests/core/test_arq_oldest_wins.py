@@ -5,17 +5,14 @@ so several in-flight entries can share one row key.  Hardware resolves a
 multi-hit with a priority encoder towards the FIFO head; the model's
 ``_index`` dict must therefore always point at the oldest mergeable
 entry, promote the next-oldest duplicate when the winner leaves, and the
-vectorized argmax-style match must encode the identical rule.  Before
+all-entries comparator scan must encode the identical rule.  Before
 the fix, a later allocation could steal the key from an older entry,
 silently changing merge choices between the dict and scan paths.
 """
 
-import pytest
-
 from repro.core.arq import AggregatedRequestQueue
 from repro.core.config import MACConfig
 from repro.core.request import MemoryRequest, RequestType
-from repro.sim import vector
 
 
 def load(row, flit=0, tag=0, tid=0):
@@ -121,25 +118,21 @@ class TestOldestWins:
         assert e3.target_count == 2
 
 
-@pytest.mark.parametrize("flag", ["1", "0"], ids=["vector", "fallback"])
-class TestVectorizedMatch:
-    """The numpy argmax path and the scalar fallback are one comparator."""
+class TestComparatorScan:
+    """The all-entries scan and the ``_index`` dict are one comparator."""
 
-    def test_merge_choices_identical(self, flag, monkeypatch):
-        monkeypatch.setenv(vector.VECTOR_ENV_VAR, flag)
+    def test_merge_choices_identical(self):
         q = fill_with_bypass_duplicates(arq_entries=16)
         key = q.entries()[0].key
-        assert len(q.comparator_view()) >= 8  # wide enough for the numpy path
         assert q.match_oldest(key) is q.entries()[0]
         q.pop()
         assert q.match_oldest(key) is q.entries()[0]
         assert q.match_oldest(-12345) is None
 
-    def test_sanitizer_cross_check_accepts_duplicates(self, flag, monkeypatch):
+    def test_sanitizer_cross_check_accepts_duplicates(self, monkeypatch):
         """REPRO_SIM_CHECK=1 validates every dict hit against the scan —
         including the multi-hit case the tie-break fix is about."""
         monkeypatch.setenv("REPRO_SIM_CHECK", "1")
-        monkeypatch.setenv(vector.VECTOR_ENV_VAR, flag)
         q = fill_with_bypass_duplicates()
         assert q._check_match is True
         assert q.push(load(0, flit=4, tag=50))  # duplicate-key merge, checked

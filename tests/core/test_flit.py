@@ -1,5 +1,7 @@
 """Unit + property tests for the FLIT map (Fig. 6)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,6 +109,30 @@ class TestGroupBits:
         for group in range(4):
             chunk = (bits >> (group * 4)) & 0xF
             assert bool((g >> group) & 1) == bool(chunk)
+
+    @pytest.mark.parametrize(
+        "nflits,groups,maps",
+        [
+            (16, 4, range(1 << 16)),
+            (8, 2, range(1 << 8)),
+            (16, 2, range(1 << 16)),
+            # 2**32 maps is too many: every single-FLIT map, then a seeded
+            # sample across the whole range.
+            (32, 8, [1 << f for f in range(32)]
+             + random.Random(32).sample(range(1 << 32), 20_000)),
+        ],
+        ids=["16/4", "8/2", "16/2", "32/8"],
+    )
+    def test_exhaustive_against_definition(self, nflits, groups, maps):
+        """Bit g is set iff any FLIT in group g is set."""
+        per = nflits // groups
+        members = [range(g * per, (g + 1) * per) for g in range(groups)]
+        for bits in maps:
+            expected = 0
+            for g, flits in enumerate(members):
+                if any((bits >> f) & 1 for f in flits):
+                    expected |= 1 << g
+            assert FlitMap(nflits, bits).group_bits(groups) == expected, bits
 
     @given(bits=bits16)
     def test_count_matches_ids(self, bits):

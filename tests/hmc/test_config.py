@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultConfig
 from repro.hmc.config import HMCConfig, PAPER_HMC
 
 
@@ -26,6 +27,25 @@ class TestGeometry:
             HMCConfig(max_request_bytes=512)
         with pytest.raises(ValueError):
             HMCConfig(links=0)
+
+    @pytest.mark.parametrize(
+        "faults,bad",
+        [
+            (dict(dead_links=(4,)), 4),
+            (dict(dead_links=(0, 7)), 7),
+            (dict(degraded_links=((5, 2.0),)), 5),
+        ],
+        ids=["dead-4", "dead-7", "degraded-5"],
+    )
+    def test_out_of_range_link_fault_rejected(self, faults, bad):
+        with pytest.raises(ValueError, match=rf"link {bad}\b.*4 links"):
+            HMCConfig(faults=FaultConfig.simple(**faults))
+
+    def test_link_fault_on_last_link_accepted(self):
+        cfg = HMCConfig(faults=FaultConfig.simple(dead_links=(3,)))
+        assert cfg.links == 4
+        with pytest.raises(ValueError, match=r"link 3\b.*2 links"):
+            HMCConfig(links=2, faults=FaultConfig.simple(dead_links=(3,)))
 
 
 class TestAddressMapping:

@@ -281,22 +281,6 @@ class TestBusyPhaseEquivalence:
         assert skip.cycle == lock.cycle
         assert skip.metrics() == lock.metrics()
 
-    def test_vector_kernels_off_is_bit_identical(self, monkeypatch):
-        """REPRO_SIM_VECTOR=0 (pure-Python fallbacks) changes nothing."""
-        from repro.sim import vector
-
-        results = {}
-        for flag in ("1", "0"):
-            monkeypatch.setenv(vector.VECTOR_ENV_VAR, flag)
-            vector.clear_tables()
-            lock = self.run_conflict_node("lockstep", lsq_capacity=4)
-            skip = self.run_conflict_node("skip", lsq_capacity=4)
-            assert skip.cycle == lock.cycle
-            assert skip.metrics() == lock.metrics()
-            results[flag] = lock.metrics()
-        vector.clear_tables()
-        assert results["0"] == results["1"]
-
 
 class TestNUMAEquivalence:
     def test_two_node_remote_traffic(self):

@@ -41,6 +41,15 @@ class TestCommands:
         assert "bank conflicts" in text
         assert "row-hit rate" in text
 
+    def test_replay_rejects_out_of_range_dead_link(self, tmp_path, capsys):
+        out = tmp_path / "t.trc"
+        main(["trace", "SG", "-o", str(out), "--threads", "2", "--ops", "50"])
+        capsys.readouterr()
+        assert main(["replay", str(out), "--dead-links", "7"]) == 2
+        captured = capsys.readouterr()
+        assert "link 7" in captured.err and "4 links" in captured.err
+        assert captured.out == ""
+
     def test_replay_policy_and_arq_flags(self, tmp_path, capsys):
         out = tmp_path / "t.trc"
         main(["trace", "SP", "-o", str(out), "--threads", "2", "--ops", "100"])
