@@ -701,15 +701,19 @@ def cmd_figures(args) -> int:
     report = None
     if supervised:
         journal = CheckpointJournal(args.checkpoint or DEFAULT_FIGURES_CHECKPOINT)
-        journal.open(fresh=not args.resume)
         report = SweepReport()
-        supervise = SupervisorConfig(
-            cell_timeout=args.cell_timeout,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            journal=journal,
-            resume=args.resume,
-            report=report,
-        )
+        try:
+            supervise = SupervisorConfig(
+                cell_timeout=args.cell_timeout,
+                max_retries=2 if args.max_retries is None else args.max_retries,
+                journal=journal,
+                resume=args.resume,
+                report=report,
+            )
+        except ValueError as exc:
+            print(f"figures: {exc}", file=sys.stderr)
+            return 2
+        journal.open(fresh=not args.resume)
 
     try:
         if want("fig10"):
@@ -1025,13 +1029,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any cell running longer than this",
+        help="kill and retry any cell running longer than this (> 0); "
+        "enforced at any --jobs, since a timed run forks at least one worker",
     )
     res.add_argument(
         "--max-retries",
         type=int,
         default=None,
-        help="attempts per cell before quarantine (default 2)",
+        help="retries per cell before quarantine (>= 0, default 2)",
     )
     p.set_defaults(func=cmd_figures)
 

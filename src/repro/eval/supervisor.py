@@ -1,15 +1,18 @@
-"""Supervised worker pool: timeouts, retries, quarantine, checkpoints.
+"""Sweep supervision policy: timeouts, retries, quarantine, checkpoints.
 
-:func:`repro.eval.parallel.run_tasks` gives the evaluation layer a
-deterministic fork-pool map, but a fragile one: one crashed worker kills
-the whole sweep, one hung cell blocks the pool forever, and an
-interrupted 1000-cell run restarts from zero.  This module wraps the
-same task-list shape with the supervision discipline a long measurement
-campaign needs:
+:func:`repro.eval.parallel.run_tasks` maps a task function over a task
+list, in process or on its fork pool.  Unsupervised, that map fails
+fast: the first cell error aborts it.  A long measurement campaign
+needs more — one crashed worker must not kill the whole sweep, one hung
+cell must not block it forever, and an interrupted 1000-cell run must
+not restart from zero.  Passing ``supervise=`` a :class:`SupervisorConfig`
+(or ``True``) gives the same map this discipline:
 
 * **Per-cell wall-clock timeouts** — a cell that exceeds
   ``cell_timeout`` seconds has its worker killed and respawned; the cell
-  is retried on another worker.
+  is retried on another worker.  A timed map always runs on the pool,
+  even at ``jobs=1`` (one forked worker), since only a separate process
+  can be preempted.
 * **Dead-worker detection** — a worker that exits (nonzero status,
   ``os._exit``, OOM kill) is detected by EOF on its pipe; its in-flight
   cell is retried and the worker replaced.
@@ -40,36 +43,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import heapq
 import json
-import multiprocessing as mp
 import os
-import signal
-import threading
-import time
-from collections import deque
-from multiprocessing import connection
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-
-from .parallel import (
-    ProgressFn,
-    WarmSpec,
-    _init_worker,
-    _ProgressGate,
-    pool_available,
-    resolve_jobs,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 #: Result codec: (encode to JSON-able payload, decode payload back).
 Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
@@ -124,7 +101,7 @@ class SweepInterrupted(RuntimeError):
 
 @dataclasses.dataclass
 class SweepReport:
-    """Counters of one supervised run (fill by passing to run_supervised)."""
+    """Counters of supervised runs (pass as :attr:`SupervisorConfig.report`)."""
 
     total: int = 0
     completed: int = 0
@@ -135,11 +112,11 @@ class SweepReport:
 
 @dataclasses.dataclass
 class SupervisorConfig:
-    """Knobs of :func:`run_supervised` (all optional)."""
+    """Knobs of a supervised :func:`repro.eval.parallel.run_tasks` map."""
 
     #: Seconds a single cell may run before its worker is killed
-    #: (None = no timeout).  Enforced only on the pool path — a serial
-    #: run cannot preempt its own cell.
+    #: (None = no timeout).  Setting it runs even ``jobs=1`` on one
+    #: forked worker, since an in-process cell cannot be preempted.
     cell_timeout: Optional[float] = None
     #: Retries per cell before quarantine.
     max_retries: int = 2
@@ -151,15 +128,27 @@ class SupervisorConfig:
     journal: Optional[Union[str, Path, "CheckpointJournal"]] = None
     #: Replay completed cells from the journal instead of re-running.
     resume: bool = False
-    #: Seconds in-flight cells may drain after SIGINT/SIGTERM.
+    #: Seconds in-flight cells may drain after SIGINT/SIGTERM (the
+    #: handlers are installed only on the main thread).
     grace: float = 5.0
-    #: Install SIGINT/SIGTERM handlers for graceful shutdown (skipped
-    #: automatically off the main thread).
-    handle_signals: bool = True
     #: Optional :class:`SweepReport` accumulating counters across every
     #: run that uses this config (counters add up, so one report can
     #: cover several drivers sharing one journal).
     report: Optional["SweepReport"] = None
+
+    def __post_init__(self) -> None:
+        if self.cell_timeout is not None and not self.cell_timeout > 0:
+            raise ValueError(
+                f"cell_timeout must be > 0 seconds, got {self.cell_timeout!r}"
+            )
+        for name in ("max_retries", "backoff_base", "backoff_cap", "grace"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+    def backoff(self, attempts: int) -> float:
+        """Delay before retrying a cell that has failed ``attempts`` times."""
+        return min(self.backoff_cap, self.backoff_base * 2 ** (attempts - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +205,7 @@ class CheckpointJournal:
     Every record is flushed and fsynced as it is written; the loader
     skips corrupt or truncated lines (at most the final record can be
     torn by a crash), so any journal that exists is resumable.  One
-    journal may serve several :func:`run_supervised` calls (e.g. the
+    journal may serve several supervised ``run_tasks`` calls (e.g. the
     three figure drivers of ``repro figures``) — keys are content
     hashes, so records never collide across task lists.
     """
@@ -272,7 +261,7 @@ class CheckpointJournal:
         except TypeError:
             raise TypeError(
                 "checkpoint payload is not JSON-serializable; pass a codec "
-                "(encode/decode) to run_supervised for this result type"
+                "(encode/decode) to run_tasks for this result type"
             ) from None
 
     def _write(self, doc: Dict[str, Any]) -> None:
@@ -290,362 +279,3 @@ class CheckpointJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-
-def _worker_main(conn, fn: Callable, warm: Tuple[WarmSpec, ...]) -> None:
-    """Worker loop: recv (index, task), send (index, status, payload).
-
-    SIGINT is ignored so Ctrl-C in the parent's terminal (delivered to
-    the whole foreground process group) does not kill workers mid-cell;
-    the parent owns shutdown via the pipe (or SIGKILL on timeout).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _init_worker(warm)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg is None:
-            return
-        index, task = msg
-        try:
-            result = fn(task)
-        except Exception as exc:
-            conn.send((index, "error", f"{type(exc).__name__}: {exc}"))
-        else:
-            conn.send((index, "ok", result))
-
-
-class _Worker:
-    """Parent-side handle of one supervised worker process."""
-
-    def __init__(self, ctx, fn: Callable, warm: Tuple[WarmSpec, ...]):
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, fn, warm), daemon=True
-        )
-        self.proc.start()
-        child.close()
-        #: (index, task, attempts) of the in-flight cell, or None.
-        self.job: Optional[Tuple[int, Any, int]] = None
-        #: Monotonic deadline of the in-flight cell (math.inf = none).
-        self.deadline = float("inf")
-
-    def assign(self, index: int, task: Any, attempts: int, timeout: Optional[float]):
-        self.job = (index, task, attempts)
-        self.deadline = (
-            time.monotonic() + timeout if timeout is not None else float("inf")
-        )
-        self.conn.send((index, task))
-
-    def stop(self) -> None:
-        """Ask the worker to exit after its current cell."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover
-            pass
-        self.proc.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Supervisor
-# ---------------------------------------------------------------------------
-
-
-def run_supervised(
-    fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    jobs: Optional[int] = 1,
-    config: Optional[SupervisorConfig] = None,
-    progress: Optional[ProgressFn] = None,
-    log_every: int = 1,
-    warm: Optional[Sequence[WarmSpec]] = None,
-    codec: Optional[Codec] = None,
-    report: Optional[SweepReport] = None,
-) -> List[Any]:
-    """Map ``fn`` over ``tasks`` under supervision.
-
-    Same shape and determinism contract as
-    :func:`repro.eval.parallel.run_tasks`, plus the robustness behaviour
-    of :class:`SupervisorConfig`: results come back in task order, with
-    quarantined cells replaced by :class:`CellFailure` instead of
-    aborting.  ``codec=(encode, decode)`` converts results to/from the
-    JSON payloads stored in the checkpoint journal (identity when the
-    results are already plain JSON data).
-    """
-    cfg = config or SupervisorConfig()
-    items = list(tasks)
-    total = len(items)
-    if report is None:
-        report = cfg.report
-    if report is not None:
-        report.total += total
-    if total == 0:
-        return []
-    encode, decode = codec if codec is not None else (lambda x: x, lambda x: x)
-
-    # -- journal + resume prefill -------------------------------------------
-    journal: Optional[CheckpointJournal] = None
-    own_journal = False
-    if cfg.journal is not None:
-        if isinstance(cfg.journal, CheckpointJournal):
-            journal = cfg.journal
-        else:
-            journal = CheckpointJournal(cfg.journal)
-            own_journal = True
-    keys = [cell_key(fn, task) for task in items] if journal is not None else None
-    results: List[Any] = [_UNRESOLVED] * total
-    resumed = 0
-    if journal is not None and cfg.resume:
-        seen = journal.load()
-        for i, key in enumerate(keys):
-            rec = seen.get(key)
-            if rec is not None and rec.get("status") == "ok":
-                results[i] = decode(rec.get("payload"))
-                resumed += 1
-    if journal is not None and not journal.is_open:
-        journal.open(fresh=not cfg.resume)
-    if report is not None:
-        report.resumed += resumed
-
-    gate = _ProgressGate(progress, total, log_every)
-    gate.advance(resumed)
-    todo = [i for i in range(total) if results[i] is _UNRESOLVED]
-
-    # -- graceful signal shutdown -------------------------------------------
-    interrupted: List[int] = []
-    installed: List[Tuple[int, Any]] = []
-    if cfg.handle_signals and threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, frame):
-            interrupted.append(signum)
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed.append((sig, signal.signal(sig, _on_signal)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    def _finish(index: int, value: Any, status: str, **fields: Any) -> None:
-        results[index] = value
-        gate.advance()
-        if report is not None:
-            report.completed += 1
-            if isinstance(value, CellFailure):
-                report.failures.append(value)
-        if journal is not None:
-            payload = value.to_payload() if isinstance(value, CellFailure) else encode(value)
-            journal.record(keys[index], status, payload=payload, **fields)
-
-    try:
-        if todo:
-            n_jobs = min(resolve_jobs(jobs), len(todo))
-            if n_jobs == 1 or not pool_available():
-                _run_serial(fn, items, todo, cfg, interrupted, _finish, report)
-            else:
-                _run_pool(
-                    fn, items, todo, n_jobs, cfg, warm, interrupted, _finish, report
-                )
-        if interrupted:
-            completed = sum(1 for r in results if r is not _UNRESOLVED)
-            raise SweepInterrupted(
-                completed, total, journal.path if journal is not None else None
-            )
-    finally:
-        for sig, old in installed:
-            signal.signal(sig, old)
-        if journal is not None and own_journal:
-            journal.close()
-    return results
-
-
-#: Placeholder marking result slots not yet produced (never returned).
-_UNRESOLVED = object()
-
-
-def _backoff_delay(cfg: SupervisorConfig, attempts: int) -> float:
-    return min(cfg.backoff_cap, cfg.backoff_base * (2 ** max(attempts - 1, 0)))
-
-
-def _run_serial(
-    fn: Callable,
-    items: Sequence[Any],
-    todo: Sequence[int],
-    cfg: SupervisorConfig,
-    interrupted: List[int],
-    finish: Callable,
-    report: Optional[SweepReport],
-) -> None:
-    """In-process fallback: no preemption, but retries/quarantine/journal."""
-    for index in todo:
-        if interrupted:
-            return
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                result = fn(items[index])
-            except Exception as exc:
-                if attempts > cfg.max_retries:
-                    finish(
-                        index,
-                        CellFailure(
-                            index,
-                            cell_key(fn, items[index]),
-                            "error",
-                            attempts,
-                            f"{type(exc).__name__}: {exc}",
-                        ),
-                        "failed",
-                    )
-                    break
-                if report is not None:
-                    report.retried += 1
-                time.sleep(_backoff_delay(cfg, attempts))
-            else:
-                finish(index, result, "ok")
-                break
-
-
-def _run_pool(
-    fn: Callable,
-    items: Sequence[Any],
-    todo: Sequence[int],
-    n_jobs: int,
-    cfg: SupervisorConfig,
-    warm: Optional[Sequence[WarmSpec]],
-    interrupted: List[int],
-    finish: Callable,
-    report: Optional[SweepReport],
-) -> None:
-    """Fork-pool path with timeouts, dead-worker respawn and backoff."""
-    ctx = mp.get_context("fork")
-    warm_t = tuple(warm or ())
-    workers = [_Worker(ctx, fn, warm_t) for _ in range(n_jobs)]
-    pending: deque = deque((i, items[i], 0) for i in todo)
-    delayed: List[Tuple[float, int, Tuple[int, Any, int]]] = []
-    seq = 0
-    outstanding = len(todo)
-    drain_deadline: Optional[float] = None
-
-    def _retry_or_quarantine(index: int, task: Any, attempts: int, kind: str, msg: str):
-        nonlocal seq, outstanding
-        attempts += 1
-        if attempts > cfg.max_retries:
-            finish(
-                index,
-                CellFailure(index, cell_key(fn, task), kind, attempts, msg),
-                "failed",
-                kind=kind,
-                attempts=attempts,
-            )
-            outstanding -= 1
-        else:
-            if report is not None:
-                report.retried += 1
-            seq += 1
-            heapq.heappush(
-                delayed,
-                (time.monotonic() + _backoff_delay(cfg, attempts), seq, (index, task, attempts)),
-            )
-
-    def _replace(worker: _Worker) -> _Worker:
-        worker.kill()
-        fresh = _Worker(ctx, fn, warm_t)
-        workers[workers.index(worker)] = fresh
-        return fresh
-
-    try:
-        while outstanding > 0:
-            now = time.monotonic()
-            if interrupted and drain_deadline is None:
-                drain_deadline = now + cfg.grace
-            # Promote delayed retries whose backoff has elapsed.
-            while delayed and delayed[0][0] <= now:
-                pending.append(heapq.heappop(delayed)[2])
-            # Dispatch to idle workers (not while draining an interrupt).
-            if not interrupted:
-                for w in workers:
-                    if w.job is None and pending:
-                        index, task, attempts = pending.popleft()
-                        w.assign(index, task, attempts, cfg.cell_timeout)
-            busy = [w for w in workers if w.job is not None]
-            if interrupted:
-                if not busy or now >= drain_deadline:
-                    return  # journal is already flushed per record
-            elif not busy:
-                if pending:
-                    continue
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - now))
-                    continue
-                return  # nothing outstanding anywhere (defensive)
-            # Wait for results, bounded so deadlines/signals stay live.
-            wait_until = min(
-                [w.deadline for w in busy] or [now + 0.25],
-            )
-            if delayed:
-                wait_until = min(wait_until, delayed[0][0])
-            if drain_deadline is not None:
-                wait_until = min(wait_until, drain_deadline)
-            timeout = max(0.0, min(wait_until - now, 0.25))
-            ready = connection.wait([w.conn for w in busy], timeout)
-            by_conn = {w.conn: w for w in busy}
-            for conn in ready:
-                w = by_conn[conn]
-                index, task, attempts = w.job
-                try:
-                    got_index, status, payload = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died mid-cell (os._exit, OOM kill, segfault).
-                    _replace(w)
-                    _retry_or_quarantine(
-                        index, task, attempts, "crash",
-                        f"worker exited (code {w.proc.exitcode})",
-                    )
-                    continue
-                w.job = None
-                w.deadline = float("inf")
-                assert got_index == index, "worker answered the wrong cell"
-                if status == "ok":
-                    finish(index, payload, "ok")
-                    outstanding -= 1
-                else:
-                    _retry_or_quarantine(index, task, attempts, "error", payload)
-            # Enforce per-cell deadlines on workers that stayed silent.
-            if cfg.cell_timeout is not None:
-                now = time.monotonic()
-                for w in list(workers):
-                    if w.job is not None and now >= w.deadline:
-                        index, task, attempts = w.job
-                        _replace(w)
-                        _retry_or_quarantine(
-                            index, task, attempts, "timeout",
-                            f"cell exceeded {cfg.cell_timeout:.3g}s",
-                        )
-    finally:
-        for w in workers:
-            if w.job is None and w.proc.is_alive():
-                w.stop()
-        for w in workers:
-            if w.job is not None:
-                w.kill()  # interrupted mid-cell or supervisor error
-            else:
-                w.proc.join(timeout=2.0)
-                if w.proc.is_alive():  # pragma: no cover
-                    w.kill()

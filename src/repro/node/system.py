@@ -382,15 +382,18 @@ class NUMASystem(ClockedModel):
 
         self.shard_report = None
         n_shards = min(pdes.resolve_shards(shards), len(self.nodes))
-        if n_shards > 1 and not self.shard_blockers() and pdes.workers_available():
-            try:
-                self.shard_report = pdes.run_sharded(self, max_cycles, n_shards)
-            except pdes.ShardFallback as exc:
-                import warnings
+        if n_shards > 1 and not self.shard_blockers():
+            from repro.eval.parallel import pool_available
 
-                warnings.warn(
-                    f"sharded run fell back to serial: {exc}", RuntimeWarning
-                )
+            if pool_available():
+                try:
+                    self.shard_report = pdes.run_sharded(self, max_cycles, n_shards)
+                except pdes.ShardFallback as exc:
+                    import warnings
+
+                    warnings.warn(
+                        f"sharded run fell back to serial: {exc}", RuntimeWarning
+                    )
         if self.shard_report is None:
             self._run_loop(max_cycles, engine=engine)
         st = self.stats

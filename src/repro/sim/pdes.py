@@ -24,12 +24,15 @@ the barrier exchange cannot reorder anything observably.  Shard runs
 are bit-identical to the serial engines; the equivalence suite in
 ``tests/sim/test_shard_equivalence.py`` enforces it.
 
-Worker management follows :mod:`repro.eval.parallel` /
-:mod:`repro.eval.supervisor`: fork start method (request streams are
-plain objects in the child, nothing is pickled on the way in), pipe
-EOF as the dead-worker signal, and crash recovery by rerunning — the
-parent's system object is never mutated until a run succeeds, so a
-SIGKILL-ed shard costs one restart, not a wrong answer.
+Worker management borrows the sweep pool's mechanics
+(:mod:`repro.eval.parallel`) without sharing its code: fork start
+method (request streams are plain objects in the child, nothing is
+pickled on the way in) and pipe EOF as the dead-worker signal.  The
+protocol differs — shards meet at window barriers rather than taking
+one cell at a time — and so does crash recovery, which reruns the whole
+run instead of one cell: the parent's system object is never mutated
+until a run succeeds, so a SIGKILL-ed shard costs one restart, not a
+wrong answer.
 
 Observability shards with the mesh: each worker samples its restricted
 system's timeline probes and buffers its own trace events locally, and
@@ -102,13 +105,6 @@ def resolve_shards(spec: Optional[int] = None) -> int:
     if spec == 0:
         return os.cpu_count() or 1
     return spec
-
-
-def workers_available() -> bool:
-    """Sharding needs the same fork-based workers as the eval pool."""
-    from repro.eval.parallel import pool_available
-
-    return pool_available()
 
 
 def shard_node_ids(n_nodes: int, n_shards: int) -> List[List[int]]:

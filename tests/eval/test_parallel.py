@@ -1,6 +1,8 @@
 """Tests for the deterministic process-pool executor (repro.eval.parallel)."""
 
 import io
+import os
+import signal
 
 import pytest
 
@@ -26,6 +28,45 @@ def _describe(task):
     # Mixed-type result; exercises result pickling beyond plain ints.
     name, value = task
     return {"name": name, "value": value, "tag": f"{name}:{value}"}
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # lambdas do not pickle
+
+
+class _NeedsTwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")  # pickles, but cannot be rebuilt
+
+
+def _fail_on_2(x):
+    if x == 2:
+        raise ValueError(f"bad cell {x}")
+    return x
+
+
+def _unpicklable_fail_on_2(x):
+    if x == 2:
+        raise _Unpicklable("no pickle")
+    return x
+
+
+def _rebuild_fail_on_2(x):
+    if x == 2:
+        raise _NeedsTwoArgs("p", "q")
+    return x
+
+
+def _exit_on_2(x):
+    if x == 2:
+        os._exit(3)
+    return x
+
+
+def _sigint_handler(_):
+    return signal.getsignal(signal.SIGINT)
 
 
 def test_resolve_jobs_semantics():
@@ -59,7 +100,7 @@ def test_run_tasks_pool_matches_serial(smoke_jobs):
 def test_run_tasks_pool_structured_results(smoke_jobs):
     tasks = [("w", i) for i in range(9)]
     serial = run_tasks(_describe, tasks, jobs=1)
-    pooled = run_tasks(_describe, tasks, jobs=smoke_jobs, chunksize=2)
+    pooled = run_tasks(_describe, tasks, jobs=smoke_jobs)
     assert pooled == serial
 
 
@@ -68,6 +109,49 @@ def test_run_tasks_pool_structured_results(smoke_jobs):
 def test_jobs_exceeding_tasks_is_fine(smoke_jobs):
     # More workers than tasks must not hang or drop results.
     assert run_tasks(_square, [3, 4], jobs=max(smoke_jobs, 8)) == [9, 16]
+
+
+def test_unsupervised_serial_propagates_cell_exception():
+    with pytest.raises(ValueError, match="^bad cell 2$"):
+        run_tasks(_fail_on_2, range(5), jobs=1)
+
+
+def test_unsupervised_serial_installs_no_signal_handler():
+    before = signal.getsignal(signal.SIGINT)
+    assert run_tasks(_sigint_handler, [0], jobs=1) == [before]
+    # The probe can tell: a supervised map does install its handler.
+    assert run_tasks(_sigint_handler, [0], jobs=1, supervise=True) != [before]
+    assert signal.getsignal(signal.SIGINT) is before
+
+
+@pytest.mark.parallel
+@needs_pool
+def test_unsupervised_pool_reraises_cell_exception(smoke_jobs):
+    with pytest.raises(ValueError, match="^bad cell 2$"):
+        run_tasks(_fail_on_2, range(8), jobs=max(smoke_jobs, 2))
+
+
+@pytest.mark.parallel
+@needs_pool
+@pytest.mark.parametrize(
+    "fn,message",
+    [
+        (_unpicklable_fail_on_2, "cell 2: _Unpicklable: no pickle"),
+        (_rebuild_fail_on_2, "cell 2: _NeedsTwoArgs: p/q"),
+    ],
+)
+def test_unsupervised_pool_wraps_exception_that_cannot_travel(smoke_jobs, fn, message):
+    with pytest.raises(RuntimeError) as err:
+        run_tasks(fn, range(8), jobs=max(smoke_jobs, 2))
+    assert str(err.value) == message
+
+
+@pytest.mark.parallel
+@needs_pool
+def test_unsupervised_pool_dead_worker_names_cell(smoke_jobs):
+    with pytest.raises(RuntimeError) as err:
+        run_tasks(_exit_on_2, range(8), jobs=max(smoke_jobs, 2))
+    assert str(err.value) == "cell 2: worker exited (code 3)"
 
 
 def test_progress_gate_log_every():

@@ -24,7 +24,6 @@ from repro.eval.supervisor import (
     SupervisorConfig,
     SweepReport,
     cell_key,
-    run_supervised,
 )
 from repro.eval.parallel import pool_available, run_tasks
 from repro.eval.sweeps import sweep_grid
@@ -64,6 +63,11 @@ def _flaky(task):
     return n * 7
 
 
+def _nap(n):
+    time.sleep(0.5)
+    return n
+
+
 def _chaos_tasks(n=40):
     """~10 % planted faults, one of each kind, spread through the grid."""
     tasks = [("ok", i) for i in range(n)]
@@ -87,8 +91,8 @@ def test_serial_error_quarantined_and_survivors_exact(tmp_path):
     tasks = [("ok", i) for i in range(8)]
     tasks[2] = ("boom", 2)
     rep = SweepReport()
-    out = run_supervised(
-        _chaos, tasks, jobs=1, config=SupervisorConfig(**FAST), report=rep
+    out = run_tasks(
+        _chaos, tasks, jobs=1, supervise=SupervisorConfig(**FAST, report=rep)
     )
     assert isinstance(out[2], CellFailure)
     assert out[2].kind == "error" and out[2].attempts == 2
@@ -99,10 +103,44 @@ def test_serial_error_quarantined_and_survivors_exact(tmp_path):
     assert rep.completed == 8 and len(rep.failures) == 1
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("cell_timeout", 0, "cell_timeout must be > 0 seconds, got 0"),
+        ("cell_timeout", -1.5, "cell_timeout must be > 0 seconds, got -1.5"),
+        ("max_retries", -3, "max_retries must be >= 0, got -3"),
+        ("backoff_base", -1.0, "backoff_base must be >= 0, got -1.0"),
+        ("backoff_cap", -0.5, "backoff_cap must be >= 0, got -0.5"),
+        ("grace", -2.0, "grace must be >= 0, got -2.0"),
+    ],
+)
+def test_config_rejects_bad_knobs(field, value, message):
+    with pytest.raises(ValueError) as err:
+        SupervisorConfig(**{field: value})
+    assert str(err.value) == message
+
+
+def test_config_accepts_zero_retries_and_delays():
+    cfg = SupervisorConfig(max_retries=0, backoff_base=0.0, backoff_cap=0.0, grace=0.0)
+    assert cfg.backoff(3) == 0.0
+
+
+@pytest.mark.parallel
+@needs_pool
+def test_cell_timeout_enforced_at_jobs_1():
+    """A timed map forks one worker even at jobs=1, so cells can be preempted."""
+    cfg = SupervisorConfig(cell_timeout=0.1, max_retries=0)
+    start = time.monotonic()
+    out = run_tasks(_nap, [1, 2], jobs=1, supervise=cfg)
+    assert [type(r) for r in out] == [CellFailure, CellFailure]
+    assert [r.kind for r in out] == ["timeout", "timeout"]
+    assert time.monotonic() - start < 0.9  # neither 0.5 s nap ran out
+
+
 def test_serial_retry_recovers_transient_failure(tmp_path):
     flag = str(tmp_path / "flag")
-    out = run_supervised(
-        _flaky, [(flag, 6)], jobs=1, config=SupervisorConfig(**FAST)
+    out = run_tasks(
+        _flaky, [(flag, 6)], jobs=1, supervise=SupervisorConfig(**FAST)
     )
     assert out == [42]
 
@@ -112,8 +150,8 @@ def test_serial_retry_recovers_transient_failure(tmp_path):
 def test_chaos_sweep_completes_with_bit_identical_survivors():
     tasks = _chaos_tasks()
     rep = SweepReport()
-    cfg = SupervisorConfig(cell_timeout=2.0, **FAST)
-    out = run_supervised(_chaos, tasks, jobs=4, config=cfg, report=rep)
+    cfg = SupervisorConfig(cell_timeout=2.0, **FAST, report=rep)
+    out = run_tasks(_chaos, tasks, jobs=4, supervise=cfg)
     clean = [_pure(t) for t in tasks]
 
     failures = {i: r for i, r in enumerate(out) if isinstance(r, CellFailure)}
@@ -145,16 +183,15 @@ def test_run_tasks_supervise_delegation():
 def test_journal_resume_reruns_only_missing_cells(tmp_path):
     journal = tmp_path / "ck.jsonl"
     tasks = [("ok", i) for i in range(10)]
-    first = run_supervised(
-        _pure, tasks[:6], jobs=1, config=SupervisorConfig(journal=journal)
+    first = run_tasks(
+        _pure, tasks[:6], jobs=1, supervise=SupervisorConfig(journal=journal)
     )
     rep = SweepReport()
-    full = run_supervised(
+    full = run_tasks(
         _pure,
         tasks,
         jobs=1,
-        config=SupervisorConfig(journal=journal, resume=True),
-        report=rep,
+        supervise=SupervisorConfig(journal=journal, resume=True, report=rep),
     )
     assert full == [_pure(t) for t in tasks]
     assert full[:6] == first
@@ -164,18 +201,17 @@ def test_journal_resume_reruns_only_missing_cells(tmp_path):
 def test_journal_tolerates_torn_and_corrupt_lines(tmp_path):
     journal = tmp_path / "ck.jsonl"
     tasks = [("ok", i) for i in range(4)]
-    run_supervised(_pure, tasks, jobs=1, config=SupervisorConfig(journal=journal))
+    run_tasks(_pure, tasks, jobs=1, supervise=SupervisorConfig(journal=journal))
     # Simulate a SIGKILL mid-write: garbage + a truncated record at EOF.
     with open(journal, "a") as fh:
         fh.write("not json at all\n")
         fh.write('{"key": "abcd", "status": "ok", "payl')
     rep = SweepReport()
-    out = run_supervised(
+    out = run_tasks(
         _pure,
         tasks,
         jobs=1,
-        config=SupervisorConfig(journal=journal, resume=True),
-        report=rep,
+        supervise=SupervisorConfig(journal=journal, resume=True, report=rep),
     )
     assert out == [_pure(t) for t in tasks]
     assert rep.resumed == 4
@@ -185,12 +221,12 @@ def test_quarantined_cell_retries_on_resume(tmp_path):
     journal = tmp_path / "ck.jsonl"
     flag = str(tmp_path / "flag")
     cfg = SupervisorConfig(journal=journal, max_retries=0, backoff_base=0.001)
-    out = run_supervised(_flaky, [(flag, 2)], jobs=1, config=cfg)
+    out = run_tasks(_flaky, [(flag, 2)], jobs=1, supervise=cfg)
     assert isinstance(out[0], CellFailure)
     # Failed records do not replay: the resume re-runs the cell, which
     # now succeeds (its flag file exists).
     cfg2 = SupervisorConfig(journal=journal, resume=True, max_retries=0)
-    out2 = run_supervised(_flaky, [(flag, 2)], jobs=1, config=cfg2)
+    out2 = run_tasks(_flaky, [(flag, 2)], jobs=1, supervise=cfg2)
     assert out2 == [14]
 
 
@@ -219,14 +255,15 @@ def test_supervised_sweep_grid_matches_plain(tmp_path, smoke_jobs):
 
 _KILL_PROG = """
 import json, sys, time
-from repro.eval.supervisor import run_supervised, SupervisorConfig
+from repro.eval.parallel import run_tasks
+from repro.eval.supervisor import SupervisorConfig
 
 def cell(n):
     time.sleep(0.08)
     return n * 3
 
 cfg = SupervisorConfig(journal=sys.argv[1], resume=(sys.argv[2] == "resume"))
-out = run_supervised(cell, list(range(24)), jobs=2, config=cfg)
+out = run_tasks(cell, list(range(24)), jobs=2, supervise=cfg)
 print(json.dumps(out))
 """
 
@@ -270,7 +307,8 @@ def test_sigterm_graceful_drain(tmp_path):
     """SIGTERM drains in-flight cells, flushes the journal, exits 130."""
     prog = """
 import sys, time
-from repro.eval.supervisor import run_supervised, SupervisorConfig, SweepInterrupted
+from repro.eval.parallel import run_tasks
+from repro.eval.supervisor import SupervisorConfig, SweepInterrupted
 
 def cell(n):
     time.sleep(0.1)
@@ -278,7 +316,7 @@ def cell(n):
 
 cfg = SupervisorConfig(journal=sys.argv[1], grace=5.0)
 try:
-    run_supervised(cell, list(range(50)), jobs=2, config=cfg)
+    run_tasks(cell, list(range(50)), jobs=2, supervise=cfg)
 except SweepInterrupted as exc:
     print("interrupted", exc.completed, flush=True)
     sys.exit(130)

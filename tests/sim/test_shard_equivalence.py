@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MACConfig, SystemConfig
 from repro.core.request import MemoryRequest, RequestType
+from repro.eval.parallel import pool_available
 from repro.node.system import NUMASystem
 from repro.sim.pdes import (
     CHAOS_ENV_VAR,
@@ -21,11 +22,10 @@ from repro.sim.pdes import (
     ShardCrash,
     resolve_shards,
     shard_node_ids,
-    workers_available,
 )
 
 pytestmark = pytest.mark.skipif(
-    not workers_available(), reason="fork-based shard workers unavailable"
+    not pool_available(), reason="fork-based shard workers unavailable"
 )
 
 

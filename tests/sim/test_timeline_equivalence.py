@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MACConfig, SystemConfig
+from repro.eval.parallel import pool_available
 from repro.node.system import NUMASystem
 from repro.obs import (
     NULL_TIMELINE,
@@ -20,12 +21,11 @@ from repro.obs import (
     Timeline,
     canonical_key,
 )
-from repro.sim.pdes import workers_available
 
 from tests.sim.test_shard_equivalence import make_requests, outcome
 
 pytestmark = pytest.mark.skipif(
-    not workers_available(), reason="fork-based shard workers unavailable"
+    not pool_available(), reason="fork-based shard workers unavailable"
 )
 
 

@@ -50,6 +50,24 @@ class TestCommands:
         assert "link 7" in captured.err and "4 links" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--cell-timeout", "0", "cell_timeout must be > 0 seconds, got 0.0"),
+            ("--max-retries", "-1", "max_retries must be >= 0, got -1"),
+        ],
+    )
+    def test_figures_rejects_bad_resilience_knob(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        ckpt = tmp_path / "figs.ckpt.jsonl"
+        argv = ["figures", "--fast", "--only", "fig11", "--checkpoint", str(ckpt)]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not ckpt.exists()  # rejected before any journal or cell
+
     def test_replay_policy_and_arq_flags(self, tmp_path, capsys):
         out = tmp_path / "t.trc"
         main(["trace", "SP", "-o", str(out), "--threads", "2", "--ops", "100"])
