@@ -45,6 +45,9 @@ class RawRequestAggregator:
         self.arq = AggregatedRequestQueue(config, self.codec, tracer=tracer)
         self.builder = RequestBuilder(config, self.codec, policy)
         self.stats = stats if stats is not None else MACStats()
+        self._pop_interval = config.pop_interval
+        # The ARQ's FIFO, read directly for the per-cycle head check.
+        self._queue = self.arq._entries
         self._cycle = 0
         # First pop lands one full interval in: a freshly allocated head
         # entry always gets at least pop_interval cycles of residency to
@@ -57,7 +60,7 @@ class RawRequestAggregator:
 
     def idle(self) -> bool:
         """True when no request is buffered anywhere in the aggregator."""
-        return self.arq.empty and not self.builder.busy
+        return not self._queue and not self.builder.busy
 
     def tick(self, incoming: Optional[MemoryRequest]) -> List[CoalescedRequest]:
         """Advance one cycle.
@@ -71,17 +74,19 @@ class RawRequestAggregator:
             Packets dispatched towards the memory device this cycle.
         """
         cycle = self._cycle
-        out: List[CoalescedRequest] = []
         self._accepted_last = True
+        queue = self._queue
         at = self.attrib
         if at.enabled and not cycle & 63:
             # Per-cycle occupancy, pre-gated to every 64th cycle so the
             # hot tick path pays one bitmask check; the bounded sampler
             # decimates further on long runs.
-            at.sample_depth("arq", cycle, len(self.arq))
+            at.sample_depth("arq", cycle, len(queue))
 
-        # Builder pipeline advances first (emits packets built previously).
-        out.extend(self.builder.tick(cycle))
+        # Builder pipeline advances first (emits packets built previously);
+        # an empty pipeline has nothing to advance.
+        builder = self.builder
+        out: List[CoalescedRequest] = builder.tick(cycle) if builder.busy else []
 
         # Pop cadence: one entry leaves the ARQ every pop_interval (2)
         # cycles — the paper's fixed 0.5 requests/cycle issuing rate
@@ -89,20 +94,19 @@ class RawRequestAggregator:
         # fence entries skip the builder's 3-cycle pipeline (latency),
         # but not the pop cadence (bandwidth).  The fixed cadence also
         # gives entries queue residency to accumulate merges.
-        if cycle >= self._next_pop and not self.arq.empty:
-            head = self.arq.peek()
-            assert head is not None
+        if cycle >= self._next_pop and queue:
+            head = queue[0]
             tr = self.tracer
             if head.fence:
                 self.arq.pop()  # fences retire without a memory packet
-                self._next_pop = cycle + self.config.pop_interval
+                self._next_pop = cycle + self._pop_interval
                 if tr.enabled:
                     tr.emit("arq", "pop", cycle, kind="fence")
             elif head.bypass:
                 entry = self.arq.pop()
                 assert entry is not None
                 out.append(bypass_packet(entry, self.codec, self.config, cycle))
-                self._next_pop = cycle + self.config.pop_interval
+                self._next_pop = cycle + self._pop_interval
                 if tr.enabled:
                     tr.emit(
                         "arq", "pop", cycle, kind="bypass",
@@ -114,11 +118,11 @@ class RawRequestAggregator:
                         if m is None:
                             m = req.marks = {}
                         m["arq_pop"] = cycle
-            elif self.builder.can_accept():
+            elif builder.can_accept():
                 entry = self.arq.pop()
                 assert entry is not None
-                self.builder.accept(entry)
-                self._next_pop = cycle + self.config.pop_interval
+                builder.accept(entry)
+                self._next_pop = cycle + self._pop_interval
                 if tr.enabled:
                     tr.emit(
                         "arq", "pop", cycle, kind="build",
@@ -127,8 +131,8 @@ class RawRequestAggregator:
                     )
                     tr.emit(
                         "builder", "occupancy", cycle,
-                        stage1=self.builder.stage1_busy,
-                        stage2=self.builder.stage2_busy,
+                        stage1=builder.stage1_busy,
+                        stage2=builder.stage2_busy,
                     )
                 if at.enabled:
                     for req in entry.requests:
@@ -167,8 +171,8 @@ class RawRequestAggregator:
                         m = req.marks = {}
                     m["dispatch"] = cycle
 
-        self._cycle += 1
-        self.stats.total_cycles = self._cycle
+        self._cycle = cycle + 1
+        self.stats.total_cycles = cycle + 1
         return out
 
     def accepted(self) -> bool:

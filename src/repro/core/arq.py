@@ -25,7 +25,7 @@ from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
 from .config import MACConfig
 from .flit import FlitMap
-from .request import MemoryRequest, Target
+from .request import MemoryRequest, RequestType, Target
 
 
 @dataclass(slots=True)
@@ -84,6 +84,12 @@ class AggregatedRequestQueue:
         self.config = config
         self.codec = codec or AddressCodec(config)
         self.tracer = tracer
+        # Config constants read on every push/pop, bound once.
+        self._capacity = config.arq_entries
+        self._target_capacity = config.target_capacity
+        self._bypass_threshold = config.bypass_threshold
+        self._latency_hiding = config.latency_hiding
+        self._nflits = config.flits_per_row
         self._entries: Deque[ARQEntry] = deque()
         # Row-key index for O(1) comparator emulation.  Hardware compares
         # all entries in parallel; a dict gives identical semantics.  Only
@@ -127,11 +133,11 @@ class AggregatedRequestQueue:
     @property
     def free_entries(self) -> int:
         """The free-entry counter driving latency hiding (section 4.1)."""
-        return self.config.arq_entries - len(self._entries)
+        return self._capacity - len(self._entries)
 
     @property
     def full(self) -> bool:
-        return self.free_entries == 0
+        return len(self._entries) >= self._capacity
 
     @property
     def empty(self) -> bool:
@@ -154,16 +160,16 @@ class AggregatedRequestQueue:
         row-key hit, fence handling, atomic bypass, target-capacity limits
         and the latency-hiding comparator bypass.
         """
-        if request.is_fence:
+        rtype = request.rtype
+        if rtype is RequestType.FENCE:
             return self._push_fence(request, cycle)
-        if request.is_atomic:
-            return self._push_atomic(request, cycle)
+        key, flit = self.codec.locate(request.addr, rtype)
+        if rtype is RequestType.ATOMIC:
+            return self._push_atomic(request, flit, cycle)
 
-        key = self.codec.arq_key(request)
-
-        if self.config.latency_hiding:
-            free = self.free_entries
-            if free <= self.config.bypass_threshold:
+        if self._latency_hiding:
+            free = self._capacity - len(self._entries)
+            if free <= self._bypass_threshold:
                 self._bypass_armed = True
             elif self._bypass_armed and self._bypass_budget == 0:
                 # Counter crossed the threshold: burst-fill the N free
@@ -177,7 +183,7 @@ class AggregatedRequestQueue:
                     self.tracer.emit(
                         "arq", "bypass_fill", cycle, key=key, free=self.free_entries
                     )
-                return self._allocate(request, key, cycle)
+                return self._allocate(request, key, flit, cycle)
 
         # Only same-epoch entries (allocated since the youngest fence) are
         # mergeable; a key hit on the pre-fence side is exactly the merge
@@ -192,7 +198,7 @@ class AggregatedRequestQueue:
                 "match the oldest-wins comparator scan",
             )
         if hit is not None:
-            self._merge(hit, request, cycle)
+            self._merge(hit, request, flit, cycle)
             return True
         if self._fence_pending and key in self._fenced_index:
             self.fence_blocked_merges += 1
@@ -202,12 +208,14 @@ class AggregatedRequestQueue:
                     pending_fences=self._fence_pending,
                 )
 
-        return self._allocate(request, key, cycle)
+        return self._allocate(request, key, flit, cycle)
 
-    def _merge(self, entry: ARQEntry, request: MemoryRequest, cycle: int = 0) -> None:
-        flit = self.codec.flit_id(request.addr)
+    def _merge(
+        self, entry: ARQEntry, request: MemoryRequest, flit: int, cycle: int = 0
+    ) -> None:
         entry.flit_map.set(flit)
-        entry.targets.append(Target(request.tid, request.tag, flit))
+        targets = entry.targets
+        targets.append(Target(request.tid, request.tag, flit))
         entry.requests.append(request)
         entry.bypass = False  # >1 targets: goes through the builder
         self.merges += 1
@@ -215,15 +223,17 @@ class AggregatedRequestQueue:
             self.tracer.emit(
                 "arq", "merge", cycle, key=entry.key, targets=entry.target_count
             )
-        if entry.target_count >= self.config.target_capacity:
+        if len(targets) >= self._target_capacity:
             # Entry full: stop indexing it so further requests allocate anew.
             self._unindex(entry)
 
-    def _allocate(self, request: MemoryRequest, key: int, cycle: int) -> bool:
-        if self.full:
+    def _allocate(
+        self, request: MemoryRequest, key: int, flit: int, cycle: int
+    ) -> bool:
+        entries = self._entries
+        if len(entries) >= self._capacity:
             return False
-        flit = self.codec.flit_id(request.addr)
-        fmap = FlitMap(self.config.flits_per_row)
+        fmap = FlitMap(self._nflits)
         fmap.set(flit)
         entry = ARQEntry(
             key=key,
@@ -233,7 +243,7 @@ class AggregatedRequestQueue:
             alloc_cycle=cycle,
             requests=[request],
         )
-        self._entries.append(entry)
+        entries.append(entry)
         # A key may already be indexed (a bypass-filled or capacity-evicted
         # duplicate); the *oldest* mergeable entry keeps the comparator —
         # the priority encoder resolves towards the FIFO head — so a new
@@ -246,7 +256,7 @@ class AggregatedRequestQueue:
         self.allocations += 1
         if self.tracer.enabled:
             self.tracer.emit(
-                "arq", "alloc", cycle, key=key, occupancy=len(self._entries)
+                "arq", "alloc", cycle, key=key, occupancy=len(entries)
             )
         return True
 
@@ -255,7 +265,7 @@ class AggregatedRequestQueue:
             return False
         entry = ARQEntry(
             key=-1,
-            flit_map=FlitMap(self.config.flits_per_row),
+            flit_map=FlitMap(self._nflits),
             bypass=True,
             fence=True,
             alloc_cycle=cycle,
@@ -279,11 +289,10 @@ class AggregatedRequestQueue:
             )
         return True
 
-    def _push_atomic(self, request: MemoryRequest, cycle: int) -> bool:
+    def _push_atomic(self, request: MemoryRequest, flit: int, cycle: int) -> bool:
         if self.full:
             return False
-        flit = self.codec.flit_id(request.addr)
-        fmap = FlitMap(self.config.flits_per_row)
+        fmap = FlitMap(self._nflits)
         fmap.set(flit)
         entry = ARQEntry(
             key=-1,
@@ -306,7 +315,7 @@ class AggregatedRequestQueue:
         # A pop while the queue is busy re-arms the latency-hiding
         # trigger: the free-entry counter is about to climb back towards
         # the threshold from the busy side.
-        if self.free_entries <= self.config.bypass_threshold:
+        if self._capacity - len(self._entries) <= self._bypass_threshold:
             self._bypass_armed = True
         entry = self._entries.popleft()
         if entry.fence:
@@ -346,7 +355,7 @@ class AggregatedRequestQueue:
         current: Optional[ARQEntry] = None  # oldest match since last fence
         fenced: Optional[ARQEntry] = None  # oldest match before it
         matches = 0
-        cap = self.config.target_capacity
+        cap = self._target_capacity
         for e in self._entries:
             if e.fence:
                 if fenced is None:
@@ -381,7 +390,7 @@ class AggregatedRequestQueue:
         fence.  This is the input :meth:`match_oldest` scans.
         """
         view: List[Optional[int]] = []
-        cap = self.config.target_capacity
+        cap = self._target_capacity
         for e in self._entries:
             if e.fence:
                 # Everything before the fence is unmergeable this epoch.

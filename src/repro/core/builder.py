@@ -50,7 +50,12 @@ class RequestBuilder:
             groups=config.groups_per_row,
             chunk_bytes=config.min_request_bytes,
             policy=policy,
+            max_chunks=config.max_request_bytes // config.min_request_bytes,
         )
+        # Geometry constants read per built row, bound once.
+        self._groups = config.groups_per_row
+        self._flits_per_group = config.flits_per_group
+        self._stage2_cycles = config.builder_stage2_cycles
         self._stage1: Optional[_StageSlot] = None
         self._stage2: Optional[_StageSlot] = None
         self.built_packets = 0
@@ -68,7 +73,7 @@ class RequestBuilder:
 
     @property
     def busy(self) -> bool:
-        return self.stage1_busy or self.stage2_busy
+        return self._stage1 is not None or self._stage2 is not None
 
     def can_accept(self) -> bool:
         """Whether stage 1 can latch a new ARQ entry this cycle."""
@@ -111,8 +116,8 @@ class RequestBuilder:
         # Stage 1 -> stage 2 transfer (group OR takes the single cycle).
         if self._stage1 is not None and self._stage2 is None:
             slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self.config.groups_per_row)
-            slot.remaining = self.config.builder_stage2_cycles
+            slot.pattern = slot.entry.flit_map.group_bits(self._groups)
+            slot.remaining = self._stage2_cycles
             self._stage2 = slot
             self._stage1 = None
 
@@ -126,7 +131,7 @@ class RequestBuilder:
             self._stage2 = None
         if self._stage1 is not None:
             slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self.config.groups_per_row)
+            slot.pattern = slot.entry.flit_map.group_bits(self._groups)
             out.extend(self._emit(slot, cycle))
             self._stage1 = None
         return out
@@ -153,19 +158,21 @@ class RequestBuilder:
         Used by the fast window engine and by tests; produces exactly what
         the pipeline would emit.
         """
-        pattern = entry.flit_map.group_bits(self.config.groups_per_row)
+        pattern = entry.flit_map.group_bits(self._groups)
         return self._emit(_StageSlot(entry, pattern), cycle)
 
     def _emit(self, slot: _StageSlot, cycle: int) -> List[CoalescedRequest]:
         entry = slot.entry
-        row_base = self.codec.key_row(entry.key) << self.config.row_offset_bits
-        rtype = self.codec.key_type(entry.key)
+        codec = self.codec
+        row_base = codec.key_row(entry.key) << codec.row_shift
+        rtype = codec.key_type(entry.key)
         segments = self.table.lookup(slot.pattern)
         packets: List[CoalescedRequest] = []
         chunk = self.config.min_request_bytes
+        per = self._flits_per_group
         for seg in segments:
-            seg_lo = seg.offset * self.config.flits_per_group
-            seg_hi = (seg.offset + seg.length) * self.config.flits_per_group
+            seg_lo = seg.offset * per
+            seg_hi = (seg.offset + seg.length) * per
             idx = [
                 i
                 for i, t in enumerate(entry.targets)
@@ -204,9 +211,7 @@ def bypass_packet(
         addr = codec.row_base(req.addr) + flit * config.flit_bytes
     else:
         rtype = codec.key_type(entry.key)
-        addr = (
-            codec.key_row(entry.key) << config.row_offset_bits
-        ) + flit * config.flit_bytes
+        addr = (codec.key_row(entry.key) << codec.row_shift) + flit * config.flit_bytes
     return CoalescedRequest(
         addr=addr,
         size=config.flit_bytes,

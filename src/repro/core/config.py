@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .request import TARGET_BYTES
+
 
 @dataclass(frozen=True, slots=True)
 class MACConfig:
@@ -51,6 +53,12 @@ class MACConfig:
     def __post_init__(self) -> None:
         if self.arq_entries < 1:
             raise ValueError("ARQ needs at least one entry")
+        # The address codec masks with ``size - 1`` and shifts by
+        # ``log2(size)``, so every geometry size must be a power of two.
+        for name in ("row_bytes", "flit_bytes", "min_request_bytes"):
+            value = getattr(self, name)
+            if value < 1 or value & (value - 1):
+                raise ValueError(f"{name} must be a power of two, got {value}")
         if self.row_bytes % self.flit_bytes:
             raise ValueError("row size must be a multiple of the FLIT size")
         if self.flits_per_row > 64:
@@ -59,8 +67,27 @@ class MACConfig:
             raise ValueError("min request size must be FLIT aligned")
         if self.max_request_bytes > self.row_bytes:
             raise ValueError("requests may not exceed one DRAM row")
+        # The FLIT table caps packets at a whole number of chunks, cut at
+        # chunk boundaries aligned to the cap.
+        value = self.max_request_bytes
+        if value < self.min_request_bytes or value & (value - 1):
+            raise ValueError(
+                "max_request_bytes must be a power of two no smaller than "
+                f"min_request_bytes ({self.min_request_bytes}), got {value}"
+            )
         if self.pop_interval < 1:
             raise ValueError("pop interval must be positive")
+        if self.target_capacity < 1:
+            raise ValueError(
+                f"arq_entry_bytes={self.arq_entry_bytes} leaves room for no "
+                f"target (target_capacity={self.target_capacity})"
+            )
+        # Kept as fields so saved configs still load; the cycle model
+        # implements exactly one value of each.
+        for name in ("accepts_per_cycle", "builder_stage1_cycles"):
+            value = getattr(self, name)
+            if value != 1:
+                raise ValueError(f"{name} must be 1 (the modelled value), got {value}")
 
     @property
     def flits_per_row(self) -> int:
@@ -94,8 +121,6 @@ class MACConfig:
         64 B entry - 10 B header leaves 54 B; at 4.5 B per target that is
         12 targets (section 5.3.3).
         """
-        from .request import TARGET_BYTES
-
         usable = self.arq_entry_bytes - self.entry_header_bytes
         return int(usable // TARGET_BYTES)
 

@@ -33,7 +33,8 @@ class FlitMap:
 
     def set(self, flit_id: int) -> None:
         """Mark ``flit_id`` as requested."""
-        self._check(flit_id)
+        if not 0 <= flit_id < self.nflits:
+            self._check(flit_id)
         self.bits |= 1 << flit_id
 
     def test(self, flit_id: int) -> bool:

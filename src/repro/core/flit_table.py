@@ -19,13 +19,19 @@ Because a bit pattern such as ``1001`` cannot be covered by a contiguous
   needed.  Kept as the literal reading of the paper's text.
 * ``EXACT`` — emit one transaction per maximal run of set chunks; never
   over-fetches but may emit several packets per row (ablation).
+
+Every policy honours the device's maximum transaction size
+(``MACConfig.max_request_bytes``, ``max_chunks`` chunks here): a segment
+longer than the cap is cut at every ``max_chunks``-aligned chunk
+boundary, and pieces that cover no requested chunk are dropped.  The cut
+happens while the table is built, so a lookup costs the same.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 class FlitTablePolicy(enum.Enum):
@@ -94,6 +100,29 @@ def _exact_segments(pattern: int, groups: int) -> List[BuiltSegment]:
     return segments
 
 
+def _cap_segments(
+    segments: List[BuiltSegment], pattern: int, max_chunks: int
+) -> List[BuiltSegment]:
+    """Cut segments longer than ``max_chunks`` at aligned boundaries.
+
+    Pieces stay inside their segment, so they are disjoint and cover
+    every requested chunk the segment covered; a piece holding no
+    requested chunk is dropped.
+    """
+    out: List[BuiltSegment] = []
+    for seg in segments:
+        if seg.length <= max_chunks:
+            out.append(seg)
+            continue
+        lo, end = seg.offset, seg.offset + seg.length
+        while lo < end:
+            hi = min(end, (lo // max_chunks + 1) * max_chunks)
+            if (pattern >> lo) & ((1 << (hi - lo)) - 1):
+                out.append(BuiltSegment(lo, hi - lo))
+            lo = hi
+    return out
+
+
 _POLICY_FN = {
     FlitTablePolicy.SPAN: _span_segments,
     FlitTablePolicy.POPCOUNT: _popcount_segments,
@@ -106,7 +135,8 @@ class FlitTable:
 
     Mirrors the hardware structure: a ``2**groups``-entry LUT whose lookup
     is a single cycle (section 4.2.1).  The table is immutable after
-    construction.
+    construction.  ``max_chunks`` (default: the whole row) caps every
+    emitted segment, see the module docstring.
     """
 
     def __init__(
@@ -114,17 +144,24 @@ class FlitTable:
         groups: int = 4,
         chunk_bytes: int = 64,
         policy: FlitTablePolicy = FlitTablePolicy.SPAN,
+        max_chunks: Optional[int] = None,
     ) -> None:
         if groups < 1 or groups > 16:
             raise ValueError("FLIT table supports 1..16 groups")
         if chunk_bytes < 1:
             raise ValueError("chunk size must be positive")
+        if max_chunks is None:
+            max_chunks = groups
+        if max_chunks < 1:
+            raise ValueError(f"max_chunks must be positive, got {max_chunks}")
         self.groups = groups
         self.chunk_bytes = chunk_bytes
         self.policy = policy
+        self.max_chunks = max_chunks
         fn = _POLICY_FN[policy]
         self._table: Tuple[Tuple[BuiltSegment, ...], ...] = tuple(
-            tuple(fn(pattern, groups)) for pattern in range(1 << groups)
+            tuple(_cap_segments(fn(pattern, groups), pattern, max_chunks))
+            for pattern in range(1 << groups)
         )
 
     def lookup(self, pattern: int) -> Tuple[BuiltSegment, ...]:
@@ -154,5 +191,5 @@ class FlitTable:
     def __repr__(self) -> str:
         return (
             f"FlitTable(groups={self.groups}, chunk_bytes={self.chunk_bytes}, "
-            f"policy={self.policy.value})"
+            f"policy={self.policy.value}, max_chunks={self.max_chunks})"
         )

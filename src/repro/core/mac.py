@@ -30,7 +30,7 @@ from .config import MACConfig
 from .flit import FlitMap
 from .flit_table import FlitTablePolicy
 from .packet import CoalescedRequest, CoalescedResponse
-from .request import MemoryRequest, Target
+from .request import MemoryRequest, RequestType, Target
 from .router import RequestRouter, ResponseRouter
 from .stats import MACStats
 
@@ -77,6 +77,9 @@ class MAC(ClockedModel):
             self.config, self.codec, policy, self.stats, tracer=tracer,
             attrib=attrib,
         )
+        # Bound once for the per-cycle ARQ-full check in :meth:`tick`.
+        self._arq_queue = self.aggregator.arq._entries
+        self._arq_entries = self.config.arq_entries
 
     # -- stats wiring -------------------------------------------------------
 
@@ -204,8 +207,7 @@ class MAC(ClockedModel):
     def tick(self) -> List[CoalescedRequest]:
         """Advance one cycle; returns packets dispatched to the device."""
         incoming = None
-        arq = self.aggregator.arq
-        if not arq.full:
+        if len(self._arq_queue) < self._arq_entries:
             incoming = self.request_router.next_for_mac()
         elif self.attrib.enabled and not (
             self.request_router.local_queue.empty
@@ -217,7 +219,7 @@ class MAC(ClockedModel):
             cycle = self.aggregator.cycle
             cause = (
                 StallCause.FENCE_DRAIN
-                if not arq.comparators_enabled
+                if not self.aggregator.arq.comparators_enabled
                 else StallCause.ARQ_FULL
             )
             self.attrib.stall_span("arq", cause, cycle, cycle + 1)
@@ -270,10 +272,13 @@ class MAC(ClockedModel):
             prof.run_started()
         out: List[CoalescedRequest] = []
         cycles = 0
+        # The input FIFO's deque, read directly: one len() per iteration.
+        local = self.request_router.local_queue
+        local_q, local_cap = local._q, local.capacity
         it = iter(requests)
         pending: Optional[MemoryRequest] = next(it, None)
         while pending is not None:
-            if not self.request_router.local_queue.full and self.submit(pending):
+            if len(local_q) < local_cap and self.submit(pending):
                 pending = next(it, None)
             else:
                 out.extend(self.tick())
@@ -421,6 +426,8 @@ def coalesce_trace_fast(
     window: "OrderedDict[int, _WindowEntry]" = OrderedDict()
     out: List[CoalescedRequest] = []
     cap = cfg.target_capacity
+    nflits = cfg.flits_per_row
+    arq_entries = cfg.arq_entries
 
     def emit(entry: _WindowEntry) -> None:
         arq_entry = ARQEntry(
@@ -445,16 +452,17 @@ def coalesce_trace_fast(
             emit(entry)
 
     for req in requests:
-        st.record_raw(req.rtype)
-        if req.is_fence:
+        rtype = req.rtype
+        st.record_raw(rtype)
+        if rtype is RequestType.FENCE:
             drain_window()
             continue
-        if req.is_atomic:
-            flit = codec.flit_id(req.addr)
+        key, flit = codec.locate(req.addr, rtype)
+        if rtype is RequestType.ATOMIC:
             pkt = bypass_packet(
                 ARQEntry(
                     key=-1,
-                    flit_map=FlitMap(cfg.flits_per_row),
+                    flit_map=FlitMap(nflits),
                     targets=[Target(req.tid, req.tag, flit)],
                     bypass=True,
                     atomic=True,
@@ -467,9 +475,7 @@ def coalesce_trace_fast(
             st.record_packet(pkt)
             continue
 
-        key = codec.arq_key(req)
         entry = window.get(key)
-        flit = codec.flit_id(req.addr)
         if entry is not None and len(entry.targets) < cap:
             entry.flit_map.set(flit)
             entry.targets.append(Target(req.tid, req.tag, flit))
@@ -479,10 +485,10 @@ def coalesce_trace_fast(
             # Capacity-full entry: emit it and start a fresh one.
             window.pop(key)
             emit(entry)
-        elif len(window) >= cfg.arq_entries:
+        elif len(window) >= arq_entries:
             _, oldest = window.popitem(last=False)
             emit(oldest)
-        fmap = FlitMap(cfg.flits_per_row)
+        fmap = FlitMap(nflits)
         fmap.set(flit)
         window[key] = _WindowEntry(
             key=key,

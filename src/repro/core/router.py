@@ -57,13 +57,15 @@ class FIFOQueue:
         return self.rejected
 
     def push(self, request: MemoryRequest) -> bool:
-        if self.full:
+        q = self._q
+        depth = len(q)
+        if depth >= self.capacity:
             self.rejected += 1
             return False
-        self._q.append(request)
+        q.append(request)
         self.enqueued += 1
-        if len(self._q) > self.high_water:
-            self.high_water = len(self._q)
+        if depth >= self.high_water:
+            self.high_water = depth + 1
         return True
 
     def pop(self) -> Optional[MemoryRequest]:
@@ -133,10 +135,11 @@ class RequestRouter:
         Local traffic has priority; remote traffic is served when the
         local queue is empty (simple two-queue arbitration).
         """
-        req = self.local_queue.pop()
-        if req is None:
-            req = self.remote_queue.pop()
-        return req
+        local = self.local_queue._q
+        if local:
+            return local.popleft()
+        remote = self.remote_queue._q
+        return remote.popleft() if remote else None
 
     def next_outbound(self) -> Optional[MemoryRequest]:
         """Pop the next raw request bound for a remote node."""

@@ -58,13 +58,15 @@ class MACStats(StatsMixin):
             self.raw_atomics += 1
 
     def record_packet(self, packet: CoalescedRequest) -> None:
+        raw = len(packet.requests)
+        size = packet.size
         self.coalesced_packets += 1
         if packet.bypassed:
             self.bypassed_packets += 1
-        self.merged_requests += packet.raw_count
-        self.packet_sizes[packet.size] = self.packet_sizes.get(packet.size, 0) + 1
-        self.targets_per_packet.append(packet.raw_count)
-        self.payload_bytes += packet.size
+        self.merged_requests += raw
+        self.packet_sizes[size] = self.packet_sizes.get(size, 0) + 1
+        self.targets_per_packet.append(raw)
+        self.payload_bytes += size
 
     # -- derived metrics -------------------------------------------------------
 

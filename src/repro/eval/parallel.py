@@ -142,14 +142,23 @@ class _ProgressGate:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, fn: Callable, warm: Tuple[WarmSpec, ...]) -> None:
+def _worker_main(
+    conn, fn: Callable, warm: Tuple[WarmSpec, ...], inherited: Sequence[Any]
+) -> None:
     """Worker loop: recv (index, task), send (index, status, payload).
 
     An error's payload is ``(message, pickled exception or None)``.
     SIGINT is ignored so Ctrl-C in the parent's terminal (delivered to
     the whole foreground process group) does not kill workers mid-cell;
     the parent owns shutdown via the pipe (or SIGKILL on timeout).
+
+    ``inherited`` are the parent-side pipe ends the fork copied into
+    this worker (its own and its live siblings').  They are closed first:
+    then the parent is the only holder of this worker's far end, and a
+    parent that dies without cleanup (SIGKILL) reads as EOF here.
     """
+    for end in inherited:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _init_worker(warm)
     while True:
@@ -167,9 +176,13 @@ def _worker_main(conn, fn: Callable, warm: Tuple[WarmSpec, ...]) -> None:
                 blob = pickle.dumps(exc)
             except Exception:
                 blob = None
-            conn.send((index, "error", (f"{type(exc).__name__}: {exc}", blob)))
+            reply = (index, "error", (f"{type(exc).__name__}: {exc}", blob))
         else:
-            conn.send((index, "ok", result))
+            reply = (index, "ok", result)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
 
 
 def _load_exception(blob: Optional[bytes]) -> Optional[BaseException]:
@@ -183,10 +196,13 @@ def _load_exception(blob: Optional[bytes]) -> Optional[BaseException]:
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    def __init__(self, ctx, fn: Callable, warm: Tuple[WarmSpec, ...]):
+    def __init__(
+        self, ctx, fn: Callable, warm: Tuple[WarmSpec, ...], siblings: Sequence["_Worker"]
+    ):
         self.conn, child = ctx.Pipe(duplex=True)
+        inherited = [self.conn] + [w.conn for w in siblings if not w.conn.closed]
         self.proc = ctx.Process(
-            target=_worker_main, args=(child, fn, warm), daemon=True
+            target=_worker_main, args=(child, fn, warm, inherited), daemon=True
         )
         self.proc.start()
         child.close()
@@ -400,7 +416,9 @@ def _run_pool(
     """Fork-pool loop: per-cell dispatch, deadlines, dead-worker respawn, backoff."""
     ctx = mp.get_context("fork")
     warm_t = tuple(warm or ())
-    workers = [_Worker(ctx, fn, warm_t) for _ in range(n_jobs)]
+    workers: List[_Worker] = []
+    for _ in range(n_jobs):
+        workers.append(_Worker(ctx, fn, warm_t, workers))
     pending: deque = deque((i, 0) for i in todo)
     delayed: List[Tuple[float, int, Tuple[int, int]]] = []
     seq = 0
@@ -425,7 +443,7 @@ def _run_pool(
             index, attempts, kind,
             message or f"worker exited (code {worker.proc.exitcode})",
         )
-        workers[workers.index(worker)] = _Worker(ctx, fn, warm_t)
+        workers[workers.index(worker)] = _Worker(ctx, fn, warm_t, workers)
 
     try:
         while outstanding > 0:

@@ -22,12 +22,13 @@ from .noc import (
     XbarNoC,
     build_noc,
 )
-from .packet import HMCCommand, WirePacket, encode, packet_crc, verify_crc
+from .packet import AddressMap, HMCCommand, WirePacket, encode, packet_crc, verify_crc
 from .stats import HMCStats
 from .timing import HMCTiming
 from .vault import Vault, VaultStats
 
 __all__ = [
+    "AddressMap",
     "Bank",
     "Crossbar",
     "HMCCommand",

@@ -41,7 +41,7 @@ from repro.sim import register_wake_protocol
 from .config import HMCConfig
 from .link import Link, LinkFailedError
 from .noc import build_noc
-from .packet import HMCCommand, WirePacket, encode
+from .packet import AddressMap, HMCCommand, WirePacket, encode
 from .stats import HMCStats
 from .vault import Vault
 
@@ -73,6 +73,8 @@ class HMCDevice:
             Vault(i, self.config, tracer=tracer, attrib=attrib)
             for i in range(self.config.vaults)
         ]
+        self.address_map = AddressMap.of(self.config)
+        self._closed_page = self.config.page_policy == "closed"
         self.stats = HMCStats()
         self._last_arrival = 0
         self._rr_next = 0
@@ -103,7 +105,7 @@ class HMCDevice:
             raise ValueError("requests must be submitted in arrival order")
         self._last_arrival = arrival
 
-        wire = encode(request, self.config)
+        wire = encode(request, self.config, self.address_map)
 
         # Host -> device: serialize the request packet.  A link that dies
         # mid-transmission is recorded and the packet re-routed across the
@@ -288,7 +290,7 @@ class HMCDevice:
         st = self.stats
         st.record(arrival, complete, request.size, conflicts_delta)
         st.wire_flits += wire.total_flits
-        if self.config.page_policy == "closed":
+        if self._closed_page:
             # Legacy accounting: one activation command per packet
             # (fault re-reads re-activate the bank but are not re-sent
             # by the host) — kept bit-identical to the pre-NoC model.

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
@@ -60,33 +61,95 @@ class WirePacket:
         return self.wire_bytes - self.payload_bytes
 
 
-def encode(req: CoalescedRequest, config: HMCConfig) -> WirePacket:
-    """Compute the wire footprint of one coalesced request."""
-    if req.size < config.min_request_bytes and req.rtype is not RequestType.ATOMIC:
+@dataclass(frozen=True, slots=True)
+class AddressMap:
+    """One cube's address map and packet geometry, frozen for :func:`encode`.
+
+    Holds the shifts and masks of :meth:`HMCConfig.vault_of`,
+    :meth:`~HMCConfig.bank_of` and :meth:`~HMCConfig.dram_row_of` (the
+    reference definitions) as plain ints, plus a per-(size, is_write)
+    cache of the FLIT and column counts the config computes.  A device
+    builds one at construction and hands it to every :func:`encode`.
+    """
+
+    flit_bytes: int
+    row_bytes: int
+    min_request_bytes: int
+    max_request_bytes: int
+    row_shift: int
+    vault_bits: int
+    vault_mask: int
+    bank_shift: int
+    bank_bits: int
+    bank_mask: int
+    dram_row_shift: int
+    #: ``(size, is_write) -> (request_flits, response_flits, columns)``.
+    counts: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, config: HMCConfig) -> "AddressMap":
+        row_shift = config.row_offset_bits
+        bank_shift = row_shift + config.vault_bits
+        return cls(
+            flit_bytes=config.flit_bytes,
+            row_bytes=config.row_bytes,
+            min_request_bytes=config.min_request_bytes,
+            max_request_bytes=config.max_request_bytes,
+            row_shift=row_shift,
+            vault_bits=config.vault_bits,
+            vault_mask=config.vaults - 1,
+            bank_shift=bank_shift,
+            bank_bits=config.bank_bits,
+            bank_mask=config.banks_per_vault - 1,
+            dram_row_shift=bank_shift + config.bank_bits,
+        )
+
+
+def encode(
+    req: CoalescedRequest, config: HMCConfig, amap: Optional[AddressMap] = None
+) -> WirePacket:
+    """Compute the wire footprint of one coalesced request.
+
+    ``amap`` is the cube's frozen :class:`AddressMap`; without one it is
+    built from ``config`` for this call.
+    """
+    if amap is None:
+        amap = AddressMap.of(config)
+    addr, size, rtype = req.addr, req.size, req.rtype
+    if size < amap.min_request_bytes and rtype is not RequestType.ATOMIC:
         # HMC accepts 16 B as its smallest transaction; the MAC's bypass
         # packets are exactly that.
-        if req.size != config.flit_bytes:
-            raise ValueError(f"unsupported request size {req.size}")
-    if req.size > config.max_request_bytes:
+        if size != amap.flit_bytes:
+            raise ValueError(f"unsupported request size {size}")
+    if size > amap.max_request_bytes:
         raise ValueError(
-            f"request of {req.size} B exceeds protocol max {config.max_request_bytes} B"
+            f"request of {size} B exceeds protocol max {amap.max_request_bytes} B"
         )
-    if req.addr % config.flit_bytes:
+    if addr % amap.flit_bytes:
         raise ValueError("requests must be FLIT aligned")
-    row_base = req.addr & ~(config.row_bytes - 1)
-    if req.addr + req.size > row_base + config.row_bytes:
+    if (addr & (amap.row_bytes - 1)) + size > amap.row_bytes:
         raise ValueError("request crosses a DRAM row boundary")
     cmd = HMCCommand.for_request(req)
     is_write = cmd is HMCCommand.WR
+    counts = amap.counts.get((size, is_write))
+    if counts is None:
+        counts = amap.counts[size, is_write] = (
+            config.request_flits(size, is_write),
+            config.response_flits(size, is_write),
+            config.columns(size),
+        )
+    row = addr >> amap.row_shift
+    vb = amap.vault_bits
+    upper = addr >> amap.bank_shift
     return WirePacket(
         command=cmd,
-        payload_bytes=req.size,
-        request_flits=config.request_flits(req.size, is_write),
-        response_flits=config.response_flits(req.size, is_write),
-        vault=config.vault_of(req.addr),
-        bank=config.bank_of(req.addr),
-        dram_row=config.dram_row_of(req.addr),
-        columns=config.columns(req.size),
+        payload_bytes=size,
+        request_flits=counts[0],
+        response_flits=counts[1],
+        vault=(row ^ (row >> vb) ^ (row >> (2 * vb))) & amap.vault_mask,
+        bank=(upper ^ (upper >> amap.bank_bits)) & amap.bank_mask,
+        dram_row=addr >> amap.dram_row_shift,
+        columns=counts[2],
     )
 
 

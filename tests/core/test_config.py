@@ -70,6 +70,40 @@ class TestMACConfigValidation:
         with pytest.raises(AttributeError):
             MACConfig().arq_entries = 64
 
+    @pytest.mark.parametrize(
+        "field,value,extra",
+        [
+            # 192 B rows would decode address 64 to FLIT 0 and address
+            # 192 to row 0: the codec masks with row_bytes - 1.
+            ("row_bytes", 192, {"max_request_bytes": 192}),
+            ("flit_bytes", 12, {}),
+            ("min_request_bytes", 48, {}),
+        ],
+    )
+    def test_non_power_of_two_geometry_rejected(self, field, value, extra):
+        with pytest.raises(ValueError, match=f"{field} must be a power of two, got {value}"):
+            MACConfig(**{field: value, **extra})
+
+    @pytest.mark.parametrize("value", [32, 96])
+    def test_max_request_must_be_power_of_two_chunks(self, value):
+        with pytest.raises(ValueError, match=f"max_request_bytes .* got {value}"):
+            MACConfig(max_request_bytes=value)
+
+    def test_entry_without_target_room_rejected(self):
+        with pytest.raises(ValueError, match="arq_entry_bytes=12 .*target_capacity=0"):
+            MACConfig(arq_entry_bytes=12)
+
+    @pytest.mark.parametrize("field", ["accepts_per_cycle", "builder_stage1_cycles"])
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_inert_fields_only_take_the_modelled_value(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be 1 .*got {value}"):
+            MACConfig(**{field: value})
+
+    def test_saved_config_with_every_field_still_loads(self):
+        from repro.eval.serialize import config_from_dict, config_to_dict
+
+        assert config_from_dict(config_to_dict(PAPER_CONFIG)) == PAPER_CONFIG
+
 
 class TestAlternativeGeometries:
     def test_hbm_row(self):

@@ -121,6 +121,8 @@ class TestTableProperties:
             FlitTable().lookup(-1)
 
     def test_invalid_geometry(self):
+        with pytest.raises(ValueError, match="max_chunks must be positive, got 0"):
+            FlitTable(max_chunks=0)
         with pytest.raises(ValueError):
             FlitTable(groups=0)
         with pytest.raises(ValueError):
@@ -144,3 +146,45 @@ class TestTableProperties:
             pop = FlitTable(policy=FlitTablePolicy.POPCOUNT).lookup(pattern)
             if len(chunks) != 3:  # 3 chunks: popcount says 256, span may say 256 too
                 assert span == pop
+
+
+class TestMaxChunksCap:
+    """``max_chunks`` (max_request_bytes / chunk) caps every segment."""
+
+    @pytest.mark.parametrize("policy", list(FlitTablePolicy))
+    @pytest.mark.parametrize("groups,cap", [(4, 1), (4, 2), (16, 2), (16, 4), (16, 8)])
+    def test_pieces_fit_cap_and_cover_every_requested_chunk(self, policy, groups, cap):
+        capped = FlitTable(groups=groups, policy=policy, max_chunks=cap)
+        whole = FlitTable(groups=groups, policy=policy)
+        for pattern in range(1 << groups):
+            segs = capped.lookup(pattern)
+            chunks = [c for s in segs for c in range(s.offset, s.offset + s.length)]
+            assert len(chunks) == len(set(chunks)), "pieces overlap"
+            requested = {i for i in range(groups) if (pattern >> i) & 1}
+            assert requested <= set(chunks) <= covered_chunks(whole.lookup(pattern))
+            kept = set(whole.lookup(pattern))
+            for s in segs:
+                assert s.length <= cap
+                assert (pattern >> s.offset) & ((1 << s.length) - 1), "empty piece"
+                # A segment within the cap is kept as is; a cut piece
+                # never crosses a cap-aligned boundary.
+                if s not in kept:
+                    assert s.offset // cap == (s.offset + s.length - 1) // cap
+
+    def test_paper_row_at_64_and_128_bytes(self):
+        t64 = FlitTable(max_chunks=1)
+        assert t64.lookup(0b1111) == tuple(BuiltSegment(g, 1) for g in range(4))
+        assert t64.lookup(0b1001) == (BuiltSegment(0, 1), BuiltSegment(3, 1))
+        t128 = FlitTable(max_chunks=2)
+        assert t128.lookup(0b1111) == (BuiltSegment(0, 2), BuiltSegment(2, 2))
+        # SPAN covers 1001 with the whole row; the empty middle is dropped.
+        assert t128.lookup(0b1001) == (BuiltSegment(0, 2), BuiltSegment(2, 2))
+        assert t128.lookup(0b0110) == (BuiltSegment(1, 2),)
+
+    def test_default_cap_is_the_whole_row(self):
+        for groups in (4, 16):
+            capped = FlitTable(groups=groups, max_chunks=groups)
+            whole = FlitTable(groups=groups)
+            assert all(
+                capped.lookup(p) == whole.lookup(p) for p in range(1 << groups)
+            )

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MACConfig
@@ -166,6 +167,34 @@ class TestEngineAgreement:
         # The cycle engine pays a warm-up/bypass transient; the two must
         # still land in the same regime.
         assert abs(st_fast.coalescing_efficiency - mac.stats.coalescing_efficiency) < 0.15
+
+
+class TestMaxRequestBytes:
+    """``MACConfig.max_request_bytes`` caps the packets of both engines."""
+
+    @pytest.mark.parametrize("cap", [64, 128])
+    def test_no_packet_exceeds_the_cap(self, cap):
+        cfg = MACConfig(max_request_bytes=cap)
+        trace = random_trace(3000, 30, seed=5, store_frac=0.3, fence_frac=0.01)
+        n_mem = sum(1 for r in trace if not r.is_fence)
+
+        def fresh():
+            return [
+                MemoryRequest(addr=r.addr, rtype=r.rtype, tid=r.tid, tag=r.tag)
+                for r in trace
+            ]
+
+        for pkts in (coalesce_trace_fast(fresh(), cfg), MAC(cfg).process(fresh())):
+            assert max(p.size for p in pkts) == cap
+            assert sum(p.raw_count for p in pkts) == n_mem
+
+    def test_dispatch_honours_the_cap(self):
+        from repro.eval.runner import dispatch
+
+        for policy in ("mac", "mac-cycle"):
+            res = dispatch("SG", policy, 8, 500, MACConfig(max_request_bytes=64))
+            assert {p.size for p in res.packets} <= {16, 64}
+            assert sum(p.raw_count for p in res.packets) == res.stats.memory_raw_requests
 
 
 class TestResponsePath:

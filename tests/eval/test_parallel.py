@@ -3,9 +3,14 @@
 import io
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.eval.parallel import (
     _ProgressGate,
     pool_available,
@@ -211,3 +216,55 @@ def test_sweep_grid_progress_reports_total(smoke_jobs):
         progress=lambda d, t: seen.append((d, t)),
     )
     assert seen and seen[-1] == (2, 2)
+
+
+_ORPHAN_PROG = """
+import os, sys, time
+from repro.eval.parallel import run_tasks
+
+def cell(n):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(0.05)
+    return n
+
+run_tasks(cell, list(range(400)), jobs=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an exited zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs: fall back to a probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.parallel
+@needs_pool
+def test_sigkilled_parent_leaves_no_workers(tmp_path):
+    """Workers of a SIGKILLed ``jobs=2`` map exit on their own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_PROG, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        assert len(workers) == 2, f"expected two workers, saw {workers}"
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in workers if _running(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"workers {alive} outlived their SIGKILLed parent"
