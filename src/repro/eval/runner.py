@@ -31,6 +31,7 @@ from repro.obs.timeline import NULL_TIMELINE
 from repro.obs.tracer import NULL_TRACER
 from repro.seeding import DEFAULT_SEED
 from repro.trace.record import TraceRecord, to_requests
+from repro.workloads.graphs import clear_graph_memo
 from repro.workloads.registry import make
 
 #: Default trace sizing for the figure benches: large enough for steady
@@ -158,8 +159,10 @@ def cached_trace(
 
 
 def clear_trace_cache() -> None:
-    """Drop every cached trace (long sweep sessions reclaim memory)."""
+    """Drop every cached trace and memoized graph (long sweep sessions
+    reclaim memory)."""
     _TRACE_CACHE.clear()
+    clear_graph_memo()
 
 
 def set_trace_cache_limit(maxsize: int) -> None:

@@ -19,9 +19,10 @@ from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
-from .graphs import CSRGraph, edges_to_csr
+from .graphs import CSRGraph, edges_to_csr, graph_memo
 
 
+@graph_memo
 def _community_graph(
     n: int, communities: int, degree: int, intra_prob: float, seed: int
 ) -> CSRGraph:
@@ -29,7 +30,8 @@ def _community_graph(
 
     With probability ``intra_prob`` an edge stays inside its source's
     community (contiguous vertex ranges), otherwise it goes anywhere.
-    Converged Louvain phases see >90 % intra-community edges.
+    Converged Louvain phases see >90 % intra-community edges.  Memoized
+    per process (:func:`~repro.workloads.graphs.graph_memo`): read-only.
     """
     rng = np.random.default_rng(seed)
     m = n * degree

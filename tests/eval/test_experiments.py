@@ -9,6 +9,7 @@ import statistics
 import pytest
 
 from repro.eval import experiments as E
+from repro.eval import runner
 
 SMALL = dict(threads=2, ops_per_thread=500)
 
@@ -72,6 +73,14 @@ class TestFig10:
         med = statistics.median(row.values())
         for name in ("MG", "SP", "SPARSELU"):
             assert row[name] > med
+
+    def test_cold_and_warm_graph_memo_agree(self):
+        """Sharing memoized graphs across workloads changes no result."""
+        runner.clear_trace_cache()  # cold traces, cold graph memo
+        cold = E.fig10_coalescing_efficiency(thread_counts=(2, 4), total_ops=4000)
+        runner._TRACE_CACHE.clear()  # cold traces, warm graph memo
+        warm = E.fig10_coalescing_efficiency(thread_counts=(2, 4), total_ops=4000)
+        assert warm == cold
 
 
 class TestFig11:

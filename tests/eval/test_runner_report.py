@@ -16,6 +16,8 @@ from repro.eval.runner import (
     trace_cache_info,
     warm_trace_cache,
 )
+from repro.workloads import graphs
+from repro.workloads.grappolo import _community_graph
 
 
 class TestCachedTrace:
@@ -33,6 +35,14 @@ class TestCachedTrace:
         b = cached_trace("SG", 2, 200)
         assert a is not b
         assert a == b  # same seed, same trace — only the object is new
+
+    def test_clear_drops_memoized_graphs(self):
+        cached_trace("BFS", 2, 50)
+        cached_trace("GRAPPOLO", 2, 50)
+        assert graphs._rmat_csr.cache_info().currsize >= 1
+        clear_trace_cache()
+        assert graphs._rmat_csr.cache_info().currsize == 0
+        assert _community_graph.cache_info().currsize == 0
 
     def test_warm_then_hit(self):
         clear_trace_cache()

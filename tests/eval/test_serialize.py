@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MACConfig, SystemConfig
@@ -89,19 +89,22 @@ def _config_instances(draw, cls=None):
     if cls is None:
         cls = draw(st.sampled_from(sorted(CONFIG_TYPES.values(), key=lambda c: c.__name__)))
     default = cls()
-    kwargs = {}
-    for f in dataclasses.fields(default):
-        value = getattr(default, f.name)
+    kwargs = {f.name: getattr(default, f.name) for f in dataclasses.fields(default)}
+    for name, value in list(kwargs.items()):
         if type(value).__name__ in CONFIG_TYPES:
-            kwargs[f.name] = draw(_config_instances(cls=type(value)))
+            candidate = draw(_config_instances(cls=type(value)))
         else:
-            kwargs[f.name] = draw(_scalar_strategy(value))
-    try:
-        return cls(**kwargs)
-    except ValueError:
-        # Cross-field validation (e.g. max_request_bytes > row_bytes)
-        # rejected this combination; discard the example.
-        assume(False)
+            candidate = draw(_scalar_strategy(value))
+        try:
+            cls(**{**kwargs, name: candidate})
+        except ValueError:
+            # Validation (e.g. max_request_bytes > row_bytes) rejects this
+            # value next to the ones drawn so far: keep the previous value.
+            # Discarding whole examples instead filtered out most
+            # SystemConfig draws and tripped Hypothesis' health check.
+            continue
+        kwargs[name] = candidate
+    return cls(**kwargs)
 
 
 class TestRoundtripProperty:
