@@ -45,8 +45,13 @@ from repro.eval.runner import (
     dispatch,
     replay_on_device,
 )
-from repro.obs import NULL_TIMELINE, NULL_TRACER, EventTracer, Timeline
-from repro.obs.attribution import NULL_ATTRIBUTION, AttributionCollector
+from repro.obs import (
+    NO_OBSERVERS,
+    AttributionCollector,
+    EventTracer,
+    Observers,
+    Timeline,
+)
 
 from conftest import attach, run_figure
 
@@ -62,19 +67,18 @@ ATTRIBUTION_BUDGET = 1.15
 TIMELINE_BUDGET = 1.10
 
 
-def _open_loop(tracer=NULL_TRACER):
+def _open_loop(obs=NO_OBSERVERS):
     disp = dispatch(
         WORKLOAD, "mac-cycle", threads=THREADS, ops_per_thread=OPS_PER_THREAD,
-        tracer=tracer,
+        obs=obs,
     )
-    replay = replay_on_device(disp.packets, tracer=tracer)
+    replay = replay_on_device(disp.packets, obs=obs)
     return disp, replay
 
 
-def _closed_loop(attrib, timeline=NULL_TIMELINE):
+def _closed_loop(obs=NO_OBSERVERS):
     return attributed_node_run(
-        WORKLOAD, threads=THREADS, ops_per_thread=OPS_PER_THREAD, attrib=attrib,
-        timeline=timeline,
+        WORKLOAD, threads=THREADS, ops_per_thread=OPS_PER_THREAD, obs=obs
     )
 
 
@@ -96,20 +100,20 @@ def test_obs_overhead(benchmark):
             off = _open_loop()
             t_off = time.perf_counter() - t0
             t0 = time.perf_counter()
-            traced = _open_loop(tracer=tracer)
+            traced = _open_loop(Observers(tracer=tracer))
             t_trace = time.perf_counter() - t0
             t0 = time.perf_counter()
-            node_off = _closed_loop(NULL_ATTRIBUTION)
+            node_off = _closed_loop()
             t_node_off = time.perf_counter() - t0
             t0 = time.perf_counter()
-            node_attr = _closed_loop(attrib)
+            node_attr = _closed_loop(Observers(attrib=attrib))
             t_node_attr = time.perf_counter() - t0
             # Fresh Timeline per round: bind() is keyed on id(model) and
             # each round builds a new node, so a recycled object id must
             # never be mistaken for an already-bound model.
             timeline = Timeline()
             t0 = time.perf_counter()
-            node_tl = _closed_loop(NULL_ATTRIBUTION, timeline=timeline)
+            node_tl = _closed_loop(Observers(timeline=timeline))
             t_node_tl = time.perf_counter() - t0
             rounds.append((t_off, t_trace, t_node_off, t_node_attr, t_node_tl))
         return rounds, off, traced, node_off, node_attr, node_tl, tracer, attrib, timeline

@@ -18,7 +18,7 @@ Run:  python examples/phase_hunt.py
 """
 
 from repro.eval.runner import attributed_node_run
-from repro.obs import Timeline
+from repro.obs import Observers, Timeline
 from repro.obs.analyze import diff_timelines, timeline_report
 
 WORKLOAD = "SG"  # scatter/gather: row-mates arrive interleaved
@@ -35,7 +35,7 @@ def timed_run(coalescing: bool):
         threads=THREADS,
         ops_per_thread=OPS_PER_THREAD,
         coalescing=coalescing,
-        timeline=timeline,
+        obs=Observers(timeline=timeline),
     )
     doc = timeline.export()
     doc["meta"]["coalescing"] = coalescing

@@ -45,6 +45,14 @@ from repro.trace.tracefile import dump, load
 from repro.workloads.registry import AUXILIARY, BENCHMARKS, make
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and periods: an int > 0."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_mac_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arq", type=int, default=32, help="ARQ entries (default 32)")
     p.add_argument(
@@ -315,13 +323,7 @@ def _cmd_run_numa(args) -> int:
     """`repro run --nodes N`: closed-loop NUMA mesh, optionally sharded."""
     from repro.eval.runner import numa_closed_loop
 
-    if getattr(args, "attribution", False):
-        print(
-            "note: --attribution pins the run to one process and is not "
-            "supported with --nodes; ignoring it (--timeline-out is the "
-            "shard-aware, time-resolved alternative)"
-        )
-    tracer, timeline, profiler = _obs_from_args(args)
+    obs = _obs_from_args(args)
     system = numa_closed_loop(
         args.benchmark,
         nodes=args.nodes,
@@ -333,9 +335,7 @@ def _cmd_run_numa(args) -> int:
         config=_mac_config(args),
         shards=args.shards,
         engine=args.engine,
-        tracer=tracer,
-        timeline=timeline,
-        profiler=profiler,
+        obs=obs,
         hmc=_hmc_config(args),
     )
     st = system.stats
@@ -365,49 +365,44 @@ def _cmd_run_numa(args) -> int:
     )
     _finish_obs(
         args,
-        tracer,
-        timeline,
-        profiler,
+        obs,
         system.metrics(),
-        meta={
-            "benchmark": args.benchmark,
-            "threads": args.threads,
-            "ops_per_thread": args.ops,
-            "mode": "numa-closed-loop",
-            "nodes": args.nodes,
-            "backend": backend,
-        },
+        mode="numa-closed-loop",
+        nodes=args.nodes,
+        backend=backend,
     )
     return 0
 
 
 def _obs_from_args(args):
-    """(tracer, timeline, profiler) per the run command's obs flags."""
+    """The :class:`Observers` bundle the run command's obs flags ask for."""
     from repro.obs import (
-        NULL_PROFILER,
-        NULL_TIMELINE,
-        NULL_TRACER,
+        AttributionCollector,
         EventTracer,
+        Observers,
         SimProfiler,
         Timeline,
     )
 
-    tracer = (
-        EventTracer(capacity=args.trace_capacity) if args.trace_out else NULL_TRACER
-    )
-    timeline = (
-        Timeline(epoch=args.timeline_epoch) if args.timeline_out else NULL_TIMELINE
-    )
-    profiler = SimProfiler() if args.profile else NULL_PROFILER
-    return tracer, timeline, profiler
+    bundle = {}
+    if args.trace_out:
+        bundle["tracer"] = EventTracer(capacity=args.trace_capacity)
+    if args.attribution:
+        bundle["attrib"] = AttributionCollector()
+    if args.timeline_out:
+        bundle["timeline"] = Timeline(epoch=args.timeline_epoch)
+    if args.profile:
+        bundle["profiler"] = SimProfiler()
+    return Observers(**bundle)
 
 
-def _write_trace_out(tracer, profiler, path) -> None:
+def _write_trace_out(obs, path) -> None:
     """Write the Chrome/JSONL trace, merging the profiler's host lane."""
     import json
 
     from repro.ioutil import atomic_write_text
 
+    tracer, profiler = obs.tracer, obs.profiler
     if str(path).endswith(".jsonl"):
         n = tracer.write_jsonl(path)
     elif profiler.enabled:
@@ -421,18 +416,24 @@ def _write_trace_out(tracer, profiler, path) -> None:
     print(f"wrote {n} trace events to {path}{dropped}")
 
 
-def _finish_obs(args, tracer, timeline, profiler, metrics, meta) -> None:
-    """Shared artifact writing for the open-loop and NUMA run paths."""
+def _finish_obs(args, obs, metrics, **meta) -> None:
+    """Artifact writing for both run paths; ``meta`` tags the timeline."""
+    from repro.obs.metrics import flatten
+
+    if obs.attrib.enabled:
+        metrics.update(flatten(obs.attrib.snapshot(), "attribution."))
     if args.trace_out:
-        _write_trace_out(tracer, profiler, args.trace_out)
+        _write_trace_out(obs, args.trace_out)
     if args.timeline_out:
-        n = timeline.write_json(args.timeline_out, meta=meta)
+        sizing = {"threads": args.threads, "ops_per_thread": args.ops}
+        meta = {"benchmark": args.benchmark, **sizing, **meta}
+        n = obs.timeline.write_json(args.timeline_out, meta=meta)
         print(
             f"wrote {n} timeline series to {args.timeline_out} "
-            f"(epoch {timeline.epoch} cy; see `repro analyze --timeline`)"
+            f"(epoch {obs.timeline.epoch} cy; see `repro analyze --timeline`)"
         )
-    if profiler.enabled:
-        prof_metrics = profiler.metrics()
+    if obs.profiler.enabled:
+        prof_metrics = obs.profiler.metrics()
         # sim.* lands in --metrics-out only under --profile, so
         # wall-clock noise never pollutes determinism diffs.
         metrics.update(prof_metrics)
@@ -450,18 +451,10 @@ def _finish_obs(args, tracer, timeline, profiler, metrics, meta) -> None:
 
 def cmd_run(args) -> int:
     from repro.eval.runner import dispatch, replay_on_device
-    from repro.obs import NULL_ATTRIBUTION
-    from repro.obs.attribution import AttributionCollector
-    from repro.obs.metrics import flatten
 
     if args.nodes > 1:
         return _cmd_run_numa(args)
-    tracer, timeline, profiler = _obs_from_args(args)
-    attrib = (
-        AttributionCollector()
-        if getattr(args, "attribution", False)
-        else NULL_ATTRIBUTION
-    )
+    obs = _obs_from_args(args)
     disp = dispatch(
         args.benchmark,
         "mac-cycle",
@@ -470,24 +463,18 @@ def cmd_run(args) -> int:
         config=_mac_config(args),
         seed=_effective_seed(args),
         flit_policy=FlitTablePolicy(args.policy),
-        tracer=tracer,
-        attrib=attrib,
         engine=args.engine,
-        timeline=timeline,
-        profiler=profiler,
+        obs=obs,
     )
     replay = replay_on_device(
         disp.packets,
-        tracer=tracer,
-        attrib=attrib,
+        obs=obs,
         # Attribution needs the device clock aligned with the MAC clock
         # that stamped the dispatch marks (stages stay non-negative).
-        use_issue_cycles=attrib.enabled,
+        use_issue_cycles=obs.attrib.enabled,
         hmc=_hmc_config(args),
     )
     metrics = {**disp.metrics(), **replay.metrics()}
-    if attrib.enabled:
-        metrics.update(flatten(attrib.snapshot(), "attribution."))
     print(
         format_table(
             ["metric", "value"],
@@ -503,19 +490,7 @@ def cmd_run(args) -> int:
             title=f"{args.benchmark} via cycle engine (ARQ={args.arq})",
         )
     )
-    _finish_obs(
-        args,
-        tracer,
-        timeline,
-        profiler,
-        metrics,
-        meta={
-            "benchmark": args.benchmark,
-            "threads": args.threads,
-            "ops_per_thread": args.ops,
-            "mode": "open-loop",
-        },
-    )
+    _finish_obs(args, obs, metrics, mode="open-loop")
     return 0
 
 
@@ -905,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--trace-capacity",
-        type=int,
+        type=_positive_int,
         default=65536,
         help="event ring-buffer size (oldest events drop beyond it)",
     )
@@ -926,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--timeline-epoch",
-        type=int,
+        type=_positive_int,
         default=1024,
         help="timeline epoch length in cycles (default 1024)",
     )

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..obs.attribution import NULL_ATTRIBUTION, StallCause
-from ..obs.tracer import NULL_TRACER
+from ..obs.attribution import StallCause
+from ..obs.observers import NO_OBSERVERS, Observers
 from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import AggregatedRequestQueue
@@ -35,14 +35,13 @@ class RawRequestAggregator:
         codec: Optional[AddressCodec] = None,
         policy: FlitTablePolicy = FlitTablePolicy.SPAN,
         stats: Optional[MACStats] = None,
-        tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
+        obs: Observers = NO_OBSERVERS,
     ) -> None:
         self.config = config
         self.codec = codec or AddressCodec(config)
-        self.tracer = tracer
-        self.attrib = attrib
-        self.arq = AggregatedRequestQueue(config, self.codec, tracer=tracer)
+        self.tracer = obs.tracer
+        self.attrib = obs.attrib
+        self.arq = AggregatedRequestQueue(config, self.codec, obs=obs)
         self.builder = RequestBuilder(config, self.codec, policy)
         self.stats = stats if stats is not None else MACStats()
         self._pop_interval = config.pop_interval

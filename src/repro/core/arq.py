@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.observers import NO_OBSERVERS
 from ..sim import register_wake_protocol
 from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
@@ -79,11 +79,11 @@ class AggregatedRequestQueue:
     """
 
     def __init__(
-        self, config: MACConfig, codec: Optional[AddressCodec] = None, tracer=NULL_TRACER
+        self, config: MACConfig, codec: Optional[AddressCodec] = None, obs=NO_OBSERVERS
     ):
         self.config = config
         self.codec = codec or AddressCodec(config)
-        self.tracer = tracer
+        self.tracer = obs.tracer
         # Config constants read on every push/pop, bound once.
         self._capacity = config.arq_entries
         self._target_capacity = config.target_capacity

@@ -17,10 +17,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
-from ..obs.attribution import NULL_ATTRIBUTION, StallCause
+from ..obs.attribution import StallCause
 from ..obs.metrics import MetricsRegistry
-from ..obs.timeline import NULL_TIMELINE
-from ..obs.tracer import NULL_TRACER
+from ..obs.observers import NO_OBSERVERS, Observers
 from ..sim import ClockedModel, register_wake_protocol
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
@@ -61,21 +60,17 @@ class MAC(ClockedModel):
         home_fn: Optional[Callable[[int], int]] = None,
         policy: FlitTablePolicy = FlitTablePolicy.SPAN,
         queue_capacity: int = 64,
-        tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
-        timeline=NULL_TIMELINE,
+        obs: Observers = NO_OBSERVERS,
     ) -> None:
         self.config = config or MACConfig()
         self.codec = AddressCodec(self.config)
         self.stats = MACStats()
-        self.tracer = tracer
-        self.attrib = attrib
-        self.timeline = timeline
+        self.obs = obs
+        self.attrib = obs.attrib
         self.request_router = RequestRouter(node_id, home_fn, queue_capacity)
         self.response_router = ResponseRouter(node_id)
         self.aggregator = RawRequestAggregator(
-            self.config, self.codec, policy, self.stats, tracer=tracer,
-            attrib=attrib,
+            self.config, self.codec, policy, self.stats, obs=obs
         )
         # Bound once for the per-cycle ARQ-full check in :meth:`tick`.
         self._arq_queue = self.aggregator.arq._entries
@@ -264,12 +259,10 @@ class MAC(ClockedModel):
         # Same for the timeline/profiler: binding here makes the engine's
         # own bind in the drain run() a no-op, so feed-phase epochs and
         # rate baselines survive into the drain phase.
-        tl = self.timeline
-        prof = self.profiler
-        if tl.enabled:
-            tl.bind(self)
-        if prof.enabled:
-            prof.run_started()
+        obs = self.obs
+        hooked = obs.hooked
+        if hooked:
+            obs.run_started(self)
         out: List[CoalescedRequest] = []
         cycles = 0
         # The input FIFO's deque, read directly: one len() per iteration.
@@ -282,10 +275,8 @@ class MAC(ClockedModel):
                 pending = next(it, None)
             else:
                 out.extend(self.tick())
-                if tl.enabled:
-                    tl.pump(self.cycle)
-                if prof.enabled:
-                    prof.note_tick()
+                if hooked:
+                    obs.after_tick(self.cycle)
                 if wd.enabled:
                     wd.observe(self)
                 cycles += 1

@@ -24,11 +24,9 @@ from repro.core.packet import CoalescedRequest
 from repro.core.stats import MACStats
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
-from repro.obs.attribution import NULL_ATTRIBUTION, AttributionCollector
+from repro.obs.attribution import AttributionCollector
 from repro.obs.metrics import flatten
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.timeline import NULL_TIMELINE
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.seeding import DEFAULT_SEED
 from repro.trace.record import TraceRecord, to_requests
 from repro.workloads.graphs import clear_graph_memo
@@ -208,22 +206,18 @@ def dispatch(
     config: Optional[MACConfig] = None,
     seed: int = DEFAULT_SEED,
     flit_policy: FlitTablePolicy = FlitTablePolicy.SPAN,
-    tracer=NULL_TRACER,
-    attrib=NULL_ATTRIBUTION,
     engine=None,
-    timeline=NULL_TIMELINE,
-    profiler=NULL_PROFILER,
+    obs: Observers = NO_OBSERVERS,
 ) -> DispatchResult:
     """Run one benchmark trace through a dispatch policy.
 
     policy: "mac" (window engine), "mac-cycle" (cycle engine), "raw"
-    (direct 16 B dispatch).  ``tracer`` records cycle-stamped ARQ/builder
-    events for the cycle engine (the window and raw engines are not
-    clocked, so they emit nothing); ``attrib`` likewise collects stage
-    stamps and stall causes from the cycle engine only; ``timeline`` and
-    ``profiler`` sample/time the cycle engine's run.  ``engine`` selects
-    the simulation engine for the cycle policy (see :mod:`repro.sim`);
-    the other policies are not clocked and ignore it.
+    (direct 16 B dispatch).  ``obs`` observes the cycle engine only: its
+    tracer records ARQ/builder events, its collector stage stamps and
+    stall causes, its timeline and profiler sample/time the run (the
+    window and raw engines are not clocked, so they emit nothing).
+    ``engine`` selects the simulation engine for the cycle policy (see
+    :mod:`repro.sim`); the other policies are not clocked and ignore it.
     """
     trace = cached_trace(name, threads, ops_per_thread, seed)
     requests = list(to_requests(trace))
@@ -231,11 +225,7 @@ def dispatch(
     if policy == "mac":
         packets = coalesce_trace_fast(requests, config, flit_policy, stats)
     elif policy == "mac-cycle":
-        mac = MAC(
-            config, policy=flit_policy, tracer=tracer, attrib=attrib,
-            timeline=timeline,
-        )
-        mac.profiler = profiler
+        mac = MAC(config, policy=flit_policy, obs=obs)
         mac.attach_stats(stats)
         packets = mac.process(requests, engine=engine)
     elif policy == "raw":
@@ -265,8 +255,7 @@ def replay_on_device(
     packets: Sequence[CoalescedRequest],
     cycles_per_packet: float = 0.0,
     hmc: Optional[HMCConfig] = None,
-    tracer=NULL_TRACER,
-    attrib=NULL_ATTRIBUTION,
+    obs: Observers = NO_OBSERVERS,
     use_issue_cycles: bool = False,
 ) -> ReplayResult:
     """Feed packets into a fresh device at the MAC's issue cadence.
@@ -278,9 +267,9 @@ def replay_on_device(
     ``use_issue_cycles`` packets instead arrive at their own
     ``issue_cycle`` stamps — the attribution path needs this so the
     device clock matches the MAC clock that stamped the ``dispatch``
-    mark and the per-stage deltas stay non-negative.  When ``attrib``
-    is enabled each packet's raw requests are finalized after service,
-    so open-loop runs aggregate submit->complete breakdowns.
+    mark and the per-stage deltas stay non-negative.  When ``obs``
+    carries attribution each packet's raw requests are finalized after
+    service, so open-loop runs aggregate submit->complete breakdowns.
 
     Note the structural consequence, visible on low-coalescing traces
     (e.g. IS): a MAC that eliminates fewer than half the raw requests
@@ -289,7 +278,8 @@ def replay_on_device(
     """
     if cycles_per_packet < 0:
         raise ValueError("cadence must be non-negative")
-    dev = HMCDevice(hmc, tracer=tracer, attrib=attrib)
+    dev = HMCDevice(hmc, obs=obs)
+    attrib = obs.attrib
     t = 0.0
     for pkt in packets:
         if use_issue_cycles:
@@ -335,18 +325,18 @@ def attributed_node_run(
     coalescing: bool = True,
     config: Optional[MACConfig] = None,
     hmc: Optional[HMCConfig] = None,
-    attrib: Optional[AttributionCollector] = None,
     engine=None,
-    timeline=NULL_TIMELINE,
-    profiler=NULL_PROFILER,
+    obs: Optional[Observers] = None,
 ):
     """Closed-loop node run of one benchmark with attribution enabled.
 
     Builds per-core request streams from the benchmark trace, runs the
     full Fig. 4 node (cores -> MAC -> device -> response delivery), and
-    returns ``(attrib, node)``.  This is the richest attribution source:
-    all nine boundary marks are crossed, so every stage of the breakdown
-    is populated and the exactness invariant covers the complete path.
+    returns ``(obs.attrib, node)``; ``obs`` defaults to a bundle holding
+    a fresh :class:`AttributionCollector` and nothing else.  This is the
+    richest attribution source: all nine boundary marks are crossed, so
+    every stage of the breakdown is populated and the exactness
+    invariant covers the complete path.
     With ``coalescing=False`` the node runs the paper's uncoalesced
     baseline (1-entry ARQ, everything 16 B) for A/B bottleneck diffs.
     """
@@ -357,18 +347,17 @@ def attributed_node_run(
     per_core: Dict[int, List] = {}
     for req in to_requests(trace):
         per_core.setdefault(req.core, []).append(req)
-    at = attrib if attrib is not None else AttributionCollector()
+    if obs is None:
+        obs = Observers(attrib=AttributionCollector())
     node = Node(
         [iter(reqs) for _, reqs in sorted(per_core.items())],
         system=SystemConfig(mac=config) if config is not None else None,
         coalescing_enabled=coalescing,
         hmc_config=hmc,
-        attrib=at,
-        timeline=timeline,
+        obs=obs,
     )
-    node.profiler = profiler
     node.run(engine=engine)
-    return at, node
+    return obs.attrib, node
 
 
 def numa_streams(
@@ -413,18 +402,17 @@ def numa_closed_loop(
     shards: Optional[int] = None,
     engine=None,
     max_cycles: int = 50_000_000,
-    tracer=NULL_TRACER,
-    timeline=NULL_TIMELINE,
-    profiler=NULL_PROFILER,
+    obs: Observers = NO_OBSERVERS,
 ):
     """Closed-loop NUMA mesh run of one benchmark; returns the system.
 
     The multi-node sibling of :func:`attributed_node_run`: every node is
     a full Fig. 4 node, remote requests coalesce at their home node, and
     ``shards`` (or ``$REPRO_SIM_SHARDS``) selects the conservative-PDES
-    backend — bit-identical to serial by contract.  ``tracer`` and
-    ``timeline`` both shard: workers collect locally and the parent
-    merges deterministically at the final barrier.
+    backend — bit-identical to serial by contract.  The tracer, timeline
+    and profiler of ``obs`` shard: workers collect locally and the parent
+    merges deterministically at the final barrier.  Attribution pins the
+    run to one process (see ``NUMASystem.shard_blockers``).
     """
     from repro.core.config import SystemConfig
     from repro.node.system import NUMASystem
@@ -435,9 +423,7 @@ def numa_closed_loop(
         interconnect_latency=interconnect_latency,
         interleave_bytes=interleave_bytes,
         hmc_config=hmc,
-        tracer=tracer,
-        timeline=timeline,
+        obs=obs,
     )
-    system.profiler = profiler
     system.run(max_cycles, engine=engine, shards=shards)
     return system

@@ -33,9 +33,8 @@ from typing import List, Optional
 from repro.core.packet import CoalescedRequest, CoalescedResponse
 from repro.faults.injector import FaultInjector
 from repro.faults.stats import FaultStats
-from repro.obs.attribution import NULL_ATTRIBUTION
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.sim import register_wake_protocol
 
 from .config import HMCConfig
@@ -58,20 +57,16 @@ class HMCDevice:
     """
 
     def __init__(
-        self, config: Optional[HMCConfig] = None, tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
+        self, config: Optional[HMCConfig] = None, obs: Observers = NO_OBSERVERS
     ) -> None:
         self.config = config or HMCConfig()
-        self.tracer = tracer
-        self.attrib = attrib
+        self.attrib = obs.attrib
         self.links: List[Link] = [
-            Link(i, self.config.timing, tracer=tracer, attrib=attrib)
-            for i in range(self.config.links)
+            Link(i, self.config.timing, obs=obs) for i in range(self.config.links)
         ]
-        self.noc = build_noc(self.config, attrib=attrib)
+        self.noc = build_noc(self.config, obs=obs)
         self.vaults: List[Vault] = [
-            Vault(i, self.config, tracer=tracer, attrib=attrib)
-            for i in range(self.config.vaults)
+            Vault(i, self.config, obs=obs) for i in range(self.config.vaults)
         ]
         self.address_map = AddressMap.of(self.config)
         self._closed_page = self.config.page_policy == "closed"

@@ -33,8 +33,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.attribution import NULL_ATTRIBUTION, StallCause
-from ..obs.tracer import NULL_TRACER
+from ..obs.attribution import StallCause
+from ..obs.observers import NO_OBSERVERS, Observers
 from ..sim import register_wake_protocol
 from .timing import HMCTiming
 
@@ -173,10 +173,10 @@ class LinkChannel:
     busy_cycles: int = 0
     #: Retry-protocol state; None = fault-free fast path.
     retry: Optional[RetryState] = None
-    #: Event tracer (the no-op singleton unless a run attaches one).
-    tracer: object = NULL_TRACER
-    #: Attribution collector (no-op singleton unless a run attaches one).
-    attrib: object = NULL_ATTRIBUTION
+    #: Event tracer and attribution collector, bound from the link's
+    #: :class:`Observers` bundle (no-ops unless a run attaches them).
+    tracer: object = NO_OBSERVERS.tracer
+    attrib: object = NO_OBSERVERS.attrib
     #: Stall-site label, e.g. ``link0.req`` (set by :class:`Link`).
     site: str = "link"
 
@@ -328,18 +328,17 @@ class Link:
     """Full-duplex link: independent request/response channels."""
 
     def __init__(
-        self, index: int, timing: HMCTiming, tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
+        self, index: int, timing: HMCTiming, obs: Observers = NO_OBSERVERS
     ) -> None:
         self.index = index
         # Underscore site names: stall sites become metrics keys under
         # ``attribution.stalls.<site>.<cause>`` and must stay one dotted
         # path segment.
         self.request = LinkChannel(
-            timing, tracer=tracer, attrib=attrib, site=f"link{index}_req"
+            timing, tracer=obs.tracer, attrib=obs.attrib, site=f"link{index}_req"
         )
         self.response = LinkChannel(
-            timing, tracer=tracer, attrib=attrib, site=f"link{index}_rsp"
+            timing, tracer=obs.tracer, attrib=obs.attrib, site=f"link{index}_rsp"
         )
 
     @property

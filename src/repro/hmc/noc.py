@@ -55,7 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs.attribution import NULL_ATTRIBUTION, StallCause
+from repro.obs.attribution import StallCause
+from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
 from repro.sim import register_wake_protocol
 
@@ -109,9 +110,9 @@ class NoCStats(StatsMixin):
 class IdealNoC:
     """Bit-identical stand-in for the legacy fixed-latency crossbar."""
 
-    def __init__(self, timing: HMCTiming, attrib=NULL_ATTRIBUTION) -> None:
+    def __init__(self, timing: HMCTiming, obs: Observers = NO_OBSERVERS) -> None:
+        # ``obs`` keeps build_noc uniform: the ideal NoC never stalls.
         self.timing = timing
-        self.attrib = attrib
         self.stats = NoCStats()
 
     def to_vault(self, cycle: int, vault: int = 0, link: int = 0, flits: int = 1) -> int:
@@ -197,7 +198,7 @@ class XbarNoC:
         links: int,
         buffers: int = 8,
         arbitration: str = "fifo",
-        attrib=NULL_ATTRIBUTION,
+        obs: Observers = NO_OBSERVERS,
     ) -> None:
         if buffers < 1:
             raise ValueError("noc_buffers must be positive")
@@ -208,7 +209,7 @@ class XbarNoC:
         self.links = links
         self.buffers = buffers
         self.arbitration = arbitration
-        self.attrib = attrib
+        self.attrib = obs.attrib
         self.stats = NoCStats()
         self._vault_ports = [_Port(buffers) for _ in range(vaults)]
         self._link_ports = [_Port(buffers) for _ in range(links)]
@@ -323,7 +324,7 @@ class MeshNoC(XbarNoC):
         return abs(vx - sx) + abs(vy - sy)
 
 
-def build_noc(config, attrib=NULL_ATTRIBUTION):
+def build_noc(config, obs: Observers = NO_OBSERVERS):
     """Instantiate the NoC selected by ``config.noc_topology``.
 
     ``config`` is an :class:`repro.hmc.config.HMCConfig` (duck-typed to
@@ -332,7 +333,7 @@ def build_noc(config, attrib=NULL_ATTRIBUTION):
     """
     topology = config.noc_topology
     if topology == "ideal":
-        return IdealNoC(config.timing, attrib=attrib)
+        return IdealNoC(config.timing, obs=obs)
     cls: Dict[str, type] = {"xbar": XbarNoC, "ring": RingNoC, "mesh": MeshNoC}
     if topology not in cls:
         raise ValueError(f"unknown NoC topology {topology!r}")
@@ -342,5 +343,5 @@ def build_noc(config, attrib=NULL_ATTRIBUTION):
         links=config.links,
         buffers=config.noc_buffers,
         arbitration=config.noc_arbitration,
-        attrib=attrib,
+        obs=obs,
     )

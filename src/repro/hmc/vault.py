@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..obs.attribution import NULL_ATTRIBUTION, StallCause
+from ..obs.attribution import StallCause
+from ..obs.observers import NO_OBSERVERS, Observers
 from ..obs.protocol import StatsMixin
-from ..obs.tracer import NULL_TRACER
 from ..sim import register_wake_protocol
 from .bank import Bank
 from .config import HMCConfig
@@ -35,14 +35,13 @@ class Vault:
     """One vault: front-end queue + banks."""
 
     def __init__(
-        self, index: int, config: HMCConfig, tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
+        self, index: int, config: HMCConfig, obs: Observers = NO_OBSERVERS
     ) -> None:
         self.index = index
         self.config = config
         self.timing: HMCTiming = config.timing
-        self.tracer = tracer
-        self.attrib = attrib
+        self.tracer = obs.tracer
+        self.attrib = obs.attrib
         self.banks: List[Bank] = [
             Bank(self.timing, policy=config.page_policy)
             for _ in range(config.banks_per_vault)

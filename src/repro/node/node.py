@@ -20,11 +20,9 @@ from repro.core.mac import MAC
 from repro.core.request import MemoryRequest
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
-from repro.obs.attribution import NULL_ATTRIBUTION
 from repro.obs.metrics import flatten
+from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.obs.timeline import NULL_TIMELINE
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import ClockedModel, register_wake_protocol
 
 from .core import InOrderCore
@@ -86,15 +84,12 @@ class Node(ClockedModel):
         coalescing_enabled: bool = True,
         spm_factory: Optional[Callable[[int], ScratchpadMemory]] = None,
         lsq_capacity: Optional[int] = None,
-        tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
-        timeline=NULL_TIMELINE,
+        obs: Observers = NO_OBSERVERS,
     ) -> None:
         self.system = system or SystemConfig()
         self.node_id = node_id
-        self.tracer = tracer
-        self.attrib = attrib
-        self.timeline = timeline
+        self.obs = obs
+        self.attrib = obs.attrib
         #: With coalescing disabled the MAC degenerates to a 1-entry ARQ
         #: with no latency hiding: every request ships as a 16 B packet
         #: (the paper's "without MAC" baseline).
@@ -103,10 +98,8 @@ class Node(ClockedModel):
             if coalescing_enabled
             else MACConfig(arq_entries=1, latency_hiding=False)
         )
-        self.mac = MAC(
-            mac_cfg, node_id=node_id, policy=policy, tracer=tracer, attrib=attrib
-        )
-        self.device = HMCDevice(hmc_config, tracer=tracer, attrib=attrib)
+        self.mac = MAC(mac_cfg, node_id=node_id, policy=policy, obs=obs)
+        self.device = HMCDevice(hmc_config, obs=obs)
         self.cores: List[InOrderCore] = []
         for cid, stream in enumerate(streams):
             spm = (
@@ -557,7 +550,7 @@ class Node(ClockedModel):
         system: Optional[SystemConfig] = None,
         hmc_config: Optional[HMCConfig] = None,
         coalescing_enabled: bool = True,
-        attrib=NULL_ATTRIBUTION,
+        obs: Observers = NO_OBSERVERS,
         **core_kwargs,
     ) -> "Node":
         """Build a node whose cores temporally multithread (section 3).
@@ -574,7 +567,7 @@ class Node(ClockedModel):
             system=system,
             hmc_config=hmc_config,
             coalescing_enabled=coalescing_enabled,
-            attrib=attrib,
+            obs=obs,
         )
         groups: List[List[Iterator[MemoryRequest]]] = [[] for _ in range(cores)]
         for i, stream in enumerate(thread_streams):

@@ -24,12 +24,10 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
 from repro.core.request import MemoryRequest
-from repro.obs.attribution import NULL_ATTRIBUTION, StallCause
-from repro.obs.protocol import StatsMixin
-
+from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
-from repro.obs.timeline import NULL_TIMELINE
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.observers import NO_OBSERVERS, Observers
+from repro.obs.protocol import StatsMixin
 from repro.sim import ClockedModel, register_wake_protocol
 
 from .interconnect import Interconnect
@@ -90,17 +88,17 @@ class NUMASystem(ClockedModel):
         interconnect_latency: int = 120,
         interleave_bytes: int = 1 << 12,
         hmc_config=None,
-        tracer=NULL_TRACER,
-        attrib=NULL_ATTRIBUTION,
         channel_capacity: int = 64,
-        timeline=NULL_TIMELINE,
+        obs: Observers = NO_OBSERVERS,
     ) -> None:
         n = len(streams_per_node)
         if n < 1:
             raise ValueError("need at least one node")
-        self.tracer = tracer
-        self.attrib = attrib
-        self.timeline = timeline
+        self.obs = obs
+        self.attrib = obs.attrib
+        # Nodes run under this system's engine hooks: they share only the
+        # per-request instruments, so a shard ships no timeline with them.
+        node_obs = Observers(tracer=obs.tracer, attrib=obs.attrib)
         self.home = interleaved_home(n, interleave_bytes)
         self.nodes: List[Node] = []
         for nid, streams in enumerate(streams_per_node):
@@ -109,8 +107,7 @@ class NUMASystem(ClockedModel):
                 system=system,
                 hmc_config=hmc_config,
                 node_id=nid,
-                tracer=tracer,
-                attrib=attrib,
+                obs=node_obs,
             )
             # Rewire the request router with the shared home function.
             node.mac.request_router.home_fn = self.home
@@ -353,7 +350,7 @@ class NUMASystem(ClockedModel):
             out.append("fewer than two nodes")
         if self.fabric.latency_cycles < 1:
             out.append("zero-latency fabric leaves no lookahead window")
-        if getattr(self.attrib, "enabled", False):
+        if self.attrib.enabled:
             out.append("attribution enabled")
         if self.fabric.in_flight:
             # Hand-seeded pre-run traffic (tests, replay harnesses) is

@@ -22,7 +22,9 @@ on (DESIGN.md section 9):
   aware under PDES, consumed by ``repro analyze --timeline``;
 * :class:`SimProfiler` / :data:`NULL_PROFILER` — wall-clock
   self-profiling of the simulator (tick/skip ratios, PDES window
-  utilization), the ``sim.*`` metrics namespace.
+  utilization), the ``sim.*`` metrics namespace;
+* :class:`Observers` / :data:`NO_OBSERVERS` — those four in one bundle,
+  every component's single ``obs=`` argument.
 """
 
 from .attribution import (
@@ -41,6 +43,7 @@ from .metrics import (
     MetricsRegistry,
     flatten,
 )
+from .observers import NO_OBSERVERS, Observers
 from .profiler import NULL_PROFILER, NullProfiler, SimProfiler
 from .protocol import StatsMixin, StatsProtocol, merge_all
 from .timeline import NULL_TIMELINE, NullTimeline, Timeline
@@ -79,4 +82,6 @@ __all__ = [
     "SimProfiler",
     "NullProfiler",
     "NULL_PROFILER",
+    "Observers",
+    "NO_OBSERVERS",
 ]

@@ -27,8 +27,8 @@ A strided :class:`DepthSampler` additionally records bounded queue-depth
 its per-site buffer fills it halves the series and doubles the stride,
 so memory stays O(capacity) over arbitrarily long runs.
 
-Everything is **off by default**: components hold the
-:data:`NULL_ATTRIBUTION` singleton whose ``enabled`` flag gates every
+Everything is **off by default**: the default ``Observers`` bundle holds
+the :data:`NULL_ATTRIBUTION` singleton whose ``enabled`` flag gates every
 hook, mirroring :data:`repro.obs.tracer.NULL_TRACER`.  A run with
 attribution disabled is bit-identical to one without the hooks compiled
 in at all, because the collector only ever *reads* simulation state.

@@ -19,10 +19,10 @@ separate Chrome-trace *process lane* (pid 1000, named ``sim``) merged
 into ``--trace-out`` documents so simulated-time events and host-time
 windows line up in one Perfetto view.
 
-Off by default via the usual NULL-object pattern: engines read
-``getattr(sim, "profiler", NULL_PROFILER)`` and gate every hook on
-``enabled``, so the unprofiled hot path pays one attribute check per
-loop, not per tick.
+Off by default via the usual NULL-object pattern: engines drive it
+through the model's :class:`repro.obs.observers.Observers` bundle and
+gate every hook on one flag read at run start, so the unprofiled hot
+path pays one check per tick and no call.
 """
 
 from __future__ import annotations
@@ -120,6 +120,12 @@ class SimProfiler:
         self.final_cycle = max(self.final_cycle, cycle)
 
     # -- PDES hooks (parent side) --------------------------------------------
+
+    def add_counts(self, shard: "SimProfiler") -> None:
+        """Add one PDES shard's tick and skip counts to this run's."""
+        self.ticks += shard.ticks
+        self.skips += shard.skips
+        self.skipped_cycles += shard.skipped_cycles
 
     def note_window(self, wall_s: float, busy_s: List[float]) -> None:
         """Record one window barrier: parent wall time vs shard busy time.

@@ -43,8 +43,9 @@ land on exactly one shard).  ``serial == merged`` is pinned by the
 hypothesis suite in ``tests/sim/test_timeline_equivalence.py``.
 
 Like the tracer and the attribution collector, the timeline is off by
-default: components hold :data:`NULL_TIMELINE`, every engine hook is
-gated on one ``enabled`` attribute, and the timeline only ever *reads*
+default: the default ``Observers`` bundle holds :data:`NULL_TIMELINE`,
+every engine hook is gated on one ``enabled`` attribute, and the
+timeline only ever *reads*
 simulation state — a run with it enabled is bit-identical to one
 without (pinned in ``tests/obs/test_timeline.py``).
 """

@@ -7,8 +7,8 @@ replayed, when a bank conflicted.  Events are (cycle, channel, name,
 args) tuples in a bounded ring buffer (oldest events drop first, with a
 drop counter), so tracing a million-request run costs O(capacity).
 
-Tracing is **off by default**: every instrumented component holds the
-module singleton :data:`NULL_TRACER`, whose ``enabled`` flag gates each
+Tracing is **off by default**: the default ``Observers`` bundle holds
+the module singleton :data:`NULL_TRACER`, whose ``enabled`` flag gates each
 emit site, so the fault-free hot path does no argument packing and no
 calls.  A run with tracing disabled is bit-identical to one with no
 tracer compiled in at all — pinned by the regression suite — because the

@@ -28,11 +28,11 @@ Engine selection:  pass an engine instance or name (``"skip"`` /
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.timeline import NULL_TIMELINE
+from repro.obs.observers import NO_OBSERVERS
 
 from .watchdog import default_watchdog
 
@@ -116,15 +116,20 @@ class ClockedModel:
 
     _cycle: int = 0
 
-    #: Cycle-windowed telemetry sampler, pumped by the engines at epoch
-    #: boundaries (class-level NULL default; models that accept a
-    #: ``timeline=`` kwarg rebind per instance).  Read-only observer:
-    #: enabling it never changes simulation results.
-    timeline = NULL_TIMELINE
+    #: Observers bundle (:mod:`repro.obs.observers`); models taking an
+    #: ``obs=`` argument rebind it per instance.  The engines drive its
+    #: timeline and profiler.  Read-only: it never changes results.
+    obs = NO_OBSERVERS
 
-    #: Wall-clock self-profiler (tick/skip counts, engine wall time);
-    #: assigned per instance by ``repro run --profile`` style callers.
-    profiler = NULL_PROFILER
+    @property
+    def profiler(self):
+        return self.obs.profiler
+
+    @profiler.setter
+    def profiler(self, profiler) -> None:
+        # Attaching a profiler after construction swaps the bundle; the
+        # engine reads the bundle at run start, so it drives this one.
+        self.obs = dataclasses.replace(self.obs, profiler=profiler)
 
     @property
     def cycle(self) -> int:
@@ -222,13 +227,10 @@ class SkipEngine:
             wd.reset()
             if skipping and getattr(wd, "sanitize", False):
                 _warn_default_wake(sim)
-        tl = getattr(sim, "timeline", NULL_TIMELINE)
-        prof = getattr(sim, "profiler", NULL_PROFILER)
-        observed = tl.enabled or prof.enabled
-        if tl.enabled:
-            tl.bind(sim)
-        if prof.enabled:
-            prof.run_started(self.name)
+        obs = getattr(sim, "obs", NO_OBSERVERS)
+        hooked = obs.hooked
+        if hooked:
+            obs.run_started(sim, self.name)
         # The wake probe runs every tick.  The per-component event wheel
         # keeps ``next_event_cycle`` O(1) on the hot models (Node tracks
         # its earliest wake incrementally instead of walking every core),
@@ -239,10 +241,8 @@ class SkipEngine:
             out = sim.tick()
             if on_tick is not None and out:
                 on_tick(out)
-            if observed:
-                if tl.enabled:
-                    tl.pump(sim.cycle)
-                prof.note_tick()
+            if hooked:
+                obs.after_tick(sim.cycle)
             if wd.enabled:
                 wd.observe(sim)
             if sim.cycle - start > max_cycles:
@@ -255,17 +255,10 @@ class SkipEngine:
                 # raises with the counter at limit + 1, and so must we.
                 before = sim.cycle
                 sim.skip_to(min(wake, limit))
-                if observed:
-                    # A boundary landing exactly on the skip target is
-                    # sampled here, before the next tick — the same
-                    # pre-tick ordering ticking through the gap gives it.
-                    if tl.enabled:
-                        tl.pump(sim.cycle)
-                    prof.note_skip(sim.cycle - before)
-        if observed:
-            if tl.enabled:
-                tl.finish(sim.cycle)
-            prof.run_finished(sim.cycle)
+                if hooked:
+                    obs.after_skip(sim.cycle, sim.cycle - before)
+        if hooked:
+            obs.run_finished(sim.cycle)
         if wd.enabled:
             wd.finish(sim)
         return sim.cycle

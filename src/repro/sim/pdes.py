@@ -35,10 +35,11 @@ until a run succeeds, so a SIGKILL-ed shard costs one restart, not a
 wrong answer.
 
 Observability shards with the mesh: each worker samples its restricted
-system's timeline probes and buffers its own trace events locally, and
-the parent merges both deterministically at collect time — timelines in
-shard order (per-epoch rate deltas sum; level series live on exactly one
-shard), traces by :func:`repro.obs.tracer.canonical_key`.  Only
+system's timeline probes, buffers its trace events and counts its
+profiler ticks locally, and the parent merges them deterministically at
+collect time — timelines in shard order (per-epoch rate deltas sum;
+level series live on exactly one shard), traces by
+:func:`repro.obs.tracer.canonical_key`, tick counts by summing.  Only
 *attribution* still pins a system to one process (stall spans watermark
 per shared site, so cross-shard merges would not be exact);
 ``NUMASystem.run`` falls back to serial for it — see
@@ -57,7 +58,7 @@ from typing import List, Optional, Tuple
 
 import multiprocessing as mp
 
-from repro.obs.profiler import NULL_PROFILER
+from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import merge_shard_traces
 
 #: Default shard count for ``NUMASystem.run`` (0 = one per CPU).
@@ -132,27 +133,26 @@ def _advance(system, start: int, end: int, max_cycles: int) -> int:
     overshooting keeps every node's accounting clamped to cycles the
     serial run also reached.
     """
-    tl = system.timeline
-    if tl.enabled:
-        # First window: installs the restricted system's probes (local
-        # nodes only); later windows: idempotent no-op.
-        tl.bind(system)
+    obs = system.obs
+    hooked = obs.hooked
     if system.cycle < start:
+        before = system.cycle
         system.skip_to(start)
-        if tl.enabled:
-            tl.pump(system.cycle)
+        if hooked:
+            obs.after_skip(start, start - before)
     last = -1
     while system.cycle < end:
         wake = system.next_event_cycle(system.cycle)
         if wake is None or wake >= end:
             break
         if wake > system.cycle:
+            before = system.cycle
             system.skip_to(wake)
-            if tl.enabled:
-                tl.pump(system.cycle)
+            if hooked:
+                obs.after_skip(system.cycle, system.cycle - before)
         system.tick()
-        if tl.enabled:
-            tl.pump(system.cycle)
+        if hooked:
+            obs.after_tick(system.cycle)
         last = system.cycle
         if last > max_cycles:
             raise RuntimeError(type(system)._overrun_msg)
@@ -168,16 +168,15 @@ def _collect(system, final_cycle: int) -> dict:
     and shipped back whole, so post-run introspection — metrics, bench
     probes into devices and ARQs — sees exactly what serial runs show.
     """
+    obs = system.obs
     system.skip_to(final_cycle)
-    timeline_doc = None
-    tl = system.timeline
-    if tl.enabled:
-        tl.pump(final_cycle)
-        tl.finish(final_cycle)
-        timeline_doc = tl.export()
+    if obs.hooked:
+        obs.run_finished(final_cycle)
+    timeline_doc = obs.timeline.export() if obs.timeline.enabled else None
+    profile = obs.profiler if obs.profiler.enabled else None
     trace = None
-    tracer = system.tracer
-    if getattr(tracer, "enabled", False):
+    tracer = obs.tracer
+    if tracer.enabled:
         # Capture, then empty the worker's ring before the nodes (which
         # hold references to it) are pickled — the parent merges the
         # captured events into its own tracer, once.
@@ -196,6 +195,7 @@ def _collect(system, final_cycle: int) -> dict:
         "nodes": nodes,
         "timeline": timeline_doc,
         "trace": trace,
+        "profile": profile,
     }
 
 
@@ -204,11 +204,18 @@ def _shard_worker(conn, system, local_ids, max_cycles, chaos_window) -> None:
     busy_s = 0.0
     try:
         system.restrict_to_shard(local_ids)
-        if getattr(system.tracer, "enabled", False):
+        if system.obs.tracer.enabled:
             # The fork copied whatever the parent's ring held; drop it so
             # the collect-time merge sees only this shard's own events
             # (the parent keeps the originals).
-            system.tracer.clear()
+            system.obs.tracer.clear()
+        if system.profiler.enabled:
+            # Likewise the profiler: count this shard's work from zero.
+            system.profiler = SimProfiler()
+        if system.obs.hooked:
+            # Installs the restricted system's timeline probes (local
+            # nodes only), before the first window.
+            system.obs.run_started(system)
         while True:
             msg = conn.recv()
             cmd = msg[0]
@@ -293,7 +300,7 @@ def _run_windows(
             workers.append((proc, parent_conn))
 
         lookahead = system.fabric.latency_cycles
-        prof = getattr(system, "profiler", NULL_PROFILER)
+        prof = system.profiler
         if prof.enabled:
             prof.run_started(f"pdes[{shards}]")
         #: Per-shard heaps of exported hops awaiting their window.
@@ -372,15 +379,17 @@ def _run_windows(
             system.fabric.messages_sent += messages
             system.fabric.credit_stalls += credit_stalls
             system.fabric.exported += exported
-            if blob.get("timeline") is not None:
-                system.timeline.merge_export(blob["timeline"])
-            if blob.get("trace") is not None:
+            if blob["timeline"] is not None:
+                system.obs.timeline.merge_export(blob["timeline"])
+            if blob["trace"] is not None:
                 shard_traces.append(blob["trace"])
+            if blob["profile"] is not None:
+                prof.add_counts(blob["profile"])
             for idx, node in blob["nodes"]:
                 node.mac.request_router.home_fn = system.home
                 system.nodes[idx] = node
         if shard_traces:
-            merge_shard_traces(system.tracer, shard_traces)
+            merge_shard_traces(system.obs.tracer, shard_traces)
         system._cycle = final
         if prof.enabled:
             prof.run_finished(final)

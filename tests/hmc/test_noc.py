@@ -79,10 +79,10 @@ class TestXbarContention:
         assert noc.to_link(100, vault=0, link=0, flits=8) == 100 + T.crossbar_latency
 
     def test_contention_stall_attributed(self):
-        from repro.obs.attribution import AttributionCollector, StallCause
+        from repro.obs import AttributionCollector, Observers, StallCause
 
         at = AttributionCollector()
-        noc = XbarNoC(T, vaults=2, links=2, attrib=at)
+        noc = XbarNoC(T, vaults=2, links=2, obs=Observers(attrib=at))
         noc.to_vault(10, vault=0, link=0, flits=8)
         noc.to_vault(10, vault=0, link=1, flits=8)
         snap = at.snapshot()

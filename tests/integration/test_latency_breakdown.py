@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.runner import attributed_node_run, dispatch, replay_on_device
+from repro.obs import Observers
 from repro.obs.attribution import STAGES, AttributionCollector, request_breakdown
 
 
@@ -75,19 +76,17 @@ class TestClosedLoopExactness:
 class TestOpenLoopExactness:
     def test_dispatch_replay_path_is_exact(self):
         attrib = AttributionCollector()
-        disp = dispatch(
-            "IS", "mac-cycle", attrib=attrib, threads=4, ops_per_thread=400
-        )
-        replay_on_device(disp.packets, attrib=attrib, use_issue_cycles=True)
+        obs = Observers(attrib=attrib)
+        disp = dispatch("IS", "mac-cycle", obs=obs, threads=4, ops_per_thread=400)
+        replay_on_device(disp.packets, obs=obs, use_issue_cycles=True)
         assert attrib.finalized > 0
         _assert_exact(attrib)
 
     def test_per_request_breakdowns_telescope(self):
         attrib = AttributionCollector()
-        disp = dispatch(
-            "SG", "mac-cycle", attrib=attrib, threads=2, ops_per_thread=200
-        )
-        replay_on_device(disp.packets, attrib=attrib, use_issue_cycles=True)
+        obs = Observers(attrib=attrib)
+        disp = dispatch("SG", "mac-cycle", obs=obs, threads=2, ops_per_thread=200)
+        replay_on_device(disp.packets, obs=obs, use_issue_cycles=True)
         seen = 0
         for pkt in disp.packets:
             for raw in pkt.requests:

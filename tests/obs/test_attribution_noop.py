@@ -12,7 +12,8 @@ side effect, so it is exercised in the integration suite instead.)
 import pytest
 
 from repro.eval.runner import attributed_node_run, dispatch, replay_on_device
-from repro.obs.attribution import NULL_ATTRIBUTION, AttributionCollector
+from repro.obs import NO_OBSERVERS, NULL_ATTRIBUTION, Observers
+from repro.obs.attribution import AttributionCollector
 
 pytestmark = pytest.mark.obs
 
@@ -21,8 +22,9 @@ SIZING = dict(threads=4, ops_per_thread=400)
 
 
 def _run(attrib):
-    disp = dispatch(WORKLOAD, "mac-cycle", attrib=attrib, **SIZING)
-    replay = replay_on_device(disp.packets, attrib=attrib)
+    obs = Observers(attrib=attrib)
+    disp = dispatch(WORKLOAD, "mac-cycle", obs=obs, **SIZING)
+    replay = replay_on_device(disp.packets, obs=obs)
     return disp, replay
 
 
@@ -48,7 +50,7 @@ def test_disabled_run_bit_identical_to_attributed_run():
 
 def test_disabled_closed_loop_node_is_bit_identical():
     """Same contract over the full node: cores -> MAC -> device -> delivery."""
-    _, base = attributed_node_run(WORKLOAD, attrib=NULL_ATTRIBUTION, **SIZING)
+    _, base = attributed_node_run(WORKLOAD, obs=NO_OBSERVERS, **SIZING)
     attrib, node = attributed_node_run(WORKLOAD, **SIZING)
 
     assert attrib.finalized > 0

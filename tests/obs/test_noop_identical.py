@@ -10,7 +10,7 @@ state, so enabling it cannot perturb results.
 import pytest
 
 from repro.eval.runner import dispatch, replay_on_device
-from repro.obs import NULL_TRACER, EventTracer
+from repro.obs import NULL_TRACER, EventTracer, Observers
 
 pytestmark = pytest.mark.obs
 
@@ -19,8 +19,9 @@ SIZING = dict(threads=4, ops_per_thread=400)
 
 
 def _run(tracer):
-    disp = dispatch(WORKLOAD, "mac-cycle", tracer=tracer, **SIZING)
-    replay = replay_on_device(disp.packets, tracer=tracer)
+    obs = Observers(tracer=tracer)
+    disp = dispatch(WORKLOAD, "mac-cycle", obs=obs, **SIZING)
+    replay = replay_on_device(disp.packets, obs=obs)
     return disp, replay
 
 
@@ -67,3 +68,97 @@ def test_metrics_view_is_flat_and_namespaced():
         for key, value in view.items():
             assert "." in key
             assert not isinstance(value, dict), f"{key} is not flat"
+
+
+# -- the attachment contract: one Observers bundle per model -----------------
+
+
+def _all_on():
+    from repro.obs import AttributionCollector, SimProfiler, Timeline
+
+    return Observers(
+        tracer=EventTracer(),
+        attrib=AttributionCollector(),
+        timeline=Timeline(epoch=256),
+        profiler=SimProfiler(),
+    )
+
+
+def _requests():
+    from repro.eval.runner import cached_trace
+    from repro.trace.record import to_requests
+
+    return list(to_requests(cached_trace(WORKLOAD, seed=0, **SIZING)))
+
+
+def _build_mac(obs):
+    from repro.core.mac import MAC
+
+    return MAC(obs=obs)
+
+
+def _build_node(obs):
+    from repro.node.node import Node
+
+    per_core = {}
+    for req in _requests():
+        per_core.setdefault(req.core, []).append(req)
+    return Node([iter(r) for _, r in sorted(per_core.items())], obs=obs)
+
+
+def _build_numa(obs):
+    from repro.eval.runner import numa_streams
+    from repro.node.system import NUMASystem
+
+    return NUMASystem(
+        numa_streams("GUPS", 2, threads=2, ops_per_thread=100), obs=obs
+    )
+
+
+def _drive(model):
+    """Run ``model`` to completion; returns the MAC's packets (or None)."""
+    if hasattr(model, "process"):
+        return model.process(_requests())
+    if hasattr(model, "shard_blockers"):
+        model.run(shards=1)
+    else:
+        model.run()
+    return None
+
+
+MODELS = {"mac": _build_mac, "node": _build_node, "numa": _build_numa}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_all_four_instruments_change_nothing(kind):
+    from repro.obs import NO_OBSERVERS
+
+    obs = _all_on()
+    base, observed = MODELS[kind](NO_OBSERVERS), MODELS[kind](obs)
+    base_packets, packets = _drive(base), _drive(observed)
+
+    # Every instrument actually observed the run...
+    assert len(obs.tracer) > 0
+    assert obs.timeline.series_names()
+    assert obs.profiler.ticks > 0
+    assert obs.attrib.stalls or obs.attrib.finalized
+    # ...and perturbed nothing.
+    assert packets == base_packets
+    assert observed.cycle == base.cycle
+    assert observed.stats.snapshot() == base.stats.snapshot()
+    assert observed.metrics() == base.metrics()
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_profiler_assigned_after_construction_is_driven(kind):
+    """Benchmark harnesses attach ``model.profiler`` after building it."""
+    from repro.obs import NO_OBSERVERS, SimProfiler
+
+    model = MODELS[kind](NO_OBSERVERS)
+    profiler = model.profiler = SimProfiler()
+    _drive(model)
+    assert model.profiler is profiler
+    assert profiler.ticks > 0
+    assert profiler.final_cycle == model.cycle
+    # The shared default bundle is untouched.
+    assert NO_OBSERVERS.profiler is not profiler

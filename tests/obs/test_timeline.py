@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.obs import NULL_TIMELINE, NullTimeline, Timeline
+from repro.obs import NULL_TIMELINE, NullTimeline, Observers, Timeline
 from repro.obs.analyze import load_timeline
 from repro.sim import ClockedModel, LockstepEngine, SkipEngine
 
@@ -264,7 +264,7 @@ EVENTS = [3, 95, 100, 101, 257, 300, 301, 555]
 class TestEngineIntegration:
     def _run(self, engine_cls, timeline):
         sim = _PulseModel(EVENTS)
-        sim.timeline = timeline
+        sim.obs = Observers(timeline=timeline)
         engine_cls().run(sim, max_cycles=10_000)
         return sim
 

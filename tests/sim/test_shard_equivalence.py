@@ -187,7 +187,7 @@ class TestShardResolution:
         assert shard_node_ids(5, 2) == [[0, 2, 4], [1, 3]]
 
     def test_attribution_falls_back_to_serial(self):
-        from repro.obs.attribution import AttributionCollector
+        from repro.obs import AttributionCollector, Observers
 
         spec = (2, 1, 10, 8, 2, False)
         nodes, cores = spec[0], spec[1]
@@ -197,7 +197,7 @@ class TestShardResolution:
                 for n in range(nodes)
             ],
             interleave_bytes=256,
-            attrib=AttributionCollector(),
+            obs=Observers(attrib=AttributionCollector()),
         )
         assert "attribution enabled" in system.shard_blockers()
         system.run(shards=2)
@@ -218,6 +218,21 @@ class TestChaosRecovery:
         serial = build_system(spec)
         serial.run(engine="skip", shards=1)
         assert outcome(sharded) == outcome(serial)
+
+    def test_restarted_run_profiles_only_the_collected_attempt(self, monkeypatch):
+        from repro.obs import SimProfiler
+
+        spec = (4, 2, 20, 16, 13, False)
+        counts = []
+        for chaos in ("", "1:2"):
+            monkeypatch.setenv(CHAOS_ENV_VAR, chaos)
+            system = build_system(spec)
+            prof = system.profiler = SimProfiler()
+            system.run(shards=2)
+            assert system.shard_report.restarts == (1 if chaos else 0)
+            counts.append((prof.ticks, prof.skips, prof.skipped_cycles))
+        assert counts[0][0] > 0
+        assert counts[1] == counts[0]
 
     def test_repeated_crashes_exhaust_restarts(self, monkeypatch):
         from repro.sim import pdes

@@ -21,12 +21,12 @@ from repro.core.aggregator import RawRequestAggregator
 from repro.core.config import MACConfig
 from repro.core.request import MemoryRequest, RequestType
 from repro.node.node import Node
-from repro.obs.attribution import AttributionCollector
+from repro.obs import AttributionCollector, Observers
 
 
 def make_aggregator():
     at = AttributionCollector()  # depth_stride=1: every offered sample kept
-    return RawRequestAggregator(MACConfig(), attrib=at), at
+    return RawRequestAggregator(MACConfig(), obs=Observers(attrib=at)), at
 
 
 class TestAggregatorBoundary:

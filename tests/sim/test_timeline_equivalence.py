@@ -14,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import MACConfig, SystemConfig
 from repro.eval.parallel import pool_available
 from repro.node.system import NUMASystem
-from repro.obs import (
-    NULL_TIMELINE,
-    NULL_TRACER,
-    EventTracer,
-    Timeline,
-    canonical_key,
-)
+from repro.obs import EventTracer, Observers, Timeline, canonical_key
 
 from tests.sim.test_shard_equivalence import make_requests, outcome
 
@@ -29,7 +23,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def build(spec, timeline=NULL_TIMELINE, tracer=NULL_TRACER):
+def build(spec, **instruments):
     nodes, cores = spec[0], spec[1]
     return NUMASystem(
         [
@@ -39,8 +33,7 @@ def build(spec, timeline=NULL_TIMELINE, tracer=NULL_TRACER):
         system=SystemConfig(mac=MACConfig(arq_entries=32)),
         interconnect_latency=23,
         interleave_bytes=256,
-        timeline=timeline,
-        tracer=tracer,
+        obs=Observers(**instruments),
     )
 
 
@@ -67,7 +60,7 @@ class TestTimelineShardEquivalence:
         sharded = build(spec, timeline=Timeline(epoch=64))
         sharded.run(shards=shards)
         assert sharded.shard_report is not None
-        assert sharded.timeline.export() == serial.timeline.export()
+        assert sharded.obs.timeline.export() == serial.obs.timeline.export()
         assert outcome(sharded) == outcome(serial)
 
     def test_four_shard_timeline_and_trace_merge(self):
@@ -77,12 +70,13 @@ class TestTimelineShardEquivalence:
         sharded = build(spec, timeline=Timeline(epoch=128), tracer=EventTracer())
         sharded.run(shards=4)
         assert sharded.shard_report.shards == 4
-        assert sharded.timeline.export() == serial.timeline.export()
-        assert canonical_events(sharded.tracer) == canonical_events(serial.tracer)
-        assert sharded.tracer.dropped == serial.tracer.dropped == 0
+        assert sharded.obs.timeline.export() == serial.obs.timeline.export()
+        s_tracer, p_tracer = sharded.obs.tracer, serial.obs.tracer
+        assert canonical_events(s_tracer) == canonical_events(p_tracer)
+        assert s_tracer.dropped == p_tracer.dropped == 0
         # The merged ring remembers where events came from.
-        counts = sharded.tracer.shard_counts
-        assert counts is not None and sum(counts.values()) == len(sharded.tracer)
+        counts = s_tracer.shard_counts
+        assert counts is not None and sum(counts.values()) == len(s_tracer)
         assert outcome(sharded) == outcome(serial)
 
     def test_timeline_never_changes_the_run(self):
@@ -100,4 +94,4 @@ class TestTimelineShardEquivalence:
         assert not system.shard_blockers()
         system.run(shards=2)
         assert system.shard_report is not None
-        assert len(system.tracer) > 0
+        assert len(system.obs.tracer) > 0

@@ -16,6 +16,16 @@ class TestParser:
         )
         assert args.benchmark == "SG" and args.threads == 2
 
+    @pytest.mark.parametrize("flag", ["--trace-capacity", "--timeline-epoch"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_run_rejects_non_positive_obs_sizes(self, capsys, flag, value):
+        argv = ["run", "SG", "--trace-out", "t.json", "--timeline-out", "tl.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"must be a positive integer, got {value}" in err
+
 
 class TestCommands:
     def test_trace_then_coalesce(self, tmp_path, capsys):
@@ -206,3 +216,36 @@ class TestAnalyze:
     def test_analyze_without_inputs_exits_2(self, capsys):
         assert main(["analyze"]) == 2
         assert "analyze needs" in capsys.readouterr().err
+
+
+class TestRunMesh:
+    SIZING = ["--threads", "2", "--ops", "200"]
+
+    def _metrics(self, tmp_path, capsys, *flags):
+        import json
+
+        out = tmp_path / "m.json"
+        argv = ["run", "GUPS", *self.SIZING, *flags, "--metrics-out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    def test_attribution_runs_serially_and_changes_nothing_else(
+        self, tmp_path, capsys
+    ):
+        mesh = ["--nodes", "2", "--shards", "2"]
+        plain = self._metrics(tmp_path, capsys, *mesh)
+        attributed = self._metrics(tmp_path, capsys, *mesh, "--attribution")
+        assert attributed["attribution.requests_finalized"] > 0
+        rest = {
+            k: v for k, v in attributed.items() if not k.startswith("attribution.")
+        }
+        assert rest == plain
+
+    def test_sharded_profile_counts_engine_work(self, tmp_path, capsys):
+        mesh = ["--nodes", "4", "--profile"]
+        serial = self._metrics(tmp_path, capsys, *mesh, "--shards", "1")
+        sharded = self._metrics(tmp_path, capsys, *mesh, "--shards", "2")
+        assert serial["sim.ticks"] > 0 and sharded["sim.ticks"] > 0
+        assert sharded["sim.skipped_cycles"] > 0
+        assert sharded["sim.final_cycle"] == serial["sim.final_cycle"]
