@@ -10,15 +10,72 @@ of one packet every 2 cycles once primed (section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import ARQEntry
 from .config import MACConfig
+from .flit import group_masks, group_or
 from .flit_table import FlitTable, FlitTablePolicy
 from .packet import CoalescedRequest
-from .request import RequestType
+from .request import MemoryRequest, RequestType, Target
+
+
+#: One row's packet plan: ``(byte offset, bytes, first FLIT, end FLIT)``
+#: per packet, FLIT bounds half-open.  Built from the FLIT table once per
+#: builder; a bypass row is the one-FLIT plan of its single target.
+Segments = Tuple[Tuple[int, int, int, int], ...]
+
+
+def flit_segments(flit: int, flit_bytes: int) -> Segments:
+    """The plan of a B-bit (bypass) row: one FLIT-sized packet."""
+    return ((flit * flit_bytes, flit_bytes, flit, flit + 1),)
+
+
+def emit_row(
+    codec: AddressCodec,
+    key: int,
+    segments: Segments,
+    targets: List[Target],
+    requests: List[MemoryRequest],
+    cycle: int = 0,
+    bypassed: bool = False,
+) -> List[CoalescedRequest]:
+    """Assemble the packets of one ARQ row from plain fields.
+
+    The one copy of the row-address and segment-split math, shared by
+    the pipelined builder, :func:`bypass_packet` and the window engine.
+    ``key`` is the ARQ comparator key (row number + T bit); each target
+    goes to the packet whose FLIT range holds it.  A single-packet plan
+    covers every target, so that packet takes ``targets`` and
+    ``requests`` whole: callers hand the row's lists over.
+    """
+    store_bit = codec.store_bit
+    row_base = (key & (store_bit - 1)) << codec.row_shift
+    rtype = RequestType.STORE if key & store_bit else RequestType.LOAD
+    if len(segments) == 1:
+        offset, size, _, _ = segments[0]
+        return [
+            CoalescedRequest(
+                row_base + offset, size, rtype, targets, requests, bypassed, cycle
+            )
+        ]
+    packets: List[CoalescedRequest] = []
+    for offset, size, lo, hi in segments:
+        idx = [i for i, t in enumerate(targets) if lo <= t.flit_id < hi]
+        packets.append(
+            CoalescedRequest(
+                row_base + offset,
+                size,
+                rtype,
+                [targets[i] for i in idx],
+                [requests[i] for i in idx],
+                bypassed,
+                cycle,
+            )
+        )
+    return packets
 
 
 @dataclass(slots=True)
@@ -34,8 +91,8 @@ class _StageSlot:
 class RequestBuilder:
     """Cycle-level model of the two-stage pipelined request builder.
 
-    Stage 1's OR-reduction goes through :meth:`FlitMap.group_bits
-    <repro.core.flit.FlitMap.group_bits>`.
+    Stage 1's OR-reduction is :func:`repro.core.flit.group_or`; stage 2
+    hands the row to :func:`emit_row` with the FLIT table's plan.
     """
 
     def __init__(
@@ -52,14 +109,26 @@ class RequestBuilder:
             policy=policy,
             max_chunks=config.max_request_bytes // config.min_request_bytes,
         )
-        # Geometry constants read per built row, bound once.
-        self._groups = config.groups_per_row
-        self._flits_per_group = config.flits_per_group
+        #: Stage-1 group masks (see :func:`repro.core.flit.group_or`).
+        self.group_masks = group_masks(config.flits_per_row, config.groups_per_row)
+        chunk = config.min_request_bytes
+        per = config.flits_per_group
+        #: The FLIT table as :data:`Segments`, indexed by group pattern.
+        self.segments: Tuple[Segments, ...] = tuple(
+            tuple(
+                (s.offset * chunk, s.length * chunk, s.offset * per,
+                 (s.offset + s.length) * per)
+                for s in self.table.lookup(pattern)
+            )
+            for pattern in range(1 << config.groups_per_row)
+        )
+        #: The B-bit plan of each FLIT id (see :func:`flit_segments`).
+        self.bypass_segments: Tuple[Segments, ...] = tuple(
+            flit_segments(f, config.flit_bytes) for f in range(config.flits_per_row)
+        )
         self._stage2_cycles = config.builder_stage2_cycles
         self._stage1: Optional[_StageSlot] = None
         self._stage2: Optional[_StageSlot] = None
-        self.built_packets = 0
-        self.built_rows = 0
 
     # -- occupancy -----------------------------------------------------------
 
@@ -116,7 +185,7 @@ class RequestBuilder:
         # Stage 1 -> stage 2 transfer (group OR takes the single cycle).
         if self._stage1 is not None and self._stage2 is None:
             slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self._groups)
+            slot.pattern = group_or(slot.entry.flit_map.bits, self.group_masks)
             slot.remaining = self._stage2_cycles
             self._stage2 = slot
             self._stage1 = None
@@ -131,7 +200,7 @@ class RequestBuilder:
             self._stage2 = None
         if self._stage1 is not None:
             slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self._groups)
+            slot.pattern = group_or(slot.entry.flit_map.bits, self.group_masks)
             out.extend(self._emit(slot, cycle))
             self._stage1 = None
         return out
@@ -155,42 +224,17 @@ class RequestBuilder:
     def build(self, entry: ARQEntry, cycle: int = 0) -> List[CoalescedRequest]:
         """Functional (non-pipelined) build of an entry's packets.
 
-        Used by the fast window engine and by tests; produces exactly what
-        the pipeline would emit.
+        Produces exactly what the pipeline would emit; used by tests.
         """
-        pattern = entry.flit_map.group_bits(self._groups)
+        pattern = group_or(entry.flit_map.bits, self.group_masks)
         return self._emit(_StageSlot(entry, pattern), cycle)
 
     def _emit(self, slot: _StageSlot, cycle: int) -> List[CoalescedRequest]:
         entry = slot.entry
-        codec = self.codec
-        row_base = codec.key_row(entry.key) << codec.row_shift
-        rtype = codec.key_type(entry.key)
-        segments = self.table.lookup(slot.pattern)
-        packets: List[CoalescedRequest] = []
-        chunk = self.config.min_request_bytes
-        per = self._flits_per_group
-        for seg in segments:
-            seg_lo = seg.offset * per
-            seg_hi = (seg.offset + seg.length) * per
-            idx = [
-                i
-                for i, t in enumerate(entry.targets)
-                if seg_lo <= t.flit_id < seg_hi
-            ]
-            packets.append(
-                CoalescedRequest(
-                    addr=row_base + seg.offset * chunk,
-                    size=seg.length * chunk,
-                    rtype=rtype,
-                    targets=[entry.targets[i] for i in idx],
-                    requests=[entry.requests[i] for i in idx],
-                    issue_cycle=cycle,
-                )
-            )
-        self.built_packets += len(packets)
-        self.built_rows += 1
-        return packets
+        return emit_row(
+            self.codec, entry.key, self.segments[slot.pattern],
+            entry.targets, entry.requests, cycle,
+        )
 
 
 def bypass_packet(
@@ -200,24 +244,24 @@ def bypass_packet(
 
     Bypass entries skip the builder and go straight to the device as
     minimum-granularity (16 B) transactions (section 4.1.2).  Atomics
-    likewise travel as single uncoalesced packets.
+    likewise travel as single uncoalesced packets; they carry no row
+    key, so their address comes from the request itself.
     """
     if entry.fence:
         raise ValueError("fences produce no memory packet")
-    req = entry.requests[0]
     flit = entry.targets[0].flit_id
+    fb = config.flit_bytes
     if entry.atomic:
-        rtype = RequestType.ATOMIC
-        addr = codec.row_base(req.addr) + flit * config.flit_bytes
-    else:
-        rtype = codec.key_type(entry.key)
-        addr = (codec.key_row(entry.key) << codec.row_shift) + flit * config.flit_bytes
-    return CoalescedRequest(
-        addr=addr,
-        size=config.flit_bytes,
-        rtype=rtype,
-        targets=list(entry.targets),
-        requests=list(entry.requests),
-        bypassed=True,
-        issue_cycle=cycle,
-    )
+        return CoalescedRequest(
+            codec.row_base(entry.requests[0].addr) + flit * fb,
+            fb,
+            RequestType.ATOMIC,
+            entry.targets,
+            entry.requests,
+            True,
+            cycle,
+        )
+    return emit_row(
+        codec, entry.key, flit_segments(flit, fb), entry.targets,
+        entry.requests, cycle, True,
+    )[0]

@@ -9,7 +9,33 @@ the map into one bit per 64 B group (section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Tuple
+
+
+def group_masks(nflits: int, groups: int) -> Tuple[Tuple[int, int], ...]:
+    """``(group bit, FLIT mask)`` per builder group of an ``nflits`` row.
+
+    Group *g* covers FLITs ``[g * per, (g + 1) * per)`` with
+    ``per = nflits // groups``; bit 0 is the lowest-addressed chunk.
+    """
+    if groups < 1 or nflits % groups:
+        raise ValueError(f"cannot split {nflits} FLITs into {groups} groups")
+    per = nflits // groups
+    mask = (1 << per) - 1
+    return tuple((1 << g, mask << (g * per)) for g in range(groups))
+
+
+def group_or(bits: int, masks: Tuple[Tuple[int, int], ...]) -> int:
+    """Builder stage 1 (Fig. 8): OR-reduce a FLIT bitmap into group bits.
+
+    The one copy of the reduction: :meth:`FlitMap.group_bits`, the
+    pipelined builder and the window engine's int bitmaps all call it.
+    """
+    out = 0
+    for gbit, mask in masks:
+        if bits & mask:
+            out |= gbit
+    return out
 
 
 @dataclass(slots=True)
@@ -84,15 +110,7 @@ class FlitMap:
         (a consecutive 64 B chunk for the default geometry) is requested.
         Bit 0 corresponds to the lowest-addressed chunk.
         """
-        if groups < 1 or self.nflits % groups:
-            raise ValueError(f"cannot split {self.nflits} FLITs into {groups} groups")
-        per = self.nflits // groups
-        mask = (1 << per) - 1
-        out = 0
-        for g in range(groups):
-            if (self.bits >> (g * per)) & mask:
-                out |= 1 << g
-        return out
+        return group_or(self.bits, group_masks(self.nflits, groups))
 
     def copy(self) -> "FlitMap":
         return FlitMap(self.nflits, self.bits)

@@ -13,9 +13,7 @@ Two engines are provided (DESIGN.md section 6):
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..obs.attribution import StallCause
 from ..obs.metrics import MetricsRegistry
@@ -24,9 +22,9 @@ from ..sim import ClockedModel, register_wake_protocol
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
 from .arq import ARQEntry
-from .builder import RequestBuilder, bypass_packet
+from .builder import RequestBuilder, bypass_packet, emit_row
 from .config import MACConfig
-from .flit import FlitMap
+from .flit import FlitMap, group_or
 from .flit_table import FlitTablePolicy
 from .packet import CoalescedRequest, CoalescedResponse
 from .request import MemoryRequest, RequestType, Target
@@ -384,14 +382,6 @@ class MAC(ClockedModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _WindowEntry:
-    key: int
-    flit_map: FlitMap
-    targets: List[Target] = field(default_factory=list)
-    requests: List[MemoryRequest] = field(default_factory=list)
-
-
 def coalesce_trace_fast(
     requests: Iterable[MemoryRequest],
     config: Optional[MACConfig] = None,
@@ -407,86 +397,120 @@ def coalesce_trace_fast(
     paper evaluates (input rate > 2x drain rate, Fig. 9), and is orders of
     magnitude faster for million-request sweeps.
 
-    Returns the emitted packets in eviction order; fills ``stats`` (or a
-    fresh MACStats) identically to the cycle engine.
+    Each open row is a plain slot ``[bits, targets, requests]``: the
+    FLIT map as an int plus the row's target and request lists, held in
+    an insertion-ordered dict whose first key is the oldest row.  A
+    closed row goes through :func:`repro.core.builder.emit_row`, the same
+    routine the pipelined builder uses.
+
+    Returns the emitted packets in eviction order and fills the same
+    :class:`MACStats` fields as the cycle engine, under steady-state
+    semantics: the cycle engine's warm-up and latency-hiding bypass
+    transient is absent (see ``test_efficiencies_close_on_hot_trace``),
+    and nothing is clocked, so ``total_cycles`` is left as it was.
     """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
     builder = RequestBuilder(cfg, codec, policy)
     st = stats if stats is not None else MACStats()
-    window: "OrderedDict[int, _WindowEntry]" = OrderedDict()
-    out: List[CoalescedRequest] = []
+    locate = codec.locate
+    masks = builder.group_masks
+    row_segments = builder.segments
+    bypass_segments = builder.bypass_segments
+    fb = cfg.flit_bytes
     cap = cfg.target_capacity
-    nflits = cfg.flits_per_row
     arq_entries = cfg.arq_entries
+    LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
+    window: Dict[int, list] = {}
+    out: List[CoalescedRequest] = []
+    sizes = st.packet_sizes
+    per_packet = st.targets_per_packet
+    bypassed = built_payload = built_requests = 0
 
-    def emit(entry: _WindowEntry) -> None:
-        arq_entry = ARQEntry(
-            key=entry.key,
-            flit_map=entry.flit_map,
-            targets=entry.targets,
-            bypass=len(entry.targets) == 1,
-            requests=entry.requests,
-        )
-        if arq_entry.bypass:
-            pkt = bypass_packet(arq_entry, codec, cfg)
+    def close(key: int, slot: list) -> None:
+        """Emit one closed row (``key`` -1: an atomic) and count it."""
+        nonlocal bypassed, built_payload, built_requests
+        bits, targets, requests = slot
+        if len(targets) == 1:
+            # B bit: one FLIT-sized packet, builder skipped.
+            if key < 0:
+                pkt = bypass_packet(
+                    ARQEntry(
+                        key=-1,
+                        flit_map=FlitMap(cfg.flits_per_row, bits),
+                        targets=targets,
+                        bypass=True,
+                        atomic=True,
+                        requests=requests,
+                    ),
+                    codec,
+                    cfg,
+                )
+            else:
+                pkt = emit_row(
+                    codec, key, bypass_segments[bits.bit_length() - 1],
+                    targets, requests, 0, True,
+                )[0]
             out.append(pkt)
-            st.record_packet(pkt)
-        else:
-            for pkt in builder.build(arq_entry):
-                out.append(pkt)
-                st.record_packet(pkt)
+            sizes[fb] = sizes.get(fb, 0) + 1
+            per_packet.append(1)
+            bypassed += 1
+            return
+        for pkt in emit_row(
+            codec, key, row_segments[group_or(bits, masks)], targets, requests
+        ):
+            out.append(pkt)
+            size = pkt.size
+            sizes[size] = sizes.get(size, 0) + 1
+            n = len(pkt.requests)
+            per_packet.append(n)
+            built_payload += size
+            built_requests += n
 
-    def drain_window() -> None:
-        while window:
-            _, entry = window.popitem(last=False)
-            emit(entry)
-
+    loads = stores = fences = atomics = 0
     for req in requests:
         rtype = req.rtype
-        st.record_raw(rtype)
-        if rtype is RequestType.FENCE:
-            drain_window()
+        if rtype is LOAD:
+            loads += 1
+        elif rtype is STORE:
+            stores += 1
+        elif rtype is FENCE:
+            fences += 1
+            for key, slot in window.items():
+                close(key, slot)
+            window.clear()
             continue
-        key, flit = codec.locate(req.addr, rtype)
-        if rtype is RequestType.ATOMIC:
-            pkt = bypass_packet(
-                ARQEntry(
-                    key=-1,
-                    flit_map=FlitMap(nflits),
-                    targets=[Target(req.tid, req.tag, flit)],
-                    bypass=True,
-                    atomic=True,
-                    requests=[req],
-                ),
-                codec,
-                cfg,
-            )
-            out.append(pkt)
-            st.record_packet(pkt)
+        else:
+            atomics += 1
+            _, flit = locate(req.addr, rtype)
+            close(-1, [1 << flit, [Target(req.tid, req.tag, flit)], [req]])
             continue
-
-        entry = window.get(key)
-        if entry is not None and len(entry.targets) < cap:
-            entry.flit_map.set(flit)
-            entry.targets.append(Target(req.tid, req.tag, flit))
-            entry.requests.append(req)
-            continue
-        if entry is not None:
-            # Capacity-full entry: emit it and start a fresh one.
-            window.pop(key)
-            emit(entry)
+        key, flit = locate(req.addr, rtype)
+        slot = window.get(key)
+        if slot is not None:
+            targets = slot[1]
+            if len(targets) < cap:
+                slot[0] |= 1 << flit
+                targets.append(Target(req.tid, req.tag, flit))
+                slot[2].append(req)
+                continue
+            # Capacity-full entry: close it and start a fresh one.
+            del window[key]
+            close(key, slot)
         elif len(window) >= arq_entries:
-            _, oldest = window.popitem(last=False)
-            emit(oldest)
-        fmap = FlitMap(nflits)
-        fmap.set(flit)
-        window[key] = _WindowEntry(
-            key=key,
-            flit_map=fmap,
-            targets=[Target(req.tid, req.tag, flit)],
-            requests=[req],
-        )
+            oldest = next(iter(window))
+            close(oldest, window.pop(oldest))
+        window[key] = [1 << flit, [Target(req.tid, req.tag, flit)], [req]]
+    for key, slot in window.items():
+        close(key, slot)
 
-    drain_window()
+    st.raw_loads += loads
+    st.raw_stores += stores
+    st.raw_fences += fences
+    st.raw_atomics += atomics
+    st.raw_requests += loads + stores + fences + atomics
+    st.coalesced_packets += len(out)
+    st.bypassed_packets += bypassed
+    st.merged_requests += bypassed + built_requests
+    st.payload_bytes += bypassed * fb + built_payload
     return out

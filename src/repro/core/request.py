@@ -74,11 +74,13 @@ class Target:
 
     def __post_init__(self) -> None:
         if not 0 <= self.tid <= MAX_TID:
-            raise ValueError(f"tid {self.tid} outside 16-bit range")
+            raise ValueError(f"tid {self.tid} outside {TID_BITS}-bit range")
         if not 0 <= self.tag <= MAX_TAG:
-            raise ValueError(f"tag {self.tag} outside 16-bit range")
+            raise ValueError(f"tag {self.tag} outside {TAG_BITS}-bit range")
         if not 0 <= self.flit_id < (1 << FLIT_ID_BITS):
-            raise ValueError(f"flit_id {self.flit_id} outside 4-bit range")
+            raise ValueError(
+                f"flit_id {self.flit_id} outside {FLIT_ID_BITS}-bit range"
+            )
 
 
 @dataclass(slots=True)

@@ -62,10 +62,17 @@ def to_requests(records: Iterable[TraceRecord], node: int = 0) -> Iterator[Memor
     """Convert a trace into raw requests, assigning per-thread tags.
 
     Tags are sequential per thread modulo the 16-bit tag space, matching
-    the paper's 64 K transactions per thread (section 4.1.1).
+    the paper's 64 K transactions per thread (section 4.1.1).  Each
+    request equals ``rec.to_request(tag=tag, node=node)``; it is built
+    with positional arguments, in :class:`MemoryRequest` field order,
+    because keyword passing costs measurably at trace scale.
     """
     next_tag: dict[int, int] = {}
+    get_tag = next_tag.get
     for rec in records:
-        tag = next_tag.get(rec.tid, 0)
-        next_tag[rec.tid] = (tag + 1) & 0xFFFF
-        yield rec.to_request(tag=tag, node=node)
+        tid = rec.tid
+        tag = get_tag(tid, 0)
+        next_tag[tid] = (tag + 1) & 0xFFFF
+        yield MemoryRequest(
+            rec.addr, rec.op, tid, tag, rec.size, rec.core, node, rec.cycle
+        )

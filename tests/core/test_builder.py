@@ -1,11 +1,14 @@
 """Unit tests for the two-stage pipelined Request Builder (section 4.2)."""
 
+import random
+
 import pytest
 
 from repro.core.address import AddressCodec
 from repro.core.arq import AggregatedRequestQueue
-from repro.core.builder import RequestBuilder, bypass_packet
+from repro.core.builder import RequestBuilder, bypass_packet, emit_row
 from repro.core.config import MACConfig
+from repro.core.flit import FlitMap, group_or
 from repro.core.flit_table import FlitTablePolicy
 from repro.core.request import MemoryRequest, RequestType
 
@@ -67,6 +70,63 @@ class TestFunctionalBuild:
             for t, raw in zip(entry.targets, entry.requests):
                 flit_addr = 0xA00 + t.flit_id * 16
                 assert any(p.covers(flit_addr) for p in pkts)
+
+
+def random_maps(nflits, n):
+    rng = random.Random(nflits)
+    return [rng.getrandbits(nflits) for _ in range(n)]
+
+
+class TestSharedRowEmit:
+    """``emit_row`` is the one packet-assembly routine."""
+
+    @pytest.mark.parametrize(
+        "cfg,maps",
+        [
+            (CFG, range(1 << 16)),
+            (MACConfig(row_bytes=1024), [1 << f for f in range(64)]
+             + random_maps(64, 5_000)),
+        ],
+        ids=["256B", "1KB"],
+    )
+    def test_stage1_matches_flit_map(self, cfg, maps):
+        builder = RequestBuilder(cfg)
+        nflits, groups = cfg.flits_per_row, cfg.groups_per_row
+        for bits in maps:
+            assert group_or(bits, builder.group_masks) == (
+                FlitMap(nflits, bits).group_bits(groups)
+            ), bits
+
+    @pytest.mark.parametrize("policy", list(FlitTablePolicy))
+    @pytest.mark.parametrize("max_bytes", [64, 128, 256])
+    def test_plans_match_flit_table(self, policy, max_bytes):
+        builder = RequestBuilder(
+            MACConfig(max_request_bytes=max_bytes), policy=policy
+        )
+        for pattern, plan in enumerate(builder.segments):
+            assert plan == tuple(
+                (s.offset * 64, s.length * 64, s.offset * 4, (s.offset + s.length) * 4)
+                for s in builder.table.lookup(pattern)
+            )
+
+    def test_single_packet_takes_the_row_lists(self):
+        entry = entry_for([0xA60, 0xA80, 0xA90])
+        (pkt,) = RequestBuilder(CFG).build(entry)
+        assert pkt.targets is entry.targets
+        assert pkt.requests is entry.requests
+
+    def test_split_row_partitions_targets(self):
+        codec = AddressCodec(CFG)
+        entry = entry_for([0xA00, 0xAF0, 0xA10])
+        plan = ((0, 64, 0, 4), (192, 64, 12, 16))
+        pkts = emit_row(codec, entry.key, plan, entry.targets, entry.requests, 5)
+        assert [(p.addr, p.size, p.issue_cycle) for p in pkts] == [
+            (0xA00, 64, 5), (0xAC0, 64, 5)
+        ]
+        assert [[t.flit_id for t in p.targets] for p in pkts] == [[0, 1], [15]]
+        assert [[r.addr for r in p.requests] for p in pkts] == [
+            [0xA00, 0xA10], [0xAF0]
+        ]
 
 
 class TestPipelineTiming:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.request import (
+    FLIT_ID_BITS,
     MAX_TAG,
     MAX_TID,
     MemoryRequest,
@@ -68,6 +69,14 @@ class TestTarget:
         Target(tid=0, tag=0, flit_id=63)   # 1 KB HBM rows (section 4.3)
         with pytest.raises(ValueError):
             Target(tid=0, tag=0, flit_id=64)
+
+    def test_flit_error_names_the_field_width(self):
+        assert FLIT_ID_BITS == 6
+        Target(tid=0, tag=0, flit_id=63)
+        with pytest.raises(ValueError, match=r"flit_id 64 outside 6-bit range"):
+            Target(tid=0, tag=0, flit_id=64)
+        with pytest.raises(ValueError, match=r"flit_id -1 outside 6-bit range"):
+            Target(tid=0, tag=0, flit_id=-1)
 
     def test_frozen(self):
         t = Target(1, 2, 3)

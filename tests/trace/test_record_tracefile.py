@@ -1,9 +1,12 @@
 """Trace record and file-format tests (incl. roundtrip property)."""
 
+import random
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.request import RequestType
+from repro.core.request import MemoryRequest, RequestType
 from repro.trace.record import TraceRecord, to_requests
 from repro.trace.tracefile import (
     dump,
@@ -47,6 +50,71 @@ class TestRecord:
         gen = to_requests(recs)
         first = next(gen)
         assert first.tag == 0
+
+
+def keyword_reference(records, node):
+    """``to_requests`` spelled with the keyword ``TraceRecord.to_request``."""
+    next_tag = {}
+    out = []
+    for rec in records:
+        tag = next_tag.get(rec.tid, 0)
+        next_tag[rec.tid] = (tag + 1) & 0xFFFF
+        out.append(rec.to_request(tag=tag, node=node))
+    return out
+
+
+def field_values(requests):
+    return [
+        (type(r), [(f.name, getattr(r, f.name)) for f in fields(MemoryRequest)])
+        for r in requests
+    ]
+
+
+class TestToRequestsFastPath:
+    """The positional conversion equals the keyword one, field for field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                TraceRecord,
+                op=st.sampled_from(list(RequestType)),
+                addr=st.integers(0, (1 << 52) - 1),
+                size=st.integers(1, 256),
+                tid=st.integers(0, 5) | st.integers(0, 0xFFFF),
+                core=st.integers(0, 7),
+                cycle=st.integers(0, 1 << 40),
+            ),
+            max_size=80,
+        ),
+        node=st.integers(0, 63),
+    )
+    def test_matches_keyword_conversion(self, records, node):
+        got = list(to_requests(records, node=node))
+        assert field_values(got) == field_values(keyword_reference(records, node))
+        assert all(r.rtype is rec.op for r, rec in zip(got, records))
+
+    def test_matches_across_the_tag_wrap(self):
+        """One tid issues more than 65,536 requests: its tags wrap to 0."""
+        rng = random.Random(17)
+        ops = list(RequestType)
+        records = [
+            TraceRecord(
+                rng.choice(ops),
+                rng.randrange(1 << 40),
+                rng.choice((4, 8, 16)),
+                0 if rng.random() < 0.9 else rng.randrange(1, 4),
+                rng.randrange(8),
+                i,
+            )
+            for i in range(73_000)
+        ]
+        got = list(to_requests(records, node=3))
+        assert field_values(got) == field_values(keyword_reference(records, 3))
+        tid0 = [r.tag for r in got if r.tid == 0]
+        assert len(tid0) > 0x10000
+        assert tid0[0xFFFF] == 0xFFFF and tid0[0x10000] == 0
+        assert {r.node for r in got} == {3}
 
 
 class TestTextFormat:
