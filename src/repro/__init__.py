@@ -3,7 +3,7 @@ Memory" (Wang et al., ICPP 2019).
 
 Subpackages:
 
-* :mod:`repro.core`      — the MAC itself (ARQ, FLIT map/table, builder,
+* :mod:`repro.core`      — the MAC itself (ARQ, FLIT table, builder,
   routers) plus the fast window engine.
 * :mod:`repro.hmc`       — cycle-level Hybrid Memory Cube device model
   (the HMCSim-3.0 stand-in).
@@ -29,8 +29,6 @@ from .core import (
     AddressCodec,
     CoalescedRequest,
     CoalescedResponse,
-    FlitMap,
-    FlitTable,
     FlitTablePolicy,
     MACConfig,
     MACStats,
@@ -49,8 +47,6 @@ __all__ = [
     "AddressCodec",
     "CoalescedRequest",
     "CoalescedResponse",
-    "FlitMap",
-    "FlitTable",
     "FlitTablePolicy",
     "HMCConfig",
     "HMCDevice",

@@ -6,8 +6,7 @@ Public surface:
 * :class:`MemoryRequest`, :class:`RequestType`, :class:`Target` — raw
   request primitives.
 * :class:`AddressCodec` — physical address layout (Fig. 5).
-* :class:`FlitMap` — per-row request bitmap (Fig. 6).
-* :class:`FlitTable`, :class:`FlitTablePolicy` — stage-2 lookup (Fig. 8).
+* :class:`FlitTablePolicy` — how the FLIT table sizes packets (Fig. 8).
 * :class:`AggregatedRequestQueue`, :class:`ARQEntry` — the ARQ.
 * :class:`RawRequestAggregator` — cycle model of the intake stage.
 * :class:`RequestBuilder` — the two-stage pipelined builder.
@@ -25,8 +24,7 @@ from .aggregator import RawRequestAggregator
 from .arq import AggregatedRequestQueue, ARQEntry
 from .builder import RequestBuilder, bypass_packet
 from .config import MACConfig, PAPER_CONFIG, PAPER_SYSTEM, SystemConfig
-from .flit import FlitMap
-from .flit_table import BuiltSegment, FlitTable, FlitTablePolicy
+from .flit_table import FlitTablePolicy
 from .mac import MAC, coalesce_trace_fast
 from .packet import (
     CONTROL_BYTES_PER_ACCESS,
@@ -42,14 +40,11 @@ __all__ = [
     "AddressCodec",
     "AggregatedRequestQueue",
     "ARQEntry",
-    "BuiltSegment",
     "CONTROL_BYTES_PER_ACCESS",
     "CONTROL_BYTES_PER_PACKET",
     "CoalescedRequest",
     "CoalescedResponse",
     "FIFOQueue",
-    "FlitMap",
-    "FlitTable",
     "FlitTablePolicy",
     "MAC",
     "MACConfig",

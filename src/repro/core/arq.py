@@ -24,7 +24,6 @@ from ..sim import register_wake_protocol
 from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
 from .config import MACConfig
-from .flit import FlitMap
 from .request import MemoryRequest, RequestType, Target
 
 
@@ -34,7 +33,8 @@ class ARQEntry:
 
     Attributes:
         key: comparator key — row number with the T bit as its MSB.
-        flit_map: bitmap of requested FLITs in the row.
+        bits: FLIT map — bit *f* set iff FLIT *f* of the row is requested
+            (0 for a fence).
         targets: target info of every merged raw request, in merge order.
         bypass: the B bit — set when the entry can no longer coalesce
             (single-request rows and fences bypass the builder).
@@ -46,7 +46,7 @@ class ARQEntry:
     """
 
     key: int
-    flit_map: FlitMap
+    bits: int
     targets: List[Target] = field(default_factory=list)
     bypass: bool = False
     fence: bool = False
@@ -89,7 +89,6 @@ class AggregatedRequestQueue:
         self._target_capacity = config.target_capacity
         self._bypass_threshold = config.bypass_threshold
         self._latency_hiding = config.latency_hiding
-        self._nflits = config.flits_per_row
         self._entries: Deque[ARQEntry] = deque()
         # Row-key index for O(1) comparator emulation.  Hardware compares
         # all entries in parallel; a dict gives identical semantics.  Only
@@ -213,7 +212,7 @@ class AggregatedRequestQueue:
     def _merge(
         self, entry: ARQEntry, request: MemoryRequest, flit: int, cycle: int = 0
     ) -> None:
-        entry.flit_map.set(flit)
+        entry.bits |= 1 << flit
         targets = entry.targets
         targets.append(Target(request.tid, request.tag, flit))
         entry.requests.append(request)
@@ -233,11 +232,9 @@ class AggregatedRequestQueue:
         entries = self._entries
         if len(entries) >= self._capacity:
             return False
-        fmap = FlitMap(self._nflits)
-        fmap.set(flit)
         entry = ARQEntry(
             key=key,
-            flit_map=fmap,
+            bits=1 << flit,
             targets=[Target(request.tid, request.tag, flit)],
             bypass=True,  # single request so far -> B bit set
             alloc_cycle=cycle,
@@ -265,7 +262,7 @@ class AggregatedRequestQueue:
             return False
         entry = ARQEntry(
             key=-1,
-            flit_map=FlitMap(self._nflits),
+            bits=0,
             bypass=True,
             fence=True,
             alloc_cycle=cycle,
@@ -292,11 +289,9 @@ class AggregatedRequestQueue:
     def _push_atomic(self, request: MemoryRequest, flit: int, cycle: int) -> bool:
         if self.full:
             return False
-        fmap = FlitMap(self._nflits)
-        fmap.set(flit)
         entry = ARQEntry(
             key=-1,
-            flit_map=fmap,
+            bits=1 << flit,
             targets=[Target(request.tid, request.tag, flit)],
             bypass=True,
             atomic=True,

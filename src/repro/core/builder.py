@@ -16,21 +16,16 @@ from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import ARQEntry
 from .config import MACConfig
-from .flit import group_masks, group_or
-from .flit_table import FlitTable, FlitTablePolicy
+from .flit_table import (
+    FlitTablePolicy,
+    Segments,
+    flit_segments,
+    group_masks,
+    group_or,
+    plan_table,
+)
 from .packet import CoalescedRequest
 from .request import MemoryRequest, RequestType, Target
-
-
-#: One row's packet plan: ``(byte offset, bytes, first FLIT, end FLIT)``
-#: per packet, FLIT bounds half-open.  Built from the FLIT table once per
-#: builder; a bypass row is the one-FLIT plan of its single target.
-Segments = Tuple[Tuple[int, int, int, int], ...]
-
-
-def flit_segments(flit: int, flit_bytes: int) -> Segments:
-    """The plan of a B-bit (bypass) row: one FLIT-sized packet."""
-    return ((flit * flit_bytes, flit_bytes, flit, flit + 1),)
 
 
 def emit_row(
@@ -91,8 +86,8 @@ class _StageSlot:
 class RequestBuilder:
     """Cycle-level model of the two-stage pipelined request builder.
 
-    Stage 1's OR-reduction is :func:`repro.core.flit.group_or`; stage 2
-    hands the row to :func:`emit_row` with the FLIT table's plan.
+    Stage 1's OR-reduction is :func:`repro.core.flit_table.group_or`;
+    stage 2 hands the row to :func:`emit_row` with the FLIT table's plan.
     """
 
     def __init__(
@@ -103,24 +98,15 @@ class RequestBuilder:
     ) -> None:
         self.config = config
         self.codec = codec or AddressCodec(config)
-        self.table = FlitTable(
-            groups=config.groups_per_row,
-            chunk_bytes=config.min_request_bytes,
-            policy=policy,
-            max_chunks=config.max_request_bytes // config.min_request_bytes,
-        )
-        #: Stage-1 group masks (see :func:`repro.core.flit.group_or`).
+        #: Stage-1 group masks (see :func:`repro.core.flit_table.group_or`).
         self.group_masks = group_masks(config.flits_per_row, config.groups_per_row)
-        chunk = config.min_request_bytes
-        per = config.flits_per_group
-        #: The FLIT table as :data:`Segments`, indexed by group pattern.
-        self.segments: Tuple[Segments, ...] = tuple(
-            tuple(
-                (s.offset * chunk, s.length * chunk, s.offset * per,
-                 (s.offset + s.length) * per)
-                for s in self.table.lookup(pattern)
-            )
-            for pattern in range(1 << config.groups_per_row)
+        #: The FLIT table: one :data:`Segments` plan per group pattern.
+        self.segments: Tuple[Segments, ...] = plan_table(
+            config.groups_per_row,
+            config.flits_per_group,
+            config.flit_bytes,
+            policy,
+            config.max_request_bytes // config.min_request_bytes,
         )
         #: The B-bit plan of each FLIT id (see :func:`flit_segments`).
         self.bypass_segments: Tuple[Segments, ...] = tuple(
@@ -185,7 +171,7 @@ class RequestBuilder:
         # Stage 1 -> stage 2 transfer (group OR takes the single cycle).
         if self._stage1 is not None and self._stage2 is None:
             slot = self._stage1
-            slot.pattern = group_or(slot.entry.flit_map.bits, self.group_masks)
+            slot.pattern = group_or(slot.entry.bits, self.group_masks)
             slot.remaining = self._stage2_cycles
             self._stage2 = slot
             self._stage1 = None
@@ -200,7 +186,7 @@ class RequestBuilder:
             self._stage2 = None
         if self._stage1 is not None:
             slot = self._stage1
-            slot.pattern = group_or(slot.entry.flit_map.bits, self.group_masks)
+            slot.pattern = group_or(slot.entry.bits, self.group_masks)
             out.extend(self._emit(slot, cycle))
             self._stage1 = None
         return out
@@ -226,7 +212,7 @@ class RequestBuilder:
 
         Produces exactly what the pipeline would emit; used by tests.
         """
-        pattern = group_or(entry.flit_map.bits, self.group_masks)
+        pattern = group_or(entry.bits, self.group_masks)
         return self._emit(_StageSlot(entry, pattern), cycle)
 
     def _emit(self, slot: _StageSlot, cycle: int) -> List[CoalescedRequest]:

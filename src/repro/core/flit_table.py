@@ -1,7 +1,13 @@
-"""FLIT table — stage-2 lookup of the request builder (paper section 4.2.1).
+"""FLIT map -> packet plan: both request-builder stages (paper section 4.2).
 
-The table maps the 4 group bits produced by builder stage 1 (one bit per
-64 B chunk of the 256 B row) to the size of the coalesced transaction.
+An ARQ entry's FLIT map (paper Fig. 6) is a plain int with one bit per
+FLIT of the row (16 bits for 256 B rows of 16 B FLITs), set when any
+merged raw request touches that FLIT.  Builder stage 1 OR-reduces it into
+one bit per 64 B group (:func:`group_or`); stage 2 looks the group
+pattern up in the FLIT table (:func:`plan_table`), a ``2**groups``-entry
+LUT whose lookup is a single cycle (section 4.2.1).
+
+The table maps the group bits to the size of the coalesced transaction.
 The paper's table emits 64, 128 or 256 B requests; the example in Fig. 7/8
 maps pattern ``0110`` to a single 128 B transaction, i.e. the emitted
 request is the smallest power-of-two span (in chunks) that covers every
@@ -30,8 +36,15 @@ happens while the table is built, so a lookup costs the same.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+#: One row's packet plan: ``(byte offset, bytes, first FLIT, end FLIT)``
+#: per packet, FLIT bounds half-open.  The FLIT table holds one per group
+#: pattern; a bypass row is the one-FLIT plan of its single target.
+Segments = Tuple[Tuple[int, int, int, int], ...]
+
+#: A policy's ``(chunk offset, chunk length)`` transactions within a row.
+Chunks = List[Tuple[int, int]]
 
 
 class FlitTablePolicy(enum.Enum):
@@ -42,19 +55,38 @@ class FlitTablePolicy(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True, slots=True)
-class BuiltSegment:
-    """One (chunk offset, chunk length) transaction within a row.
+def group_masks(nflits: int, groups: int) -> Tuple[Tuple[int, int], ...]:
+    """``(group bit, FLIT mask)`` per builder group of an ``nflits`` row.
 
-    ``offset`` and ``length`` are in units of chunks (64 B for the default
-    geometry); the builder converts them to byte addresses/sizes.
+    Group *g* covers FLITs ``[g * per, (g + 1) * per)`` with
+    ``per = nflits // groups``; bit 0 is the lowest-addressed chunk.
     """
+    if groups < 1 or nflits % groups:
+        raise ValueError(f"cannot split {nflits} FLITs into {groups} groups")
+    per = nflits // groups
+    mask = (1 << per) - 1
+    return tuple((1 << g, mask << (g * per)) for g in range(groups))
 
-    offset: int
-    length: int
+
+def group_or(bits: int, masks: Tuple[Tuple[int, int], ...]) -> int:
+    """Builder stage 1 (Fig. 8): OR-reduce a FLIT bitmap into group bits.
+
+    The one copy of the reduction: the pipelined builder and the window
+    engine both call it.
+    """
+    out = 0
+    for gbit, mask in masks:
+        if bits & mask:
+            out |= gbit
+    return out
 
 
-def _span_segments(pattern: int, groups: int) -> List[BuiltSegment]:
+def flit_segments(flit: int, flit_bytes: int) -> Segments:
+    """The plan of a B-bit (bypass) row: one FLIT-sized packet."""
+    return ((flit * flit_bytes, flit_bytes, flit, flit + 1),)
+
+
+def _span_segments(pattern: int, groups: int) -> Chunks:
     """Single power-of-two-sized segment covering all set chunks."""
     if pattern == 0:
         return []
@@ -68,10 +100,10 @@ def _span_segments(pattern: int, groups: int) -> List[BuiltSegment]:
     length = min(length, groups)
     # Anchor so the segment stays inside the row.
     offset = min(first, groups - length)
-    return [BuiltSegment(offset, length)]
+    return [(offset, length)]
 
 
-def _popcount_segments(pattern: int, groups: int) -> List[BuiltSegment]:
+def _popcount_segments(pattern: int, groups: int) -> Chunks:
     """Paper-text sizing by set-bit count, widened to cover the span."""
     if pattern == 0:
         return []
@@ -82,43 +114,41 @@ def _popcount_segments(pattern: int, groups: int) -> List[BuiltSegment]:
     if last - first + 1 > length:  # sparse pair like 1001: widen to cover
         return _span_segments(pattern, groups)
     offset = min(first, groups - length)
-    return [BuiltSegment(offset, length)]
+    return [(offset, length)]
 
 
-def _exact_segments(pattern: int, groups: int) -> List[BuiltSegment]:
+def _exact_segments(pattern: int, groups: int) -> Chunks:
     """One segment per maximal run of consecutive set chunks."""
-    segments: List[BuiltSegment] = []
+    segments: Chunks = []
     g = 0
     while g < groups:
         if (pattern >> g) & 1:
             start = g
             while g < groups and (pattern >> g) & 1:
                 g += 1
-            segments.append(BuiltSegment(start, g - start))
+            segments.append((start, g - start))
         else:
             g += 1
     return segments
 
 
-def _cap_segments(
-    segments: List[BuiltSegment], pattern: int, max_chunks: int
-) -> List[BuiltSegment]:
+def _cap_segments(segments: Chunks, pattern: int, max_chunks: int) -> Chunks:
     """Cut segments longer than ``max_chunks`` at aligned boundaries.
 
     Pieces stay inside their segment, so they are disjoint and cover
     every requested chunk the segment covered; a piece holding no
     requested chunk is dropped.
     """
-    out: List[BuiltSegment] = []
-    for seg in segments:
-        if seg.length <= max_chunks:
-            out.append(seg)
+    out: Chunks = []
+    for offset, length in segments:
+        if length <= max_chunks:
+            out.append((offset, length))
             continue
-        lo, end = seg.offset, seg.offset + seg.length
+        lo, end = offset, offset + length
         while lo < end:
             hi = min(end, (lo // max_chunks + 1) * max_chunks)
             if (pattern >> lo) & ((1 << (hi - lo)) - 1):
-                out.append(BuiltSegment(lo, hi - lo))
+                out.append((lo, hi - lo))
             lo = hi
     return out
 
@@ -130,66 +160,31 @@ _POLICY_FN = {
 }
 
 
-class FlitTable:
-    """Precomputed lookup table: group-bit pattern -> built segments.
+def plan_table(
+    groups: int = 4,
+    flits_per_group: int = 4,
+    flit_bytes: int = 16,
+    policy: FlitTablePolicy = FlitTablePolicy.SPAN,
+    max_chunks: Optional[int] = None,
+) -> Tuple[Segments, ...]:
+    """The FLIT table: the :data:`Segments` plan of every group pattern.
 
-    Mirrors the hardware structure: a ``2**groups``-entry LUT whose lookup
-    is a single cycle (section 4.2.1).  The table is immutable after
-    construction.  ``max_chunks`` (default: the whole row) caps every
-    emitted segment, see the module docstring.
+    Indexed by the stage-1 pattern; ``max_chunks`` (default: the whole
+    row) caps every emitted segment, see the module docstring.
     """
-
-    def __init__(
-        self,
-        groups: int = 4,
-        chunk_bytes: int = 64,
-        policy: FlitTablePolicy = FlitTablePolicy.SPAN,
-        max_chunks: Optional[int] = None,
-    ) -> None:
-        if groups < 1 or groups > 16:
-            raise ValueError("FLIT table supports 1..16 groups")
-        if chunk_bytes < 1:
-            raise ValueError("chunk size must be positive")
-        if max_chunks is None:
-            max_chunks = groups
-        if max_chunks < 1:
-            raise ValueError(f"max_chunks must be positive, got {max_chunks}")
-        self.groups = groups
-        self.chunk_bytes = chunk_bytes
-        self.policy = policy
-        self.max_chunks = max_chunks
-        fn = _POLICY_FN[policy]
-        self._table: Tuple[Tuple[BuiltSegment, ...], ...] = tuple(
-            tuple(_cap_segments(fn(pattern, groups), pattern, max_chunks))
-            for pattern in range(1 << groups)
+    if groups < 1 or groups > 16:
+        raise ValueError("FLIT table supports 1..16 groups")
+    if max_chunks is None:
+        max_chunks = groups
+    if max_chunks < 1:
+        raise ValueError(f"max_chunks must be positive, got {max_chunks}")
+    fn = _POLICY_FN[policy]
+    chunk = flits_per_group * flit_bytes
+    per = flits_per_group
+    return tuple(
+        tuple(
+            (lo * chunk, n * chunk, lo * per, (lo + n) * per)
+            for lo, n in _cap_segments(fn(pattern, groups), pattern, max_chunks)
         )
-
-    def lookup(self, pattern: int) -> Tuple[BuiltSegment, ...]:
-        """Segments (chunk offset/length) for a stage-1 group-bit pattern."""
-        if not 0 <= pattern < (1 << self.groups):
-            raise ValueError(f"pattern {pattern:#x} outside {self.groups}-bit range")
-        return self._table[pattern]
-
-    def request_bytes(self, pattern: int) -> int:
-        """Total transaction payload bytes emitted for ``pattern``."""
-        return sum(s.length for s in self.lookup(pattern)) * self.chunk_bytes
-
-    def packet_count(self, pattern: int) -> int:
-        """Number of packets emitted for ``pattern`` (1 except EXACT)."""
-        return len(self.lookup(pattern))
-
-    @property
-    def storage_bytes(self) -> int:
-        """Hardware footprint of the LUT.
-
-        The paper reports 12 B for the 16-entry table: each entry stores a
-        size selector of 6 bits (2 bits size + 4 bits base), i.e.
-        ``2**groups * 6 / 8`` bytes.
-        """
-        return (1 << self.groups) * 6 // 8
-
-    def __repr__(self) -> str:
-        return (
-            f"FlitTable(groups={self.groups}, chunk_bytes={self.chunk_bytes}, "
-            f"policy={self.policy.value}, max_chunks={self.max_chunks})"
-        )
+        for pattern in range(1 << groups)
+    )

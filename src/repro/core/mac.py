@@ -24,8 +24,7 @@ from .aggregator import RawRequestAggregator
 from .arq import ARQEntry
 from .builder import RequestBuilder, bypass_packet, emit_row
 from .config import MACConfig
-from .flit import FlitMap, group_or
-from .flit_table import FlitTablePolicy
+from .flit_table import FlitTablePolicy, group_or
 from .packet import CoalescedRequest, CoalescedResponse
 from .request import MemoryRequest, RequestType, Target
 from .router import RequestRouter, ResponseRouter
@@ -353,11 +352,22 @@ class MAC(ClockedModel):
                 f"ARQ over capacity ({len(arq)}/{self.config.arq_entries})",
             )
         cap = self.config.target_capacity
+        nflits = self.config.flits_per_row
         for entry in arq.entries():
             if entry.target_count > cap:
                 raise InvariantViolation(
                     cycle,
                     f"ARQ entry holds {entry.target_count} targets (cap {cap})",
+                )
+            if entry.fence:
+                continue
+            # The FLIT map is a plain int: nothing else bounds its bits.
+            bits = entry.bits
+            if not bits or bits >> nflits or bits.bit_count() > entry.target_count:
+                raise InvariantViolation(
+                    cycle,
+                    f"ARQ entry FLIT map {bits:#x} invalid for a {nflits}-FLIT "
+                    f"row holding {entry.target_count} targets",
                 )
         resp = self.response_router
         if resp.buffered > resp.buffer_capacity:
@@ -437,7 +447,7 @@ def coalesce_trace_fast(
                 pkt = bypass_packet(
                     ARQEntry(
                         key=-1,
-                        flit_map=FlitMap(cfg.flits_per_row, bits),
+                        bits=bits,
                         targets=targets,
                         bypass=True,
                         atomic=True,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import MACConfig
-from repro.core.request import TARGET_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +59,3 @@ def entry_capacity(config: MACConfig | None = None) -> int:
     """Targets one entry can hold (section 5.3.3: (64-10)/4.5 = 12)."""
     cfg = config or MACConfig()
     return cfg.target_capacity
-
-
-def target_bytes_used(avg_targets: float) -> float:
-    """Average target storage per entry given Fig. 15's counts."""
-    if avg_targets < 0:
-        raise ValueError("target count must be non-negative")
-    return avg_targets * TARGET_BYTES

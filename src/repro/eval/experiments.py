@@ -75,53 +75,6 @@ def _compare_cell(task: Tuple) -> Dict[str, Any]:
         "mac_latency": mac.mean_latency,
     }
 
-def _closed_loop_cell(task: Tuple) -> Dict[str, Any]:
-    """(name, threads, ops, engine) -> closed-loop node run scalars.
-
-    ``engine`` travels as a name string (``"lockstep"`` / ``"skip"``) so
-    the task tuple stays picklable for the process pool; both engines
-    produce bit-identical results, so the choice only affects wall time.
-    """
-    from .runner import attributed_node_run
-
-    name, threads, ops_per_thread, engine = task
-    _, node = attributed_node_run(
-        name, threads, ops_per_thread, engine=engine
-    )
-    return {
-        "cycles": node.stats.cycles,
-        "mean_memory_latency": node.stats.mean_memory_latency,
-        "responses": node.stats.responses_delivered,
-        "coalescing_efficiency": node.stats.coalescing_efficiency,
-    }
-
-
-def closed_loop_summary(
-    threads: int = DEFAULT_THREADS,
-    ops_per_thread: int = 1000,
-    engine: Optional[str] = None,
-    jobs: int = 1,
-    progress: Optional[ProgressFn] = None,
-    supervise=None,
-) -> Dict[str, Dict[str, Any]]:
-    """Closed-loop Fig. 4 node run per benchmark (end-to-end numbers).
-
-    Unlike the open-loop figure drivers above, this clocks the full
-    cores -> MAC -> device -> response loop, so makespan includes the
-    latency-bound phases the skip engine fast-forwards.  ``engine``
-    selects the simulation engine by name (see :mod:`repro.sim`).
-    """
-    names = benchmark_names()
-    tasks = [(name, threads, ops_per_thread, engine) for name in names]
-    cells = run_tasks(
-        _closed_loop_cell, tasks, jobs=jobs, progress=progress, supervise=supervise
-    )
-    return {
-        name: cell
-        for name, cell in zip(names, cells)
-        if not isinstance(cell, CellFailure)
-    }
-
 
 # ---------------------------------------------------------------------------
 # Figure 1 — cache miss-rate analysis

@@ -75,16 +75,6 @@ class CellFailure:
     def to_payload(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CellFailure":
-        return cls(
-            index=int(payload["index"]),
-            key=str(payload["key"]),
-            kind=str(payload["kind"]),
-            attempts=int(payload["attempts"]),
-            message=str(payload["message"]),
-        )
-
 
 class SweepInterrupted(RuntimeError):
     """The sweep was stopped by SIGINT/SIGTERM after a graceful drain."""

@@ -183,7 +183,3 @@ class Bank:
 
     def skip_to(self, target: int) -> None:
         """All state is absolute timestamps: skipping costs nothing."""
-
-    def busy_at(self, now: int) -> bool:
-        """Whether the bank is still occupied at cycle ``now``."""
-        return self.ready_cycle > now

@@ -44,8 +44,8 @@ class HMCConfig:
     #: Per-output-port input-buffer depth (packets) of the non-ideal
     #: topologies; a full buffer backpressures into the link.
     noc_buffers: int = 8
-    #: Port arbitration policy: ``fifo``, ``round_robin`` or
-    #: ``oldest_first`` (see :mod:`repro.hmc.noc`).
+    #: Port arbitration policy: ``fifo`` or ``round_robin`` (see
+    #: :mod:`repro.hmc.noc`).
     noc_arbitration: str = "fifo"
     #: DRAM bank page policy: ``closed`` (the paper's HMC, default),
     #: ``open`` or ``adaptive`` (see :mod:`repro.hmc.bank`).

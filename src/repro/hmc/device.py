@@ -328,10 +328,6 @@ class HMCDevice:
             max((l.busy_until() for l in self.links), default=0),
         )
 
-    def busy_vaults(self, now: int) -> int:
-        """Vaults with at least one occupied bank at cycle ``now``."""
-        return sum(1 for v in self.vaults if v.busy_banks(now))
-
     # -- aggregates ----------------------------------------------------------------
 
     @property

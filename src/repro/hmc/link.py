@@ -345,10 +345,6 @@ class Link:
     def wire_flits(self) -> int:
         return self.request.flits + self.response.flits
 
-    def earliest_request_slot(self, arrival: int) -> int:
-        """When a request arriving at ``arrival`` could start serializing."""
-        return max(arrival, self.request.ready_cycle)
-
     # -- quiescence skipping --------------------------------------------------
 
     def next_event_cycle(self, now: int) -> Optional[int]:

@@ -34,12 +34,11 @@ a waiting packet:
 * ``round_robin``  — the grant rotates across source links cycle by
   cycle; a packet from link *l* starts only on a cycle ``c`` with
   ``c % links == l`` (0..links-1 extra cycles of alignment).
-* ``oldest_first`` — grant the longest-waiting packet first.  The
-  device submits requests in non-decreasing arrival order, so waiting
-  packets are already age-ordered and this policy is provably identical
-  to ``fifo`` here; it is kept as a distinct name (and pinned equal by
-  a unit test) so reordering front-ends added later inherit a real
-  policy hook.
+
+The device submits requests in non-decreasing arrival order, so the
+packets waiting at a port are already age-ordered: an oldest-first
+arbiter would grant exactly as ``fifo`` does, and is not a separate
+policy.
 
 Every topology keeps *only absolute cycle stamps* (port ready cycles,
 buffer release cycles) that are consumed by the next :meth:`to_vault` /
@@ -77,7 +76,7 @@ __all__ = [
 NOC_TOPOLOGIES = ("ideal", "xbar", "ring", "mesh")
 
 #: Selectable port-arbitration policies (``HMCConfig.noc_arbitration``).
-NOC_ARBITRATIONS = ("fifo", "round_robin", "oldest_first")
+NOC_ARBITRATIONS = ("fifo", "round_robin")
 
 
 @dataclass(slots=True)
@@ -234,7 +233,6 @@ class XbarNoC:
             # The rotating grant points at `source` once every `sources`
             # cycles; align the start to the source's turn.
             grant += (source - grant) % sources
-        # "oldest_first" == "fifo" under in-order submission (module doc).
         st = self.stats
         st.buffer_stall_cycles += admit - arrival
         st.contention_cycles += grant - admit

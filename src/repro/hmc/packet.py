@@ -156,10 +156,11 @@ def encode(
 def packet_crc(req: CoalescedRequest, seq: int = 0) -> int:
     """32-bit CRC over the packet's addressing fields and sequence number.
 
-    Stands in for the tail CRC of the HMC protocol; used by the retry
-    protocol and by tests to exercise the integrity path end to end.
-    The sequence number is folded in so a replayed frame cannot be
-    mistaken for its neighbour.
+    Stands in for the tail CRC of the HMC protocol; tests use it to
+    exercise the integrity check.  The link's retry protocol does not
+    compute it: CRC failures are drawn from the fault model.  The
+    sequence number is folded in so a replayed packet cannot be mistaken
+    for its neighbour.
     """
     blob = f"{req.addr:x}:{req.size}:{req.rtype.value}:{seq}".encode()
     return zlib.crc32(blob) & 0xFFFFFFFF
@@ -167,41 +168,3 @@ def packet_crc(req: CoalescedRequest, seq: int = 0) -> int:
 
 def verify_crc(req: CoalescedRequest, crc: int, seq: int = 0) -> bool:
     return packet_crc(req, seq) == crc
-
-
-@dataclass(frozen=True, slots=True)
-class SequencedFrame:
-    """One link-level frame of the retry protocol.
-
-    Frames pair a wire packet with the sender's sequence number and the
-    tail CRC; the receiver recomputes the CRC on arrival, NAKs on
-    mismatch, and uses ``seq`` for exactly-once in-order delivery and
-    duplicate suppression (see :mod:`repro.hmc.link`).
-    """
-
-    seq: int
-    flits: int
-    crc: int
-
-    def __post_init__(self) -> None:
-        if self.seq < 0:
-            raise ValueError("sequence numbers are non-negative")
-        if self.flits < 1:
-            raise ValueError("frames carry at least one FLIT")
-
-
-def frame_request(req: CoalescedRequest, config: HMCConfig, seq: int) -> SequencedFrame:
-    """Frame the request-direction packet of one exchange for the link."""
-    wire = encode(req, config)
-    return SequencedFrame(seq=seq, flits=wire.request_flits, crc=packet_crc(req, seq))
-
-
-def frame_response(req: CoalescedRequest, config: HMCConfig, seq: int) -> SequencedFrame:
-    """Frame the response-direction packet of one exchange for the link."""
-    wire = encode(req, config)
-    return SequencedFrame(seq=seq, flits=wire.response_flits, crc=packet_crc(req, seq))
-
-
-def check_frame(req: CoalescedRequest, frame: SequencedFrame) -> bool:
-    """Receiver-side CRC check of an arrived frame."""
-    return verify_crc(req, frame.crc, frame.seq)

@@ -129,11 +129,6 @@ class Vault:
     def skip_to(self, target: int) -> None:
         """All state is absolute timestamps: skipping costs nothing."""
 
-    def busy_banks(self, now: int) -> int:
-        """Banks still occupied at ``now`` (introspection for hang
-        snapshots and the busy-phase bench)."""
-        return sum(1 for b in self.banks if b.ready_cycle > now)
-
     def busy_until(self) -> int:
         """Latest cycle at which any of this vault's banks is occupied."""
         return max(self.frontend_ready, *(b.ready_cycle for b in self.banks))

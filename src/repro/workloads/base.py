@@ -164,11 +164,6 @@ class Workload(abc.ABC):
         for i in range(count):
             yield base + (start + i) * stride, RequestType.LOAD, WORD
 
-    @staticmethod
-    def seq_stores(base: int, start: int, count: int, stride: int = WORD) -> Iterator[Op]:
-        for i in range(count):
-            yield base + (start + i) * stride, RequestType.STORE, WORD
-
     # The paper's node has software-managed SPMs with ISA extensions for
     # prefetch and write-back (section 5.1).  Streamable data therefore
     # reaches the MAC as contiguous FLIT-granularity block transfers; only

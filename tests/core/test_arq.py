@@ -24,7 +24,7 @@ class TestMerging:
         assert len(arq) == 1
         entry = arq.peek()
         assert entry.target_count == 2
-        assert entry.flit_map.test(6) and entry.flit_map.test(8)
+        assert entry.bits == (1 << 6) | (1 << 8)
 
     def test_paper_fig7_example(self):
         """Requests 1,2,4 (loads, row 0xA) merge; request 3 (store) doesn't."""
@@ -36,7 +36,7 @@ class TestMerging:
         assert len(arq) == 2
         load_entry, store_entry = arq.entries()
         assert load_entry.target_count == 3
-        assert str(load_entry.flit_map) == "0000001101000000"
+        assert load_entry.bits == 0b0000001101000000
         assert store_entry.target_count == 1
         assert store_entry.bypass  # B bit set: cannot coalesce further
 

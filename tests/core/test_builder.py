@@ -1,18 +1,23 @@
 """Unit tests for the two-stage pipelined Request Builder (section 4.2)."""
 
-import random
-
 import pytest
 
 from repro.core.address import AddressCodec
 from repro.core.arq import AggregatedRequestQueue
 from repro.core.builder import RequestBuilder, bypass_packet, emit_row
 from repro.core.config import MACConfig
-from repro.core.flit import FlitMap, group_or
 from repro.core.flit_table import FlitTablePolicy
 from repro.core.request import MemoryRequest, RequestType
 
 CFG = MACConfig(latency_hiding=False)
+
+# FLIT-table plans of the paper row: (byte offset, bytes, FLIT lo, FLIT hi).
+ROW = ((0, 256, 0, 16),)
+HALVES = ((0, 128, 0, 8), (128, 128, 8, 16))
+QUARTERS = tuple((64 * g, 64, 4 * g, 4 * g + 4) for g in range(4))
+ENDS = ((0, 64, 0, 4), (192, 64, 12, 16))
+MID = ((64, 128, 4, 12),)
+MID_SPLIT = ((64, 64, 4, 8), (128, 64, 8, 12))
 
 
 def entry_for(addrs, rtype=RequestType.LOAD):
@@ -72,42 +77,36 @@ class TestFunctionalBuild:
                 assert any(p.covers(flit_addr) for p in pkts)
 
 
-def random_maps(nflits, n):
-    rng = random.Random(nflits)
-    return [rng.getrandbits(nflits) for _ in range(n)]
-
-
 class TestSharedRowEmit:
     """``emit_row`` is the one packet-assembly routine."""
 
-    @pytest.mark.parametrize(
-        "cfg,maps",
-        [
-            (CFG, range(1 << 16)),
-            (MACConfig(row_bytes=1024), [1 << f for f in range(64)]
-             + random_maps(64, 5_000)),
-        ],
-        ids=["256B", "1KB"],
-    )
-    def test_stage1_matches_flit_map(self, cfg, maps):
-        builder = RequestBuilder(cfg)
-        nflits, groups = cfg.flits_per_row, cfg.groups_per_row
-        for bits in maps:
-            assert group_or(bits, builder.group_masks) == (
-                FlitMap(nflits, bits).group_bits(groups)
-            ), bits
-
-    @pytest.mark.parametrize("policy", list(FlitTablePolicy))
-    @pytest.mark.parametrize("max_bytes", [64, 128, 256])
-    def test_plans_match_flit_table(self, policy, max_bytes):
-        builder = RequestBuilder(
-            MACConfig(max_request_bytes=max_bytes), policy=policy
+    def test_stage1_masks_follow_the_row_geometry(self):
+        assert RequestBuilder(CFG).group_masks == (
+            (1, 0xF), (2, 0xF0), (4, 0xF00), (8, 0xF000)
         )
-        for pattern, plan in enumerate(builder.segments):
-            assert plan == tuple(
-                (s.offset * 64, s.length * 64, s.offset * 4, (s.offset + s.length) * 4)
-                for s in builder.table.lookup(pattern)
-            )
+        masks = RequestBuilder(MACConfig(row_bytes=1024)).group_masks
+        assert masks == tuple((1 << g, 0xF << 4 * g) for g in range(16))
+
+    @pytest.mark.parametrize(
+        "policy,max_bytes,plans",
+        [
+            # Plans of patterns 1111, 1001 and 0110 (FLIT-table rows).
+            (FlitTablePolicy.SPAN, 256, [ROW, ROW, MID]),
+            (FlitTablePolicy.SPAN, 128, [HALVES, HALVES, MID]),
+            (FlitTablePolicy.SPAN, 64, [QUARTERS, ENDS, MID_SPLIT]),
+            (FlitTablePolicy.POPCOUNT, 256, [ROW, ROW, MID]),
+            (FlitTablePolicy.POPCOUNT, 128, [HALVES, HALVES, MID]),
+            (FlitTablePolicy.POPCOUNT, 64, [QUARTERS, ENDS, MID_SPLIT]),
+            (FlitTablePolicy.EXACT, 256, [ROW, ENDS, MID]),
+            (FlitTablePolicy.EXACT, 128, [HALVES, ENDS, MID]),
+            (FlitTablePolicy.EXACT, 64, [QUARTERS, ENDS, MID_SPLIT]),
+        ],
+        ids=[f"{p}-{b}" for p in ("span", "popcount", "exact") for b in (256, 128, 64)],
+    )
+    def test_plans_follow_policy_and_max_request_bytes(self, policy, max_bytes, plans):
+        builder = RequestBuilder(MACConfig(max_request_bytes=max_bytes), policy=policy)
+        assert len(builder.segments) == 16
+        assert [builder.segments[p] for p in (0b1111, 0b1001, 0b0110)] == plans
 
     def test_single_packet_takes_the_row_lists(self):
         entry = entry_for([0xA60, 0xA80, 0xA90])

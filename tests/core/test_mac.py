@@ -128,7 +128,7 @@ class TestWindowEngine:
                 assert pkt.covers(flit_addr)
 
     def test_no_entry_objects_for_load_store_rows(self, monkeypatch):
-        """Open rows are plain slots: no FlitMap/ARQEntry per row."""
+        """Open rows are plain slots: no ARQEntry per row."""
         import repro.core.mac as mac_mod
 
         built = []
@@ -139,13 +139,12 @@ class TestWindowEngine:
                 return cls(*args, **kwargs)
             return make
 
-        monkeypatch.setattr(mac_mod, "FlitMap", counting(mac_mod.FlitMap))
         monkeypatch.setattr(mac_mod, "ARQEntry", counting(mac_mod.ARQEntry))
         trace = random_trace(1500, 30, seed=5, fence_frac=0.01)
         assert coalesce_trace_fast(trace)
         assert built == []
         coalesce_trace_fast([MemoryRequest(addr=0xA10, rtype=RequestType.ATOMIC)])
-        assert built == ["FlitMap", "ARQEntry"]
+        assert built == ["ARQEntry"]
 
     def test_fence_drains_window(self):
         trace = [load(0xA00, tag=1),

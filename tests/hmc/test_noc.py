@@ -137,23 +137,6 @@ class TestArbitration:
             grant = arrival - T.crossbar_latency
             assert grant % rr.links == i % rr.links
 
-    def test_oldest_first_equals_fifo_under_in_order_submission(self):
-        """The device submits in arrival order, so the waiting packets a
-        port sees are already age-sorted and oldest_first == fifo (the
-        module docstring's provable property, pinned here)."""
-        fifo = XbarNoC(T, vaults=2, links=4, arbitration="fifo")
-        oldest = XbarNoC(T, vaults=2, links=4, arbitration="oldest_first")
-        arrivals = [0, 0, 3, 3, 10, 11, 11, 40]
-        out_fifo = [
-            fifo.to_vault(a, vault=0, link=i % 4, flits=5)
-            for i, a in enumerate(arrivals)
-        ]
-        out_oldest = [
-            oldest.to_vault(a, vault=0, link=i % 4, flits=5)
-            for i, a in enumerate(arrivals)
-        ]
-        assert out_fifo == out_oldest
-
 
 class TestHopRouting:
     def test_ring_distance_is_minimal_and_symmetric(self):
@@ -228,6 +211,8 @@ class TestBuildNoc:
             HMCConfig(noc_topology="torus")
         with pytest.raises(ValueError):
             HMCConfig(noc_arbitration="lottery")
+        with pytest.raises(ValueError, match="unknown NoC arbitration 'oldest_first'"):
+            HMCConfig(noc_arbitration="oldest_first")
         with pytest.raises(ValueError):
             HMCConfig(noc_buffers=0)
         with pytest.raises(ValueError):
@@ -235,4 +220,4 @@ class TestBuildNoc:
 
     def test_constants_are_exhaustive(self):
         assert set(NOC_TOPOLOGIES) == {"ideal", "xbar", "ring", "mesh"}
-        assert set(NOC_ARBITRATIONS) == {"fifo", "round_robin", "oldest_first"}
+        assert NOC_ARBITRATIONS == ("fifo", "round_robin")

@@ -131,6 +131,32 @@ def test_sanitizer_catches_link_token_leak():
         node.check_invariants()
 
 
+@pytest.mark.parametrize(
+    "plant",
+    [
+        lambda e: e.bits | 1 << 16,  # a bit beyond the 16-FLIT row
+        lambda e: 0,  # a live entry with no FLIT requested
+        lambda e: (1 << (e.target_count + 1)) - 1,  # more FLITs than targets
+    ],
+    ids=["out-of-row", "empty", "over-count"],
+)
+def test_sanitizer_catches_bad_flit_map(plant):
+    from repro.core.config import MACConfig
+    from repro.core.mac import MAC
+
+    mac = MAC(MACConfig(latency_hiding=False))
+    for i in range(4):
+        mac.submit(MemoryRequest(addr=0xA00 | (i << 4), rtype=RequestType.LOAD, tag=i))
+    arq = mac.aggregator.arq
+    while arq.empty:
+        mac.tick()
+    entry = arq.peek()
+    mac.check_invariants()  # a live, well-formed entry passes
+    entry.bits = plant(entry)
+    with pytest.raises(InvariantViolation, match="FLIT map"):
+        mac.check_invariants()
+
+
 @pytest.mark.parametrize("engine_cls", [LockstepEngine, SkipEngine])
 def test_watchdog_on_is_bit_identical_to_off(engine_cls):
     plain = Node([stream(c) for c in range(2)])

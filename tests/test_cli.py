@@ -26,6 +26,15 @@ class TestParser:
         err = capsys.readouterr().err
         assert flag in err and f"must be a positive integer, got {value}" in err
 
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_noc_arbitration_rejects_oldest_first(self, capsys, command):
+        target = "SG" if command == "run" else "t.trc"
+        with pytest.raises(SystemExit) as exc:
+            main([command, target, "--noc-arbitration", "oldest_first"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--noc-arbitration" in err and "invalid choice: 'oldest_first'" in err
+
 
 class TestCommands:
     def test_trace_then_coalesce(self, tmp_path, capsys):
