@@ -24,22 +24,18 @@ Quickstart::
     packets = mac.run()
 """
 
-from .core import (
-    MAC,
-    AddressCodec,
-    CoalescedRequest,
-    CoalescedResponse,
-    FlitTablePolicy,
-    MACConfig,
-    MACStats,
-    MemoryRequest,
-    RequestType,
-    SystemConfig,
-    Target,
-    coalesce_trace_fast,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    core=(
+        "MAC", "AddressCodec", "CoalescedRequest", "CoalescedResponse",
+        "FlitTablePolicy", "MACConfig", "MACStats", "MemoryRequest", "RequestType",
+        "SystemConfig", "Target", "coalesce_trace_fast",
+    ),
+    hmc=("HMCConfig", "HMCDevice", "HMCTiming"),
+    node=("Node", "NUMASystem", "ScratchpadMemory"),
 )
-from .hmc import HMCConfig, HMCDevice, HMCTiming
-from .node import Node, NUMASystem, ScratchpadMemory
 
 __version__ = "1.0.0"
 

@@ -28,21 +28,11 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from typing import List, Optional
 
-from repro.baselines.direct import dispatch_raw
-from repro.core.config import MACConfig
-from repro.core.flit_table import FlitTablePolicy
-from repro.core.mac import coalesce_trace_fast
-from repro.core.stats import MACStats
-from repro.eval.report import format_table, human_bytes, pct
+# Handlers import their own subsystem (DESIGN.md section 5, import rule).
 from repro.seeding import DEFAULT_SEED, derive_seed
-from repro.sim import DEFAULT_ENGINE, engine_names
-from repro.trace.record import to_requests
-from repro.trace.tracefile import dump, load
-from repro.workloads.registry import AUXILIARY, BENCHMARKS, make
 
 
 def _positive_int(text: str) -> int:
@@ -54,9 +44,16 @@ def _positive_int(text: str) -> int:
 
 
 def _add_mac_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--arq", type=int, default=32, help="ARQ entries (default 32)")
+    from repro.core.flit_table import FlitTablePolicy
+
     p.add_argument(
-        "--row-bytes", type=int, default=256, help="DRAM row size (default 256)"
+        "--arq", type=_positive_int, default=32, help="ARQ entries (default 32)"
+    )
+    p.add_argument(
+        "--row-bytes",
+        type=_positive_int,
+        default=256,
+        help="DRAM row size (default 256)",
     )
     p.add_argument(
         "--policy",
@@ -82,7 +79,7 @@ def _add_device_args(p: argparse.ArgumentParser) -> None:
     )
     dev.add_argument(
         "--noc-buffers",
-        type=int,
+        type=_positive_int,
         default=8,
         help="input-buffer depth per NoC port, in packets; a full buffer "
         "backpressures into the link (default 8; ignored by ideal)",
@@ -134,6 +131,8 @@ def _hmc_config(args, faults=None):
 
 
 def _add_engine_arg(p: argparse.ArgumentParser) -> None:
+    from repro.sim.kernel import DEFAULT_ENGINE, engine_names
+
     p.add_argument(
         "--engine",
         choices=engine_names(),
@@ -144,7 +143,9 @@ def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _mac_config(args) -> MACConfig:
+def _mac_config(args):
+    from repro.core.config import MACConfig
+
     return MACConfig(
         arq_entries=args.arq,
         row_bytes=args.row_bytes,
@@ -183,6 +184,9 @@ def _fault_config(args):
 
 
 def cmd_trace(args) -> int:
+    from repro.trace.tracefile import dump
+    from repro.workloads.registry import make
+
     wl = make(args.benchmark, seed=_effective_seed(args))
     records = wl.generate(threads=args.threads, ops_per_thread=args.ops)
     n = dump(records, args.output)
@@ -190,12 +194,29 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_coalesce(args) -> int:
-    records = list(load(args.trace))
-    requests = list(to_requests(records))
+def _dispatch_trace(args, raw: bool = False):
+    """``(packets, stats)`` of ``args.trace`` via the window engine, or raw."""
+    from repro.core.flit_table import FlitTablePolicy
+    from repro.core.mac import coalesce_trace_fast
+    from repro.core.stats import MACStats
+    from repro.trace.record import to_requests
+    from repro.trace.tracefile import load
+
+    requests = list(to_requests(list(load(args.trace))))
     cfg = _mac_config(args)
     stats = MACStats()
-    coalesce_trace_fast(requests, cfg, FlitTablePolicy(args.policy), stats)
+    if raw:
+        from repro.baselines.direct import dispatch_raw
+
+        return dispatch_raw(requests, cfg, stats), stats
+    policy = FlitTablePolicy(args.policy)
+    return coalesce_trace_fast(requests, cfg, policy, stats), stats
+
+
+def cmd_coalesce(args) -> int:
+    from repro.eval.report import format_table, human_bytes, pct
+
+    _, stats = _dispatch_trace(args)
     print(
         format_table(
             ["metric", "value"],
@@ -220,19 +241,10 @@ def cmd_coalesce(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    records = list(load(args.trace))
-    requests = list(to_requests(records))
-    cfg = _mac_config(args)
-    stats = MACStats()
-    if args.no_mac:
-        packets = dispatch_raw(requests, cfg, stats)
-        cadence = 1.0
-    else:
-        packets = coalesce_trace_fast(
-            requests, cfg, FlitTablePolicy(args.policy), stats
-        )
-        cadence = 2.0
+    from repro.eval.report import format_table, human_bytes, pct
 
+    packets, stats = _dispatch_trace(args, raw=args.no_mac)
+    cadence = 1.0 if args.no_mac else 2.0
     rows: List[List[object]] = [
         ["packets", len(packets)],
         ["coalescing efficiency", pct(stats.coalescing_efficiency)],
@@ -321,6 +333,7 @@ def _write_metrics_out(metrics: dict, path) -> None:
 
 def _cmd_run_numa(args) -> int:
     """`repro run --nodes N`: closed-loop NUMA mesh, optionally sharded."""
+    from repro.eval.report import format_table
     from repro.eval.runner import numa_closed_loop
 
     obs = _obs_from_args(args)
@@ -418,6 +431,7 @@ def _write_trace_out(obs, path) -> None:
 
 def _finish_obs(args, obs, metrics, **meta) -> None:
     """Artifact writing for both run paths; ``meta`` tags the timeline."""
+    from repro.eval.report import format_table
     from repro.obs.metrics import flatten
 
     if obs.attrib.enabled:
@@ -450,10 +464,12 @@ def _finish_obs(args, obs, metrics, **meta) -> None:
 
 
 def cmd_run(args) -> int:
-    from repro.eval.runner import dispatch, replay_on_device
-
     if args.nodes > 1:
         return _cmd_run_numa(args)
+    from repro.core.flit_table import FlitTablePolicy
+    from repro.eval.report import format_table, human_bytes, pct
+    from repro.eval.runner import dispatch, replay_on_device
+
     obs = _obs_from_args(args)
     disp = dispatch(
         args.benchmark,
@@ -640,8 +656,11 @@ DEFAULT_FIGURES_CHECKPOINT = "repro-figures.ckpt.jsonl"
 
 
 def cmd_figures(args) -> int:
+    import statistics
+
     from repro.eval import experiments as E
     from repro.eval.parallel import print_progress, resolve_jobs
+    from repro.eval.report import pct
     from repro.eval.supervisor import (
         CheckpointJournal,
         SupervisorConfig,
@@ -749,6 +768,8 @@ def cmd_figures(args) -> int:
 def cmd_info(args) -> int:
     from repro.eval.area import mac_area
     from repro.eval.experiments import table1_config
+    from repro.eval.report import format_table
+    from repro.workloads.registry import AUXILIARY, BENCHMARKS
 
     print(
         format_table(
@@ -785,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="generate a benchmark trace file")
     p.add_argument("benchmark", help="benchmark name (see `repro info`)")
     p.add_argument("-o", "--output", required=True, help=".trc = binary, else text")
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--ops", type=int, default=3000, help="ops per thread")
+    p.add_argument("--threads", type=_positive_int, default=8)
+    p.add_argument("--ops", type=_positive_int, default=3000, help="ops per thread")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_trace)
 
@@ -832,8 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one benchmark with observability (trace/metrics export)"
     )
     p.add_argument("benchmark", help="benchmark name (see `repro info`)")
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--ops", type=int, default=3000, help="ops per thread")
+    p.add_argument("--threads", type=_positive_int, default=8)
+    p.add_argument("--ops", type=_positive_int, default=3000, help="ops per thread")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_mac_args(p)
     _add_device_args(p)
@@ -841,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     numa = p.add_argument_group("NUMA mesh (closed loop)")
     numa.add_argument(
         "--nodes",
-        type=int,
+        type=_positive_int,
         default=1,
         help="simulate an N-node NUMA mesh instead of the single-node "
         "open loop (each node runs its own copy of the benchmark)",
@@ -926,8 +947,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark to run closed-loop with attribution "
         "(omit when using --metrics or --diff)",
     )
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--ops", type=int, default=2000, help="ops per thread")
+    p.add_argument("--threads", type=_positive_int, default=8)
+    p.add_argument("--ops", type=_positive_int, default=2000, help="ops per thread")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
         "--no-mac",

@@ -19,22 +19,25 @@ Public surface:
 * :class:`MACStats` — evaluation counters.
 """
 
-from .address import AddressCodec
-from .aggregator import RawRequestAggregator
-from .arq import AggregatedRequestQueue, ARQEntry
-from .builder import RequestBuilder, bypass_packet
-from .config import MACConfig, PAPER_CONFIG, PAPER_SYSTEM, SystemConfig
-from .flit_table import FlitTablePolicy
-from .mac import MAC, coalesce_trace_fast
-from .packet import (
-    CONTROL_BYTES_PER_ACCESS,
-    CONTROL_BYTES_PER_PACKET,
-    CoalescedRequest,
-    CoalescedResponse,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    address=("AddressCodec",),
+    aggregator=("RawRequestAggregator",),
+    arq=("AggregatedRequestQueue", "ARQEntry"),
+    builder=("RequestBuilder", "bypass_packet"),
+    config=("MACConfig", "PAPER_CONFIG", "PAPER_SYSTEM", "SystemConfig"),
+    flit_table=("FlitTablePolicy",),
+    mac=("MAC", "coalesce_trace_fast"),
+    packet=(
+        "CONTROL_BYTES_PER_ACCESS", "CONTROL_BYTES_PER_PACKET", "CoalescedRequest",
+        "CoalescedResponse",
+    ),
+    request=("MemoryRequest", "RequestType", "Target", "TARGET_BYTES"),
+    router=("FIFOQueue", "RequestRouter", "ResponseRouter"),
+    stats=("MACStats",),
 )
-from .request import MemoryRequest, RequestType, Target, TARGET_BYTES
-from .router import FIFOQueue, RequestRouter, ResponseRouter
-from .stats import MACStats
 
 __all__ = [
     "AddressCodec",

@@ -7,10 +7,15 @@ coalescing for irregular traffic, and why it is unavailable on the
 closed-page HMC at all.
 """
 
-from .bank import AccessKind, DDRBank
-from .controller import ControllerStats, FRFCFSController, QueuedRequest
-from .device import DDRConfig, DDRDevice, DDRStats
-from .timing import DDRTiming
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    bank=("AccessKind", "DDRBank"),
+    controller=("ControllerStats", "FRFCFSController", "QueuedRequest"),
+    device=("DDRConfig", "DDRDevice", "DDRStats"),
+    timing=("DDRTiming",),
+)
 
 __all__ = [
     "AccessKind",

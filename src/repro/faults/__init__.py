@@ -19,18 +19,18 @@ an :class:`repro.hmc.config.HMCConfig`, every simulation is
 cycle-identical to the fault-free model.
 """
 
-from .config import FaultConfig
-from .injector import FaultInjector
-from .models import (
-    AckError,
-    FlitBitError,
-    LinkDegradation,
-    LinkFailure,
-    ResponseFault,
-    TransientVaultError,
-    Window,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    config=("FaultConfig",),
+    injector=("FaultInjector",),
+    models=(
+        "AckError", "FlitBitError", "LinkDegradation", "LinkFailure", "ResponseFault",
+        "TransientVaultError", "Window",
+    ),
+    stats=("FaultStats",),
 )
-from .stats import FaultStats
 
 __all__ = [
     "AckError",

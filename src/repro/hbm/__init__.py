@@ -5,8 +5,13 @@ burst-train transfers on per-pseudo-channel DDR-style buses with a
 separate command/address path instead of packetized FLITs.
 """
 
-from .config import HBMConfig
-from .device import HBMDevice, HBMStats
-from .timing import HBMTiming
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    config=("HBMConfig",),
+    device=("HBMDevice", "HBMStats"),
+    timing=("HBMTiming",),
+)
 
 __all__ = ["HBMConfig", "HBMDevice", "HBMStats", "HBMTiming"]

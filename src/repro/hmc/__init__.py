@@ -7,25 +7,26 @@ serialized full-duplex links and a configurable logic-layer NoC
 (ideal crossbar, arbitrated xbar, ring or mesh — :mod:`repro.hmc.noc`).
 """
 
-from .bank import PAGE_POLICIES, Bank, open_page_map
-from .config import HMCConfig, PAPER_HMC
-from .crossbar import Crossbar
-from .device import HMCDevice
-from .link import Link, LinkChannel
-from .noc import (
-    NOC_ARBITRATIONS,
-    NOC_TOPOLOGIES,
-    IdealNoC,
-    MeshNoC,
-    NoCStats,
-    RingNoC,
-    XbarNoC,
-    build_noc,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    bank=("PAGE_POLICIES", "Bank", "open_page_map"),
+    config=("HMCConfig", "PAPER_HMC"),
+    crossbar=("Crossbar",),
+    device=("HMCDevice",),
+    link=("Link", "LinkChannel"),
+    noc=(
+        "NOC_ARBITRATIONS", "NOC_TOPOLOGIES", "IdealNoC", "MeshNoC", "NoCStats",
+        "RingNoC", "XbarNoC", "build_noc",
+    ),
+    packet=(
+        "AddressMap", "HMCCommand", "WirePacket", "encode", "packet_crc", "verify_crc",
+    ),
+    stats=("HMCStats",),
+    timing=("HMCTiming",),
+    vault=("Vault", "VaultStats"),
 )
-from .packet import AddressMap, HMCCommand, WirePacket, encode, packet_crc, verify_crc
-from .stats import HMCStats
-from .timing import HMCTiming
-from .vault import Vault, VaultStats
 
 __all__ = [
     "AddressMap",

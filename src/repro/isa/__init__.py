@@ -6,23 +6,19 @@ programs actually compute, and their memory behaviour falls out as
 :class:`repro.trace.record.TraceRecord` streams ready for the MAC.
 """
 
-from .assembler import AssemblyError, assemble
-from .instructions import ALL_OPCODES, Instruction, parse_register
-from .kernels import (
-    GATHER,
-    GUPS,
-    REDUCE_ATOMIC,
-    SPMV_CSR,
-    STENCIL_1D,
-    VECTOR_COPY,
-    run_gather,
-    run_gups,
-    run_parallel_reduce,
-    run_spmv,
-    run_stencil,
-    run_vector_copy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    assembler=("AssemblyError", "assemble"),
+    instructions=("ALL_OPCODES", "Instruction", "parse_register"),
+    kernels=(
+        "GATHER", "GUPS", "REDUCE_ATOMIC", "SPMV_CSR", "STENCIL_1D", "VECTOR_COPY",
+        "run_gather", "run_gups", "run_parallel_reduce", "run_spmv", "run_stencil",
+        "run_vector_copy",
+    ),
+    machine=("ExecutionError", "Hart", "Machine", "run_program"),
 )
-from .machine import ExecutionError, Hart, Machine, run_program
 
 __all__ = [
     "ALL_OPCODES",

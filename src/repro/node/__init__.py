@@ -1,12 +1,17 @@
 """Cache-less multicore node and NUMA system models (paper section 3)."""
 
-from .core import CoreStats, InOrderCore
-from .interconnect import Hop, Interconnect
-from .lsq import LoadStoreQueue
-from .mt_core import MTCoreStats, MultithreadedCore
-from .node import Node, NodeStats
-from .spm import ScratchpadMemory
-from .system import NUMASystem, SystemStats, interleaved_home
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    core=("CoreStats", "InOrderCore"),
+    interconnect=("Hop", "Interconnect"),
+    lsq=("LoadStoreQueue",),
+    mt_core=("MTCoreStats", "MultithreadedCore"),
+    node=("Node", "NodeStats"),
+    spm=("ScratchpadMemory",),
+    system=("NUMASystem", "SystemStats", "interleaved_home"),
+)
 
 __all__ = [
     "CoreStats",

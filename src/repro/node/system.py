@@ -28,7 +28,7 @@ from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel, register_wake_protocol
+from repro.sim import ClockedModel, register_wake_protocol, resolve_shards
 
 from .interconnect import Interconnect
 from .node import Node
@@ -38,8 +38,10 @@ def interleaved_home(nodes: int, granularity: int = 1 << 12):
     """Address -> home-node mapping, interleaved at ``granularity`` bytes."""
     if nodes < 1:
         raise ValueError("need at least one node")
-    if granularity & (granularity - 1):
-        raise ValueError("granularity must be a power of two")
+    if granularity < 1 or granularity & (granularity - 1):
+        raise ValueError(
+            f"interleave granularity must be a positive power of two, got {granularity}"
+        )
     shift = granularity.bit_length() - 1
 
     def home(addr: int) -> int:
@@ -375,12 +377,12 @@ class NUMASystem(ClockedModel):
         fall back to a serial run silently, so the env var is safe to
         set globally.
         """
-        from repro.sim import pdes
-
         self.shard_report = None
-        n_shards = min(pdes.resolve_shards(shards), len(self.nodes))
+        n_shards = min(resolve_shards(shards), len(self.nodes))
         if n_shards > 1 and not self.shard_blockers():
+            # Only a sharded run loads the PDES backend and multiprocessing.
             from repro.eval.parallel import pool_available
+            from repro.sim import pdes
 
             if pool_available():
                 try:

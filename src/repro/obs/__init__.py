@@ -27,32 +27,23 @@ on (DESIGN.md section 9):
   every component's single ``obs=`` argument.
 """
 
-from .attribution import (
-    NULL_ATTRIBUTION,
-    STAGES,
-    AttributionCollector,
-    DepthSampler,
-    NullAttribution,
-    StallCause,
-    request_breakdown,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    flatten,
-)
-from .observers import NO_OBSERVERS, Observers
-from .profiler import NULL_PROFILER, NullProfiler, SimProfiler
-from .protocol import StatsMixin, StatsProtocol, merge_all
-from .timeline import NULL_TIMELINE, NullTimeline, Timeline
-from .tracer import (
-    NULL_TRACER,
-    EventTracer,
-    NullTracer,
-    canonical_key,
-    merge_shard_traces,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    attribution=(
+        "NULL_ATTRIBUTION", "STAGES", "AttributionCollector", "DepthSampler",
+        "NullAttribution", "StallCause", "request_breakdown",
+    ),
+    metrics=("Counter", "Gauge", "Histogram", "MetricsRegistry", "flatten"),
+    observers=("NO_OBSERVERS", "Observers"),
+    profiler=("NULL_PROFILER", "NullProfiler", "SimProfiler"),
+    protocol=("StatsMixin", "StatsProtocol", "merge_all"),
+    timeline=("NULL_TIMELINE", "NullTimeline", "Timeline"),
+    tracer=(
+        "NULL_TRACER", "EventTracer", "NullTracer", "canonical_key",
+        "merge_shard_traces",
+    ),
 )
 
 __all__ = [

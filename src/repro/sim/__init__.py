@@ -9,37 +9,21 @@ detection + fast-forward to the next wake event, the default) and
 oracle), which are bit-identical by contract.
 """
 
-from .kernel import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    WAKE_PROTOCOL_REGISTRY,
-    Clocked,
-    ClockedModel,
-    LockstepEngine,
-    SkipEngine,
-    engine_names,
-    get_engine,
-    register_wake_protocol,
-    wake_protocol_offenders,
-)
-from .pdes import (
-    SHARDS_ENV_VAR,
-    ShardCrash,
-    ShardError,
-    ShardFallback,
-    ShardReport,
-    resolve_shards,
-    run_sharded,
-)
-from .watchdog import (
-    CHECK_ENV_VAR,
-    NULL_WATCHDOG,
-    WATCHDOG_ENV_VAR,
-    InvariantViolation,
-    SimulationHang,
-    Watchdog,
-    default_watchdog,
-    sanitize_enabled,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    kernel=(
+        "DEFAULT_ENGINE", "ENGINES", "WAKE_PROTOCOL_REGISTRY", "Clocked",
+        "ClockedModel", "LockstepEngine", "SkipEngine", "engine_names", "get_engine",
+        "register_wake_protocol", "wake_protocol_offenders", "SHARDS_ENV_VAR",
+        "resolve_shards",
+    ),
+    pdes=("ShardCrash", "ShardError", "ShardFallback", "ShardReport", "run_sharded"),
+    watchdog=(
+        "CHECK_ENV_VAR", "NULL_WATCHDOG", "WATCHDOG_ENV_VAR", "InvariantViolation",
+        "SimulationHang", "Watchdog", "default_watchdog", "sanitize_enabled",
+    ),
 )
 
 __all__ = [

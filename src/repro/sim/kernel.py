@@ -29,6 +29,7 @@ Engine selection:  pass an engine instance or name (``"skip"`` /
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
@@ -311,3 +312,21 @@ def get_engine(spec=None):
     if hasattr(spec, "run"):
         return spec
     raise TypeError(f"engine must be a name or engine instance, got {spec!r}")
+
+
+#: Default shard count for ``NUMASystem.run`` (0 = one per CPU).
+SHARDS_ENV_VAR = "REPRO_SIM_SHARDS"
+
+
+def resolve_shards(spec: Optional[int] = None) -> int:
+    """Shard count: ``spec``, else ``$REPRO_SIM_SHARDS`` (unset = 1); 0 = per CPU."""
+    if spec is None:
+        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
+        if not raw:
+            return 1
+        spec = int(raw)
+    if spec < 0:
+        raise ValueError("shard count must be >= 0")
+    if spec == 0:
+        return os.cpu_count() or 1
+    return spec

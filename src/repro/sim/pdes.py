@@ -61,8 +61,9 @@ import multiprocessing as mp
 from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import merge_shard_traces
 
-#: Default shard count for ``NUMASystem.run`` (0 = one per CPU).
-SHARDS_ENV_VAR = "REPRO_SIM_SHARDS"
+# Defined with the engines so a serial run never imports this module.
+from .kernel import SHARDS_ENV_VAR, resolve_shards  # noqa: F401
+
 #: Test hook: ``"<shard>:<window>"`` SIGKILLs that worker at that window
 #: barrier on the first attempt, exercising crash recovery.
 CHAOS_ENV_VAR = "REPRO_PDES_CHAOS"
@@ -88,24 +89,6 @@ class ShardReport:
     windows: int
     restarts: int
     cycles: int
-
-
-def resolve_shards(spec: Optional[int] = None) -> int:
-    """Shard count from an explicit request or ``$REPRO_SIM_SHARDS``.
-
-    ``None`` falls back to the environment; 0 means one shard per CPU;
-    unset/empty means 1 (serial).
-    """
-    if spec is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        spec = int(raw)
-    if spec < 0:
-        raise ValueError("shard count must be >= 0")
-    if spec == 0:
-        return os.cpu_count() or 1
-    return spec
 
 
 def shard_node_ids(n_nodes: int, n_shards: int) -> List[List[int]]:

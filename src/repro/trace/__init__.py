@@ -5,25 +5,22 @@ analyzer that recovers HMC row numbers and FLIT ids (section 5.1), and
 the execution statistics behind Equation 2 / Fig. 9.
 """
 
-from .analyzer import (
-    AnalyzedAccess,
-    RowLocalityStats,
-    annotate,
-    flit_footprints,
-    row_locality,
-)
-from .predictor import EfficiencyPrediction, predict_efficiency
-from .record import OP_BY_NAME, OP_NAMES, TraceRecord, to_requests
-from .stats import ExecutionProfile, TraceSummary, summarize
-from .tracefile import dump, dump_binary, dump_text, load, load_binary, load_text
-from .transform import (
-    downsample,
-    filter_ops,
-    merge_by_cycle,
-    remap_addresses,
-    split_by_core,
-    split_by_thread,
-    time_window,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    analyzer=(
+        "AnalyzedAccess", "RowLocalityStats", "annotate", "flit_footprints",
+        "row_locality",
+    ),
+    predictor=("EfficiencyPrediction", "predict_efficiency"),
+    record=("OP_BY_NAME", "OP_NAMES", "TraceRecord", "to_requests"),
+    stats=("ExecutionProfile", "TraceSummary", "summarize"),
+    tracefile=("dump", "dump_binary", "dump_text", "load", "load_binary", "load_text"),
+    transform=(
+        "downsample", "filter_ops", "merge_by_cycle", "remap_addresses",
+        "split_by_core", "split_by_thread", "time_window",
+    ),
 )
 
 __all__ = [

@@ -5,19 +5,29 @@ section 5.2 (SG, HPCG, SSCA2, GRAPPOLO, GAP, BOTS, NAS-PB); see
 DESIGN.md section 4 for the substitution rationale.
 """
 
-from .base import MemoryLayout, Op, ROW_BYTES, WORD, Workload, interleave_round_robin
-from .bots import BotsSort, NQueens, SparseLU
-from .bots_extra import BotsFib, BotsHealth
-from .gap import GAPBFS, GAPPageRank
-from .gap_extra import GAPConnectedComponents, GAPSSSP, GAPTriangleCounting
-from .graphs import CSRGraph, edges_to_csr, rmat_csr, rmat_edges, uniform_csr, uniform_edges
-from .grappolo import Grappolo
-from .hpcg import HPCG
-from .nas import NASIS, NASMG, NASSP
-from .nas_extra import NASCG, NASFT
-from .registry import AUXILIARY, BENCHMARKS, all_benchmarks, benchmark_names, make
-from .sg import ScatterGather, SequentialSG
-from .ssca2 import SSCA2
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    base=(
+        "MemoryLayout", "Op", "ROW_BYTES", "WORD", "Workload", "interleave_round_robin",
+    ),
+    bots=("BotsSort", "NQueens", "SparseLU"),
+    bots_extra=("BotsFib", "BotsHealth"),
+    gap=("GAPBFS", "GAPPageRank"),
+    gap_extra=("GAPConnectedComponents", "GAPSSSP", "GAPTriangleCounting"),
+    graphs=(
+        "CSRGraph", "edges_to_csr", "rmat_csr", "rmat_edges", "uniform_csr",
+        "uniform_edges",
+    ),
+    grappolo=("Grappolo",),
+    hpcg=("HPCG",),
+    nas=("NASIS", "NASMG", "NASSP"),
+    nas_extra=("NASCG", "NASFT"),
+    registry=("AUXILIARY", "BENCHMARKS", "all_benchmarks", "benchmark_names", "make"),
+    sg=("ScatterGather", "SequentialSG"),
+    ssca2=("SSCA2",),
+)
 
 __all__ = [
     "AUXILIARY",

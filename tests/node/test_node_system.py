@@ -72,6 +72,13 @@ class TestInterleavedHome:
         with pytest.raises(ValueError):
             interleaved_home(2, granularity=3000)
 
+    @pytest.mark.parametrize("granularity", [0, -4096])
+    def test_rejects_non_positive_granularity(self, granularity):
+        # 0 & -1 == 0 once passed the power-of-two check and failed later
+        # with "negative shift count" mid-simulation.
+        with pytest.raises(ValueError, match="positive power of two"):
+            interleaved_home(2, granularity=granularity)
+
 
 class TestNUMASystem:
     def test_two_nodes_complete_remote_traffic(self):

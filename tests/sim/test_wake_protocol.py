@@ -9,10 +9,13 @@ registry is populated, that no registered class still uses the tagged
 default, and that the sanitizer warns when one does.
 """
 
+import importlib
+import pkgutil
 import warnings
 
 import pytest
 
+import repro
 from repro.sim import (
     ClockedModel,
     SkipEngine,
@@ -29,6 +32,10 @@ def test_every_registered_component_overrides_the_default():
 
 def test_registry_covers_the_component_tree():
     """The per-component wheel only works if *everything* participates."""
+    # Components register when their module is imported; import the whole
+    # tree so the audit does not depend on what ran before it.
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
     names = {cls.__name__ for cls in WAKE_PROTOCOL_REGISTRY}
     expected = {
         # node layer

@@ -26,6 +26,32 @@ class TestParser:
         err = capsys.readouterr().err
         assert flag in err and f"must be a positive integer, got {value}" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (argv, flag)
+            for argv, flags in (
+                (["trace", "SG", "-o", "t.trc"], ("--threads", "--ops")),
+                (["coalesce", "t.trc"], ("--arq", "--row-bytes")),
+                (["replay", "t.trc"], ("--arq", "--row-bytes", "--noc-buffers")),
+                (
+                    ["run", "SG"],
+                    ("--threads", "--ops", "--arq", "--row-bytes", "--noc-buffers",
+                     "--nodes"),
+                ),
+                (["analyze", "SG"], ("--threads", "--ops", "--arq", "--row-bytes")),
+            )
+            for flag in flags
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_rejects_non_positive_sizes(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"must be a positive integer, got {value}" in err
+
     @pytest.mark.parametrize("command", ["run", "replay"])
     def test_noc_arbitration_rejects_oldest_first(self, capsys, command):
         target = "SG" if command == "run" else "t.trc"
