@@ -72,8 +72,8 @@ class TestFunctionalBuild:
         entry = entry_for([0xA00 | (f << 4) for f in (1, 5, 9, 13)])
         for policy in FlitTablePolicy:
             pkts = RequestBuilder(CFG, policy=policy).build(entry)
-            for t, raw in zip(entry.targets, entry.requests):
-                flit_addr = 0xA00 + t.flit_id * 16
+            for raw in entry.requests:
+                flit_addr = 0xA00 + AddressCodec(CFG).flit_id(raw.addr) * 16
                 assert any(p.covers(flit_addr) for p in pkts)
 
 
@@ -122,7 +122,9 @@ class TestSharedRowEmit:
         assert [(p.addr, p.size, p.issue_cycle) for p in pkts] == [
             (0xA00, 64, 5), (0xAC0, 64, 5)
         ]
-        assert [[t.flit_id for t in p.targets] for p in pkts] == [[0, 1], [15]]
+        assert [[codec.flit_id(r.addr) for r in p.requests] for p in pkts] == [
+            [0, 1], [15]
+        ]
         assert [[r.addr for r in p.requests] for p in pkts] == [
             [0xA00, 0xA10], [0xAF0]
         ]

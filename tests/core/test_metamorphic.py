@@ -42,7 +42,7 @@ def run(reqs, cfg=CFG):
 def signature(pkts):
     """Order-insensitive packet structure: (offset-in-row, size, tags)."""
     return sorted(
-        (p.addr & 0xFF, p.size, tuple(sorted(t.tag for t in p.targets)))
+        (p.addr & 0xFF, p.size, tuple(sorted(r.tag for r in p.requests)))
         for p in pkts
     )
 

@@ -2,8 +2,9 @@
 
 Each case runs one trace through the window engine and hashes the
 packet stream (per packet: ``addr``, ``size``, ``rtype``, ``bypassed``
-and ``(tid, tag, flit_id)`` of every target, in emission order) together
-with ``MACStats.snapshot()``.  The digests live in
+and ``(tid, tag, flit_id)`` of every satisfied request, in emission
+order; the FLIT id comes from the request's address) together with
+``MACStats.snapshot()``.  The digests live in
 ``tests/golden/window_engine.json``; relative tests (window vs cycle
 engine) cannot catch both sides drifting together, these can.
 
@@ -25,6 +26,7 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
+from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.flit_table import FlitTablePolicy
 from repro.core.mac import coalesce_trace_fast
@@ -92,13 +94,14 @@ def run_case(name: str):
     requests, cfg, policy = CASES[name]()
     stats = MACStats()
     packets = coalesce_trace_fast(requests, cfg, policy, stats)
-    return packets, stats
+    return packets, stats, AddressCodec(cfg)
 
 
-def digest(packets, stats: MACStats) -> str:
+def digest(packets, stats: MACStats, codec: AddressCodec) -> str:
     h = hashlib.sha256()
+    flit_id = codec.flit_id
     for p in packets:
-        targets = [(t.tid, t.tag, t.flit_id) for t in p.targets]
+        targets = [(r.tid, r.tag, flit_id(r.addr)) for r in p.requests]
         h.update(repr((p.addr, p.size, int(p.rtype), p.bypassed, targets)).encode())
     h.update(json.dumps(stats.snapshot()).encode())
     return h.hexdigest()
@@ -114,13 +117,7 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_window_engine_golden(name):
-    packets, stats = run_case(name)
-    for p in packets:
-        # Each target travels with the raw request it was built from.
-        assert [(t.tid, t.tag) for t in p.targets] == [
-            (r.tid, r.tag) for r in p.requests
-        ]
-    assert digest(packets, stats) == load_golden()[name]
+    assert digest(*run_case(name)) == load_golden()[name]
 
 
 def regenerate() -> int:
