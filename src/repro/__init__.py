@@ -31,7 +31,7 @@ __getattr__, __dir__ = lazy_exports(
     core=(
         "MAC", "AddressCodec", "CoalescedRequest", "CoalescedResponse",
         "FlitTablePolicy", "MACConfig", "MACStats", "MemoryRequest", "RequestType",
-        "SystemConfig", "Target", "coalesce_trace_fast",
+        "SystemConfig", "coalesce_trace_fast",
     ),
     hmc=("HMCConfig", "HMCDevice", "HMCTiming"),
     node=("Node", "NUMASystem", "ScratchpadMemory"),
@@ -56,7 +56,6 @@ __all__ = [
     "RequestType",
     "ScratchpadMemory",
     "SystemConfig",
-    "Target",
     "coalesce_trace_fast",
     "__version__",
 ]

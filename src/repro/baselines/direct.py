@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.packet import CoalescedRequest
-from repro.core.request import MemoryRequest, Target
+from repro.core.request import MemoryRequest
 from repro.core.stats import MACStats
 
 
@@ -37,7 +37,6 @@ def dispatch_raw(
             addr=codec.row_base(req.addr) + flit * cfg.flit_bytes,
             size=cfg.flit_bytes,
             rtype=req.rtype,
-            targets=[Target(req.tid, req.tag, flit)],
             requests=[req],
             bypassed=True,
         )

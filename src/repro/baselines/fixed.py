@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.packet import CoalescedRequest
-from repro.core.request import MemoryRequest, Target
+from repro.core.request import MemoryRequest
 from repro.core.stats import MACStats
 
 
@@ -45,10 +45,8 @@ def dispatch_fixed(
                 emit(pkt)
             continue
         key = codec.arq_key(req) if req.rtype.coalescable else -1
-        flit = codec.flit_id(req.addr)
         pkt = window.get(key) if key >= 0 else None
-        if pkt is not None and len(pkt.targets) < cap:
-            pkt.targets.append(Target(req.tid, req.tag, flit))
+        if pkt is not None and len(pkt.requests) < cap:
             pkt.requests.append(req)
             continue
         if pkt is not None:
@@ -61,7 +59,6 @@ def dispatch_fixed(
             addr=codec.row_base(req.addr),
             size=cfg.row_bytes,  # always the full row
             rtype=req.rtype,
-            targets=[Target(req.tid, req.tag, flit)],
             requests=[req],
         )
         if key >= 0:
@@ -85,6 +82,6 @@ def useful_data_fraction(packets: List[CoalescedRequest], flit_bytes: int = 16) 
         return 0.0
     useful = 0
     for p in packets:
-        distinct = {t.flit_id for t in p.targets}
+        distinct = {r.addr // flit_bytes for r in p.requests}
         useful += len(distinct) * flit_bytes
     return useful / payload

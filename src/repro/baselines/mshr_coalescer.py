@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.packet import CoalescedRequest
-from repro.core.request import MemoryRequest, RequestType, Target
+from repro.core.request import MemoryRequest, RequestType
 from repro.core.stats import MACStats
 
 
@@ -61,11 +61,10 @@ def dispatch_mshr(
             continue
         retire_due(cycle)
         line = req.addr >> shift
-        flit = codec.flit_id(req.addr)
+        codec.flit_id(req.addr)  # raises on an address outside the space
         hit = pending.get(line)
         if hit is not None:
             if req.rtype is hit[0].rtype:
-                hit[0].targets.append(Target(req.tid, req.tag, flit))
                 hit[0].requests.append(req)
                 continue
             # Same line, different type: the write forces the pending
@@ -88,7 +87,6 @@ def dispatch_mshr(
             addr=(line << shift),
             size=line_bytes,
             rtype=rtype,
-            targets=[Target(req.tid, req.tag, flit)],
             requests=[req],
             issue_cycle=int(cycle),
         )

@@ -195,14 +195,22 @@ def cmd_trace(args) -> int:
 
 
 def _dispatch_trace(args, raw: bool = False):
-    """``(packets, stats)`` of ``args.trace`` via the window engine, or raw."""
+    """``(packets, stats)`` of ``args.trace`` via the window engine, or raw.
+
+    A trace that fails to read (a malformed line, a TID outside 16 bits)
+    prints the reader's message and returns None: the handler exits 2.
+    """
     from repro.core.flit_table import FlitTablePolicy
     from repro.core.mac import coalesce_trace_fast
     from repro.core.stats import MACStats
     from repro.trace.record import to_requests
     from repro.trace.tracefile import load
 
-    requests = list(to_requests(list(load(args.trace))))
+    try:
+        requests = list(to_requests(list(load(args.trace))))
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
     cfg = _mac_config(args)
     stats = MACStats()
     if raw:
@@ -216,7 +224,10 @@ def _dispatch_trace(args, raw: bool = False):
 def cmd_coalesce(args) -> int:
     from repro.eval.report import format_table, human_bytes, pct
 
-    _, stats = _dispatch_trace(args)
+    dispatched = _dispatch_trace(args)
+    if dispatched is None:
+        return 2
+    stats = dispatched[1]
     print(
         format_table(
             ["metric", "value"],
@@ -243,7 +254,10 @@ def cmd_coalesce(args) -> int:
 def cmd_replay(args) -> int:
     from repro.eval.report import format_table, human_bytes, pct
 
-    packets, stats = _dispatch_trace(args, raw=args.no_mac)
+    dispatched = _dispatch_trace(args, raw=args.no_mac)
+    if dispatched is None:
+        return 2
+    packets, stats = dispatched
     cadence = 1.0 if args.no_mac else 2.0
     rows: List[List[object]] = [
         ["packets", len(packets)],

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`MACConfig`, :class:`SystemConfig` — configuration (Table 1).
-* :class:`MemoryRequest`, :class:`RequestType`, :class:`Target` — raw
-  request primitives.
+* :class:`MemoryRequest`, :class:`RequestType` — raw request primitives
+  (a request's TID, tag and address FLIT id are its target word).
 * :class:`AddressCodec` — physical address layout (Fig. 5).
 * :class:`FlitTablePolicy` — how the FLIT table sizes packets (Fig. 8).
 * :class:`AggregatedRequestQueue`, :class:`ARQEntry` — the ARQ.
@@ -34,7 +34,7 @@ __getattr__, __dir__ = lazy_exports(
         "CONTROL_BYTES_PER_ACCESS", "CONTROL_BYTES_PER_PACKET", "CoalescedRequest",
         "CoalescedResponse",
     ),
-    request=("MemoryRequest", "RequestType", "Target", "TARGET_BYTES"),
+    request=("MemoryRequest", "RequestType", "TARGET_BYTES"),
     router=("FIFOQueue", "RequestRouter", "ResponseRouter"),
     stats=("MACStats",),
 )
@@ -62,7 +62,6 @@ __all__ = [
     "ResponseRouter",
     "SystemConfig",
     "TARGET_BYTES",
-    "Target",
     "bypass_packet",
     "coalesce_trace_fast",
 ]

@@ -2,10 +2,11 @@
 
 The ARQ (paper section 4.1, Fig. 5) is a FIFO of entries, each holding one
 pending coalesced row access: the extended row key (row number + T bit),
-a FLIT map, a bypass (B) bit and the target list of every merged raw
-request.  Each entry is associated with a comparator; an incoming raw
-request is compared against all pending entries simultaneously and merged
-on a key hit, otherwise a new entry is allocated at the tail.
+a FLIT map, a bypass (B) bit and every merged raw request (whose TID,
+tag and FLIT id are the entry's targets).  Each entry is associated with
+a comparator; an incoming raw request is compared against all pending
+entries simultaneously and merged on a key hit, otherwise a new entry is
+allocated at the tail.
 
 Fences disable the comparators until they drain (section 4.1); the
 latency-hiding mechanism bypasses the comparators entirely while more than
@@ -24,7 +25,7 @@ from ..sim import register_wake_protocol
 from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
 from .config import MACConfig
-from .request import MemoryRequest, RequestType, Target
+from .request import MemoryRequest, RequestType
 
 
 @dataclass(slots=True)
@@ -35,19 +36,18 @@ class ARQEntry:
         key: comparator key — row number with the T bit as its MSB.
         bits: FLIT map — bit *f* set iff FLIT *f* of the row is requested
             (0 for a fence).
-        targets: target info of every merged raw request, in merge order.
         bypass: the B bit — set when the entry can no longer coalesce
             (single-request rows and fences bypass the builder).
         fence: whether this entry is a memory-fence marker.
         atomic: whether this entry is an uncoalescable atomic operation.
         alloc_cycle: cycle at which the entry was allocated (stats).
-        requests: the raw requests merged here (kept for response routing
-            and conservation checks; hardware would keep only targets).
+        requests: the raw requests merged here, in merge order; each
+            request's TID, tag and FLIT id (address bits) are the
+            target the hardware keeps (a fence holds its own request).
     """
 
     key: int
     bits: int
-    targets: List[Target] = field(default_factory=list)
     bypass: bool = False
     fence: bool = False
     atomic: bool = False
@@ -56,7 +56,7 @@ class ARQEntry:
 
     @property
     def target_count(self) -> int:
-        return len(self.targets)
+        return 0 if self.fence else len(self.requests)
 
 
 @register_wake_protocol
@@ -213,16 +213,15 @@ class AggregatedRequestQueue:
         self, entry: ARQEntry, request: MemoryRequest, flit: int, cycle: int = 0
     ) -> None:
         entry.bits |= 1 << flit
-        targets = entry.targets
-        targets.append(Target(request.tid, request.tag, flit))
-        entry.requests.append(request)
+        requests = entry.requests
+        requests.append(request)
         entry.bypass = False  # >1 targets: goes through the builder
         self.merges += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 "arq", "merge", cycle, key=entry.key, targets=entry.target_count
             )
-        if len(targets) >= self._target_capacity:
+        if len(requests) >= self._target_capacity:
             # Entry full: stop indexing it so further requests allocate anew.
             self._unindex(entry)
 
@@ -235,7 +234,6 @@ class AggregatedRequestQueue:
         entry = ARQEntry(
             key=key,
             bits=1 << flit,
-            targets=[Target(request.tid, request.tag, flit)],
             bypass=True,  # single request so far -> B bit set
             alloc_cycle=cycle,
             requests=[request],
@@ -292,7 +290,6 @@ class AggregatedRequestQueue:
         entry = ARQEntry(
             key=-1,
             bits=1 << flit,
-            targets=[Target(request.tid, request.tag, flit)],
             bypass=True,
             atomic=True,
             alloc_cycle=cycle,

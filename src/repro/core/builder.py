@@ -25,14 +25,13 @@ from .flit_table import (
     plan_table,
 )
 from .packet import CoalescedRequest
-from .request import MemoryRequest, RequestType, Target
+from .request import MemoryRequest, RequestType
 
 
 def emit_row(
     codec: AddressCodec,
     key: int,
     segments: Segments,
-    targets: List[Target],
     requests: List[MemoryRequest],
     cycle: int = 0,
     bypassed: bool = False,
@@ -41,10 +40,11 @@ def emit_row(
 
     The one copy of the row-address and segment-split math, shared by
     the pipelined builder, :func:`bypass_packet` and the window engine.
-    ``key`` is the ARQ comparator key (row number + T bit); each target
-    goes to the packet whose FLIT range holds it.  A single-packet plan
-    covers every target, so that packet takes ``targets`` and
-    ``requests`` whole: callers hand the row's lists over.
+    ``key`` is the ARQ comparator key (row number + T bit); each request
+    goes to the packet whose FLIT range holds its FLIT id (address bits
+    ``row_mask >> flit_shift``).  A single-packet plan covers every
+    request, so that packet takes ``requests`` whole: callers hand the
+    row's list over.
     """
     store_bit = codec.store_bit
     row_base = (key & (store_bit - 1)) << codec.row_shift
@@ -52,25 +52,20 @@ def emit_row(
     if len(segments) == 1:
         offset, size, _, _ = segments[0]
         return [
-            CoalescedRequest(
-                row_base + offset, size, rtype, targets, requests, bypassed, cycle
-            )
+            CoalescedRequest(row_base + offset, size, rtype, requests, bypassed, cycle)
         ]
-    packets: List[CoalescedRequest] = []
-    for offset, size, lo, hi in segments:
-        idx = [i for i, t in enumerate(targets) if lo <= t.flit_id < hi]
-        packets.append(
-            CoalescedRequest(
-                row_base + offset,
-                size,
-                rtype,
-                [targets[i] for i in idx],
-                [requests[i] for i in idx],
-                bypassed,
-                cycle,
-            )
+    row_mask, flit_shift = codec.row_mask, codec.flit_shift
+    return [
+        CoalescedRequest(
+            row_base + offset,
+            size,
+            rtype,
+            [r for r in requests if lo <= (r.addr & row_mask) >> flit_shift < hi],
+            bypassed,
+            cycle,
         )
-    return packets
+        for offset, size, lo, hi in segments
+    ]
 
 
 @dataclass(slots=True)
@@ -218,8 +213,7 @@ class RequestBuilder:
     def _emit(self, slot: _StageSlot, cycle: int) -> List[CoalescedRequest]:
         entry = slot.entry
         return emit_row(
-            self.codec, entry.key, self.segments[slot.pattern],
-            entry.targets, entry.requests, cycle,
+            self.codec, entry.key, self.segments[slot.pattern], entry.requests, cycle
         )
 
 
@@ -235,19 +229,19 @@ def bypass_packet(
     """
     if entry.fence:
         raise ValueError("fences produce no memory packet")
-    flit = entry.targets[0].flit_id
+    requests = entry.requests
+    addr = requests[0].addr
+    flit = (addr & codec.row_mask) >> codec.flit_shift
     fb = config.flit_bytes
     if entry.atomic:
         return CoalescedRequest(
-            codec.row_base(entry.requests[0].addr) + flit * fb,
+            codec.row_base(addr) + flit * fb,
             fb,
             RequestType.ATOMIC,
-            entry.targets,
-            entry.requests,
+            requests,
             True,
             cycle,
         )
     return emit_row(
-        codec, entry.key, flit_segments(flit, fb), entry.targets,
-        entry.requests, cycle, True,
+        codec, entry.key, flit_segments(flit, fb), requests, cycle, True
     )[0]

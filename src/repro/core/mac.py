@@ -26,7 +26,7 @@ from .builder import RequestBuilder, bypass_packet, emit_row
 from .config import MACConfig
 from .flit_table import FlitTablePolicy, group_or
 from .packet import CoalescedRequest, CoalescedResponse
-from .request import MemoryRequest, RequestType, Target
+from .request import MemoryRequest, RequestType
 from .router import RequestRouter, ResponseRouter
 from .stats import MACStats
 
@@ -407,11 +407,12 @@ def coalesce_trace_fast(
     paper evaluates (input rate > 2x drain rate, Fig. 9), and is orders of
     magnitude faster for million-request sweeps.
 
-    Each open row is a plain slot ``[bits, targets, requests]``: the
-    FLIT map as an int plus the row's target and request lists, held in
-    an insertion-ordered dict whose first key is the oldest row.  A
-    closed row goes through :func:`repro.core.builder.emit_row`, the same
-    routine the pipelined builder uses.
+    Each open row is a plain slot ``[bits, requests]``: the FLIT map as
+    an int plus the row's merged requests (their TID, tag and address
+    FLIT id are the row's targets), held in an insertion-ordered dict
+    whose first key is the oldest row.  A closed row goes through
+    :func:`repro.core.builder.emit_row`, the same routine the pipelined
+    builder uses.
 
     Returns the emitted packets in eviction order and fills the same
     :class:`MACStats` fields as the cycle engine, under steady-state
@@ -440,35 +441,26 @@ def coalesce_trace_fast(
     def close(key: int, slot: list) -> None:
         """Emit one closed row (``key`` -1: an atomic) and count it."""
         nonlocal bypassed, built_payload, built_requests
-        bits, targets, requests = slot
-        if len(targets) == 1:
+        bits, requests = slot
+        if len(requests) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
             if key < 0:
                 pkt = bypass_packet(
-                    ARQEntry(
-                        key=-1,
-                        bits=bits,
-                        targets=targets,
-                        bypass=True,
-                        atomic=True,
-                        requests=requests,
-                    ),
+                    ARQEntry(-1, bits, True, atomic=True, requests=requests),
                     codec,
                     cfg,
                 )
             else:
                 pkt = emit_row(
                     codec, key, bypass_segments[bits.bit_length() - 1],
-                    targets, requests, 0, True,
+                    requests, 0, True,
                 )[0]
             out.append(pkt)
             sizes[fb] = sizes.get(fb, 0) + 1
             per_packet.append(1)
             bypassed += 1
             return
-        for pkt in emit_row(
-            codec, key, row_segments[group_or(bits, masks)], targets, requests
-        ):
+        for pkt in emit_row(codec, key, row_segments[group_or(bits, masks)], requests):
             out.append(pkt)
             size = pkt.size
             sizes[size] = sizes.get(size, 0) + 1
@@ -493,16 +485,15 @@ def coalesce_trace_fast(
         else:
             atomics += 1
             _, flit = locate(req.addr, rtype)
-            close(-1, [1 << flit, [Target(req.tid, req.tag, flit)], [req]])
+            close(-1, [1 << flit, [req]])
             continue
         key, flit = locate(req.addr, rtype)
         slot = window.get(key)
         if slot is not None:
-            targets = slot[1]
-            if len(targets) < cap:
+            merged = slot[1]
+            if len(merged) < cap:
                 slot[0] |= 1 << flit
-                targets.append(Target(req.tid, req.tag, flit))
-                slot[2].append(req)
+                merged.append(req)
                 continue
             # Capacity-full entry: close it and start a fresh one.
             del window[key]
@@ -510,7 +501,7 @@ def coalesce_trace_fast(
         elif len(window) >= arq_entries:
             oldest = next(iter(window))
             close(oldest, window.pop(oldest))
-        window[key] = [1 << flit, [Target(req.tid, req.tag, flit)], [req]]
+        window[key] = [1 << flit, [req]]
     for key, slot in window.items():
         close(key, slot)
 

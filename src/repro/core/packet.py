@@ -1,18 +1,19 @@
 """Coalesced transaction emitted by the MAC towards the 3D-stacked memory.
 
 A :class:`CoalescedRequest` corresponds to one HMC request packet: a
-contiguous byte range inside one DRAM row plus the target list of the raw
-requests it satisfies.  The HMC device model (:mod:`repro.hmc`) consumes
-these and produces :class:`CoalescedResponse` objects carrying the same
-targets back.
+contiguous byte range inside one DRAM row plus the raw requests it
+satisfies (each carries its own TID, tag and FLIT id, the paper's
+target word).  The HMC device model (:mod:`repro.hmc`) consumes these
+and produces :class:`CoalescedResponse` objects carrying the same
+requests back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
-from .request import MemoryRequest, RequestType, Target
+from .request import MemoryRequest, RequestType
 
 #: Control overhead per HMC access: one 16 B header/tail FLIT on the
 #: request packet and one on the response packet (paper section 2.2.2).
@@ -29,8 +30,8 @@ class CoalescedRequest:
             aligned; chunk aligned for builder-emitted packets).
         size: payload size in bytes (16..256 for HMC 2.1).
         rtype: LOAD or STORE (atomics travel as ATOMIC bypass packets).
-        targets: target info of each satisfied raw request.
-        requests: the satisfied raw requests (simulation bookkeeping).
+        requests: the satisfied raw requests; their TID/tag/FLIT id are
+            the packet's targets.
         bypassed: True when the packet skipped the request builder via the
             B bit (single-request rows, fences excluded).
         issue_cycle: cycle the MAC dispatched the packet.
@@ -39,7 +40,6 @@ class CoalescedRequest:
     addr: int
     size: int
     rtype: RequestType
-    targets: List[Target] = field(default_factory=list)
     requests: List[MemoryRequest] = field(default_factory=list)
     bypassed: bool = False
     issue_cycle: int = 0
@@ -52,6 +52,11 @@ class CoalescedRequest:
     def end(self) -> int:
         """One past the last byte addressed by the transaction."""
         return self.addr + self.size
+
+    @property
+    def targets(self) -> List[MemoryRequest]:
+        """The satisfied raw requests, read as targets (``tid``/``tag``)."""
+        return self.requests
 
     @property
     def raw_count(self) -> int:
@@ -91,14 +96,6 @@ class CoalescedResponse:
     poisoned: bool = False
 
     @property
-    def targets(self) -> List[Target]:
-        return self.request.targets
-
-    @property
     def latency(self) -> int:
         return self.complete_cycle - self.request.issue_cycle
 
-
-def satisfied_pairs(resp: CoalescedResponse) -> List[Tuple[Target, MemoryRequest]]:
-    """Zip a response's targets with their raw requests for routing."""
-    return list(zip(resp.request.targets, resp.request.requests))

@@ -2,10 +2,11 @@
 
 A *raw request* is the unit of work emitted by a core towards the memory
 subsystem: a single load/store of up to one FLIT (16 B) of data, a memory
-fence, or an atomic operation.  Raw requests carry *target information*
-(thread id, transaction tag, FLIT id) that the MAC preserves through
-coalescing so the response router can satisfy each originating instruction
-(paper section 3.3 and 4.1.1).
+fence, or an atomic operation.  Raw requests carry the *target
+information* of the paper's ARQ entry (section 4.1.1): thread id and
+transaction tag as fields, the FLIT id as bits of the address.  The MAC
+keeps each merged request itself, so the response router can satisfy
+each originating instruction (sections 3.3 and 4.1.1).
 """
 
 from __future__ import annotations
@@ -55,37 +56,26 @@ FLIT_ID_BITS = 6
 MAX_TID = (1 << TID_BITS) - 1
 MAX_TAG = (1 << TAG_BITS) - 1
 
+
+def check_tid(tid: int) -> int:
+    """Return ``tid`` if it fits the 16-bit TID field, else raise."""
+    if not 0 <= tid <= MAX_TID:
+        raise ValueError(f"tid {tid} outside {TID_BITS}-bit range")
+    return tid
+
 #: Bytes of target bookkeeping per merged request: 2 B TID + 2 B tag +
 #: 4-bit FLIT id, rounded as in the paper to 4.5 B.
 TARGET_BYTES = 4.5
 
 
-@dataclass(frozen=True, slots=True)
-class Target:
-    """Target information of one raw request merged into an ARQ entry.
-
-    Stored in the target segment of the FLIT map (Fig. 6) and used by the
-    response router to deliver data back to the originating thread.
-    """
-
-    tid: int
-    tag: int
-    flit_id: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.tid <= MAX_TID:
-            raise ValueError(f"tid {self.tid} outside {TID_BITS}-bit range")
-        if not 0 <= self.tag <= MAX_TAG:
-            raise ValueError(f"tag {self.tag} outside {TAG_BITS}-bit range")
-        if not 0 <= self.flit_id < (1 << FLIT_ID_BITS):
-            raise ValueError(
-                f"flit_id {self.flit_id} outside {FLIT_ID_BITS}-bit range"
-            )
-
-
 @dataclass(slots=True)
 class MemoryRequest:
     """One raw memory operation travelling towards the 3D-stacked memory.
+
+    The fields are trusted: a request built by hand is not range
+    checked.  Requests made from traces have their TID checked where the
+    trace is read (:mod:`repro.trace.record`, :mod:`repro.trace.tracefile`);
+    tags wrap within 16 bits there.
 
     Attributes:
         addr: 64-bit physical byte address of the access.

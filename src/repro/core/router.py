@@ -5,8 +5,8 @@ physical address belongs to the local 3D-stacked memory go to the *Local
 Access Queue*; requests for remote devices are forwarded through the
 *Global Access Queue*; requests arriving from remote nodes land in the
 *Remote Access Queue*.  The response router matches device responses to
-their targets and returns data either to local cores or to the
-originating remote node.
+the raw requests they satisfy and returns data either to local cores or
+to the originating remote node.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..obs.protocol import StatsMixin
 from ..sim import register_wake_protocol
 from .packet import CoalescedResponse
-from .request import MemoryRequest, Target
+from .request import MemoryRequest
 
 
 class FIFOQueue:
@@ -282,33 +282,33 @@ class ResponseRouter:
             raise RuntimeError("response buffer overflow")
         self._buffer.append(response)
 
-    def drain(
-        self,
-    ) -> Tuple[List[Tuple[Target, MemoryRequest]], List[Tuple[Target, MemoryRequest]]]:
+    def drain(self) -> Tuple[List[MemoryRequest], List[MemoryRequest]]:
         """Route every buffered response to its destinations.
 
-        Returns (local, remote) lists of (target, raw request) pairs.
-        Raw requests get their ``complete_cycle`` stamped (and the poison
-        mark propagated), and local completions are recorded for LSQ
+        Returns (local, remote) lists of the satisfied raw requests,
+        whose ``tid``/``tag`` name the waiting instruction.  Raw requests
+        get their ``complete_cycle`` stamped (and the poison mark
+        propagated), and local completions are recorded for LSQ
         matching.
         """
         if not self._buffer:
             return _EMPTY_DRAIN  # hot path: most cycles deliver nothing
-        local: List[Tuple[Target, MemoryRequest]] = []
-        remote: List[Tuple[Target, MemoryRequest]] = []
+        local: List[MemoryRequest] = []
+        remote: List[MemoryRequest] = []
         while self._buffer:
             resp = self._buffer.popleft()
+            requests = resp.request.requests
             if resp.poisoned:
-                self.poisoned_deliveries += len(resp.request.targets)
-            for target, raw in zip(resp.request.targets, resp.request.requests):
+                self.poisoned_deliveries += len(requests)
+            for raw in requests:
                 raw.complete_cycle = resp.complete_cycle
                 if resp.poisoned:
                     raw.poisoned = True
                 if raw.node == self.node_id:
-                    self.completed[(target.tid, target.tag)] = resp.complete_cycle
-                    local.append((target, raw))
+                    self.completed[(raw.tid, raw.tag)] = resp.complete_cycle
+                    local.append(raw)
                     self.local_deliveries += 1
                 else:
-                    remote.append((target, raw))
+                    remote.append(raw)
                     self.remote_deliveries += 1
         return local, remote

@@ -44,6 +44,12 @@ DEFAULT_OPS_PER_THREAD = 3000
 DEFAULT_TRACE_CACHE_LIMIT = 32
 
 
+#: First bytes of a :meth:`TraceCache.save` snapshot.  Version 2 holds
+#: ``TraceRecord`` named tuples; version 1 (one pickled dict of
+#: frozen-dataclass records) is refused by the header check.
+_SNAPSHOT_HEADER = b"repro-trace-cache v2\n"
+
+
 class TraceCache:
     """Explicit, clearable LRU cache for generated benchmark traces.
 
@@ -105,13 +111,16 @@ class TraceCache:
         """Persist the cached traces to ``path`` (atomic pickle).
 
         The write goes through :func:`repro.ioutil.atomic_open`, so a
-        crash mid-save leaves any previous snapshot intact.  Returns the
+        crash mid-save leaves any previous snapshot intact.  The pickle
+        follows a plain-bytes version header, so :meth:`load` rejects
+        another format before it unpickles any record.  Returns the
         number of traces written.
         """
         from repro.ioutil import atomic_open
 
         with atomic_open(path, "wb") as fh:
-            pickle.dump({"version": 1, "traces": dict(self._data)}, fh)
+            fh.write(_SNAPSHOT_HEADER)
+            pickle.dump(dict(self._data), fh)
         return len(self._data)
 
     def load(self, path: Union[str, Path]) -> int:
@@ -122,10 +131,9 @@ class TraceCache:
         snapshot this version cannot read.
         """
         with open(path, "rb") as fh:
-            doc = pickle.load(fh)
-        if not isinstance(doc, dict) or doc.get("version") != 1:
-            raise ValueError(f"unrecognized trace-cache snapshot: {path}")
-        traces = doc["traces"]
+            if fh.read(len(_SNAPSHOT_HEADER)) != _SNAPSHOT_HEADER:
+                raise ValueError(f"unrecognized trace-cache snapshot: {path}")
+            traces = pickle.load(fh)
         for key, value in traces.items():
             self._data[key] = value
             self._data.move_to_end(key)

@@ -122,7 +122,7 @@ class Node(ClockedModel):
         #: Min-heap of (complete_cycle, seq, response) awaiting delivery.
         self._in_flight: List = []
         self._seq = 0
-        #: (target, raw) pairs for remote requesters, collected by the
+        #: Completed raw requests of remote requesters, collected by the
         #: NUMA system each tick.
         self.pending_remote: List = []
         #: (tid, tag) -> issuing core, recorded when the MAC accepts a
@@ -252,7 +252,7 @@ class Node(ClockedModel):
             local, remote = self.mac.deliver_responses()
             self.pending_remote.extend(remote)
             at = self.attrib
-            for target, raw in local:
+            for raw in local:
                 if at.enabled:
                     # Inlined AttributionCollector.mark (hot: every response).
                     m = raw.marks
@@ -260,7 +260,7 @@ class Node(ClockedModel):
                         m = raw.marks = {}
                     m["deliver"] = cycle
                     at.finalize(raw)
-                self.deliver_completion(target, raw, cycle)
+                self.deliver_completion(raw, cycle)
                 self.stats.responses_delivered += 1
 
         # 2. Active cores issue.  Iterating in list order preserves the
@@ -325,7 +325,7 @@ class Node(ClockedModel):
 
         self._cycle += 1
 
-    def deliver_completion(self, target, raw, cycle: int) -> bool:
+    def deliver_completion(self, raw, cycle: int) -> bool:
         """Hand one completed raw request back to the core that issued it.
 
         The issuer map is populated at submit time, so delivery is O(1);
@@ -338,7 +338,8 @@ class Node(ClockedModel):
         already-delivered completion; the caller suppresses and counts
         it exactly once instead of double-completing.
         """
-        core = self._issuer.pop((target.tid, target.tag), None)
+        tid, tag = raw.tid, raw.tag
+        core = self._issuer.pop((tid, tag), None)
         if core is None:
             core = self.cores[raw.core % len(self.cores)]
         # Reactivate the issuer BEFORE completing: core.skip reads the
@@ -349,7 +350,7 @@ class Node(ClockedModel):
             self._reset_wheel()
         elif not self._core_active[idx]:
             self._activate(idx, cycle)
-        return core.complete(target.tid, target.tag, cycle)
+        return core.complete(tid, tag, cycle)
 
     def detach_streams(self) -> None:
         """Replace per-core request streams with exhausted iterators.

@@ -79,7 +79,13 @@ class SystemStats(StatsMixin):
 
 @register_wake_protocol
 class NUMASystem(ClockedModel):
-    """A small mesh of MAC-equipped nodes sharing one address space."""
+    """A small mesh of MAC-equipped nodes sharing one address space.
+
+    Every request in ``streams_per_node[n]`` must carry ``node=n``: the
+    response router sends a completion to ``raw.node``, and a raw request
+    arriving over the fabric at its own ``node`` is a completion coming
+    home, while any other is a remote request reaching its home node.
+    """
 
     _overrun_msg = "system simulation exceeded max_cycles"
 
@@ -142,8 +148,8 @@ class NUMASystem(ClockedModel):
         cycle = self._cycle
 
         # Fabric arrivals: pump credit/admission state, then drain each
-        # ready channel — raw requests into remote queues, response
-        # payloads back to the requesting core.  A full Remote Access
+        # ready channel — raw requests into remote queues, completed raw
+        # requests back to the issuing core.  A full Remote Access
         # Queue head-of-line blocks its channel (the hop keeps its slot
         # and retries next cycle) instead of bouncing across the fabric:
         # flow control stays local and deterministic.
@@ -156,7 +162,7 @@ class NUMASystem(ClockedModel):
                 payload = fabric.peek(dst)
                 if payload is None:
                     break
-                if isinstance(payload, MemoryRequest):
+                if payload.node != dst:  # a remote request at its home
                     if not node.mac.submit_remote(payload):
                         self.stats.remote_backpressure_stalls += 1
                         if at.enabled:
@@ -168,9 +174,9 @@ class NUMASystem(ClockedModel):
                             )
                         break
                     fabric.pop(dst, cycle)
-                else:  # (target, raw) completion pair heading home
-                    target, raw = fabric.pop(dst, cycle)
-                    if node.deliver_completion(target, raw, cycle):
+                else:  # a completed raw request back at its issuer
+                    raw = fabric.pop(dst, cycle)
+                    if node.deliver_completion(raw, cycle):
                         self.stats.responses += 1
                         if at.enabled:
                             m = raw.marks
@@ -193,8 +199,8 @@ class NUMASystem(ClockedModel):
                 self.stats.remote_requests += 1
                 self.fabric.send(cycle, self.home(req.addr), req, src=idx)
             # Responses for remote requesters (collected by node.tick).
-            for target, raw in node.pending_remote:
-                self.fabric.send(cycle, raw.node, (target, raw), src=idx)
+            for raw in node.pending_remote:
+                self.fabric.send(cycle, raw.node, raw, src=idx)
             node.pending_remote.clear()
 
         self._cycle += 1
@@ -261,7 +267,7 @@ class NUMASystem(ClockedModel):
         ``home_fn`` is set); the global check accounts for raws crossing
         the fabric: every issuer-map entry in the mesh matches exactly
         one raw in some node's containers or one fabric payload (a raw
-        request heading to its home, or a completion pair heading back).
+        request heading to its home, or completed and heading back).
         The global check needs the whole mesh, so a shard-restricted
         system runs only the per-node sweeps.
         """
@@ -275,12 +281,9 @@ class NUMASystem(ClockedModel):
             return  # fault injection drops/duplicates responses by design
         issued = sum(len(node._issuer) for node in self.nodes)
         counted = sum(node.outstanding_raw_count() for node in self.nodes)
-        for payload in self.fabric.pending_payloads():
-            if isinstance(payload, MemoryRequest):
-                if not payload.is_fence:
-                    counted += 1  # raw request travelling to its home node
-            else:
-                counted += 1  # (target, raw) completion pair heading back
+        # Fabric payloads are raw requests: travelling to their home node
+        # or, completed, heading back.  Fences never leave their node.
+        counted += len(self.fabric.pending_payloads())
         if issued != counted:
             raise InvariantViolation(
                 self._cycle,

@@ -109,7 +109,7 @@ class StallCause(str, enum.Enum):
     RETRY_REPLAY = "retry_replay"
     #: Vault front-end queue full: request waited for admission.
     VAULT_QUEUE_FULL = "vault_queue_full"
-    #: Target bank still busy with an earlier closed-page access.
+    #: Addressed bank still busy with an earlier closed-page access.
     BANK_CONFLICT = "bank_conflict"
     #: NoC output port busy (arbitration loss) or its input buffer full
     #: (backpressure into the link) — charged at the arbiter.

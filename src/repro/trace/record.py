@@ -9,10 +9,9 @@ any iterable of records.  Records convert 1:1 into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from repro.core.request import MemoryRequest, RequestType
+from repro.core.request import MemoryRequest, RequestType, check_tid
 
 #: Trace op mnemonics (text trace format, column 1).
 OP_NAMES = {
@@ -24,9 +23,8 @@ OP_NAMES = {
 OP_BY_NAME = {v: k for k, v in OP_NAMES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One traced memory operation.
+class TraceRecord(NamedTuple):
+    """One traced memory operation (an immutable tuple).
 
     Attributes:
         op: operation kind.
@@ -45,34 +43,27 @@ class TraceRecord:
     cycle: int = 0
 
     def to_request(self, tag: int = 0, node: int = 0) -> MemoryRequest:
-        """Convert into the MAC's raw-request type."""
-        return MemoryRequest(
-            addr=self.addr,
-            rtype=self.op,
-            tid=self.tid,
-            tag=tag,
-            size=self.size,
-            core=self.core,
-            node=node,
-            issue_cycle=self.cycle,
-        )
+        """Convert into the MAC's raw-request type (TID range checked)."""
+        op, addr, size, tid, core, cycle = self
+        return MemoryRequest(addr, op, check_tid(tid), tag, size, core, node, cycle)
 
 
 def to_requests(records: Iterable[TraceRecord], node: int = 0) -> Iterator[MemoryRequest]:
     """Convert a trace into raw requests, assigning per-thread tags.
 
     Tags are sequential per thread modulo the 16-bit tag space, matching
-    the paper's 64 K transactions per thread (section 4.1.1).  Each
-    request equals ``rec.to_request(tag=tag, node=node)``; it is built
-    with positional arguments, in :class:`MemoryRequest` field order,
-    because keyword passing costs measurably at trace scale.
+    the paper's 64 K transactions per thread (section 4.1.1); each
+    thread's TID is range checked at its first request.  Each request
+    equals ``rec.to_request(tag=tag, node=node)``; records are unpacked
+    and requests built positionally, in field order, because attribute
+    reads and keyword passing cost measurably at trace scale.
     """
     next_tag: dict[int, int] = {}
     get_tag = next_tag.get
-    for rec in records:
-        tid = rec.tid
-        tag = get_tag(tid, 0)
+    for op, addr, size, tid, core, cycle in records:
+        tag = get_tag(tid)
+        if tag is None:
+            tag = 0
+            check_tid(tid)
         next_tag[tid] = (tag + 1) & 0xFFFF
-        yield MemoryRequest(
-            rec.addr, rec.op, tid, tag, rec.size, rec.core, node, rec.cycle
-        )
+        yield MemoryRequest(addr, op, tid, tag, size, core, node, cycle)

@@ -18,7 +18,7 @@ import struct
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from repro.core.request import RequestType
+from repro.core.request import MAX_TID, RequestType
 
 from .record import OP_BY_NAME, OP_NAMES, TraceRecord
 
@@ -56,7 +56,12 @@ def dump_text(records: Iterable[TraceRecord], path: PathLike) -> int:
 
 
 def load_text(path: PathLike) -> Iterator[TraceRecord]:
-    """Stream records from a text trace (blank lines / # comments skipped)."""
+    """Stream records from a text trace (blank lines / # comments skipped).
+
+    A malformed line raises ``ValueError`` naming the file and line,
+    including a TID outside the 16-bit field (the binary format's 2 B
+    TID cannot hold one).
+    """
     with _open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -68,13 +73,11 @@ def load_text(path: PathLike) -> Iterator[TraceRecord]:
             op = OP_BY_NAME.get(parts[0])
             if op is None:
                 raise ValueError(f"{path}:{lineno}: unknown op {parts[0]!r}")
+            tid = int(parts[3])
+            if not 0 <= tid <= MAX_TID:
+                raise ValueError(f"{path}:{lineno}: tid {tid} outside 0..{MAX_TID}")
             yield TraceRecord(
-                op=op,
-                addr=int(parts[1], 16),
-                size=int(parts[2]),
-                tid=int(parts[3]),
-                core=int(parts[4]),
-                cycle=int(parts[5]),
+                op, int(parts[1], 16), int(parts[2]), tid, int(parts[4]), int(parts[5])
             )
 
 
@@ -107,9 +110,7 @@ def load_binary(path: PathLike) -> Iterator[TraceRecord]:
             if len(blob) != _BIN.size:
                 raise ValueError(f"{path}: truncated record at EOF")
             op, addr, size, tid, core, cycle = _BIN.unpack(blob)
-            yield TraceRecord(
-                op=RequestType(op), addr=addr, size=size, tid=tid, core=core, cycle=cycle
-            )
+            yield TraceRecord(RequestType(op), addr, size, tid, core, cycle)
 
 
 def dump(records: Iterable[TraceRecord], path: PathLike) -> int:

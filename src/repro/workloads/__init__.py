@@ -9,9 +9,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
-    base=(
-        "MemoryLayout", "Op", "ROW_BYTES", "WORD", "Workload", "interleave_round_robin",
-    ),
+    base=("MemoryLayout", "Op", "ROW_BYTES", "WORD", "Workload"),
     bots=("BotsSort", "NQueens", "SparseLU"),
     bots_extra=("BotsFib", "BotsHealth"),
     gap=("GAPBFS", "GAPPageRank"),
@@ -61,7 +59,6 @@ __all__ = [
     "all_benchmarks",
     "benchmark_names",
     "edges_to_csr",
-    "interleave_round_robin",
     "make",
     "rmat_csr",
     "rmat_edges",

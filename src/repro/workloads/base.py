@@ -20,7 +20,8 @@ A workload describes:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,39 +122,28 @@ class Workload(abc.ABC):
         if ops_per_thread < 1:
             raise ValueError("need at least one op per thread")
         base_seed = self.seed if seed is None else seed
-        streams = [
-            self.thread_stream(
-                tid,
-                threads,
-                ops_per_thread,
-                np.random.default_rng((base_seed, tid)),
+        ops = [
+            list(
+                self.thread_stream(
+                    tid,
+                    threads,
+                    ops_per_thread,
+                    np.random.default_rng((base_seed, tid)),
+                )
             )
             for tid in range(threads)
         ]
         rpc = max(self.profile.rpc(cores=threads), 1e-6)
         out: List[TraceRecord] = []
-        alive = list(range(threads))
+        append = out.append
         k = 0
-        while alive:
-            next_alive = []
-            for tid in alive:
-                op = next(streams[tid], None)
-                if op is None:
-                    continue
-                next_alive.append(tid)
-                addr, rtype, size = op
-                out.append(
-                    TraceRecord(
-                        op=rtype,
-                        addr=addr,
-                        size=size,
-                        tid=tid,
-                        core=tid % 8,
-                        cycle=int(k / rpc),
-                    )
-                )
-                k += 1
-            alive = next_alive
+        # Round r takes the r-th op of every thread that still has one.
+        for round_ops in zip_longest(*ops):
+            for tid, op in enumerate(round_ops):
+                if op is not None:
+                    addr, rtype, size = op
+                    append(TraceRecord(rtype, addr, size, tid, tid % 8, int(k / rpc)))
+                    k += 1
         return out
 
     # -- helpers for subclasses ----------------------------------------------
@@ -204,15 +194,3 @@ class Workload(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(scale={self.scale}, seed={self.seed})"
 
-
-def interleave_round_robin(streams: Sequence[Iterator[Op]]) -> Iterator[Tuple[int, Op]]:
-    """Round-robin merge of per-thread op streams; yields (tid, op)."""
-    alive = list(range(len(streams)))
-    while alive:
-        next_alive = []
-        for tid in alive:
-            op = next(streams[tid], None)
-            if op is not None:
-                yield tid, op
-                next_alive.append(tid)
-        alive = next_alive

@@ -33,7 +33,7 @@ class TestConservation:
         reqs = [req((i % 50) << 8 | ((i % 16) << 4), tag=i) for i in range(400)]
         pkts = feed_and_drain(agg, reqs)
         assert sum(p.raw_count for p in pkts) == 400
-        tags = sorted(t.tag for p in pkts for t in p.targets)
+        tags = sorted(r.tag for p in pkts for r in p.requests)
         assert tags == sorted(r.tag for r in reqs)
 
     def test_fences_produce_no_packets(self):

@@ -63,7 +63,7 @@ class TestMerging:
         arq = make_arq()
         for i, f in enumerate((6, 8, 9)):
             arq.push(req(0xA00 | (f << 4), tag=i))
-        assert [t.tag for t in arq.peek().targets] == [0, 1, 2]
+        assert [r.tag for r in arq.peek().requests] == [0, 1, 2]
 
 
 class TestCapacity:

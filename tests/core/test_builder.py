@@ -111,14 +111,14 @@ class TestSharedRowEmit:
     def test_single_packet_takes_the_row_lists(self):
         entry = entry_for([0xA60, 0xA80, 0xA90])
         (pkt,) = RequestBuilder(CFG).build(entry)
-        assert pkt.targets is entry.targets
+        assert pkt.targets is pkt.requests
         assert pkt.requests is entry.requests
 
     def test_split_row_partitions_targets(self):
         codec = AddressCodec(CFG)
         entry = entry_for([0xA00, 0xAF0, 0xA10])
         plan = ((0, 64, 0, 4), (192, 64, 12, 16))
-        pkts = emit_row(codec, entry.key, plan, entry.targets, entry.requests, 5)
+        pkts = emit_row(codec, entry.key, plan, entry.requests, 5)
         assert [(p.addr, p.size, p.issue_cycle) for p in pkts] == [
             (0xA00, 64, 5), (0xAC0, 64, 5)
         ]
@@ -203,7 +203,7 @@ class TestBypassPacket:
         assert pkt.size == 16
         assert pkt.addr == 0xA60  # FLIT aligned
         assert pkt.bypassed
-        assert pkt.targets[0].tid == 3
+        assert pkt.requests[0].tid == 3
 
     def test_atomic_bypass(self):
         arq = AggregatedRequestQueue(CFG)

@@ -123,8 +123,8 @@ class TestWindowEngine:
     def test_packet_covers_all_its_targets(self):
         trace = random_trace(1500, 30, seed=4)
         for pkt in coalesce_trace_fast(trace):
-            for t in pkt.targets:
-                flit_addr = (pkt.addr & ~0xFF) + t.flit_id * 16
+            for r in pkt.requests:
+                flit_addr = r.addr & ~0xF
                 assert pkt.covers(flit_addr)
 
     def test_no_entry_objects_for_load_store_rows(self, monkeypatch):
@@ -228,4 +228,4 @@ class TestResponsePath:
             mac.receive_response(dev.submit(p, p.issue_cycle))
         local, remote = mac.deliver_responses()
         assert len(local) == 6 and not remote
-        assert all(r.complete_cycle > 0 for _, r in local)
+        assert all(r.complete_cycle > 0 for r in local)

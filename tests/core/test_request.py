@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.address import AddressCodec
+from repro.core.config import MACConfig
 from repro.core.request import (
     FLIT_ID_BITS,
     MAX_TAG,
@@ -9,8 +11,9 @@ from repro.core.request import (
     MemoryRequest,
     RequestType,
     TARGET_BYTES,
-    Target,
+    check_tid,
 )
+from repro.trace.record import TraceRecord, to_requests
 
 
 class TestRequestType:
@@ -43,9 +46,15 @@ class TestRequestType:
 
 
 class TestTarget:
+    """The paper's target word {TID, tag, FLIT id} as a request carries it:
+    TID and tag are fields, the FLIT id is address bits, and the 16-bit
+    ranges are checked where requests are made from traces."""
+
     def test_valid(self):
-        t = Target(tid=100, tag=200, flit_id=5)
-        assert (t.tid, t.tag, t.flit_id) == (100, 200, 5)
+        r = MemoryRequest(0xA50, RequestType.LOAD, tid=100, tag=200)
+        assert (r.tid, r.tag, AddressCodec(MACConfig()).flit_id(r.addr)) == (
+            100, 200, 5
+        )
 
     def test_field_widths_match_paper(self):
         # Section 4.1.1: 2 B TID, 2 B tag, 4-bit FLIT id = 4.5 B.
@@ -54,34 +63,34 @@ class TestTarget:
         assert TARGET_BYTES == 4.5
 
     def test_tid_bounds(self):
-        Target(tid=MAX_TID, tag=0, flit_id=0)
-        with pytest.raises(ValueError):
-            Target(tid=MAX_TID + 1, tag=0, flit_id=0)
-        with pytest.raises(ValueError):
-            Target(tid=-1, tag=0, flit_id=0)
+        assert check_tid(MAX_TID) == MAX_TID
+        for tid in (MAX_TID + 1, -1):
+            with pytest.raises(ValueError, match=rf"tid {tid} outside 16-bit range"):
+                TraceRecord(RequestType.LOAD, 0x100, tid=tid).to_request()
+            with pytest.raises(ValueError, match=rf"tid {tid} outside 16-bit range"):
+                list(to_requests([TraceRecord(RequestType.LOAD, 0x100, tid=tid)]))
 
     def test_tag_bounds(self):
-        with pytest.raises(ValueError):
-            Target(tid=0, tag=MAX_TAG + 1, flit_id=0)
+        # Tags wrap within 16 bits instead of leaving the field.
+        recs = [TraceRecord(RequestType.LOAD, 0x100)] * (MAX_TAG + 2)
+        tags = [r.tag for r in to_requests(recs)]
+        assert tags[MAX_TAG] == MAX_TAG and tags[MAX_TAG + 1] == 0
 
     def test_flit_bounds(self):
-        Target(tid=0, tag=0, flit_id=15)   # paper's 256 B rows use 0..15
-        Target(tid=0, tag=0, flit_id=63)   # 1 KB HBM rows (section 4.3)
-        with pytest.raises(ValueError):
-            Target(tid=0, tag=0, flit_id=64)
+        assert AddressCodec(MACConfig()).flit_id(0xAF0) == 15  # 256 B rows
+        # 1 KB HBM rows (section 4.3) use FLIT ids 0..63.
+        assert AddressCodec(MACConfig(row_bytes=1024)).flit_id(0x3F0) == 63
 
     def test_flit_error_names_the_field_width(self):
         assert FLIT_ID_BITS == 6
-        Target(tid=0, tag=0, flit_id=63)
-        with pytest.raises(ValueError, match=r"flit_id 64 outside 6-bit range"):
-            Target(tid=0, tag=0, flit_id=64)
-        with pytest.raises(ValueError, match=r"flit_id -1 outside 6-bit range"):
-            Target(tid=0, tag=0, flit_id=-1)
+        MACConfig(row_bytes=1024)
+        with pytest.raises(ValueError, match="FLIT map wider than 64 bits"):
+            MACConfig(row_bytes=2048)
 
     def test_frozen(self):
-        t = Target(1, 2, 3)
+        rec = TraceRecord(RequestType.LOAD, 0x100, tid=1)
         with pytest.raises(AttributeError):
-            t.tid = 9
+            rec.tid = 9
 
 
 class TestMemoryRequest:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.packet import CoalescedRequest, CoalescedResponse
-from repro.core.request import MemoryRequest, RequestType, Target
+from repro.core.request import MemoryRequest, RequestType
 from repro.core.router import FIFOQueue, RequestRouter, ResponseRouter
 
 
@@ -115,7 +115,6 @@ class TestResponseRouter:
             addr=0x100,
             size=64,
             rtype=RequestType.LOAD,
-            targets=[Target(r.tid, r.tag, 0) for r in raws],
             requests=list(raws),
         )
         return CoalescedResponse(request=pkt, complete_cycle=complete)
@@ -135,7 +134,7 @@ class TestResponseRouter:
         rr.receive(self._response(raws))
         local, remote = rr.drain()
         assert len(local) == 1 and len(remote) == 1
-        assert remote[0][1].node == 2
+        assert remote[0].node == 2
 
     def test_buffer_overflow_raises(self):
         rr = ResponseRouter(node_id=0, buffer_capacity=1)

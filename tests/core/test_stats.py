@@ -6,9 +6,8 @@ from repro.core.packet import (
     CONTROL_BYTES_PER_PACKET,
     CoalescedRequest,
     CoalescedResponse,
-    satisfied_pairs,
 )
-from repro.core.request import MemoryRequest, RequestType, Target
+from repro.core.request import MemoryRequest, RequestType
 from repro.core.stats import MACStats
 
 
@@ -20,7 +19,6 @@ def pkt(size=64, n=2, rtype=RequestType.LOAD, bypassed=False):
         addr=0x100,
         size=size,
         rtype=rtype,
-        targets=[Target(i, i, i % 16) for i in range(n)],
         requests=raws,
         bypassed=bypassed,
     )
@@ -50,7 +48,7 @@ class TestPacket:
         p.issue_cycle = 100
         r = CoalescedResponse(request=p, complete_cycle=400)
         assert r.latency == 300
-        assert len(satisfied_pairs(r)) == 2
+        assert r.request.targets is r.request.requests
 
 
 class TestMACStats:

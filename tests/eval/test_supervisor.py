@@ -357,3 +357,29 @@ def test_trace_cache_save_load_roundtrip(tmp_path):
     # A hit, not a regeneration: the factory must never run.
     got = fresh.get(key, lambda: (_ for _ in ()).throw(AssertionError("regenerated")))
     assert got == trace and fresh.hits == 1
+
+
+def _unpickled():
+    raise TypeError("a v1 record was unpickled")
+
+
+class _V1Record:
+    """Stands in for a record class whose pickled form no longer loads."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def test_trace_cache_rejects_v1_snapshot_before_unpickling(tmp_path):
+    import pickle
+
+    from repro.eval.runner import TraceCache
+
+    path = tmp_path / "v1.pkl"
+    with open(path, "wb") as fh:
+        doc = {"version": 1, "traces": {("SG", 2, 50, 2019): (_V1Record(),)}}
+        pickle.dump(doc, fh)
+    cache = TraceCache(maxsize=8)
+    with pytest.raises(ValueError, match="unrecognized trace-cache snapshot"):
+        cache.load(path)
+    assert len(cache) == 0

@@ -2,7 +2,7 @@
 
 
 from repro.core.packet import CoalescedRequest, CoalescedResponse
-from repro.core.request import MemoryRequest, RequestType, Target
+from repro.core.request import MemoryRequest, RequestType
 from repro.core.router import ResponseRouter
 
 
@@ -15,7 +15,6 @@ def packet(addr=0x100, tids=(1,)):
         addr=addr,
         size=16 * len(raws),
         rtype=RequestType.LOAD,
-        targets=[Target(r.tid, r.tag, 16 * i) for i, r in enumerate(raws)],
         requests=raws,
     )
 
@@ -108,7 +107,7 @@ class TestPoisonPropagation:
         rr.receive(response(pkt, poisoned=True))
         local, _ = rr.drain()
         assert len(local) == 3
-        assert all(raw.poisoned for _, raw in local)
+        assert all(raw.poisoned for raw in local)
         assert rr.poisoned_deliveries == 3
 
     def test_clean_responses_stay_clean(self):
@@ -116,7 +115,7 @@ class TestPoisonPropagation:
         pkt = packet(tids=(1, 2))
         rr.receive(response(pkt))
         local, _ = rr.drain()
-        assert not any(raw.poisoned for _, raw in local)
+        assert not any(raw.poisoned for raw in local)
         assert rr.poisoned_deliveries == 0
 
     def test_poisoned_delivery_still_completes_lsq_entry(self):
@@ -127,6 +126,6 @@ class TestPoisonPropagation:
         pkt = packet(tids=(7,))
         rr.receive(response(pkt, complete=900, poisoned=True))
         local, _ = rr.drain()
-        (target, raw) = local[0]
+        (raw,) = local
         assert raw.complete_cycle == 900
         assert rr.completed[(7, 0)] == 900

@@ -33,7 +33,7 @@ def packet_digest(packets):
     h = hashlib.sha256()
     for p in packets:
         h.update(
-            f"{p.addr}:{p.size}:{p.rtype}:{len(p.targets)}:{p.bypassed}".encode()
+            f"{p.addr}:{p.size}:{p.rtype}:{len(p.requests)}:{p.bypassed}".encode()
         )
     return h.hexdigest()
 

@@ -31,7 +31,7 @@ class TestTraceToDevicePipeline:
         for p in packets:
             responses.append(dev.submit(p, t))
             t += 2
-        delivered = sum(len(r.request.targets) for r in responses)
+        delivered = sum(len(r.request.requests) for r in responses)
         assert delivered == len(requests)
 
     def test_mac_beats_raw_on_every_axis(self, sg_trace):
@@ -57,7 +57,7 @@ class TestTraceToDevicePipeline:
         for p in packets:
             mac.receive_response(dev.submit(p, p.issue_cycle))
         local, _ = mac.deliver_responses()
-        tags = sorted((t.tid, t.tag) for t, _ in local)
+        tags = sorted((r.tid, r.tag) for r in local)
         assert tags == sorted((r.tid, r.tag) for r in requests)
 
 

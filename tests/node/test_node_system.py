@@ -128,8 +128,6 @@ class TestRemoteResponseAccounting:
         Simulates the message-loss-recovery race: the reissued response
         already went home, then the original limps in late.
         """
-        from repro.core.request import Target
-
         sys2 = NUMASystem(
             [
                 [stream(0, n=40, node=0)],
@@ -141,9 +139,8 @@ class TestRemoteResponseAccounting:
         bogus_raw = MemoryRequest(
             addr=0, rtype=RequestType.LOAD, tid=0, tag=999, core=0, node=0
         )
-        sys2.fabric.send(
-            0, dst=0, payload=(Target(tid=0, tag=999, flit_id=0), bogus_raw), src=1
-        )
+        # A raw request at its own node is a completion coming home.
+        sys2.fabric.send(0, dst=0, payload=bogus_raw, src=1)
         st = sys2.run()
         assert st.duplicate_remote_drops == 1
         # The duplicate neither completed a core nor counted as a response.

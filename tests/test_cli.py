@@ -86,6 +86,15 @@ class TestCommands:
         assert "bank conflicts" in text
         assert "row-hit rate" in text
 
+    @pytest.mark.parametrize("command", ["coalesce", "replay"])
+    def test_text_trace_with_bad_tid_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "bad.txt"
+        out.write_text("LD 0x1000 8 1 0 0\nLD 0x1000 8 70000 0 0\n")
+        assert main([command, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{command}: {out}:2: tid 70000 outside 0..65535" in captured.err
+        assert captured.out == ""
+
     def test_replay_rejects_out_of_range_dead_link(self, tmp_path, capsys):
         out = tmp_path / "t.trc"
         main(["trace", "SG", "-o", str(out), "--threads", "2", "--ops", "50"])

@@ -51,6 +51,22 @@ class TestRecord:
         first = next(gen)
         assert first.tag == 0
 
+    def test_record_is_an_immutable_tuple(self):
+        rec = TraceRecord(RequestType.LOAD, 0x100, tid=3)
+        assert rec == (RequestType.LOAD, 0x100, 8, 3, 0, 0)
+        assert rec._fields == ("op", "addr", "size", "tid", "core", "cycle")
+        with pytest.raises(AttributeError):
+            rec.addr = 0
+
+    def test_to_requests_checks_each_thread_tid(self):
+        """The 16-bit TID check runs at a thread's first request."""
+        good = TraceRecord(RequestType.LOAD, 0x100, tid=0xFFFF)
+        bad = TraceRecord(RequestType.LOAD, 0x200, tid=0x10000)
+        gen = to_requests([good, good, bad])
+        assert [next(gen).tag, next(gen).tag] == [0, 1]
+        with pytest.raises(ValueError, match="tid 65536 outside 16-bit range"):
+            next(gen)
+
 
 def keyword_reference(records, node):
     """``to_requests`` spelled with the keyword ``TraceRecord.to_request``."""
@@ -143,6 +159,13 @@ class TestTextFormat:
         p = tmp_path / "t.txt"
         p.write_text("XX 0x10 8 0 0 0\n")
         with pytest.raises(ValueError):
+            list(load_text(p))
+
+    @pytest.mark.parametrize("tid", ["70000", "65536", "-1"])
+    def test_tid_outside_16_bits_raises_with_line_and_field(self, tmp_path, tid):
+        p = tmp_path / "t.txt"
+        p.write_text(f"LD 0x10 8 65535 0 0\n# note\nLD 0x1000 8 {tid} 0 0\n")
+        with pytest.raises(ValueError, match=rf"t\.txt:3: tid {tid} outside 0\.\.65535"):
             list(load_text(p))
 
 

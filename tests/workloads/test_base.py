@@ -5,13 +5,7 @@ import pytest
 
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
-from repro.workloads.base import (
-    MemoryLayout,
-    ROW_BYTES,
-    WORD,
-    Workload,
-    interleave_round_robin,
-)
+from repro.workloads.base import MemoryLayout, ROW_BYTES, WORD, Workload
 
 
 class TestMemoryLayout:
@@ -116,9 +110,18 @@ class TestGenerate:
             _TwoOpWorkload(scale=0)
 
 
+class _UnevenWorkload(_TwoOpWorkload):
+    """Thread ``t`` yields ``t + 1`` ops, whatever ``ops`` asks for."""
+
+    def thread_stream(self, tid, threads, ops, rng):
+        for i in range(tid + 1):
+            yield (tid << 12) | (i * WORD), RequestType.LOAD, WORD
+
+
 class TestInterleave:
     def test_uneven_streams(self):
-        s1 = iter([(0, RequestType.LOAD, 8)])
-        s2 = iter([(1, RequestType.LOAD, 8), (2, RequestType.LOAD, 8)])
-        merged = list(interleave_round_robin([s1, s2]))
-        assert [tid for tid, _ in merged] == [0, 1, 1]
+        trace = _UnevenWorkload().generate(threads=3, ops_per_thread=1)
+        # Round r takes the r-th op of each thread that still has one.
+        assert [r.tid for r in trace] == [0, 1, 2, 1, 2, 2]
+        assert [r.addr & 0xFFF for r in trace] == [0, 0, 0, 8, 8, 16]
+        assert [r.core for r in trace] == [r.tid for r in trace]
