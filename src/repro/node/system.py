@@ -196,6 +196,11 @@ class NUMASystem(ClockedModel):
                 req = node.mac.request_router.next_outbound()
                 if req is None:
                     break
+                if req.node != idx:
+                    # At its home it would read as a completion coming back.
+                    raise ValueError(
+                        f"node {idx} issued a remote request stamped node={req.node}"
+                    )
                 self.stats.remote_requests += 1
                 self.fabric.send(cycle, self.home(req.addr), req, src=idx)
             # Responses for remote requesters (collected by node.tick).

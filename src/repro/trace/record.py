@@ -9,6 +9,7 @@ any iterable of records.  Records convert 1:1 into
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.request import MemoryRequest, RequestType, check_tid
@@ -52,18 +53,18 @@ def to_requests(records: Iterable[TraceRecord], node: int = 0) -> Iterator[Memor
     """Convert a trace into raw requests, assigning per-thread tags.
 
     Tags are sequential per thread modulo the 16-bit tag space, matching
-    the paper's 64 K transactions per thread (section 4.1.1); each
-    thread's TID is range checked at its first request.  Each request
-    equals ``rec.to_request(tag=tag, node=node)``; records are unpacked
-    and requests built positionally, in field order, because attribute
-    reads and keyword passing cost measurably at trace scale.
+    the paper's 64 K transactions per thread (section 4.1.1): one counter
+    per thread, whose TID is range checked at its first request.  Each
+    request equals ``rec.to_request(tag=tag, node=node)``; records are
+    unpacked and requests built positionally, in field order, because
+    attribute reads and keyword passing cost measurably at trace scale.
     """
-    next_tag: dict[int, int] = {}
-    get_tag = next_tag.get
+    tags: dict[int, Iterator[int]] = {}
+    get_tags = tags.get
     for op, addr, size, tid, core, cycle in records:
-        tag = get_tag(tid)
-        if tag is None:
-            tag = 0
-            check_tid(tid)
-        next_tag[tid] = (tag + 1) & 0xFFFF
-        yield MemoryRequest(addr, op, tid, tag, size, core, node, cycle)
+        thread_tags = get_tags(tid)
+        if thread_tags is None:
+            thread_tags = tags[check_tid(tid)] = count()
+        yield MemoryRequest(
+            addr, op, tid, next(thread_tags) & 0xFFFF, size, core, node, cycle
+        )

@@ -118,6 +118,19 @@ class TestNUMASystem:
         with pytest.raises(ValueError):
             NUMASystem([])
 
+    def test_remote_request_stamped_with_another_node_rejected(self):
+        """A request carries its issuing node: the fabric sends it home by
+        address and its completion back by ``node``."""
+        sys2 = NUMASystem(
+            [
+                [stream(0, n=40, node=0)],
+                [stream(0, n=40, node=0)],  # node 1's requests claim node 0
+            ],
+            interleave_bytes=1 << 9,
+        )
+        with pytest.raises(ValueError, match="node 1 issued a remote request stamped node=0"):
+            sys2.run()
+
 
 class TestRemoteResponseAccounting:
     """Satellite regressions for the suppress-and-count contract."""
