@@ -446,7 +446,7 @@ def coalesce_trace_fast(
             # B bit: one FLIT-sized packet, builder skipped.
             if key < 0:
                 pkt = bypass_packet(
-                    ARQEntry(-1, bits, True, atomic=True, requests=requests),
+                    ARQEntry(-1, bits, bypass=True, atomic=True, requests=requests),
                     codec,
                     cfg,
                 )

@@ -128,8 +128,9 @@ class TestNUMASystem:
             ],
             interleave_bytes=1 << 9,
         )
+        # Serial: a shard worker would wrap the ValueError in a ShardError.
         with pytest.raises(ValueError, match="node 1 issued a remote request stamped node=0"):
-            sys2.run()
+            sys2.run(shards=1)
 
 
 class TestRemoteResponseAccounting:

@@ -108,7 +108,7 @@ def regenerate() -> int:
             print(f"  {name}: {before or '(none)'} -> {after or '(removed)'}")
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
-    where = GOLDEN.relative_to(GOLDEN.parents[1])
+    where = GOLDEN.relative_to(GOLDEN.parents[2])
     print(f"{changed} of {len(new)} cases changed; wrote {where}")
     return 0
 
