@@ -1,6 +1,6 @@
 """Absolute golden digests for the cycle engine's ``--metrics-out`` files.
 
-Each case runs one ``repro run`` command (or one faulty :class:`Node`)
+Each case runs one ``repro run`` command or one faulty :class:`Node`
 and hashes the full metrics dict it exports: sha256 over the dict's
 sorted-key JSON.  The digests live in ``tests/golden/run_metrics.json``.
 They pin the ARQ, the builder, device replay, the response router and
@@ -43,27 +43,28 @@ def _cli(*argv: str) -> Callable[[], dict]:
     return run
 
 
-def _faulty_node() -> dict:
-    """One closed-loop node with poisoned and dropped responses."""
-    from repro.faults import FaultConfig
-    from repro.hmc.config import HMCConfig
-    from repro.node.node import Node
-    from repro.trace.record import to_requests
-    from repro.workloads.registry import make
+def _faulty_node(**rates) -> Callable[[], dict]:
+    """One closed-loop IS node on a cube armed with ``FaultConfig.simple``."""
 
-    records = make("is", seed=7).generate(threads=4, ops_per_thread=80)
-    by_tid: Dict[int, list] = {}
-    for r in to_requests(records):
-        by_tid.setdefault(r.tid, []).append(r)
-    faults = FaultConfig.simple(
-        poison_rate=0.05, drop_rate=0.05, seed=11, timeout_cycles=2000
-    )
-    node = Node(
-        [iter(v) for _, v in sorted(by_tid.items())],
-        hmc_config=HMCConfig(faults=faults),
-    )
-    node.run(max_cycles=2_000_000)
-    return node.metrics()
+    def run() -> dict:
+        from repro.faults import FaultConfig
+        from repro.hmc.config import HMCConfig
+        from repro.node.node import Node
+        from repro.trace.record import to_requests
+        from repro.workloads.registry import make
+
+        records = make("is", seed=7).generate(threads=4, ops_per_thread=80)
+        by_tid: Dict[int, list] = {}
+        for r in to_requests(records):
+            by_tid.setdefault(r.tid, []).append(r)
+        node = Node(
+            [iter(v) for _, v in sorted(by_tid.items())],
+            hmc_config=HMCConfig(faults=FaultConfig.simple(**rates)),
+        )
+        node.run(max_cycles=2_000_000)
+        return node.metrics()
+
+    return run
 
 
 CASES: Dict[str, Callable[[], dict]] = {
@@ -75,7 +76,30 @@ CASES: Dict[str, Callable[[], dict]] = {
         "run", "SG", "--threads", "2", "--ops", "300",
         "--noc-topology", "xbar", "--page-policy", "open",
     ),
-    "node-IS-poison-drop": _faulty_node,
+    "node-IS-poison-drop": _faulty_node(
+        poison_rate=0.05, drop_rate=0.05, seed=11, timeout_cycles=2000
+    ),
+    # CRC/NAK replays and lost ACKs on every live link, a dead link the
+    # device steers around, a slowed link, vault re-reads and delayed
+    # responses.
+    "node-IS-retry-steer": _faulty_node(
+        flit_ber=0.02, ack_ber=0.02, vault_error_rate=0.2,
+        delay_rate=0.05, delay_cycles=500,
+        dead_links=(2,), degraded_links=((1, 2.0),),
+        seed=13, timeout_cycles=4000,
+    ),
+    "run-SG-xbar4-open": _cli(
+        "run", "SG", "--threads", "2", "--ops", "200",
+        "--noc-topology", "xbar", "--noc-buffers", "4", "--page-policy", "open",
+    ),
+    "run-GUPS-mesh-rr": _cli(
+        "run", "GUPS", "--threads", "2", "--ops", "200",
+        "--noc-topology", "mesh", "--noc-arbitration", "round_robin",
+    ),
+    "run-GUPS-nodes4-ring-adaptive": _cli(
+        "run", "GUPS", "--nodes", "4", "--threads", "2", "--ops", "100",
+        "--noc-topology", "ring", "--page-policy", "adaptive",
+    ),
 }
 
 
