@@ -110,8 +110,10 @@ class Bank:
         self.last_start = start
         t = self.timing
         if self.policy == "closed":
-            data_ready = start + t.t_activate + t.t_column + t.burst_cycles(columns)
-            occupancy = t.bank_occupancy(columns)
+            # ``occupancy`` is ``t.bank_occupancy(columns)``, summed once.
+            service = t.t_activate + t.t_column + t.burst_cycles(columns)
+            data_ready = start + service
+            occupancy = service + t.t_precharge
             self.activations += 1  # closed page: every access activates
             self.last_kind = "closed"
         else:

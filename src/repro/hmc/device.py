@@ -40,7 +40,7 @@ from repro.sim import register_wake_protocol
 from .config import HMCConfig
 from .link import Link, LinkFailedError
 from .noc import build_noc
-from .packet import AddressMap, HMCCommand, WirePacket, encode
+from .packet import AddressMap, HMCCommand, encode
 from .stats import HMCStats
 from .vault import Vault
 
@@ -99,67 +99,82 @@ class HMCDevice:
         if arrival < self._last_arrival:
             raise ValueError("requests must be submitted in arrival order")
         self._last_arrival = arrival
-
-        wire = encode(request, self.config, self.address_map)
+        cmd, size, request_flits, response_flits, v, b, dram_row, columns = encode(
+            request, self.config, self.address_map
+        )
+        is_write = cmd is HMCCommand.WR
+        injector = self.injector
+        noc = self.noc
 
         # Host -> device: serialize the request packet.  A link that dies
         # mid-transmission is recorded and the packet re-routed across the
         # surviving links from the failure-detection cycle onward.
-        link, at_device = self._transmit_request(wire, arrival)
-        at_vault = self.noc.to_vault(
-            at_device, wire.vault, link.index, wire.request_flits
-        )
+        if injector is None:
+            link = self._pick_link()
+            at_device = link.request.transmit(arrival, request_flits)
+        else:
+            link, at_device = self._transmit_request(request_flits, arrival)
+        at_vault = noc.to_vault(at_device, v, link.index, request_flits)
 
         # Vault + bank service, with transient-error re-reads.
-        vault = self.vaults[wire.vault]
-        bank = vault.banks[wire.bank]
+        vault = self.vaults[v]
+        bank = vault.banks[b]
         conflicts_before = bank.conflicts
-        hits_before = bank.row_hits
-        misses_before = bank.row_misses
-        activations_before = bank.activations
-        data_ready = vault.access(
-            at_vault, wire.bank, wire.dram_row, wire.columns, request.is_write
-        )
+        closed_page = self._closed_page
+        if not closed_page:
+            hits_before = bank.row_hits
+            misses_before = bank.row_misses
+            activations_before = bank.activations
+        data_ready = vault.access(at_vault, b, dram_row, columns, is_write)
         poisoned = False
-        if self.injector is not None:
+        if injector is not None:
             rereads = 0
-            while self.injector.vault_error(wire.vault, data_ready):
+            while injector.vault_error(v, data_ready):
                 rereads += 1
                 if rereads > self.config.faults.vault_error_limit:
                     # Uncorrectable: deliver poison rather than hang.
                     poisoned = True
-                    self.fault_stats.record(f"vault{wire.vault}", "poisoned")
+                    self.fault_stats.record(f"vault{v}", "poisoned")
                     break
-                self.fault_stats.record(f"vault{wire.vault}", "reread")
+                self.fault_stats.record(f"vault{v}", "reread")
                 data_ready = vault.access(
-                    data_ready, wire.bank, wire.dram_row, wire.columns, request.is_write
+                    data_ready, b, dram_row, columns, is_write
                 )
-        conflicts_delta = bank.conflicts - conflicts_before
 
         # Device -> host: response packet back through the NoC + link.
-        at_link = self.noc.to_link(
-            data_ready, wire.vault, link.index, wire.response_flits
-        )
-        complete = self._transmit_response(link, wire, at_link)
-
-        delay = 0
+        at_link = noc.to_link(data_ready, v, link.index, response_flits)
         dropped = False
-        if self.injector is not None:
-            fate, fate_delay = self.injector.response_fate(complete)
+        if injector is None:
+            complete = link.response.transmit(at_link, response_flits)
+        else:
+            complete = self._transmit_response(link, response_flits, at_link)
+            fate, fate_delay = injector.response_fate(complete)
             if fate == "poison":
                 poisoned = True
             elif fate == "drop":
                 dropped = True
             elif fate == "delay":
-                delay = fate_delay
-        complete += delay
+                complete += fate_delay
 
-        self._record(
-            request, wire, arrival, complete, conflicts_delta,
-            bank.row_hits - hits_before,
-            bank.row_misses - misses_before,
-            bank.activations - activations_before,
-        )
+        st = self.stats
+        st.record(arrival, complete, size, bank.conflicts - conflicts_before)
+        st.wire_flits += request_flits + response_flits
+        if closed_page:
+            # Legacy accounting: one activation command per packet
+            # (fault re-reads re-activate the bank but are not re-sent
+            # by the host) — kept bit-identical to the pre-NoC model.
+            # Closed-page banks never count row hits or misses.
+            st.activations += 1
+        else:
+            st.activations += bank.activations - activations_before
+            st.row_hits += bank.row_hits - hits_before
+            st.row_misses += bank.row_misses - misses_before
+        if cmd is HMCCommand.RD:
+            st.reads += 1
+        elif is_write:
+            st.writes += 1
+        else:
+            st.atomics += 1
         at = self.attrib
         if at.enabled:
             # Inlined AttributionCollector.mark: five stamps per raw
@@ -176,12 +191,7 @@ class HMCDevice:
                 m["complete"] = complete
         if dropped:
             return None
-        return CoalescedResponse(
-            request=request,
-            complete_cycle=complete,
-            service_cycles=complete - arrival,
-            poisoned=poisoned,
-        )
+        return CoalescedResponse(request, complete, complete - arrival, poisoned)
 
     def submit_stream(
         self, requests: List[CoalescedRequest]
@@ -200,23 +210,19 @@ class HMCDevice:
 
     # -- internals ---------------------------------------------------------------
 
-    def _transmit_request(self, wire: WirePacket, arrival: int):
+    def _transmit_request(self, flits: int, arrival: int):
         """Send the request packet, steering around dead links."""
-        link = self._pick_link(arrival)
-        if self.injector is None:
-            return link, link.request.transmit(arrival, wire.request_flits)
+        link = self._pick_link()
         while True:
             try:
-                return link, link.request.transmit(arrival, wire.request_flits)
+                return link, link.request.transmit(arrival, flits)
             except LinkFailedError as err:
                 self._note_failure(link)
                 arrival = max(arrival, err.cycle)
-                link = self._pick_link(arrival)
+                link = self._pick_link()
 
-    def _transmit_response(self, link: Link, wire: WirePacket, at_link: int) -> int:
+    def _transmit_response(self, link: Link, flits: int, at_link: int) -> int:
         """Send the response packet, steering around dead links."""
-        if self.injector is None:
-            return link.response.transmit(at_link, wire.response_flits)
         # Prefer the request's own link; the crossbar can hand the
         # response to any surviving link's response channel.
         candidates = [link] + [other for other in self.links if other is not link]
@@ -224,7 +230,7 @@ class HMCDevice:
             if cand.failed:
                 continue
             try:
-                return cand.response.transmit(at_link, wire.response_flits)
+                return cand.response.transmit(at_link, flits)
             except LinkFailedError as err:
                 self._note_failure(cand)
                 at_link = max(at_link, err.cycle)
@@ -236,7 +242,7 @@ class HMCDevice:
         if not self.live_links:
             raise RuntimeError("all HMC links failed; device unreachable")
 
-    def _pick_link(self, arrival: int) -> Link:
+    def _pick_link(self) -> Link:
         """Round-robin across links, skipping ahead to a less-loaded one.
 
         The host interleaves packets over all lanes; pure min-ready
@@ -245,61 +251,22 @@ class HMCDevice:
         Round-robin spreads request *and* response serialization load.
         In degraded mode (fault injection) dead links are skipped.
         """
-        n = len(self.links)
-        if self.injector is not None and any(link.failed for link in self.links):
-            live = self.live_links
-            if not live:
+        links = self.links
+        if self.injector is not None and any(link.failed for link in links):
+            links = self.live_links
+            if not links:
                 raise RuntimeError("all HMC links failed; device unreachable")
-            start = self._rr_next % len(live)
-            self._rr_next = (self._rr_next + 1) % len(live)
-            best = live[start]
-            best_load = best.request.ready_cycle + best.response.ready_cycle
-            for i in range(1, len(live)):
-                cand = live[(start + i) % len(live)]
-                load = cand.request.ready_cycle + cand.response.ready_cycle
-                if load + 64 < best_load:
-                    best, best_load = cand, load
-            return best
-        start = self._rr_next
+        n = len(links)
+        start = self._rr_next % n
         self._rr_next = (start + 1) % n
-        best = self.links[start]
+        best = links[start]
         best_load = best.request.ready_cycle + best.response.ready_cycle
-        for i in range(1, n):
-            cand = self.links[(start + i) % n]
+        for i in range(start + 1, start + n):
+            cand = links[i % n]
             load = cand.request.ready_cycle + cand.response.ready_cycle
             if load + 64 < best_load:  # switch only on clear imbalance
                 best, best_load = cand, load
         return best
-
-    def _record(
-        self,
-        request: CoalescedRequest,
-        wire: WirePacket,
-        arrival: int,
-        complete: int,
-        conflicts_delta: int,
-        row_hits_delta: int = 0,
-        row_misses_delta: int = 0,
-        activations_delta: int = 1,
-    ) -> None:
-        st = self.stats
-        st.record(arrival, complete, request.size, conflicts_delta)
-        st.wire_flits += wire.total_flits
-        if self._closed_page:
-            # Legacy accounting: one activation command per packet
-            # (fault re-reads re-activate the bank but are not re-sent
-            # by the host) — kept bit-identical to the pre-NoC model.
-            st.activations += 1
-        else:
-            st.activations += activations_delta
-        st.row_hits += row_hits_delta
-        st.row_misses += row_misses_delta
-        if wire.command is HMCCommand.RD:
-            st.reads += 1
-        elif wire.command is HMCCommand.WR:
-            st.writes += 1
-        else:
-            st.atomics += 1
 
     # -- quiescence skipping --------------------------------------------------
 

@@ -192,7 +192,8 @@ class LinkChannel:
             raise ValueError("packets carry at least one FLIT")
         if self.retry is not None:
             return self._transmit_reliable(arrival, nflits)
-        start = max(arrival, self.ready_cycle)
+        ready = self.ready_cycle
+        start = arrival if arrival > ready else ready
         ser = nflits * self.timing.cycles_per_flit
         self.ready_cycle = start + ser
         self.flits += nflits

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
@@ -26,17 +26,12 @@ class HMCCommand(enum.Enum):
     WR = "write"
     ATOMIC = "atomic"
 
-    @classmethod
-    def for_request(cls, req: CoalescedRequest) -> "HMCCommand":
-        if req.rtype is RequestType.STORE:
-            return cls.WR
-        if req.rtype is RequestType.ATOMIC:
-            return cls.ATOMIC
-        return cls.RD
+
+#: Command of each request type; every other type reads.
+_COMMANDS = {RequestType.STORE: HMCCommand.WR, RequestType.ATOMIC: HMCCommand.ATOMIC}
 
 
-@dataclass(frozen=True, slots=True)
-class WirePacket:
+class WirePacket(NamedTuple):
     """FLIT-level accounting of one request/response exchange."""
 
     command: HMCCommand
@@ -67,9 +62,9 @@ class AddressMap:
 
     Holds the shifts and masks of :meth:`HMCConfig.vault_of`,
     :meth:`~HMCConfig.bank_of` and :meth:`~HMCConfig.dram_row_of` (the
-    reference definitions) as plain ints, plus a per-(size, is_write)
-    cache of the FLIT and column counts the config computes.  A device
-    builds one at construction and hands it to every :func:`encode`.
+    reference definitions) as plain ints, plus a per-(size, type) cache
+    of packet shapes.  A device builds one at construction and hands it
+    to every :func:`encode`.
     """
 
     flit_bytes: int
@@ -83,8 +78,10 @@ class AddressMap:
     bank_bits: int
     bank_mask: int
     dram_row_shift: int
-    #: ``(size, is_write) -> (request_flits, response_flits, columns)``.
-    counts: dict = field(default_factory=dict, compare=False, repr=False)
+    config: HMCConfig = field(compare=False, repr=False)
+    #: ``(size, rtype) -> (command, request_flits, response_flits,
+    #: columns)``, filled by :meth:`shape_of`.
+    shapes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, config: HMCConfig) -> "AddressMap":
@@ -102,7 +99,34 @@ class AddressMap:
             bank_bits=config.bank_bits,
             bank_mask=config.banks_per_vault - 1,
             dram_row_shift=bank_shift + config.bank_bits,
+            config=config,
         )
+
+    def shape_of(self, size: int, rtype: RequestType) -> tuple:
+        """Check a ``size``-byte ``rtype`` packet and cache its shape.
+
+        The size checks depend on nothing else, so they run once per
+        shape; a size that fails them raises and is never cached.
+        """
+        if size < self.min_request_bytes and rtype is not RequestType.ATOMIC:
+            # HMC accepts 16 B as its smallest transaction; the MAC's
+            # bypass packets are exactly that.
+            if size != self.flit_bytes:
+                raise ValueError(f"unsupported request size {size}")
+        if size > self.max_request_bytes:
+            raise ValueError(
+                f"request of {size} B exceeds protocol max {self.max_request_bytes} B"
+            )
+        cmd = _COMMANDS.get(rtype, HMCCommand.RD)
+        is_write = cmd is HMCCommand.WR
+        cfg = self.config
+        shape = self.shapes[size, rtype] = (
+            cmd,
+            cfg.request_flits(size, is_write),
+            cfg.response_flits(size, is_write),
+            cfg.columns(size),
+        )
+        return shape
 
 
 def encode(
@@ -115,41 +139,24 @@ def encode(
     """
     if amap is None:
         amap = AddressMap.of(config)
-    addr, size, rtype = req.addr, req.size, req.rtype
-    if size < amap.min_request_bytes and rtype is not RequestType.ATOMIC:
-        # HMC accepts 16 B as its smallest transaction; the MAC's bypass
-        # packets are exactly that.
-        if size != amap.flit_bytes:
-            raise ValueError(f"unsupported request size {size}")
-    if size > amap.max_request_bytes:
-        raise ValueError(
-            f"request of {size} B exceeds protocol max {amap.max_request_bytes} B"
-        )
+    addr, size = req.addr, req.size
+    shape = amap.shapes.get((size, req.rtype)) or amap.shape_of(size, req.rtype)
     if addr % amap.flit_bytes:
         raise ValueError("requests must be FLIT aligned")
     if (addr & (amap.row_bytes - 1)) + size > amap.row_bytes:
         raise ValueError("request crosses a DRAM row boundary")
-    cmd = HMCCommand.for_request(req)
-    is_write = cmd is HMCCommand.WR
-    counts = amap.counts.get((size, is_write))
-    if counts is None:
-        counts = amap.counts[size, is_write] = (
-            config.request_flits(size, is_write),
-            config.response_flits(size, is_write),
-            config.columns(size),
-        )
     row = addr >> amap.row_shift
     vb = amap.vault_bits
     upper = addr >> amap.bank_shift
     return WirePacket(
-        command=cmd,
-        payload_bytes=size,
-        request_flits=counts[0],
-        response_flits=counts[1],
-        vault=(row ^ (row >> vb) ^ (row >> (2 * vb))) & amap.vault_mask,
-        bank=(upper ^ (upper >> amap.bank_bits)) & amap.bank_mask,
-        dram_row=addr >> amap.dram_row_shift,
-        columns=counts[2],
+        shape[0],
+        size,
+        shape[1],
+        shape[2],
+        (row ^ (row >> vb) ^ (row >> (2 * vb))) & amap.vault_mask,
+        (upper ^ (upper >> amap.bank_bits)) & amap.bank_mask,
+        addr >> amap.dram_row_shift,
+        shape[3],
     )
 
 

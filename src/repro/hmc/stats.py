@@ -61,7 +61,8 @@ class HMCStats(StatsMixin):
         self.latency_hist.add(lat)
         self.size_histogram[size] = self.size_histogram.get(size, 0) + 1
         self.bank_conflicts += conflicts_delta
-        self.last_completion = max(self.last_completion, completion)
+        if completion > self.last_completion:
+            self.last_completion = completion
         if self.first_arrival < 0 or arrival < self.first_arrival:
             self.first_arrival = arrival
 

@@ -71,11 +71,11 @@ class Vault:
         else:
             st.reads += 1
 
-        start = max(arrival, self.frontend_ready)
+        ready = self.frontend_ready
+        start = arrival if arrival > ready else ready
         st.queue_wait_cycles += start - arrival
-        self.frontend_ready = start + self.timing.vault_processing
         dispatched = start + self.timing.vault_processing
-        self.last_dispatched = dispatched
+        self.frontend_ready = self.last_dispatched = dispatched
 
         bank = self.banks[bank_idx]
         conflicts_before = bank.conflicts
