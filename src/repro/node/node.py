@@ -269,12 +269,22 @@ class Node(ClockedModel):
         active = self._core_active
         cores = self.cores
         submit = self.mac.submit
+        node_id = self.node_id
         for idx in range(self._wheel_size):
             if not active[idx]:
                 continue
             core = cores[idx]
             req = core.tick(cycle)
             if req is not None:
+                if req.node != node_id and not req.is_fence:
+                    # Its completion would be routed to ``req.node``; in a
+                    # single node nothing ever collects it.  Fences get
+                    # no completion.
+                    raise ValueError(
+                        f"node {node_id} issued a request stamped "
+                        f"node={req.node}: a core's requests must carry "
+                        f"their node's id in the node field"
+                    )
                 if submit(req):
                     self.stats.requests_issued += 1
                     if not req.is_fence:

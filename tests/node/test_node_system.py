@@ -51,6 +51,16 @@ class TestNode:
         st_raw = raw.run()
         assert st.bank_conflicts < st_raw.bank_conflicts
 
+    def test_request_stamped_with_another_node_rejected(self):
+        """A single node never collects completions routed to another
+        node, so a mis-stamped request would park its core for good."""
+        node = Node([stream(0, n=20, node=1)])
+        with pytest.raises(
+            ValueError, match="node 0 issued a request stamped node=1: .* node field"
+        ):
+            node.run()
+        assert node.pending_remote == []
+
     def test_requests_get_latencies(self):
         node = Node([stream(0, n=20)])
         node.run()
@@ -129,7 +139,7 @@ class TestNUMASystem:
             interleave_bytes=1 << 9,
         )
         # Serial: a shard worker would wrap the ValueError in a ShardError.
-        with pytest.raises(ValueError, match="node 1 issued a remote request stamped node=0"):
+        with pytest.raises(ValueError, match="node 1 issued a request stamped node=0"):
             sys2.run(shards=1)
 
 
