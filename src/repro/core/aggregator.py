@@ -104,7 +104,7 @@ class RawRequestAggregator:
             elif head.bypass:
                 entry = self.arq.pop()
                 assert entry is not None
-                out.append(bypass_packet(entry, self.codec, self.config, cycle))
+                out.append(bypass_packet(entry.requests, self.codec, self.config, cycle))
                 self._next_pop = cycle + self._pop_interval
                 if tr.enabled:
                     tr.emit(

@@ -419,8 +419,3 @@ class AggregatedRequestQueue:
     def skip_to(self, target: int) -> None:
         """No per-cycle state: skipping an empty ARQ is a no-op."""
 
-    # -- introspection ------------------------------------------------------
-
-    def pending_targets(self) -> int:
-        """Total raw requests currently buffered."""
-        return sum(e.target_count for e in self._entries)

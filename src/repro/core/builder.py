@@ -35,12 +35,14 @@ def emit_row(
     requests: List[MemoryRequest],
     cycle: int = 0,
     bypassed: bool = False,
+    rtype: Optional[RequestType] = None,
 ) -> List[CoalescedRequest]:
     """Assemble the packets of one ARQ row from plain fields.
 
     The one copy of the row-address and segment-split math, shared by
     the pipelined builder, :func:`bypass_packet` and the window engine.
-    ``key`` is the ARQ comparator key (row number + T bit); each request
+    ``key`` is the ARQ comparator key (row number + T bit); the packets
+    take the key's type unless ``rtype`` names one.  Each request
     goes to the packet whose FLIT range holds its FLIT id (address bits
     ``row_mask >> flit_shift``).  A single-packet plan covers every
     request, so that packet takes ``requests`` whole: callers hand the
@@ -48,7 +50,8 @@ def emit_row(
     """
     store_bit = codec.store_bit
     row_base = (key & (store_bit - 1)) << codec.row_shift
-    rtype = RequestType.STORE if key & store_bit else RequestType.LOAD
+    if rtype is None:
+        rtype = RequestType.STORE if key & store_bit else RequestType.LOAD
     if len(segments) == 1:
         offset, size, _, _ = segments[0]
         return [
@@ -218,30 +221,29 @@ class RequestBuilder:
 
 
 def bypass_packet(
-    entry: ARQEntry, codec: AddressCodec, config: MACConfig, cycle: int = 0
+    requests: List[MemoryRequest],
+    codec: AddressCodec,
+    config: MACConfig,
+    cycle: int = 0,
 ) -> CoalescedRequest:
-    """Build the single-FLIT packet for a B-bit (bypass) entry.
+    """Build the single-FLIT packet of a B-bit (bypass) row or an atomic.
 
-    Bypass entries skip the builder and go straight to the device as
+    Bypass rows skip the builder and go straight to the device as
     minimum-granularity (16 B) transactions (section 4.1.2).  Atomics
-    likewise travel as single uncoalesced packets; they carry no row
-    key, so their address comes from the request itself.
+    likewise travel as single uncoalesced packets.  ``requests`` holds
+    the row's one raw request, whose address and type the packet takes.
     """
-    if entry.fence:
+    req = requests[0]
+    if req.rtype is RequestType.FENCE:
         raise ValueError("fences produce no memory packet")
-    requests = entry.requests
-    addr = requests[0].addr
+    addr = req.addr
     flit = (addr & codec.row_mask) >> codec.flit_shift
-    fb = config.flit_bytes
-    if entry.atomic:
-        return CoalescedRequest(
-            codec.row_base(addr) + flit * fb,
-            fb,
-            RequestType.ATOMIC,
-            requests,
-            True,
-            cycle,
-        )
     return emit_row(
-        codec, entry.key, flit_segments(flit, fb), requests, cycle, True
+        codec,
+        addr >> codec.row_shift,
+        flit_segments(flit, config.flit_bytes),
+        requests,
+        cycle,
+        True,
+        req.rtype,
     )[0]

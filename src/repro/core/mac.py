@@ -21,7 +21,6 @@ from ..obs.observers import NO_OBSERVERS, Observers
 from ..sim import ClockedModel, register_wake_protocol
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
-from .arq import ARQEntry
 from .builder import RequestBuilder, bypass_packet, emit_row
 from .config import MACConfig
 from .flit_table import FlitTablePolicy, group_or
@@ -445,11 +444,7 @@ def coalesce_trace_fast(
         if len(requests) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
             if key < 0:
-                pkt = bypass_packet(
-                    ARQEntry(-1, bits, bypass=True, atomic=True, requests=requests),
-                    codec,
-                    cfg,
-                )
+                pkt = bypass_packet(requests, codec, cfg)
             else:
                 pkt = emit_row(
                     codec, key, bypass_segments[bits.bit_length() - 1],

@@ -80,7 +80,7 @@ class TestCapacity:
         arq.push(req(0x100))
         arq.push(req(0x200))
         assert arq.push(req(0x110))
-        assert arq.pending_targets() == 3
+        assert sum(e.target_count for e in arq.entries()) == 3
 
     def test_target_capacity_limits_merges(self):
         """Section 5.3.3: a 64 B entry holds at most 12 targets."""
@@ -117,7 +117,7 @@ class TestFences:
         arq.pop()  # fence
         assert arq.comparators_enabled
         arq.push(req(0xB10, tag=3))
-        assert arq.pending_targets() == 2
+        assert sum(e.target_count for e in arq.entries()) == 2
         assert len(arq) == 1
 
     def test_fence_in_full_queue_rejected(self):
@@ -244,7 +244,7 @@ class TestLatencyHiding:
             arq.push(req(0x100 * (i + 1), tag=i))
         # Budget exhausted and queue full: this merges.
         arq.push(req(0x110, tag=9))
-        assert arq.pending_targets() == 5
+        assert sum(e.target_count for e in arq.entries()) == 5
         assert len(arq) == 4
 
 

@@ -127,24 +127,25 @@ class TestWindowEngine:
                 flit_addr = r.addr & ~0xF
                 assert pkt.covers(flit_addr)
 
-    def test_no_entry_objects_for_load_store_rows(self, monkeypatch):
-        """Open rows are plain slots: no ARQEntry per row."""
-        import repro.core.mac as mac_mod
+    def test_no_entry_objects_for_any_row(self, monkeypatch):
+        """Open rows are plain slots and atomics go straight to
+        ``bypass_packet``: the window engine builds no ARQEntry."""
+        from repro.core.arq import ARQEntry
 
         built = []
+        init = ARQEntry.__init__
 
-        def counting(cls):
-            def make(*args, **kwargs):
-                built.append(cls.__name__)
-                return cls(*args, **kwargs)
-            return make
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(mac_mod, "ARQEntry", counting(mac_mod.ARQEntry))
+        monkeypatch.setattr(ARQEntry, "__init__", counting)
         trace = random_trace(1500, 30, seed=5, fence_frac=0.01)
+        trace.append(MemoryRequest(addr=0xA10, rtype=RequestType.ATOMIC))
         assert coalesce_trace_fast(trace)
         assert built == []
-        coalesce_trace_fast([MemoryRequest(addr=0xA10, rtype=RequestType.ATOMIC)])
-        assert built == ["ARQEntry"]
+        ARQEntry(key=0, bits=1)
+        assert built == ["ARQEntry"]  # the counter sees construction
 
     def test_fence_drains_window(self):
         trace = [load(0xA00, tag=1),
