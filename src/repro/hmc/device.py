@@ -40,7 +40,7 @@ from repro.sim import register_wake_protocol
 from .config import HMCConfig
 from .link import Link, LinkFailedError
 from .noc import build_noc
-from .packet import AddressMap, HMCCommand, encode
+from .packet import AddressMap, HMCCommand
 from .stats import HMCStats
 from .vault import Vault
 
@@ -99,9 +99,12 @@ class HMCDevice:
         if arrival < self._last_arrival:
             raise ValueError("requests must be submitted in arrival order")
         self._last_arrival = arrival
-        cmd, size, request_flits, response_flits, v, b, dram_row, columns = encode(
-            request, self.config, self.address_map
-        )
+        amap = self.address_map
+        size, rtype = request.size, request.rtype
+        cmd, request_flits, response_flits, columns = amap.shapes.get(
+            (size, rtype)
+        ) or amap.shape_of(size, rtype)
+        v, b, dram_row = amap.place(request.addr, size)
         is_write = cmd is HMCCommand.WR
         injector = self.injector
         noc = self.noc
@@ -259,10 +262,10 @@ class HMCDevice:
         n = len(links)
         start = self._rr_next % n
         self._rr_next = (start + 1) % n
-        best = links[start]
+        order = links[start:] + links[:start]
+        best = order[0]
         best_load = best.request.ready_cycle + best.response.ready_cycle
-        for i in range(start + 1, start + n):
-            cand = links[i % n]
+        for cand in order[1:]:
             load = cand.request.ready_cycle + cand.response.ready_cycle
             if load + 64 < best_load:  # switch only on clear imbalance
                 best, best_load = cand, load

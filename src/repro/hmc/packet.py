@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
@@ -58,13 +58,14 @@ class WirePacket(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class AddressMap:
-    """One cube's address map and packet geometry, frozen for :func:`encode`.
+    """One cube's address map and packet geometry, frozen.
 
     Holds the shifts and masks of :meth:`HMCConfig.vault_of`,
     :meth:`~HMCConfig.bank_of` and :meth:`~HMCConfig.dram_row_of` (the
     reference definitions) as plain ints, plus a per-(size, type) cache
-    of packet shapes.  A device builds one at construction and hands it
-    to every :func:`encode`.
+    of packet shapes.  A device builds one at construction; its
+    ``submit`` and :func:`encode` read packets through :meth:`shape_of`
+    and :meth:`place`.
     """
 
     flit_bytes: int
@@ -100,6 +101,25 @@ class AddressMap:
             bank_mask=config.banks_per_vault - 1,
             dram_row_shift=bank_shift + config.bank_bits,
             config=config,
+        )
+
+    def place(self, addr: int, size: int) -> Tuple[int, int, int]:
+        """``(vault, bank, dram_row)`` of a ``size``-byte packet at ``addr``.
+
+        Runs the address checks every packet needs: FLIT alignment and
+        staying inside one DRAM row.
+        """
+        if addr % self.flit_bytes:
+            raise ValueError("requests must be FLIT aligned")
+        if (addr & (self.row_bytes - 1)) + size > self.row_bytes:
+            raise ValueError("request crosses a DRAM row boundary")
+        row = addr >> self.row_shift
+        vb = self.vault_bits
+        upper = addr >> self.bank_shift
+        return (
+            (row ^ (row >> vb) ^ (row >> (2 * vb))) & self.vault_mask,
+            (upper ^ (upper >> self.bank_bits)) & self.bank_mask,
+            addr >> self.dram_row_shift,
         )
 
     def shape_of(self, size: int, rtype: RequestType) -> tuple:
@@ -139,24 +159,12 @@ def encode(
     """
     if amap is None:
         amap = AddressMap.of(config)
-    addr, size = req.addr, req.size
-    shape = amap.shapes.get((size, req.rtype)) or amap.shape_of(size, req.rtype)
-    if addr % amap.flit_bytes:
-        raise ValueError("requests must be FLIT aligned")
-    if (addr & (amap.row_bytes - 1)) + size > amap.row_bytes:
-        raise ValueError("request crosses a DRAM row boundary")
-    row = addr >> amap.row_shift
-    vb = amap.vault_bits
-    upper = addr >> amap.bank_shift
+    size, rtype = req.size, req.rtype
+    cmd, request_flits, response_flits, columns = amap.shapes.get(
+        (size, rtype)
+    ) or amap.shape_of(size, rtype)
     return WirePacket(
-        shape[0],
-        size,
-        shape[1],
-        shape[2],
-        (row ^ (row >> vb) ^ (row >> (2 * vb))) & amap.vault_mask,
-        (upper ^ (upper >> amap.bank_bits)) & amap.bank_mask,
-        addr >> amap.dram_row_shift,
-        shape[3],
+        cmd, size, request_flits, response_flits, *amap.place(req.addr, size), columns
     )
 
 

@@ -78,7 +78,6 @@ class Vault:
         self.frontend_ready = self.last_dispatched = dispatched
 
         bank = self.banks[bank_idx]
-        conflicts_before = bank.conflicts
         at = self.attrib
         if at.enabled:
             if start > arrival:
@@ -108,7 +107,7 @@ class Vault:
                 vault=self.index, bank=bank_idx, row=dram_row,
                 write=is_write,
             )
-            if bank.conflicts > conflicts_before:
+            if bank.last_start > dispatched:  # the bank was busy
                 self.tracer.emit(
                     "vault", "conflict", dispatched,
                     vault=self.index, bank=bank_idx, row=dram_row,

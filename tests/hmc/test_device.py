@@ -5,6 +5,7 @@ import pytest
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
 from repro.hmc.device import HMCDevice
+from repro.hmc.packet import encode
 
 
 def read(addr, size=16):
@@ -95,6 +96,18 @@ class TestRouting:
             dev.submit(read((i * 37 % 512) << 8), i)
         used = [link for link in dev.links if link.request.packets > 0]
         assert len(used) == len(dev.links)
+
+    @pytest.mark.parametrize("rtype", [RequestType.LOAD, RequestType.STORE])
+    @pytest.mark.parametrize("addr,size", [(0x0, 16), (0xABCD40, 64), (0x7F3100, 256)])
+    def test_served_where_encode_places_it(self, addr, size, rtype):
+        """``submit`` reads the same address map as ``encode``."""
+        dev = HMCDevice()
+        pkt = CoalescedRequest(addr=addr, size=size, rtype=rtype)
+        w = encode(pkt, dev.config, dev.address_map)
+        dev.submit(pkt, 0)
+        bank = dev.vaults[w.vault].banks[w.bank]
+        assert (bank.accesses, bank.last_row) == (1, w.dram_row)
+        assert dev.stats.wire_flits == w.total_flits
 
     def test_reads_and_writes_counted(self):
         dev = HMCDevice()
