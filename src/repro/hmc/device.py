@@ -116,7 +116,7 @@ class HMCDevice:
             link = self._pick_link()
             at_device = link.request.transmit(arrival, request_flits)
         else:
-            link, at_device = self._transmit_request(request_flits, arrival)
+            link, at_device = self._transmit_request(arrival, request_flits)
         at_vault = noc.to_vault(at_device, v, link.index, request_flits)
 
         # Vault + bank service, with transient-error re-reads.
@@ -213,8 +213,8 @@ class HMCDevice:
 
     # -- internals ---------------------------------------------------------------
 
-    def _transmit_request(self, flits: int, arrival: int):
-        """Send the request packet, steering around dead links."""
+    def _transmit_request(self, arrival: int, flits: int):
+        """Send the request packet, steering around dead links (faults on)."""
         link = self._pick_link()
         while True:
             try:
@@ -225,7 +225,7 @@ class HMCDevice:
                 link = self._pick_link()
 
     def _transmit_response(self, link: Link, flits: int, at_link: int) -> int:
-        """Send the response packet, steering around dead links."""
+        """Send the response packet, steering around dead links (faults on)."""
         # Prefer the request's own link; the crossbar can hand the
         # response to any surviving link's response channel.
         candidates = [link] + [other for other in self.links if other is not link]
