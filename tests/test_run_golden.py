@@ -100,6 +100,18 @@ CASES: Dict[str, Callable[[], dict]] = {
         "run", "GUPS", "--nodes", "4", "--threads", "2", "--ops", "100",
         "--noc-topology", "ring", "--page-policy", "adaptive",
     ),
+    # A 4-node mesh under load: fabric credit stalls and Remote Access
+    # Queue backpressure both happen (58 and 158 stalls).
+    "run-IS-nodes4-lat7-il256": _cli(
+        "run", "IS", "--nodes", "4", "--threads", "2", "--ops", "200",
+        "--interconnect-latency", "7", "--interleave-bytes", "256",
+    ),
+    # The zero-latency fabric, and the attribution keys, which depend on
+    # the order in which nodes replay their shared ARQ depth samples.
+    "run-GUPS-nodes3-lat0-attrib": _cli(
+        "run", "GUPS", "--nodes", "3", "--threads", "2", "--ops", "150",
+        "--interconnect-latency", "0", "--attribution",
+    ),
 }
 
 
