@@ -196,21 +196,6 @@ class HMCDevice:
             return None
         return CoalescedResponse(request, complete, complete - arrival, poisoned)
 
-    def submit_stream(
-        self, requests: List[CoalescedRequest]
-    ) -> List[CoalescedResponse]:
-        """Serve a list of requests at their ``issue_cycle`` stamps.
-
-        Dropped responses (fault injection) are omitted from the result.
-        """
-        ordered = sorted(requests, key=lambda r: r.issue_cycle)
-        out = []
-        for r in ordered:
-            resp = self.submit(r, r.issue_cycle)
-            if resp is not None:
-                out.append(resp)
-        return out
-
     # -- internals ---------------------------------------------------------------
 
     def _transmit_request(self, arrival: int, flits: int):

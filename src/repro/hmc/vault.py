@@ -24,8 +24,6 @@ from .timing import HMCTiming
 @dataclass(slots=True)
 class VaultStats(StatsMixin):
     requests: int = 0
-    reads: int = 0
-    writes: int = 0
     queue_wait_cycles: int = 0
     service_cycles: int = 0
 
@@ -66,10 +64,6 @@ class Vault:
             raise ValueError(f"bank {bank_idx} out of range")
         st = self.stats
         st.requests += 1
-        if is_write:
-            st.writes += 1
-        else:
-            st.reads += 1
 
         ready = self.frontend_ready
         start = arrival if arrival > ready else ready

@@ -73,6 +73,8 @@ class Interconnect:
         self._src_seq: Dict[int, int] = {}
         #: dst -> admitted payloads awaiting the consumer.
         self._channels: Dict[int, Deque[Any]] = {}
+        #: Payloads admitted to a channel and not yet popped.
+        self._queued = 0
         #: dst -> hops that arrived but found no credit (admission order).
         self._stalled: Dict[int, Deque[Any]] = {}
         #: dst -> credits remaining (lazily initialised to capacity).
@@ -113,6 +115,7 @@ class Interconnect:
 
     def _admit(self, dst: int, payload: Any) -> None:
         self._credits[dst] -= 1
+        self._queued += 1
         self._channels.setdefault(dst, deque()).append(payload)
 
     def pump(self, cycle: int) -> None:
@@ -124,17 +127,21 @@ class Interconnect:
         stalling each.  Stalled hops always precede same-destination
         arrivals of a later pump — channel admission is FIFO per dst.
         """
-        returned = set()
-        while self._credit_returns and self._credit_returns[0][0] <= cycle:
-            _, dst = heapq.heappop(self._credit_returns)
-            self._credits[dst] = self._credit(dst) + 1
-            returned.add(dst)
-        for dst in sorted(returned):
-            stalled = self._stalled.get(dst)
-            while stalled and self._credits[dst] > 0:
-                self._admit(dst, stalled.popleft())
-        while self._wire and self._wire[0].deliver_cycle <= cycle:
-            hop = heapq.heappop(self._wire)
+        returns, wire = self._credit_returns, self._wire
+        if returns and returns[0][0] <= cycle:
+            returned = set()
+            while returns and returns[0][0] <= cycle:
+                _, dst = heapq.heappop(returns)
+                self._credits[dst] = self._credit(dst) + 1
+                returned.add(dst)
+            for dst in sorted(returned):
+                stalled = self._stalled.get(dst)
+                while stalled and self._credits[dst] > 0:
+                    self._admit(dst, stalled.popleft())
+                if stalled is not None and not stalled:
+                    del self._stalled[dst]  # keep only non-empty queues
+        while wire and wire[0].deliver_cycle <= cycle:
+            hop = heapq.heappop(wire)
             dst = hop.dst
             stalled = self._stalled.get(dst)
             if stalled or self._credit(dst) <= 0:
@@ -147,6 +154,8 @@ class Interconnect:
 
     def ready_dsts(self) -> List[int]:
         """Destinations with a non-empty channel, in ascending id order."""
+        if not self._queued:
+            return []
         return sorted(d for d, q in self._channels.items() if q)
 
     def peek(self, dst: int) -> Optional[Any]:
@@ -156,6 +165,7 @@ class Interconnect:
     def pop(self, dst: int, cycle: int) -> Any:
         """Consume the head of ``dst``'s channel; credit returns next cycle."""
         payload = self._channels[dst].popleft()
+        self._queued -= 1
         heapq.heappush(self._credit_returns, (cycle + 1, dst))
         return payload
 
@@ -202,7 +212,7 @@ class Interconnect:
         return (
             len(self._wire)
             + len(self.exports)
-            + sum(len(q) for q in self._channels.values())
+            + self._queued
             + sum(len(q) for q in self._stalled.values())
         )
 
@@ -226,11 +236,10 @@ class Interconnect:
         the wire head's delivery cycle — including one landing exactly
         on a skip target, which must be delivered, not swallowed.
         """
-        for q in self._channels.values():
-            if q:
-                return now
+        if self._queued:
+            return now
         wake: Optional[int] = None
-        if any(self._stalled.values()):
+        if self._stalled:
             # Channels empty + hops stalled => every consumed credit is
             # queued for return; the earliest return is the wake.
             wake = self._credit_returns[0][0] if self._credit_returns else now

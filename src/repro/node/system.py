@@ -20,6 +20,7 @@ other shards and the PDES runner routes them at window barriers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
@@ -124,6 +125,9 @@ class NUMASystem(ClockedModel):
         self.fabric = Interconnect(interconnect_latency, channel_capacity)
         self.stats = SystemStats()
         self._cycle = 0
+        #: Per-node wake table: the cycle each node next acts on its own
+        #: (``inf`` = it waits on a fabric delivery).  0 = due at once.
+        self._wakes: List[float] = [0] * n
         #: Node ids simulated by this process (a subset under PDES).
         self._local_ids: List[int] = list(range(n))
         #: Filled by a sharded run (see :class:`repro.sim.pdes.ShardReport`).
@@ -137,6 +141,7 @@ class NUMASystem(ClockedModel):
         for the window barrier.
         """
         self._local_ids = sorted(local_ids)
+        self._wakes = [0 if i in local_ids else inf for i in range(len(self.nodes))]
         self.fabric.restrict(self._local_ids)
 
     def done(self) -> bool:
@@ -146,7 +151,13 @@ class NUMASystem(ClockedModel):
         )
 
     def tick(self) -> None:
+        """One mesh cycle: fabric arrivals, then every node whose cached wake
+        is due or that the fabric delivered to, caught up to ``cycle`` first."""
         cycle = self._cycle
+        at = self.attrib
+        stats = self.stats
+        fabric = self.fabric
+        wakes = self._wakes
 
         # Fabric arrivals: pump credit/admission state, then drain each
         # ready channel — raw requests into remote queues, completed raw
@@ -154,18 +165,18 @@ class NUMASystem(ClockedModel):
         # Queue head-of-line blocks its channel (the hop keeps its slot
         # and retries next cycle) instead of bouncing across the fabric:
         # flow control stays local and deterministic.
-        at = self.attrib
-        fabric = self.fabric
         fabric.pump(cycle)
         for dst in fabric.ready_dsts():
             node = self.nodes[dst]
+            node.skip_to(cycle)
+            wakes[dst] = cycle
             while True:
                 payload = fabric.peek(dst)
                 if payload is None:
                     break
                 if payload.node != dst:  # a remote request at its home
                     if not node.mac.submit_remote(payload):
-                        self.stats.remote_backpressure_stalls += 1
+                        stats.remote_backpressure_stalls += 1
                         if at.enabled:
                             at.stall_span(
                                 "fabric",
@@ -178,7 +189,7 @@ class NUMASystem(ClockedModel):
                 else:  # a completed raw request back at its issuer
                     raw = fabric.pop(dst, cycle)
                     if node.deliver_completion(raw, cycle):
-                        self.stats.responses += 1
+                        stats.responses += 1
                         if at.enabled:
                             m = raw.marks
                             if m is None:
@@ -186,59 +197,57 @@ class NUMASystem(ClockedModel):
                             m["deliver"] = cycle
                             at.finalize(raw)
                     else:
-                        self.stats.duplicate_remote_drops += 1
+                        stats.duplicate_remote_drops += 1
 
-        # Per-node progress, with remote routing.
+        # Per-node progress, with remote routing.  All nodes feed one
+        # attribution sampler their ARQ depth every 64th cycle: tick them
+        # all then, so the samples arrive in node order.
+        sample = at.enabled and not cycle & 63
         for idx in self._local_ids:
+            if wakes[idx] > cycle and not sample:
+                continue
             node = self.nodes[idx]
+            if node._cycle != cycle:
+                node.skip_to(cycle)
             node.tick()
-            # Outbound remote raw requests.
+            # Outbound remote raw requests, then responses for remote
+            # requesters (collected by node.tick).
+            router = node.mac.request_router
             while True:
-                req = node.mac.request_router.next_outbound()
+                req = router.next_outbound()
                 if req is None:
                     break
-                self.stats.remote_requests += 1
-                self.fabric.send(cycle, self.home(req.addr), req, src=idx)
-            # Responses for remote requesters (collected by node.tick).
+                stats.remote_requests += 1
+                fabric.send(cycle, self.home(req.addr), req, idx)
             for raw in node.pending_remote:
-                self.fabric.send(cycle, raw.node, raw, src=idx)
+                fabric.send(cycle, raw.node, raw, idx)
             node.pending_remote.clear()
+            wake = node.next_event_cycle(cycle + 1)
+            wakes[idx] = inf if wake is None else wake
 
-        self._cycle += 1
+        self._cycle = cycle + 1
 
     # -- quiescence skipping -------------------------------------------------
 
     def next_event_cycle(self, now: int) -> Optional[int]:
-        """Earliest cycle >= ``now`` at which any part of the mesh acts.
-
-        Wake sources: the fabric's earliest delivery and every node's own
-        schedule.  Undrained outbound-remote traffic (possible only if a
-        caller ticks a node outside :meth:`tick`) pins the system to
-        lockstep rather than risking a missed send.
-        """
-        wake = self.fabric.next_event_cycle(now)
-        if wake is not None and wake <= now:
-            return now
-        for idx in self._local_ids:
-            node = self.nodes[idx]
-            if not node.mac.request_router.global_queue.empty:
-                return now
-            w = node.next_event_cycle(now)
-            if w is None:
-                continue
-            if w <= now:
-                return now
-            if wake is None or w < wake:
-                wake = w
-        return wake
+        """Earliest cycle >= ``now`` at which the fabric or any cached node wake
+        acts (with attribution on, at latest the next depth-sampling cycle)."""
+        wake = min(self._wakes)
+        fabric_wake = self.fabric.next_event_cycle(now)
+        if fabric_wake is not None and fabric_wake < wake:
+            wake = fabric_wake
+        if wake == inf:
+            return None
+        if self.attrib.enabled:
+            wake = min(wake, (now + 63) & ~63)
+        return wake if wake > now else now
 
     def skip_to(self, target: int) -> None:
-        """Fast-forward the whole mesh over a proven-quiescent span."""
-        if target <= self._cycle:
-            return
+        """Settle every local node at ``target`` — even at the mesh's own
+        cycle, as nodes lag it between their ticks — and move the mesh."""
         for idx in self._local_ids:
             self.nodes[idx].skip_to(target)
-        self._cycle = target
+        self._cycle = max(self._cycle, target)
 
     # -- robustness introspection (see repro.sim.watchdog) -------------------
 
@@ -252,6 +261,7 @@ class NUMASystem(ClockedModel):
 
     def hang_snapshot(self) -> dict:
         """Diagnostic state attached to a :class:`SimulationHang`."""
+        self.skip_to(self._cycle)
         return {
             "cycle": self._cycle,
             "fabric_in_flight": self.fabric.in_flight,
@@ -304,6 +314,7 @@ class NUMASystem(ClockedModel):
         :meth:`repro.node.node.Node.metrics`) appears under
         ``node<id>.*``.
         """
+        self.skip_to(self._cycle)
         out = flatten(self.stats.snapshot(), "system.")
         for node in self.nodes:
             out.update(flatten(node.metrics(), f"node{node.node_id}."))
@@ -399,6 +410,7 @@ class NUMASystem(ClockedModel):
                     )
         if self.shard_report is None:
             self._run_loop(max_cycles, engine=engine)
+        self.skip_to(self._cycle)
         st = self.stats
         st.cycles = self._cycle
         st.local_requests = sum(

@@ -136,14 +136,6 @@ class TestRouting:
 
 
 class TestStreamSubmission:
-    def test_submit_stream_orders_by_issue_cycle(self):
-        dev = HMCDevice()
-        pkts = [read(0x100), read(0x200)]
-        pkts[0].issue_cycle = 50
-        pkts[1].issue_cycle = 10
-        resps = dev.submit_stream(pkts)
-        assert len(resps) == 2
-
     def test_mean_latency_and_makespan(self):
         dev = HMCDevice()
         dev.submit(read(0x100), 10)

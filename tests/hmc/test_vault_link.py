@@ -28,7 +28,7 @@ class TestVault:
         v = Vault(0, HMCConfig())
         v.access(0, 0, 0, 1, is_write=False)
         v.access(0, 1, 0, 1, is_write=True)
-        assert v.stats.reads == 1 and v.stats.writes == 1
+        assert v.stats.requests == 2
         assert v.stats.queue_wait_cycles > 0  # the write waited
 
     def test_aggregates(self):

@@ -128,6 +128,25 @@ class TestNUMASystem:
         with pytest.raises(ValueError):
             NUMASystem([])
 
+    def test_stopped_run_reports_settled_nodes(self):
+        """A node ticks only when it can act and lags the mesh between its
+        ticks; a run stopped mid-way still reports every node settled."""
+        sys3 = NUMASystem(
+            [[stream(0, n=60 if n < 2 else 4, node=n)] for n in range(3)],
+            interconnect_latency=30,
+            interleave_bytes=1 << 9,
+        )
+        with pytest.raises(RuntimeError, match="exceeded max_cycles"):
+            sys3.run(max_cycles=600, shards=1)
+        snap = sys3.hang_snapshot()
+        assert snap["cycle"] == sys3.cycle
+        assert {n: s["cycle"] for n, s in snap["nodes"].items()} == {
+            n: sys3.cycle for n in range(3)
+        }
+        metrics = sys3.metrics()
+        for n in range(3):
+            assert metrics[f"node{n}.mac.total_cycles"] == sys3.cycle
+
     def test_remote_request_stamped_with_another_node_rejected(self):
         """A request carries its issuing node: the fabric sends it home by
         address and its completion back by ``node``."""

@@ -158,6 +158,30 @@ class TestShardEquivalence:
         )
 
 
+class TestNodesSettled:
+    """A node ticks only when it can act, so it lags the mesh in between;
+    a run must still leave every node on the mesh's final cycle."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_node_ends_on_the_system_cycle(self, shards):
+        spec = (3, 2, 24, 16, 7, False)
+        # Node 2 issues two requests and then idles to the end.
+        issued = (24, 24, 2)
+        system = NUMASystem(
+            [
+                [iter(make_requests(spec, n, c)[: issued[n]]) for c in range(2)]
+                for n in range(3)
+            ],
+            interconnect_latency=23,
+            interleave_bytes=256,
+        )
+        system.run(shards=shards)
+        assert (system.shard_report is None) == (shards == 1)
+        for node in system.nodes:
+            assert node.cycle == system.stats.cycles
+            assert node.mac.stats.total_cycles == system.stats.cycles
+
+
 class TestShardResolution:
     def test_env_var_shards_the_run(self, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV_VAR, "2")

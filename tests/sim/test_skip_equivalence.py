@@ -17,6 +17,7 @@ from repro.core.mac import MAC
 from repro.core.request import MemoryRequest, RequestType
 from repro.node.node import Node
 from repro.node.system import NUMASystem
+from repro.obs.observers import NO_OBSERVERS
 
 ENGINES = ("lockstep", "skip")
 
@@ -294,3 +295,62 @@ class TestNUMAEquivalence:
             system.run(engine=engine)
             outcomes[engine] = (system.cycle, system.metrics())
         assert outcomes["skip"] == outcomes["lockstep"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nodes=st.integers(min_value=2, max_value=4),
+        spec=workload_specs.filter(lambda s: s[0] <= 2),
+        latency=st.sampled_from([0, 1, 3, 23]),
+        channel_capacity=st.sampled_from([1, 2, 64]),
+        arq_entries=st.sampled_from([2, 32]),
+        attributed=st.booleans(),
+    )
+    def test_random_meshes(
+        self, nodes, spec, latency, channel_capacity, arq_entries, attributed
+    ):
+        """Skip, lockstep and the every-node oracle agree on any mesh.
+
+        Both engines run the node wake table, so the oracle — every node
+        ticked on every cycle — checks the table itself.  With
+        attribution on, the shared depth sampler must also see the same
+        sequence of values.
+        """
+        from repro.obs import AttributionCollector, Observers
+
+        outcomes = {}
+        for label, cls, engine in (
+            ("skip", NUMASystem, "skip"),
+            ("lockstep", NUMASystem, "lockstep"),
+            ("every node", EveryNodeEveryCycle, "lockstep"),
+        ):
+            attrib = AttributionCollector() if attributed else None
+            system = cls(
+                [
+                    [iter(make_requests(spec, c, node=n)) for c in range(spec[0])]
+                    for n in range(nodes)
+                ],
+                system=SystemConfig(mac=MACConfig(arq_entries=arq_entries)),
+                interconnect_latency=latency,
+                interleave_bytes=256,
+                channel_capacity=channel_capacity,
+                obs=Observers(attrib=attrib) if attributed else NO_OBSERVERS,
+            )
+            system.run(engine=engine, shards=1)
+            outcome = [system.cycle, system.metrics()]
+            if attributed:
+                depth = attrib.depth
+                outcome.append(attrib.snapshot())
+                outcome.append(
+                    {s: [v for _, v in depth.series(s)] for s in depth.sites()}
+                )
+            outcomes[label] = outcome
+        assert outcomes["skip"] == outcomes["lockstep"]
+        assert outcomes["skip"] == outcomes["every node"]
+
+
+class EveryNodeEveryCycle(NUMASystem):
+    """Oracle mesh: every node ticks on every cycle, whatever its wake."""
+
+    def tick(self):
+        self._wakes = [0] * len(self.nodes)
+        super().tick()
