@@ -31,7 +31,7 @@ imported and locally sent hops exactly as the serial heap would.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim import register_wake_protocol
@@ -72,7 +72,7 @@ class Interconnect:
         #: Per-source sequence counters (the deterministic tie-breaker).
         self._src_seq: Dict[int, int] = {}
         #: dst -> admitted payloads awaiting the consumer.
-        self._channels: Dict[int, Deque[Any]] = {}
+        self._channels: Dict[int, Deque[Any]] = defaultdict(deque)
         #: Payloads admitted to a channel and not yet popped.
         self._queued = 0
         #: dst -> hops that arrived but found no credit (admission order).
@@ -116,7 +116,7 @@ class Interconnect:
     def _admit(self, dst: int, payload: Any) -> None:
         self._credits[dst] -= 1
         self._queued += 1
-        self._channels.setdefault(dst, deque()).append(payload)
+        self._channels[dst].append(payload)
 
     def pump(self, cycle: int) -> None:
         """Advance arrival/credit state to ``cycle``.
@@ -132,7 +132,7 @@ class Interconnect:
             returned = set()
             while returns and returns[0][0] <= cycle:
                 _, dst = heapq.heappop(returns)
-                self._credits[dst] = self._credit(dst) + 1
+                self._credits[dst] += 1  # set up when the slot was admitted
                 returned.add(dst)
             for dst in sorted(returned):
                 stalled = self._stalled.get(dst)

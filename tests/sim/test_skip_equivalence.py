@@ -283,6 +283,14 @@ class TestBusyPhaseEquivalence:
         assert skip.metrics() == lock.metrics()
 
 
+class EveryNodeEveryCycle(NUMASystem):
+    """Oracle mesh: every node ticks on every cycle, whatever its wake."""
+
+    def tick(self):
+        self._wakes = [0] * len(self.nodes)
+        super().tick()
+
+
 class TestNUMAEquivalence:
     def test_two_node_remote_traffic(self):
         outcomes = {}
@@ -292,7 +300,7 @@ class TestNUMAEquivalence:
                 for n, c in ((0, 0), (1, 1))
             ]
             system = NUMASystem(streams_per_node, interleave_bytes=256)
-            system.run(engine=engine)
+            system.run(engine=engine, shards=1)
             outcomes[engine] = (system.cycle, system.metrics())
         assert outcomes["skip"] == outcomes["lockstep"]
 
@@ -323,7 +331,11 @@ class TestNUMAEquivalence:
             ("lockstep", NUMASystem, "lockstep"),
             ("every node", EveryNodeEveryCycle, "lockstep"),
         ):
-            attrib = AttributionCollector() if attributed else None
+            obs = (
+                Observers(attrib=AttributionCollector())
+                if attributed
+                else NO_OBSERVERS
+            )
             system = cls(
                 [
                     [iter(make_requests(spec, c, node=n)) for c in range(spec[0])]
@@ -333,13 +345,13 @@ class TestNUMAEquivalence:
                 interconnect_latency=latency,
                 interleave_bytes=256,
                 channel_capacity=channel_capacity,
-                obs=Observers(attrib=attrib) if attributed else NO_OBSERVERS,
+                obs=obs,
             )
             system.run(engine=engine, shards=1)
             outcome = [system.cycle, system.metrics()]
             if attributed:
-                depth = attrib.depth
-                outcome.append(attrib.snapshot())
+                depth = obs.attrib.depth
+                outcome.append(obs.attrib.snapshot())
                 outcome.append(
                     {s: [v for _, v in depth.series(s)] for s in depth.sites()}
                 )
@@ -347,10 +359,3 @@ class TestNUMAEquivalence:
         assert outcomes["skip"] == outcomes["lockstep"]
         assert outcomes["skip"] == outcomes["every node"]
 
-
-class EveryNodeEveryCycle(NUMASystem):
-    """Oracle mesh: every node ticks on every cycle, whatever its wake."""
-
-    def tick(self):
-        self._wakes = [0] * len(self.nodes)
-        super().tick()
