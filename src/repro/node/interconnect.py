@@ -110,9 +110,6 @@ class Interconnect:
 
     # -- arrival / flow control ----------------------------------------------
 
-    def _credit(self, dst: int) -> int:
-        return self._credits.setdefault(dst, self.channel_capacity)
-
     def _admit(self, dst: int, payload: Any) -> None:
         self._credits[dst] -= 1
         self._queued += 1
@@ -144,7 +141,7 @@ class Interconnect:
             hop = heapq.heappop(wire)
             dst = hop.dst
             stalled = self._stalled.get(dst)
-            if stalled or self._credit(dst) <= 0:
+            if stalled or self._credits.setdefault(dst, self.channel_capacity) <= 0:
                 self._stalled.setdefault(dst, deque()).append(hop.payload)
                 self.credit_stalls += 1
             else:

@@ -266,48 +266,49 @@ class Node(ClockedModel):
         # 2. Active cores issue.  Iterating in list order preserves the
         # arbitration order of the all-cores lockstep loop, so contention
         # for the last MAC input slot resolves identically.
-        active = self._core_active
-        cores = self.cores
-        submit = self.mac.submit
-        node_id = self.node_id
-        for idx in range(self._wheel_size):
-            if not active[idx]:
-                continue
-            core = cores[idx]
-            req = core.tick(cycle)
-            if req is not None:
-                if req.node != node_id and not req.is_fence:
-                    # Its completion would be routed to ``req.node``; in a
-                    # single node nothing ever collects it.  Fences get
-                    # no completion.
-                    raise ValueError(
-                        f"node {node_id} issued a request stamped "
-                        f"node={req.node}: a core's requests must carry "
-                        f"their node's id in the node field"
-                    )
-                if submit(req):
-                    self.stats.requests_issued += 1
-                    if not req.is_fence:
-                        # Fences never get a response; everything else is
-                        # matched back to its issuer at delivery time.
-                        self._issuer[(req.tid, req.tag)] = core
-                else:
-                    # Input queue full: the core re-issues next cycle, so
-                    # it must stay active regardless of its wake probe.
-                    core.retry()
+        if self._active_count:
+            active = self._core_active
+            cores = self.cores
+            submit = self.mac.submit
+            node_id = self.node_id
+            for idx in range(self._wheel_size):
+                if not active[idx]:
                     continue
-            # Park decision: where can this core act next on its own?
-            w = core.next_event_cycle(cycle + 1)
-            if w is None:
-                active[idx] = False
-                self._active_count -= 1
-                self._core_parked_at[idx] = cycle + 1
-            elif w > cycle + 1:
-                active[idx] = False
-                self._active_count -= 1
-                self._core_parked_at[idx] = cycle + 1
-                self._core_wake[idx] = w
-                heapq.heappush(wheap, (w, idx))
+                core = cores[idx]
+                req = core.tick(cycle)
+                if req is not None:
+                    if req.node != node_id and not req.is_fence:
+                        # Its completion would be routed to ``req.node``; in a
+                        # single node nothing ever collects it.  Fences get
+                        # no completion.
+                        raise ValueError(
+                            f"node {node_id} issued a request stamped "
+                            f"node={req.node}: a core's requests must carry "
+                            f"their node's id in the node field"
+                        )
+                    if submit(req):
+                        self.stats.requests_issued += 1
+                        if not req.is_fence:
+                            # Fences never get a response; everything else is
+                            # matched back to its issuer at delivery time.
+                            self._issuer[(req.tid, req.tag)] = core
+                    else:
+                        # Input queue full: the core re-issues next cycle, so
+                        # it must stay active regardless of its wake probe.
+                        core.retry()
+                        continue
+                # Park decision: where can this core act next on its own?
+                w = core.next_event_cycle(cycle + 1)
+                if w is None:
+                    active[idx] = False
+                    self._active_count -= 1
+                    self._core_parked_at[idx] = cycle + 1
+                elif w > cycle + 1:
+                    active[idx] = False
+                    self._active_count -= 1
+                    self._core_parked_at[idx] = cycle + 1
+                    self._core_wake[idx] = w
+                    heapq.heappush(wheap, (w, idx))
 
         # 3. MAC advances; emitted packets enter the device.
         faulty = self.device.injector is not None

@@ -145,9 +145,8 @@ class NUMASystem(ClockedModel):
         self.fabric.restrict(self._local_ids)
 
     def done(self) -> bool:
-        return (
-            all(self.nodes[i].done() for i in self._local_ids)
-            and self.fabric.in_flight == 0
+        return self.fabric.in_flight == 0 and all(
+            self.nodes[i].done() for i in self._local_ids
         )
 
     def tick(self) -> None:
@@ -157,6 +156,7 @@ class NUMASystem(ClockedModel):
         at = self.attrib
         stats = self.stats
         fabric = self.fabric
+        nodes = self.nodes
         wakes = self._wakes
 
         # Fabric arrivals: pump credit/admission state, then drain each
@@ -167,8 +167,9 @@ class NUMASystem(ClockedModel):
         # flow control stays local and deterministic.
         fabric.pump(cycle)
         for dst in fabric.ready_dsts():
-            node = self.nodes[dst]
-            node.skip_to(cycle)
+            node = nodes[dst]
+            if node._cycle != cycle:
+                node.skip_to(cycle)
             wakes[dst] = cycle
             while True:
                 payload = fabric.peek(dst)
@@ -203,10 +204,11 @@ class NUMASystem(ClockedModel):
         # attribution sampler their ARQ depth every 64th cycle: tick them
         # all then, so the samples arrive in node order.
         sample = at.enabled and not cycle & 63
+        send = fabric.send
         for idx in self._local_ids:
             if wakes[idx] > cycle and not sample:
                 continue
-            node = self.nodes[idx]
+            node = nodes[idx]
             if node._cycle != cycle:
                 node.skip_to(cycle)
             node.tick()
@@ -218,9 +220,9 @@ class NUMASystem(ClockedModel):
                 if req is None:
                     break
                 stats.remote_requests += 1
-                fabric.send(cycle, self.home(req.addr), req, idx)
+                send(cycle, self.home(req.addr), req, idx)
             for raw in node.pending_remote:
-                fabric.send(cycle, raw.node, raw, idx)
+                send(cycle, raw.node, raw, idx)
             node.pending_remote.clear()
             wake = node.next_event_cycle(cycle + 1)
             wakes[idx] = inf if wake is None else wake
