@@ -43,6 +43,33 @@ def _cli(*argv: str) -> Callable[[], dict]:
     return run
 
 
+def _is_requests(threads: int, ops: int) -> list:
+    """Per-thread request lists of one IS trace (workload seed 7)."""
+    from repro.trace.record import to_requests
+    from repro.workloads.registry import make
+
+    records = make("is", seed=7).generate(threads=threads, ops_per_thread=ops)
+    by_tid: Dict[int, list] = {}
+    for r in to_requests(records):
+        by_tid.setdefault(r.tid, []).append(r)
+    return [v for _, v in sorted(by_tid.items())]
+
+
+def _with_stamps(metrics: dict, streams: list) -> dict:
+    """``metrics`` plus every request's issue and completion cycle.
+
+    A request's ``issue_cycle`` is stamped by the tick that gets it into
+    the MAC input queue, and an SPM hit's ``complete_cycle`` by the tick
+    that retires it; no metric carries either.
+    """
+    return {
+        **metrics,
+        "requests.stamps": [
+            [(r.issue_cycle, r.complete_cycle) for r in reqs] for reqs in streams
+        ],
+    }
+
+
 def _faulty_node(**rates) -> Callable[[], dict]:
     """One closed-loop IS node on a cube armed with ``FaultConfig.simple``."""
 
@@ -50,21 +77,71 @@ def _faulty_node(**rates) -> Callable[[], dict]:
         from repro.faults import FaultConfig
         from repro.hmc.config import HMCConfig
         from repro.node.node import Node
-        from repro.trace.record import to_requests
-        from repro.workloads.registry import make
 
-        records = make("is", seed=7).generate(threads=4, ops_per_thread=80)
-        by_tid: Dict[int, list] = {}
-        for r in to_requests(records):
-            by_tid.setdefault(r.tid, []).append(r)
         node = Node(
-            [iter(v) for _, v in sorted(by_tid.items())],
+            [iter(reqs) for reqs in _is_requests(4, 80)],
             hmc_config=HMCConfig(faults=FaultConfig.simple(**rates)),
         )
         node.run(max_cycles=2_000_000)
         return node.metrics()
 
     return run
+
+
+def _attributed_saturated_node() -> dict:
+    """Eight IS cores, attribution on: the MAC input queue saturates.
+
+    The cores bounce off the full 64-entry input queue 3,954 times; the
+    ``router``/``input_queue_full`` stall and every request's ``submit``
+    mark are pinned with the metrics.
+    """
+    from repro.node.node import Node
+    from repro.obs import AttributionCollector, Observers
+    from repro.obs.metrics import flatten
+
+    obs = Observers(attrib=AttributionCollector())
+    streams = _is_requests(8, 200)
+    node = Node([iter(reqs) for reqs in streams], obs=obs)
+    node.run(max_cycles=2_000_000)
+    metrics = {
+        **node.metrics(),
+        **flatten(obs.attrib.snapshot(), "attribution."),
+    }
+    return _with_stamps(metrics, streams)
+
+
+def _multithreaded_saturated_node() -> dict:
+    """128 IS threads on 8 multithreaded cores; 198 input-queue bounces."""
+    from repro.node.node import Node
+
+    streams = _is_requests(128, 20)
+    node = Node.with_multithreaded_cores(
+        [iter(reqs) for reqs in streams], cores=8
+    )
+    node.run(max_cycles=2_000_000)
+    return _with_stamps(node.metrics(), streams)
+
+
+def _spm_saturated_node() -> dict:
+    """Eight IS cores whose SPMs map part of the key and bucket arrays.
+
+    Two thirds of the requests hit an SPM.  Of the 2,896 input-queue
+    bounces, 225 happen while the bouncing core has an SPM retirement
+    pending.
+    """
+    from repro.node.node import Node
+    from repro.node.spm import ScratchpadMemory
+
+    def spm(cid: int) -> ScratchpadMemory:
+        s = ScratchpadMemory()
+        s.map(0x100800000, 0x40000)
+        s.map(0x100000000 + cid * 0x100000, 0x40000)
+        return s
+
+    streams = _is_requests(8, 200)
+    node = Node([iter(reqs) for reqs in streams], spm_factory=spm)
+    node.run(max_cycles=2_000_000)
+    return _with_stamps(node.metrics(), streams)
 
 
 CASES: Dict[str, Callable[[], dict]] = {
@@ -112,6 +189,9 @@ CASES: Dict[str, Callable[[], dict]] = {
         "run", "GUPS", "--nodes", "3", "--threads", "2", "--ops", "150",
         "--interconnect-latency", "0", "--attribution",
     ),
+    "node-IS-8core-attrib": _attributed_saturated_node,
+    "node-IS-mt128": _multithreaded_saturated_node,
+    "node-IS-spm": _spm_saturated_node,
 }
 
 
