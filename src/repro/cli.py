@@ -350,6 +350,13 @@ def _cmd_run_numa(args) -> int:
     from repro.eval.report import format_table
     from repro.eval.runner import numa_closed_loop
 
+    from repro.sim import resolve_shards
+
+    try:
+        resolve_shards(args.shards, args.engine)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     obs = _obs_from_args(args)
     system = numa_closed_loop(
         args.benchmark,

@@ -85,7 +85,11 @@ class RawRequestAggregator:
         # Builder pipeline advances first (emits packets built previously);
         # an empty pipeline has nothing to advance.
         builder = self.builder
-        out: List[CoalescedRequest] = builder.tick(cycle) if builder.busy else []
+        out: List[CoalescedRequest] = (
+            builder.tick(cycle)
+            if builder._stage2 is not None or builder._stage1 is not None
+            else []
+        )
 
         # Pop cadence: one entry leaves the ARQ every pop_interval (2)
         # cycles — the paper's fixed 0.5 requests/cycle issuing rate
@@ -104,7 +108,7 @@ class RawRequestAggregator:
             elif head.bypass:
                 entry = self.arq.pop()
                 assert entry is not None
-                out.append(bypass_packet(entry.requests, self.codec, self.config, cycle))
+                out.append(bypass_packet(entry.requests, self.config, cycle))
                 self._next_pop = cycle + self._pop_interval
                 if tr.enabled:
                     tr.emit(
@@ -147,31 +151,33 @@ class RawRequestAggregator:
                     )
 
         # Intake: one request per cycle.
+        stats = self.stats
         if incoming is not None:
             accepted = self.arq.push(incoming, cycle)
             self._accepted_last = accepted
             if accepted:
-                self.stats.record_raw(incoming.rtype)
+                stats.record_raw(incoming.rtype)
                 if at.enabled:
                     m = incoming.marks
                     if m is None:
                         m = incoming.marks = {}
                     m["arq_admit"] = cycle
 
-        for pkt in out:
-            self.stats.record_packet(pkt)
-        if at.enabled and out:
-            # Inlined AttributionCollector.mark (hot: every dispatched
-            # raw request passes through here).
+        if out:
             for pkt in out:
-                for req in pkt.requests:
-                    m = req.marks
-                    if m is None:
-                        m = req.marks = {}
-                    m["dispatch"] = cycle
+                stats.record_packet(pkt)
+            if at.enabled:
+                # Inlined AttributionCollector.mark (hot: every dispatched
+                # raw request passes through here).
+                for pkt in out:
+                    for req in pkt.requests:
+                        m = req.marks
+                        if m is None:
+                            m = req.marks = {}
+                        m["dispatch"] = cycle
 
         self._cycle = cycle + 1
-        self.stats.total_cycles = cycle + 1
+        stats.total_cycles = cycle + 1
         return out
 
     def accepted(self) -> bool:
@@ -179,25 +185,50 @@ class RawRequestAggregator:
         return self._accepted_last
 
     def next_event_cycle(self, now: int) -> Optional[int]:
-        """A busy aggregator acts every cycle; an idle one never on its own.
+        """Earliest cycle >= ``now`` at which a tick changes the aggregator.
 
-        While anything is buffered (ARQ entries or builder latches) the
-        pop cadence and the builder pipeline both advance each tick, so
-        no cycle is skippable.  Idle, the next event belongs to whoever
-        offers the next request.
+        The builder's wake (its stage-2 emit, or a stage-1 transfer), and
+        with entries queued the next pop slot ``max(now, _next_pop)``.
+        A builder-bound head whose slot comes while stage 1 is busy pops
+        only once stage 1 frees, on the stage-2 emit tick that is
+        already the builder's wake, so the slot itself is no wake then.
+        Intake is the MAC's to report.  Idle, the aggregator schedules
+        no wake: the next event belongs to whoever offers a request.
+
+        With attribution on, every tick of a blocked pop charges a
+        ``BUILDER_BUSY`` stall, so the pop slot stays a wake: a stall
+        span is only charged by a tick, never by :meth:`skip`.
         """
-        return None if self.idle() else now
+        builder = self.builder
+        wake = builder.next_event_cycle(now)
+        queue = self._queue
+        if queue:
+            head = queue[0]
+            if (
+                builder._stage1 is None
+                or head.fence
+                or head.bypass
+                or self.attrib.enabled
+            ):
+                pop = self._next_pop
+                if pop <= now:
+                    return now
+                if wake is None or pop < wake:
+                    wake = pop
+        return wake
 
     def skip(self, start: int, end: int) -> None:
-        """Fast-forward an idle aggregator over cycles [start, end).
+        """Apply the ticks of cycles [start, end) in bulk.
 
-        Only valid while :meth:`idle` holds (the skip engine guarantees
-        it): replicates exactly what that many empty ``tick(None)`` calls
-        would have done — advance the cycle counter / ``total_cycles``,
-        leave ``_next_pop`` stale (a pop fires immediately once a request
-        arrives, same as after idle lockstep cycles), and offer the same
-        every-64th-cycle ARQ depth samples to the attribution collector
-        so the strided sampler sees an identical observation sequence.
+        Only valid up to :meth:`next_event_cycle` (the skip engine
+        guarantees it): no pop, intake, emit or stage transfer falls in
+        the span, so the skipped ticks did exactly this.  They advanced
+        the cycle counter and ``total_cycles`` and counted builder stage
+        2 down.  They left ``_next_pop`` alone: an idle aggregator keeps
+        a stale slot, so a pop fires at once when a request arrives,
+        same as after idle lockstep cycles.  With attribution on they
+        offered the every-64th-cycle ARQ depth samples, replayed here so
+        the strided sampler sees an identical observation sequence.
 
         Boundary pin (skip-equivalence audit): the span is half-open —
         cycle ``end`` itself is *not* accounted here.  A wake landing
@@ -208,7 +239,7 @@ class RawRequestAggregator:
         ``end`` (``cycle < end``), and the first replayed sample is the
         first multiple of 64 at or after ``start`` because the skipped
         lockstep ticks would have sampled at those same cycles with the
-        same (idle-constant) depth.
+        same (constant) depth.
         """
         at = self.attrib
         if at.enabled:
@@ -217,6 +248,7 @@ class RawRequestAggregator:
             while cycle < end:
                 at.sample_depth("arq", cycle, depth)
                 cycle += 64
+        self.builder.skip(start, end)
         self._cycle = end
         self.stats.total_cycles = end
         self._accepted_last = True

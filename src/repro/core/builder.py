@@ -19,7 +19,6 @@ from .config import MACConfig
 from .flit_table import (
     FlitTablePolicy,
     Segments,
-    flit_segments,
     group_masks,
     group_or,
     plan_table,
@@ -40,7 +39,7 @@ def emit_row(
     """Assemble the packets of one ARQ row from plain fields.
 
     The one copy of the row-address and segment-split math, shared by
-    the pipelined builder, :func:`bypass_packet` and the window engine.
+    the pipelined builder and the window engine.
     ``key`` is the ARQ comparator key (row number + T bit); the packets
     take the key's type unless ``rtype`` names one.  Each request
     goes to the packet whose FLIT range holds its FLIT id (address bits
@@ -105,10 +104,6 @@ class RequestBuilder:
             config.flit_bytes,
             policy,
             config.max_request_bytes // config.min_request_bytes,
-        )
-        #: The B-bit plan of each FLIT id (see :func:`flit_segments`).
-        self.bypass_segments: Tuple[Segments, ...] = tuple(
-            flit_segments(f, config.flit_bytes) for f in range(config.flits_per_row)
         )
         self._stage2_cycles = config.builder_stage2_cycles
         self._stage1: Optional[_StageSlot] = None
@@ -192,16 +187,24 @@ class RequestBuilder:
     # -- quiescence skipping --------------------------------------------------
 
     def next_event_cycle(self, now: int) -> Optional[int]:
-        """A primed pipeline moves every cycle; an empty one never.
+        """Earliest cycle >= ``now`` at which a tick moves a latch.
 
-        Stage occupancy changes each tick while anything is latched
-        (stage 2 counts down, stage 1 transfers), so a busy builder pins
-        its owner to lockstep; empty, it schedules no wake of its own.
+        Stage 2 emits on the tick that counts its ``remaining`` down to
+        zero, ``now + remaining - 1``; a latched stage 1 moves into stage
+        2 on that same tick, or at ``now`` when stage 2 is empty.  In
+        between, a tick only counts stage 2 down, which :meth:`skip`
+        applies in bulk.  An empty pipeline schedules no wake.
         """
-        return now if self.busy else None
+        stage2 = self._stage2
+        if stage2 is not None:
+            emit = now + stage2.remaining - 1
+            return emit if emit > now else now
+        return None if self._stage1 is None else now
 
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state outside the stage latches: idle skip is free."""
+    def skip(self, start: int, end: int) -> None:
+        """Apply ticks [start, end) before the wake: stage 2 counts down."""
+        if self._stage2 is not None:
+            self._stage2.remaining -= end - start
 
     # -- packet assembly -----------------------------------------------------
 
@@ -221,29 +224,22 @@ class RequestBuilder:
 
 
 def bypass_packet(
-    requests: List[MemoryRequest],
-    codec: AddressCodec,
-    config: MACConfig,
-    cycle: int = 0,
+    requests: List[MemoryRequest], config: MACConfig, cycle: int = 0
 ) -> CoalescedRequest:
     """Build the single-FLIT packet of a B-bit (bypass) row or an atomic.
 
     Bypass rows skip the builder and go straight to the device as
     minimum-granularity (16 B) transactions (section 4.1.2).  Atomics
     likewise travel as single uncoalesced packets.  ``requests`` holds
-    the row's one raw request, whose address and type the packet takes.
+    the row's one raw request, whose FLIT-aligned address and type the
+    packet takes: the packet is built in one step, with no FLIT-table
+    plan.
     """
     req = requests[0]
-    if req.rtype is RequestType.FENCE:
+    rtype = req.rtype
+    if rtype is RequestType.FENCE:
         raise ValueError("fences produce no memory packet")
-    addr = req.addr
-    flit = (addr & codec.row_mask) >> codec.flit_shift
-    return emit_row(
-        codec,
-        addr >> codec.row_shift,
-        flit_segments(flit, config.flit_bytes),
-        requests,
-        cycle,
-        True,
-        req.rtype,
-    )[0]
+    flit_bytes = config.flit_bytes
+    return CoalescedRequest(
+        req.addr & -flit_bytes, flit_bytes, rtype, requests, True, cycle
+    )

@@ -81,11 +81,6 @@ def group_or(bits: int, masks: Tuple[Tuple[int, int], ...]) -> int:
     return out
 
 
-def flit_segments(flit: int, flit_bytes: int) -> Segments:
-    """The plan of a B-bit (bypass) row: one FLIT-sized packet."""
-    return ((flit * flit_bytes, flit_bytes, flit, flit + 1),)
-
-
 def _span_segments(pattern: int, groups: int) -> Chunks:
     """Single power-of-two-sized segment covering all set chunks."""
     if pattern == 0:

@@ -175,24 +175,25 @@ class MAC(ClockedModel):
         return self.idle()
 
     def next_event_cycle(self, now: int) -> Optional[int]:
-        """A busy MAC acts every cycle; an idle one schedules no wake.
+        """Earliest cycle >= ``now`` at which a tick changes the MAC.
 
-        Wake sources, per component: a non-empty input queue feeds the
-        aggregator next tick (now); the aggregator reports its own wake
-        (now while its ARQ or builder holds anything, None when
-        drained).  The only skippable MAC state is therefore full
-        idleness — where the next event belongs to whoever feeds it
-        (core issue, fabric delivery, in-flight heap).
+        A request in an input queue enters the ARQ on the next tick
+        while the ARQ has a free entry (``now``).  With every entry
+        taken it waits for a pop, which the aggregator's wake covers —
+        unless attribution is on: then each such tick charges an ARQ
+        stall (and a core waiting on the full queue an input-queue
+        stall), and stall spans are only charged by ticks.  Otherwise
+        the aggregator reports its own wake (builder emit or transfer,
+        next pop slot; ``None`` when drained).
         """
-        if not (
-            self.request_router.local_queue.empty
-            and self.request_router.remote_queue.empty
-        ):
-            return now
+        rr = self.request_router
+        if rr.local_queue._q or rr.remote_queue._q:
+            if len(self._arq_queue) < self._arq_entries or self.attrib.enabled:
+                return now
         return self.aggregator.next_event_cycle(now)
 
     def skip_to(self, target: int) -> None:
-        """Fast-forward an idle MAC (see RawRequestAggregator.skip)."""
+        """Fast-forward to ``target`` (see RawRequestAggregator.skip)."""
         self.aggregator.skip(self.aggregator.cycle, target)
 
     def tick(self) -> List[CoalescedRequest]:
@@ -426,7 +427,6 @@ def coalesce_trace_fast(
     locate = codec.locate
     masks = builder.group_masks
     row_segments = builder.segments
-    bypass_segments = builder.bypass_segments
     fb = cfg.flit_bytes
     cap = cfg.target_capacity
     arq_entries = cfg.arq_entries
@@ -443,14 +443,7 @@ def coalesce_trace_fast(
         bits, requests = slot
         if len(requests) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
-            if key < 0:
-                pkt = bypass_packet(requests, codec, cfg)
-            else:
-                pkt = emit_row(
-                    codec, key, bypass_segments[bits.bit_length() - 1],
-                    requests, 0, True,
-                )[0]
-            out.append(pkt)
+            out.append(bypass_packet(requests, cfg))
             sizes[fb] = sizes.get(fb, 0) + 1
             per_packet.append(1)
             bypassed += 1

@@ -18,16 +18,15 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..obs.protocol import StatsMixin
 from ..sim import register_wake_protocol
 from .packet import CoalescedResponse
-from .request import MemoryRequest
+from .request import MemoryRequest, RequestType
 
 
 class FIFOQueue:
     """Bounded FIFO decoupling cores from the memory subsystem.
 
     Rejections are observable, not silent: a failed ``push`` increments
-    ``rejected`` (aliased as ``drops``) and the queue tracks its
-    occupancy high-water mark, so backpressure shows up in stats instead
-    of vanishing requests.
+    ``rejected`` and the queue tracks its occupancy high-water mark, so
+    backpressure shows up in stats instead of vanishing requests.
     """
 
     def __init__(self, capacity: int = 64, name: str = "queue") -> None:
@@ -50,11 +49,6 @@ class FIFOQueue:
     @property
     def empty(self) -> bool:
         return not self._q
-
-    @property
-    def drops(self) -> int:
-        """Requests refused because the queue was full (= ``rejected``)."""
-        return self.rejected
 
     def push(self, request: MemoryRequest) -> bool:
         q = self._q
@@ -107,20 +101,28 @@ class RequestRouter:
         self.remote_queue = FIFOQueue(queue_capacity, "remote")
         self.stats = RouterStats()
 
-    def home(self, addr: int) -> int:
-        return self.node_id if self.home_fn is None else self.home_fn(addr)
+    def queue_for(self, request: MemoryRequest) -> FIFOQueue:
+        """The queue :meth:`route` offers ``request`` to."""
+        home_fn = self.home_fn
+        if (
+            home_fn is None
+            or request.rtype is RequestType.FENCE
+            or home_fn(request.addr) == self.node_id
+        ):
+            return self.local_queue
+        return self.global_queue
 
     def route(self, request: MemoryRequest) -> bool:
         """Route one locally generated raw request; False if queue full."""
-        if request.is_fence or self.home(request.addr) == self.node_id:
-            ok = self.local_queue.push(request)
-            if ok:
-                self.stats.local += 1
-            return ok
-        ok = self.global_queue.push(request)
-        if ok:
+        # Without a home function every address is local: no lookup.
+        queue = self.local_queue if self.home_fn is None else self.queue_for(request)
+        if not queue.push(request):
+            return False
+        if queue is self.local_queue:
+            self.stats.local += 1
+        else:
             self.stats.outbound_remote += 1
-        return ok
+        return True
 
     def receive_remote(self, request: MemoryRequest) -> bool:
         """Accept a raw request arriving from a remote node."""
@@ -184,8 +186,6 @@ class ResponseRouter:
         self.node_id = node_id
         self.buffer_capacity = buffer_capacity
         self._buffer: Deque[CoalescedResponse] = deque()
-        #: (tid, tag) -> completion cycle, for load/store queue matching.
-        self.completed: Dict[Tuple[int, int], int] = {}
         self.local_deliveries = 0
         self.remote_deliveries = 0
         #: packet_id -> (packet, dispatch cycle); insertion-ordered by
@@ -288,27 +288,29 @@ class ResponseRouter:
         Returns (local, remote) lists of the satisfied raw requests,
         whose ``tid``/``tag`` name the waiting instruction.  Raw requests
         get their ``complete_cycle`` stamped (and the poison mark
-        propagated), and local completions are recorded for LSQ
-        matching.
+        propagated).
         """
         if not self._buffer:
             return _EMPTY_DRAIN  # hot path: most cycles deliver nothing
         local: List[MemoryRequest] = []
         remote: List[MemoryRequest] = []
-        while self._buffer:
-            resp = self._buffer.popleft()
+        node_id = self.node_id
+        buffer = self._buffer
+        while buffer:
+            resp = buffer.popleft()
             requests = resp.request.requests
-            if resp.poisoned:
+            complete = resp.complete_cycle
+            poisoned = resp.poisoned
+            if poisoned:
                 self.poisoned_deliveries += len(requests)
             for raw in requests:
-                raw.complete_cycle = resp.complete_cycle
-                if resp.poisoned:
+                raw.complete_cycle = complete
+                if poisoned:
                     raw.poisoned = True
-                if raw.node == self.node_id:
-                    self.completed[(raw.tid, raw.tag)] = resp.complete_cycle
+                if raw.node == node_id:
                     local.append(raw)
-                    self.local_deliveries += 1
                 else:
                     remote.append(raw)
-                    self.remote_deliveries += 1
+        self.local_deliveries += len(local)
+        self.remote_deliveries += len(remote)
         return local, remote

@@ -247,10 +247,12 @@ class HMCDevice:
         n = len(links)
         start = self._rr_next % n
         self._rr_next = (start + 1) % n
-        order = links[start:] + links[:start]
-        best = order[0]
+        best = links[start]
         best_load = best.request.ready_cycle + best.response.ready_cycle
-        for cand in order[1:]:
+        # Negative indices wrap, so this visits start+1 .. n-1, 0 .. start-1:
+        # the rest of the rotation, without building it.
+        for i in range(start + 1 - n, start):
+            cand = links[i]
             load = cand.request.ready_cycle + cand.response.ready_cycle
             if load + 64 < best_load:  # switch only on clear imbalance
                 best, best_load = cand, load

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from repro.core.request import MemoryRequest
+from repro.core.request import MemoryRequest, RequestType
 from repro.obs.protocol import StatsMixin
 from repro.sim import register_wake_protocol
 
@@ -99,16 +99,17 @@ class InOrderCore:
             self._cooldown -= 1
             return None
 
-        if self._next is None:
+        req = self._next
+        if req is None:
             if self.done and self.stats.finished_cycle < 0:
                 self.stats.finished_cycle = cycle
             return None
 
-        if self.lsq.full:
+        lsq = self.lsq
+        if len(lsq._pending) >= lsq.capacity:
             self.stats.stall_cycles += 1
             return None
 
-        req = self._next
         if self._pushback:
             self._next = self._pushback.pop()
         else:
@@ -117,7 +118,7 @@ class InOrderCore:
         req.issue_cycle = cycle
         self.stats.issued += 1
 
-        if req.is_fence:
+        if req.rtype is RequestType.FENCE:
             self._fence_pending = True
             self._last_issued = req
             return req  # the MAC must also observe the fence
@@ -125,13 +126,13 @@ class InOrderCore:
         spm_latency = self.spm.access(req.addr)
         if spm_latency is not None:
             self.stats.spm_hits += 1
-            self.lsq.insert(req)
+            lsq.insert(req)
             self._spm_retire.append((cycle + spm_latency, req))
             self._last_issued = None
             return None
 
         self.stats.mac_requests += 1
-        self.lsq.insert(req)
+        lsq.insert(req)
         self._last_issued = req
         return req
 
@@ -160,7 +161,8 @@ class InOrderCore:
             if self.done and self.stats.finished_cycle < 0:
                 return now  # must tick once more to stamp finished_cycle
             return wake
-        if self.lsq.full:
+        lsq = self.lsq
+        if len(lsq._pending) >= lsq.capacity:
             return wake  # stalled until a response frees an LSQ slot
         return now  # ready to issue
 
@@ -189,7 +191,7 @@ class InOrderCore:
         if req is None:
             raise RuntimeError("nothing to retry")
         self._last_issued = None
-        if req.is_fence:
+        if req.rtype is RequestType.FENCE:
             self._fence_pending = False
         else:
             self.lsq._pending.pop((req.tid, req.tag), None)
@@ -201,6 +203,18 @@ class InOrderCore:
             self._pushback.append(self._next)
         self._next = req
         self._cooldown = 0
+
+    def can_wait_on_queue(self) -> bool:
+        """Whether the core may wait, unticked, on the queue that bounced it.
+
+        Asked after :meth:`retry`.  True when each following tick would
+        re-offer the same request and do nothing else: the retry cleared
+        the cooldown and a retried fence, and the LSQ has room, so only
+        a pending SPM retirement would make a tick differ.  (A re-offer
+        also re-stamps ``issue_cycle``, but the tick that gets the
+        request in stamps it last.)
+        """
+        return not self._spm_retire
 
     def complete(self, tid: int, tag: int, cycle: int) -> bool:
         """Response delivery from the response router; True if matched."""

@@ -37,12 +37,13 @@ class LoadStoreQueue:
 
     def insert(self, request: MemoryRequest) -> bool:
         """Track an issued request; False when the queue is full."""
-        if self.full:
+        pending = self._pending
+        if len(pending) >= self.capacity:
             return False
         key = (request.tid, request.tag)
-        if key in self._pending:
+        if key in pending:
             raise ValueError(f"duplicate in-flight (tid={request.tid}, tag={request.tag})")
-        self._pending[key] = request
+        pending[key] = request
         self.inserted += 1
         return True
 

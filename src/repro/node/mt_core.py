@@ -164,6 +164,10 @@ class MultithreadedCore:
         self.stats.mac_requests -= 1
         ctx.ready_cycle = 0
 
+    def can_wait_on_queue(self) -> bool:
+        """Never: each re-offer rotates ``_rr`` and may count a switch."""
+        return False
+
     def complete(self, tid: int, tag: int, cycle: int) -> bool:
         """Wake the context blocked on (tid, tag); True if matched."""
         for ctx in self.contexts:

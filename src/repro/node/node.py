@@ -10,16 +10,18 @@ load/store queues, so end-to-end latency and throughput effects
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import MACConfig, SystemConfig
 from repro.core.flit_table import FlitTablePolicy
 from repro.core.mac import MAC
-from repro.core.request import MemoryRequest
+from repro.core.request import MemoryRequest, RequestType
+from repro.core.router import FIFOQueue
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
+from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
@@ -64,9 +66,11 @@ class Node(ClockedModel):
 
     The node runs a per-core event wheel: each core is ACTIVE (ticked
     every cycle), PARKED (scheduled to wake at a known future cycle on
-    the ``_core_wake`` heap — an SPM retirement or issue cooldown), or
-    BLOCKED (wakes only when a response delivery reactivates it).  A
-    parked or blocked core's per-cycle accounting is deferred and
+    the ``_core_wake`` heap — an SPM retirement or issue cooldown),
+    BLOCKED (wakes only when a response delivery reactivates it), or
+    WAITING (bounced off a full MAC input queue; reactivated when the
+    queue has room at its turn in the issue walk, or by a delivery).
+    An inactive core's per-cycle accounting is deferred and
     applied in bulk via ``core.skip(parked_at, now)`` at reactivation,
     so results stay bit-identical to ticking every core every cycle
     while the hot loop touches only the cores that can act.
@@ -144,6 +148,10 @@ class Node(ClockedModel):
         self._core_parked_at = [self._cycle] * n
         #: Scheduled wake cycle per core (None = blocked on a delivery).
         self._core_wake: List[Optional[int]] = [None] * n
+        #: The input queue each WAITING core bounced off (None = not
+        #: waiting); a waiting core is inactive and on no heap.
+        self._core_waitq: List[Optional[FIFOQueue]] = [None] * n
+        self._waiting_count = 0
         #: Min-heap of (wake_cycle, core_index); entries whose cycle no
         #: longer matches ``_core_wake`` are stale and dropped on pop.
         self._wake_heap: List[Tuple[int, int]] = []
@@ -158,6 +166,9 @@ class Node(ClockedModel):
         self._core_active[idx] = True
         self._active_count += 1
         self._core_wake[idx] = None
+        if self._core_waitq[idx] is not None:
+            self._core_waitq[idx] = None
+            self._waiting_count -= 1
 
     def _sync_cores(self) -> None:
         """Apply deferred accounting of inactive cores up to now.
@@ -236,48 +247,74 @@ class Node(ClockedModel):
         cycle = self._cycle
         if self._wheel_size != len(self.cores):
             self._reset_wheel()
+        mac = self.mac
 
         # 0. Wake parked cores whose scheduled cycle has arrived.
         wheap = self._wake_heap
         while wheap and wheap[0][0] <= cycle:
-            wake, idx = heapq.heappop(wheap)
+            wake, idx = heappop(wheap)
             if self._core_wake[idx] == wake and not self._core_active[idx]:
                 self._activate(idx, cycle)
 
         # 1. Deliver responses that completed by now.
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            _, _, resp = heapq.heappop(self._in_flight)
-            self.mac.receive_response(resp)
-        if self.mac.response_router.buffered:
-            local, remote = self.mac.deliver_responses()
-            self.pending_remote.extend(remote)
+        in_flight = self._in_flight
+        while in_flight and in_flight[0][0] <= cycle:
+            mac.receive_response(heappop(in_flight)[2])
+        if mac.response_router._buffer:
+            local, remote = mac.deliver_responses()
+            if remote:
+                self.pending_remote.extend(remote)
             at = self.attrib
-            for raw in local:
-                if at.enabled:
+            deliver = self.deliver_completion
+            if at.enabled:
+                for raw in local:
                     # Inlined AttributionCollector.mark (hot: every response).
                     m = raw.marks
                     if m is None:
                         m = raw.marks = {}
                     m["deliver"] = cycle
                     at.finalize(raw)
-                self.deliver_completion(raw, cycle)
-                self.stats.responses_delivered += 1
+                    deliver(raw, cycle)
+            else:
+                for raw in local:
+                    deliver(raw, cycle)
+            self.stats.responses_delivered += len(local)
 
-        # 2. Active cores issue.  Iterating in list order preserves the
+        # 2. Cores issue.  Walking them in list order preserves the
         # arbitration order of the all-cores lockstep loop, so contention
-        # for the last MAC input slot resolves identically.
-        if self._active_count:
+        # for the last MAC input slot resolves identically.  A core that
+        # bounces off a full input queue WAITS instead of re-offering the
+        # same request every cycle (when its ``can_wait_on_queue`` says
+        # that re-offer would change nothing); at its turn it rejoins
+        # once its queue has room, and only then ticks.
+        if self._active_count or self._waiting_count:
             active = self._core_active
+            waitq = self._core_waitq
             cores = self.cores
-            submit = self.mac.submit
+            submit = mac.submit
             node_id = self.node_id
+            at = self.attrib
             for idx in range(self._wheel_size):
                 if not active[idx]:
-                    continue
+                    queue = waitq[idx]
+                    if queue is None:
+                        continue
+                    if len(queue._q) >= queue.capacity:
+                        if at.enabled:
+                            # The bounce this tick would have repeated.
+                            at.stall_span(
+                                "router",
+                                StallCause.INPUT_QUEUE_FULL,
+                                cycle,
+                                cycle + 1,
+                            )
+                        continue
+                    self._activate(idx, cycle)
                 core = cores[idx]
                 req = core.tick(cycle)
                 if req is not None:
-                    if req.node != node_id and not req.is_fence:
+                    fence = req.rtype is RequestType.FENCE
+                    if req.node != node_id and not fence:
                         # Its completion would be routed to ``req.node``; in a
                         # single node nothing ever collects it.  Fences get
                         # no completion.
@@ -288,14 +325,20 @@ class Node(ClockedModel):
                         )
                     if submit(req):
                         self.stats.requests_issued += 1
-                        if not req.is_fence:
+                        if not fence:
                             # Fences never get a response; everything else is
                             # matched back to its issuer at delivery time.
                             self._issuer[(req.tid, req.tag)] = core
                     else:
-                        # Input queue full: the core re-issues next cycle, so
-                        # it must stay active regardless of its wake probe.
+                        # Input queue full: the core re-offers the request
+                        # next cycle, so it stays active — or waits.
                         core.retry()
+                        if core.can_wait_on_queue():
+                            active[idx] = False
+                            self._active_count -= 1
+                            self._core_parked_at[idx] = cycle + 1
+                            waitq[idx] = mac.request_router.queue_for(req)
+                            self._waiting_count += 1
                         continue
                 # Park decision: where can this core act next on its own?
                 w = core.next_event_cycle(cycle + 1)
@@ -308,33 +351,34 @@ class Node(ClockedModel):
                     self._active_count -= 1
                     self._core_parked_at[idx] = cycle + 1
                     self._core_wake[idx] = w
-                    heapq.heappush(wheap, (w, idx))
+                    heappush(wheap, (w, idx))
 
         # 3. MAC advances; emitted packets enter the device.
-        faulty = self.device.injector is not None
-        for packet in self.mac.tick():
+        packets = mac.tick()
+        device = self.device
+        faulty = device.injector is not None
+        for packet in packets:
             if faulty:
-                self.mac.response_router.register_dispatch(packet, cycle)
-            resp = self.device.submit(packet, cycle)
+                mac.response_router.register_dispatch(packet, cycle)
+            resp = device.submit(packet, cycle)
             if resp is None:
                 continue  # response lost in flight; timeout re-issues it
             self._seq += 1
-            heapq.heappush(self._in_flight, (resp.complete_cycle, self._seq, resp))
+            heappush(in_flight, (resp.complete_cycle, self._seq, resp))
 
         # 4. Timeout recovery: re-issue packets whose response never came.
         if faulty:
-            timeout = self.device.config.faults.timeout_cycles
-            for packet in self.mac.response_router.check_timeouts(cycle, timeout):
-                self.mac.response_router.register_dispatch(packet, cycle)
-                resp = self.device.submit(packet, cycle)
+            rr = mac.response_router
+            timeout = device.config.faults.timeout_cycles
+            for packet in rr.check_timeouts(cycle, timeout):
+                rr.register_dispatch(packet, cycle)
+                resp = device.submit(packet, cycle)
                 if resp is None:
                     continue
                 self._seq += 1
-                heapq.heappush(
-                    self._in_flight, (resp.complete_cycle, self._seq, resp)
-                )
+                heappush(in_flight, (resp.complete_cycle, self._seq, resp))
 
-        self._cycle += 1
+        self._cycle = cycle + 1
 
     def deliver_completion(self, raw, cycle: int) -> bool:
         """Hand one completed raw request back to the core that issued it.
@@ -383,27 +427,39 @@ class Node(ClockedModel):
         """Earliest cycle >= ``now`` at which this node can make progress.
 
         O(1) thanks to the per-core event wheel: any active core pins the
-        node to ``now``; otherwise the wake is the minimum of the core
-        wake heap head, the in-flight response heap head, and the
-        loss-recovery timeout deadline (fault injection).  A busy MAC
-        (anything buffered in its queues, ARQ or builder) pins the node
-        to lockstep, as does any undelivered response payload.
+        node to ``now``, as does a waiting core whose input queue has
+        room, an undelivered response payload, or a MAC that acts this
+        cycle.  Otherwise the wake is the minimum of the MAC's own wake
+        (builder emit, next pop slot), the core wake heap head, the
+        in-flight response heap head, and the loss-recovery timeout
+        deadline (fault injection).
+
+        With attribution on, each tick charges a waiting core's bounce as
+        an input-queue stall, and stall spans are only charged by ticks
+        (DESIGN §10).  No skip covers such a tick: a waiting core whose
+        queue is full leaves a request in the MAC input, which pins the
+        MAC to ``now`` under attribution.
         """
         if self._wheel_size != len(self.cores):
             return now  # cores were swapped; next tick rebuilds the wheel
         if self._active_count:
             return now
-        if not self.mac.idle():
-            return now
+        if self._waiting_count:
+            for queue in self._core_waitq:
+                if queue is not None and len(queue._q) < queue.capacity:
+                    return now
         rr = self.mac.response_router
         if rr.buffered or self.pending_remote:
             return now
-        wake: Optional[int] = None
+        wake = self.mac.next_event_cycle(now)
+        if wake is not None and wake <= now:
+            return now
         if self._in_flight:
             head = self._in_flight[0][0]
             if head <= now:
                 return now
-            wake = head
+            if wake is None or head < wake:
+                wake = head
         if self.device.injector is not None and rr.outstanding:
             deadline = rr.next_timeout_cycle(
                 self.device.config.faults.timeout_cycles
@@ -417,7 +473,7 @@ class Node(ClockedModel):
         while wheap:
             w, idx = wheap[0]
             if self._core_wake[idx] != w or self._core_active[idx]:
-                heapq.heappop(wheap)  # stale entry
+                heappop(wheap)  # stale entry
                 continue
             if w <= now:
                 return now
@@ -429,11 +485,13 @@ class Node(ClockedModel):
     def skip_to(self, target: int) -> None:
         """Fast-forward the node over a proven-quiescent span.
 
-        Inactive cores are left parked — their deferred spans simply grow
-        to ``target`` and settle at reactivation (or in
-        :meth:`_sync_cores` before stats are read).  ``next_event_cycle``
-        only ever returns a future wake when no core is active, so there
-        is no active-core accounting to replay here.
+        Inactive cores are left parked, blocked or waiting — their
+        deferred spans simply grow to ``target`` and settle at
+        reactivation (or in :meth:`_sync_cores` before stats are read).
+        ``next_event_cycle`` only ever returns a future wake when no
+        core is active and no waiting core's queue has room, so there is
+        no core accounting to replay here; the MAC applies its own
+        (builder countdown, cycle counters, depth samples).
         """
         start = self._cycle
         if target <= start:
@@ -466,6 +524,7 @@ class Node(ClockedModel):
             self.stats.responses_delivered,
             sum(c.stats.issued for c in self.cores),
             self._active_count,
+            self._waiting_count,
             len(self._wake_heap),
             len(self._in_flight),
             len(self._issuer),
@@ -486,6 +545,7 @@ class Node(ClockedModel):
             cores_done=sum(1 for c in self.cores if c.done),
             cores=len(self.cores),
             cores_active=self._active_count,
+            cores_waiting=self._waiting_count,
             cores_scheduled=len(self._wake_heap),
         )
         if self.device.injector is not None:

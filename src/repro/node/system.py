@@ -392,10 +392,13 @@ class NUMASystem(ClockedModel):
         (:mod:`repro.sim.pdes`), bit-identical to the serial engines;
         configurations that cannot shard (see :meth:`shard_blockers`)
         fall back to a serial run silently, so the env var is safe to
-        set globally.
+        set globally.  The PDES windows skip like the skip engine, so an
+        explicit ``shards`` > 1 with another engine raises
+        ``ValueError``; sharding asked for only by the env var leaves
+        such a run serial (see :func:`repro.sim.resolve_shards`).
         """
         self.shard_report = None
-        n_shards = min(resolve_shards(shards), len(self.nodes))
+        n_shards = min(resolve_shards(shards, engine), len(self.nodes))
         if n_shards > 1 and not self.shard_blockers():
             # Only a sharded run loads the PDES backend and multiprocessing.
             from repro.eval.parallel import pool_available

@@ -242,22 +242,22 @@ class SkipEngine:
             out = sim.tick()
             if on_tick is not None and out:
                 on_tick(out)
+            cycle = sim.cycle
             if hooked:
-                obs.after_tick(sim.cycle)
+                obs.after_tick(cycle)
             if wd.enabled:
                 wd.observe(sim)
-            if sim.cycle - start > max_cycles:
+            if cycle - start > max_cycles:
                 raise RuntimeError(sim._overrun_msg)
             if not skipping:
                 continue
-            wake = sim.next_event_cycle(sim.cycle)
-            if wake is not None and wake > sim.cycle:
+            wake = sim.next_event_cycle(cycle)
+            if wake is not None and wake > cycle:
                 # Never skip past the guard: ticking through the gap
                 # raises with the counter at limit + 1, and so must we.
-                before = sim.cycle
                 sim.skip_to(min(wake, limit))
                 if hooked:
-                    obs.after_skip(sim.cycle, sim.cycle - before)
+                    obs.after_skip(sim.cycle, sim.cycle - cycle)
         if hooked:
             obs.run_finished(sim.cycle)
         if wd.enabled:
@@ -318,8 +318,15 @@ def get_engine(spec=None):
 SHARDS_ENV_VAR = "REPRO_SIM_SHARDS"
 
 
-def resolve_shards(spec: Optional[int] = None) -> int:
-    """Shard count: ``spec``, else ``$REPRO_SIM_SHARDS`` (unset = 1); 0 = per CPU."""
+def resolve_shards(spec: Optional[int] = None, engine=None) -> int:
+    """Shard count: ``spec``, else ``$REPRO_SIM_SHARDS`` (unset = 1); 0 = per CPU.
+
+    Sharded windows skip as :class:`SkipEngine` does, so with another
+    ``engine`` (name or instance; ``None`` is skip) an explicit ``spec``
+    above 1 raises ``ValueError``, and the env var alone yields 1: it
+    must stay safe to set globally.
+    """
+    explicit = spec is not None
     if spec is None:
         raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
         if not raw:
@@ -328,5 +335,14 @@ def resolve_shards(spec: Optional[int] = None) -> int:
     if spec < 0:
         raise ValueError("shard count must be >= 0")
     if spec == 0:
-        return os.cpu_count() or 1
+        spec = os.cpu_count() or 1
+    if spec > 1 and engine is not None:
+        name = engine if isinstance(engine, str) else getattr(engine, "name", None)
+        if name != SkipEngine.name:
+            if explicit:
+                raise ValueError(
+                    f"shards={spec} runs the skip engine's PDES windows; "
+                    f"it cannot run engine {name!r}"
+                )
+            return 1
     return spec

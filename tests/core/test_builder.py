@@ -199,7 +199,7 @@ class TestBypassPacket:
         arq = AggregatedRequestQueue(CFG)
         arq.push(MemoryRequest(addr=0xA63, rtype=RequestType.LOAD, tid=3, tag=9))
         entry = arq.pop()
-        pkt = bypass_packet(entry.requests, AddressCodec(CFG), CFG)
+        pkt = bypass_packet(entry.requests, CFG)
         assert pkt.size == 16
         assert pkt.addr == 0xA60  # FLIT aligned
         assert pkt.bypassed
@@ -208,7 +208,7 @@ class TestBypassPacket:
     def test_atomic_bypass(self):
         arq = AggregatedRequestQueue(CFG)
         arq.push(MemoryRequest(addr=0xB20, rtype=RequestType.ATOMIC))
-        pkt = bypass_packet(arq.pop().requests, AddressCodec(CFG), CFG)
+        pkt = bypass_packet(arq.pop().requests, CFG)
         assert pkt.rtype is RequestType.ATOMIC
         assert pkt.size == 16
 
@@ -216,4 +216,4 @@ class TestBypassPacket:
         arq = AggregatedRequestQueue(CFG)
         arq.push(MemoryRequest(addr=0, rtype=RequestType.FENCE))
         with pytest.raises(ValueError):
-            bypass_packet(arq.pop().requests, AddressCodec(CFG), CFG)
+            bypass_packet(arq.pop().requests, CFG)

@@ -147,6 +147,26 @@ class TestNUMASystem:
         for n in range(3):
             assert metrics[f"node{n}.mac.total_cycles"] == sys3.cycle
 
+    def _mesh(self):
+        return NUMASystem(
+            [[stream(0, n=40, node=n)] for n in range(2)],
+            interleave_bytes=1 << 9,
+        )
+
+    def test_explicit_shards_refuse_a_non_skip_engine(self):
+        with pytest.raises(ValueError, match="shards=2.*'lockstep'"):
+            self._mesh().run(engine="lockstep", shards=2)
+
+    def test_env_sharding_runs_a_lockstep_request_serially(self, monkeypatch):
+        serial = self._mesh()
+        serial.run(engine="lockstep", shards=1)
+        monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
+        env = self._mesh()
+        env.run(engine="lockstep")
+        assert env.shard_report is None
+        assert env.cycle == serial.cycle
+        assert env.metrics() == serial.metrics()
+
     def test_remote_request_stamped_with_another_node_rejected(self):
         """A request carries its issuing node: the fabric sends it home by
         address and its completion back by ``node``."""

@@ -206,6 +206,13 @@ class TestShardResolution:
         assert resolve_shards(0) == (os.cpu_count() or 1)
         with pytest.raises(ValueError):
             resolve_shards(-1)
+        # Only the skip engine shards: the env var alone falls back to
+        # one shard, an explicit count refuses another engine.
+        assert resolve_shards(None, "skip") == 3
+        assert resolve_shards(None, "lockstep") == 1
+        assert resolve_shards(1, "lockstep") == 1
+        with pytest.raises(ValueError, match="shards=2.*'lockstep'"):
+            resolve_shards(2, "lockstep")
 
     def test_round_robin_partition(self):
         assert shard_node_ids(5, 2) == [[0, 2, 4], [1, 3]]

@@ -16,7 +16,9 @@ from repro.core.config import MACConfig, SystemConfig
 from repro.core.mac import MAC
 from repro.core.request import MemoryRequest, RequestType
 from repro.node.node import Node
+from repro.node.spm import ScratchpadMemory
 from repro.node.system import NUMASystem
+from repro.obs import AttributionCollector, Observers
 from repro.obs.observers import NO_OBSERVERS
 
 ENGINES = ("lockstep", "skip")
@@ -43,6 +45,15 @@ def make_requests(spec, core, node=0):
             )
         )
     return out
+
+
+def attribution_outcome(obs):
+    """Attribution snapshot plus each depth site's retained values."""
+    depth = obs.attrib.depth
+    return [
+        obs.attrib.snapshot(),
+        {site: depth.series(site) for site in depth.sites()},
+    ]
 
 
 def run_node(spec, engine, lsq_capacity=None, arq_entries=32):
@@ -87,6 +98,72 @@ class TestNodeEquivalence:
         # Stall-on-miss cores leave most cycles quiescent.
         assert lock.stats.cycles > 2 * lock.stats.requests_issued
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=workload_specs,
+        cores=st.sampled_from([2, 8]),
+        arq_entries=st.sampled_from([1, 2, 32]),
+        pop_interval=st.sampled_from([2, 4]),
+        lsq_capacity=st.sampled_from([None, 4]),
+        spm=st.booleans(),
+        attributed=st.booleans(),
+    )
+    def test_waiting_cores_match_reoffering_cores(
+        self, spec, cores, arq_entries, pop_interval, lsq_capacity, spm,
+        attributed,
+    ):
+        """A core waiting on a full input queue gets in when re-offering would.
+
+        The oracle's cores never wait: as every core did before the
+        WAITING state existed, they re-offer each cycle from the active
+        set, under lockstep.  Eight cores saturate the 64-entry queue;
+        SPM-mapped rows make bounces land while an SPM retirement is
+        pending, when a core must not wait.  A slow pop cadence leaves
+        cycles in which a waiting core's queue has room but the MAC,
+        its ARQ full, has nothing to do.
+        """
+
+        def spm_factory(cid):
+            pad = ScratchpadMemory(latency_cycles=2)
+            pad.map(0, 8 << 8)  # rows 0..7
+            return pad
+
+        outcomes = {}
+        for label, engine in (("waiting", "skip"), ("re-offering", "lockstep")):
+            obs = (
+                Observers(attrib=AttributionCollector())
+                if attributed
+                else NO_OBSERVERS
+            )
+            streams = [make_requests(spec, c) for c in range(cores)]
+            node = Node(
+                [iter(reqs) for reqs in streams],
+                system=SystemConfig(
+                    mac=MACConfig(
+                        arq_entries=arq_entries, pop_interval=pop_interval
+                    )
+                ),
+                spm_factory=spm_factory if spm else None,
+                lsq_capacity=lsq_capacity,
+                obs=obs,
+            )
+            if label == "re-offering":
+                for core in node.cores:
+                    core.can_wait_on_queue = lambda: False
+            node.run(engine=engine)
+            outcome = [
+                node.cycle,
+                node.metrics(),
+                [
+                    [(r.issue_cycle, r.complete_cycle) for r in reqs]
+                    for reqs in streams
+                ],
+            ]
+            if attributed:
+                outcome += attribution_outcome(obs)
+            outcomes[label] = outcome
+        assert outcomes["waiting"] == outcomes["re-offering"]
+
     def test_multithreaded_cores(self):
         for_engine = {}
         for engine in ENGINES:
@@ -100,23 +177,95 @@ class TestNodeEquivalence:
 
 
 class TestMACEquivalence:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         spec=workload_specs,
-        arq_entries=st.sampled_from([1, 4, 32]),
+        arq_entries=st.sampled_from([1, 2, 4, 32]),
+        pop_interval=st.integers(min_value=1, max_value=4),
+        stage2_cycles=st.integers(min_value=0, max_value=5),
+        atomics=st.booleans(),
+        attributed=st.booleans(),
     )
-    def test_process_trace(self, spec, arq_entries):
+    def test_process_trace(
+        self, spec, arq_entries, pop_interval, stage2_cycles, atomics, attributed
+    ):
+        """A busy MAC skips to its pop slot or builder emit, bit-identically.
+
+        Under skip the drain jumps over the cycles between pops and
+        stage-2 countdowns; packets (with their issue cycles), metrics,
+        attribution and every depth sample must match lockstep.
+        """
+        cfg = MACConfig(
+            arq_entries=arq_entries,
+            pop_interval=pop_interval,
+            builder_stage2_cycles=stage2_cycles,
+        )
         outcomes = {}
         for engine in ENGINES:
-            mac = MAC(MACConfig(arq_entries=arq_entries))
-            reqs = [r for c in range(spec[0]) for r in make_requests(spec, c)]
-            packets = mac.process(reqs, engine=engine)
-            outcomes[engine] = (
-                mac.cycle,
-                len(packets),
-                mac.stats.snapshot(),
-                mac.metrics(),
+            obs = (
+                Observers(attrib=AttributionCollector())
+                if attributed
+                else NO_OBSERVERS
             )
+            mac = MAC(cfg, obs=obs)
+            reqs = [r for c in range(spec[0]) for r in make_requests(spec, c)]
+            if atomics:
+                for r in reqs[::5]:
+                    if r.rtype is not RequestType.FENCE:
+                        r.rtype = RequestType.ATOMIC
+            packets = mac.process(reqs, engine=engine)
+            outcome = [
+                mac.cycle,
+                [
+                    (
+                        p.addr,
+                        p.size,
+                        p.rtype,
+                        p.bypassed,
+                        p.issue_cycle,
+                        [(r.tid, r.tag) for r in p.requests],
+                    )
+                    for p in packets
+                ],
+                mac.metrics(),
+                mac.stats.snapshot(),
+            ]
+            if attributed:
+                outcome += attribution_outcome(obs)
+            outcomes[engine] = outcome
+        assert outcomes["skip"] == outcomes["lockstep"]
+
+    def test_blocked_pops_charge_the_builder_under_skip(self):
+        """Rows that coalesce keep stage 1 busy past each pop slot.
+
+        Two rows and a 5-cycle stage 2: a builder-bound head waits on
+        stage 1 for several cycles past its pop slot, each charged as a
+        ``builder_busy`` stall; the drain under skip must charge every
+        one of them.
+        """
+        cfg = MACConfig(arq_entries=4, builder_stage2_cycles=5)
+        outcomes = {}
+        for engine in ENGINES:
+            obs = Observers(attrib=AttributionCollector())
+            mac = MAC(cfg, obs=obs)
+            reqs = [
+                MemoryRequest(
+                    addr=(i % 2) << 8 | (i % 16) << 4,
+                    rtype=RequestType.LOAD,
+                    tid=0,
+                    tag=i,
+                )
+                for i in range(240)
+            ]
+            packets = mac.process(reqs, engine=engine)
+            outcomes[engine] = [
+                mac.cycle,
+                [(p.addr, p.size, p.issue_cycle) for p in packets],
+                mac.metrics(),
+                *attribution_outcome(obs),
+            ]
+        stalls = outcomes["lockstep"][3]["stalls"]
+        assert stalls["builder"]["builder_busy"] > 0
         assert outcomes["skip"] == outcomes["lockstep"]
 
 
@@ -307,24 +456,25 @@ class TestNUMAEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         nodes=st.integers(min_value=2, max_value=4),
-        spec=workload_specs.filter(lambda s: s[0] <= 2),
+        spec=workload_specs,
+        cores=st.sampled_from([1, 2, 8]),
         latency=st.sampled_from([0, 1, 3, 23]),
         channel_capacity=st.sampled_from([1, 2, 64]),
         arq_entries=st.sampled_from([2, 32]),
         attributed=st.booleans(),
     )
     def test_random_meshes(
-        self, nodes, spec, latency, channel_capacity, arq_entries, attributed
+        self, nodes, spec, cores, latency, channel_capacity, arq_entries,
+        attributed,
     ):
         """Skip, lockstep and the every-node oracle agree on any mesh.
 
         Both engines run the node wake table, so the oracle — every node
         ticked on every cycle — checks the table itself.  With
         attribution on, the shared depth sampler must also see the same
-        sequence of values.
+        sequence of values.  Eight cores per node saturate the MAC input
+        queues, so cores wait on them.
         """
-        from repro.obs import AttributionCollector, Observers
-
         outcomes = {}
         for label, cls, engine in (
             ("skip", NUMASystem, "skip"),
@@ -338,7 +488,7 @@ class TestNUMAEquivalence:
             )
             system = cls(
                 [
-                    [iter(make_requests(spec, c, node=n)) for c in range(spec[0])]
+                    [iter(make_requests(spec, c, node=n)) for c in range(cores)]
                     for n in range(nodes)
                 ],
                 system=SystemConfig(mac=MACConfig(arq_entries=arq_entries)),

@@ -286,6 +286,13 @@ class TestRunMesh:
         }
         assert rest == plain
 
+    def test_lockstep_with_explicit_shards_exits_2(self, capsys):
+        argv = ["run", "IS", "--nodes", "2", "--engine", "lockstep",
+                "--shards", "2", *self.SIZING]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "shards=2" in err and "'lockstep'" in err
+
     def test_sharded_profile_counts_engine_work(self, tmp_path, capsys):
         mesh = ["--nodes", "4", "--profile"]
         serial = self._metrics(tmp_path, capsys, *mesh, "--shards", "1")
