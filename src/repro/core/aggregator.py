@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from ..obs.attribution import StallCause
 from ..obs.observers import NO_OBSERVERS, Observers
-from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import AggregatedRequestQueue
 from .builder import RequestBuilder, bypass_packet
@@ -25,7 +24,6 @@ from .request import MemoryRequest
 from .stats import MACStats
 
 
-@register_wake_protocol
 class RawRequestAggregator:
     """Cycle model of ARQ intake + pop cadence + builder hand-off."""
 
@@ -66,14 +64,12 @@ class RawRequestAggregator:
 
         Args:
             incoming: at most one raw request offered this cycle (the ARQ
-                accept rate); ignored (and reported via the return of
-                :meth:`accepted`) when the ARQ is full.
+                accept rate); ignored when the ARQ is full.
 
         Returns:
             Packets dispatched towards the memory device this cycle.
         """
         cycle = self._cycle
-        self._accepted_last = True
         queue = self._queue
         at = self.attrib
         if at.enabled and not cycle & 63:
@@ -153,9 +149,7 @@ class RawRequestAggregator:
         # Intake: one request per cycle.
         stats = self.stats
         if incoming is not None:
-            accepted = self.arq.push(incoming, cycle)
-            self._accepted_last = accepted
-            if accepted:
+            if self.arq.push(incoming, cycle):
                 stats.record_raw(incoming.rtype)
                 if at.enabled:
                     m = incoming.marks
@@ -179,10 +173,6 @@ class RawRequestAggregator:
         self._cycle = cycle + 1
         stats.total_cycles = cycle + 1
         return out
-
-    def accepted(self) -> bool:
-        """Whether the request offered to the last tick() was accepted."""
-        return self._accepted_last
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest cycle >= ``now`` at which a tick changes the aggregator.
@@ -251,12 +241,6 @@ class RawRequestAggregator:
         self.builder.skip(start, end)
         self._cycle = end
         self.stats.total_cycles = end
-        self._accepted_last = True
-
-    def skip_to(self, target: int) -> None:
-        """Component-wheel alias for :meth:`skip` from the current cycle."""
-        if target > self._cycle:
-            self.skip(self._cycle, target)
 
     def drain(self) -> List[CoalescedRequest]:
         """Run the clock with no new input until everything is emitted."""

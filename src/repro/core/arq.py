@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from ..obs.observers import NO_OBSERVERS
-from ..sim import register_wake_protocol
 from ..sim.watchdog import sanitize_enabled
 from .address import AddressCodec
 from .config import MACConfig
@@ -59,7 +58,6 @@ class ARQEntry:
         return 0 if self.fence else len(self.requests)
 
 
-@register_wake_protocol
 class AggregatedRequestQueue:
     """FIFO of ARQEntry with associative merge, fences and bypass.
 
@@ -404,18 +402,3 @@ class AggregatedRequestQueue:
             if k == key:
                 return self._entries[i]
         return None
-
-    # -- quiescence skipping -------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Buffered entries act on the pop cadence; an empty queue never.
-
-        The ARQ is a passive structure — its clocking (accept rate, pop
-        cadence) lives in the aggregator — so its own wake is simply
-        "now" while occupied and "no self-scheduled wake" when empty.
-        """
-        return None if not self._entries else now
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: skipping an empty ARQ is a no-op."""
-

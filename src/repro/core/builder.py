@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import ARQEntry
 from .config import MACConfig
@@ -79,7 +78,6 @@ class _StageSlot:
     remaining: int = 0
 
 
-@register_wake_protocol
 class RequestBuilder:
     """Cycle-level model of the two-stage pipelined request builder.
 

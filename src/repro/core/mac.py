@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..obs.attribution import StallCause
 from ..obs.metrics import MetricsRegistry
 from ..obs.observers import NO_OBSERVERS, Observers
-from ..sim import ClockedModel, register_wake_protocol
+from ..sim import ClockedModel
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
 from .builder import RequestBuilder, bypass_packet, emit_row
@@ -30,7 +30,6 @@ from .router import RequestRouter, ResponseRouter
 from .stats import MACStats
 
 
-@register_wake_protocol
 class MAC(ClockedModel):
     """Cycle-level Memory Access Coalescer for one node.
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..obs.protocol import StatsMixin
-from ..sim import register_wake_protocol
 from .packet import CoalescedResponse
 from .request import MemoryRequest, RequestType
 
@@ -76,7 +75,6 @@ class RouterStats(StatsMixin):
     inbound_remote: int = 0
 
 
-@register_wake_protocol
 class RequestRouter:
     """Classifies raw requests into local / global / remote queues.
 
@@ -147,27 +145,11 @@ class RequestRouter:
         """Pop the next raw request bound for a remote node."""
         return self.global_queue.pop()
 
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Buffered requests must drain every cycle; empty queues never act."""
-        if (
-            self.local_queue.empty
-            and self.remote_queue.empty
-            and self.global_queue.empty
-        ):
-            return None
-        return now
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: skipping an empty router is a no-op."""
-
 
 #: Shared empty drain result: callers treat it as read-only.
 _EMPTY_DRAIN: Tuple[list, list] = ([], [])
 
 
-@register_wake_protocol
 class ResponseRouter:
     """Directs device responses back to cores or remote nodes (section 3.3).
 
@@ -205,21 +187,6 @@ class ResponseRouter:
     def buffered_raw_count(self) -> int:
         """Raw requests inside buffered responses (conservation checks)."""
         return sum(len(resp.request.requests) for resp in self._buffer)
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Buffered responses must deliver; timeouts are the node's wake.
-
-        The loss-recovery deadline is *not* reported here: the owning
-        node folds :meth:`next_timeout_cycle` into its own wake (the
-        timeout horizon depends on the device fault config the router
-        cannot see).
-        """
-        return now if self._buffer else None
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: skipping an idle router is a no-op."""
 
     # -- loss recovery (fault injection only) -------------------------------
 

@@ -22,9 +22,7 @@ to use):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.sim import register_wake_protocol
+from typing import Tuple
 
 from .timing import HMCTiming
 
@@ -54,7 +52,6 @@ def open_page_map(addr: int, row_bytes: int, banks: int) -> Tuple[int, int]:
     return row & (banks - 1), row >> (banks - 1).bit_length()
 
 
-@register_wake_protocol
 @dataclass(slots=True)
 class Bank:
     """Busy-time + row-buffer bookkeeping for one DRAM bank."""
@@ -169,19 +166,3 @@ class Bank:
     @property
     def row_hit_rate(self) -> float:
         return self.row_hits / self.accesses if self.accesses else 0.0
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Event-timed: the bank never acts on its own clock edge.
-
-        ``ready_cycle`` is an absolute stamp consumed by the *next*
-        access; nothing observable happens at it unless a new request
-        arrives, so the bank schedules no wake (a busy bank's completion
-        is already folded into the response's ``complete_cycle``).  The
-        row-buffer state is likewise only read at the next access.
-        """
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """All state is absolute timestamps: skipping costs nothing."""

@@ -7,20 +7,17 @@ topology reproduces these semantics bit for bit; the class is kept as
 the executable reference for the equivalence property in
 ``tests/sim/test_noc_equivalence.py`` (its raw ``forwarded``/``returned``
 ints never participated in the StatsMixin merge contract — the NoC's
-:class:`repro.hmc.noc.NoCStats` does).
+:class:`repro.hmc.noc.NoCStats` does).  Like the NoC it has no clock
+edge of its own, so it answers no wake.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.sim import register_wake_protocol
 
 from .timing import HMCTiming
 
 
-@register_wake_protocol
 @dataclass(slots=True)
 class Crossbar:
     """Fixed-latency link<->vault switch."""
@@ -38,12 +35,3 @@ class Crossbar:
         """Deliver a response from a vault to its link."""
         self.returned += 1
         return cycle + self.timing.crossbar_latency
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Stateless fixed-latency switch: never self-schedules a wake."""
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: skipping costs nothing."""

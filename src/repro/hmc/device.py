@@ -35,7 +35,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.stats import FaultStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observers import NO_OBSERVERS, Observers
-from repro.sim import register_wake_protocol
 
 from .config import HMCConfig
 from .link import Link, LinkFailedError
@@ -45,7 +44,6 @@ from .stats import HMCStats
 from .vault import Vault
 
 
-@register_wake_protocol
 class HMCDevice:
     """One simulated HMC cube.
 
@@ -257,33 +255,6 @@ class HMCDevice:
             if load + 64 < best_load:  # switch only on clear imbalance
                 best, best_load = cand, load
         return best
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Event-timed: responses materialize inside :meth:`submit`.
-
-        The whole device advances by absolute next-free stamps (links,
-        crossbar, vault front-ends, banks); completion cycles are
-        returned to the node, which holds them in its in-flight heap —
-        the heap head, not the device, is the wake source.
-        """
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """All state is absolute timestamps: skipping costs nothing."""
-
-    def busy_until(self) -> int:
-        """Latest cycle any device resource is still occupied.
-
-        A sweep over every vault's bank timing and both channels of every
-        link — the memory-side horizon the busy-phase bench reports.
-        """
-        return max(
-            self.noc.busy_until(),
-            max((v.busy_until() for v in self.vaults), default=0),
-            max((l.busy_until() for l in self.links), default=0),
-        )
 
     # -- aggregates ----------------------------------------------------------------
 

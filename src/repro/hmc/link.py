@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.attribution import StallCause
 from ..obs.observers import NO_OBSERVERS, Observers
-from ..sim import register_wake_protocol
 from .timing import HMCTiming
 
 #: Cap on the exponential-backoff shift so huge retry limits cannot
@@ -324,7 +323,6 @@ def _backoff(base: int, failures: int) -> int:
     return base << min(failures - 1, _MAX_BACKOFF_SHIFT)
 
 
-@register_wake_protocol
 class Link:
     """Full-duplex link: independent request/response channels."""
 
@@ -345,25 +343,6 @@ class Link:
     @property
     def wire_flits(self) -> int:
         return self.request.flits + self.response.flits
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Event-timed: serialization happens inside ``transmit`` calls.
-
-        Channel ``ready_cycle`` stamps are absolute and only consulted
-        by the next transmission, so the link never self-schedules a
-        wake — busy wire time is already folded into response
-        completion cycles.
-        """
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """All state is absolute timestamps: skipping costs nothing."""
-
-    def busy_until(self) -> int:
-        """Latest cycle either direction of the link is serializing."""
-        return max(self.request.ready_cycle, self.response.ready_cycle)
 
     # -- fault wiring -------------------------------------------------------
 

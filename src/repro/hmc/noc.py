@@ -43,21 +43,20 @@ policy.
 Every topology keeps *only absolute cycle stamps* (port ready cycles,
 buffer release cycles) that are consumed by the next :meth:`to_vault` /
 :meth:`to_link` call — exactly the contract of the bank and link
-models.  Nothing observable happens on the NoC's own clock edge, so
-``next_event_cycle`` returns ``None`` and ``skip_to`` is free, and the
-SkipEngine / sharded-PDES bit-identity guarantees hold for *all*
-topologies, not just ``ideal``.
+models.  Nothing observable happens on the NoC's own clock edge, so it
+answers no wake and a skip leaves it untouched, and the SkipEngine /
+sharded-PDES bit-identity guarantees hold for *all* topologies, not
+just ``ideal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.attribution import StallCause
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import register_wake_protocol
 
 from .timing import HMCTiming
 
@@ -105,7 +104,6 @@ class NoCStats(StatsMixin):
     hop_cycles: int = 0
 
 
-@register_wake_protocol
 class IdealNoC:
     """Bit-identical stand-in for the legacy fixed-latency crossbar."""
 
@@ -127,19 +125,6 @@ class IdealNoC:
         st.returned += 1
         st.response_flits += flits
         return cycle + self.timing.crossbar_latency
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Stateless fixed-latency switch: never self-schedules a wake."""
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: skipping costs nothing."""
-
-    def busy_until(self) -> int:
-        """No occupancy state: the ideal switch is never busy."""
-        return 0
 
 
 class _Port:
@@ -172,11 +157,7 @@ class _Port:
         self.slots.append(release)
         self.ready = release
 
-    def busy_until(self) -> int:
-        return self.ready
 
-
-@register_wake_protocol
 class XbarNoC:
     """Per-destination-port switch with bounded buffers + backpressure.
 
@@ -264,32 +245,7 @@ class XbarNoC:
             self.hops(vault, link),
         )
 
-    # -- quiescence skipping --------------------------------------------------
 
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Event-timed: ports hold absolute stamps consumed on arrival.
-
-        Like the banks and links, nothing observable happens at a port's
-        ``ready`` cycle unless a new packet shows up, so the NoC never
-        self-schedules a wake — SkipEngine and the PDES shards stay
-        bit-identical for every topology.
-        """
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """All state is absolute timestamps: skipping costs nothing."""
-
-    def busy_until(self) -> int:
-        """Latest cycle any port is still serializing a packet."""
-        busy = 0
-        for port in self._vault_ports:
-            busy = max(busy, port.ready)
-        for port in self._link_ports:
-            busy = max(busy, port.ready)
-        return busy
-
-
-@register_wake_protocol
 class RingNoC(XbarNoC):
     """Vault ring: links inject at evenly spaced stops."""
 
@@ -301,7 +257,6 @@ class RingNoC(XbarNoC):
         return min(fwd, self.vaults - fwd)
 
 
-@register_wake_protocol
 class MeshNoC(XbarNoC):
     """Near-square vault grid: Manhattan-distance hop routing."""
 

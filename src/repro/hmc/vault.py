@@ -10,12 +10,11 @@ occupy their target bank per the closed-page timing in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..obs.attribution import StallCause
 from ..obs.observers import NO_OBSERVERS, Observers
 from ..obs.protocol import StatsMixin
-from ..sim import register_wake_protocol
 from .bank import Bank
 from .config import HMCConfig
 from .timing import HMCTiming
@@ -28,7 +27,6 @@ class VaultStats(StatsMixin):
     service_cycles: int = 0
 
 
-@register_wake_protocol
 class Vault:
     """One vault: front-end queue + banks."""
 
@@ -107,24 +105,6 @@ class Vault:
                     vault=self.index, bank=bank_idx, row=dram_row,
                 )
         return done
-
-    # -- quiescence skipping --------------------------------------------------
-
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """Event-timed: the controller acts only when a request arrives.
-
-        ``frontend_ready`` and every bank's ``ready_cycle`` are absolute
-        stamps folded into response completion times at :meth:`access`;
-        no per-cycle state advances, so the vault schedules no wake.
-        """
-        return None
-
-    def skip_to(self, target: int) -> None:
-        """All state is absolute timestamps: skipping costs nothing."""
-
-    def busy_until(self) -> int:
-        """Latest cycle at which any of this vault's banks is occupied."""
-        return max(self.frontend_ready, *(b.ready_cycle for b in self.banks))
 
     # -- aggregates -----------------------------------------------------------
 

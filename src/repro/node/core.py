@@ -20,7 +20,6 @@ from typing import Iterator, List, Optional
 
 from repro.core.request import MemoryRequest, RequestType
 from repro.obs.protocol import StatsMixin
-from repro.sim import register_wake_protocol
 
 from .lsq import LoadStoreQueue
 from .spm import ScratchpadMemory
@@ -38,7 +37,6 @@ class CoreStats(StatsMixin):
     finished_cycle: int = -1
 
 
-@register_wake_protocol
 class InOrderCore:
     """One cache-less core replaying a memory-operation stream."""
 

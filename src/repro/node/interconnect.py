@@ -34,8 +34,6 @@ import heapq
 from collections import defaultdict, deque
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.sim import register_wake_protocol
-
 
 class Hop(NamedTuple):
     """One message in flight, ordered by its deterministic delivery key."""
@@ -47,7 +45,6 @@ class Hop(NamedTuple):
     payload: Any
 
 
-@register_wake_protocol
 class Interconnect:
     """Fixed-latency wire feeding credit-gated per-destination channels.
 
@@ -247,8 +244,3 @@ class Interconnect:
         if wake is None:
             return None
         return max(wake, now)
-
-    def skip_to(self, target: int) -> None:
-        """No per-cycle state: hops carry absolute delivery cycles and
-        credit returns carry absolute due cycles, so skipping an idle
-        span is a no-op — :meth:`pump` at the wake cycle applies both."""

@@ -18,7 +18,6 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.core.request import MemoryRequest
 from repro.obs.protocol import StatsMixin
-from repro.sim import register_wake_protocol
 
 from .spm import ScratchpadMemory
 
@@ -46,7 +45,6 @@ class MTCoreStats(StatsMixin):
     switches: int = 0
 
 
-@register_wake_protocol
 class MultithreadedCore:
     """K-context barrel-style core with stall-on-miss threads."""
 

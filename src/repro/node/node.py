@@ -25,7 +25,7 @@ from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel, register_wake_protocol
+from repro.sim import ClockedModel
 
 from .core import InOrderCore
 from .spm import ScratchpadMemory
@@ -60,7 +60,6 @@ class NodeStats(StatsMixin):
     link_bandwidth_loss: float = 0.0
 
 
-@register_wake_protocol
 class Node(ClockedModel):
     """Closed-loop simulation of one node of the Fig. 4 architecture.
 

@@ -29,7 +29,7 @@ from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel, register_wake_protocol, resolve_shards
+from repro.sim import ClockedModel, resolve_shards
 
 from .interconnect import Interconnect
 from .node import Node
@@ -78,7 +78,6 @@ class SystemStats(StatsMixin):
     duplicate_remote_drops: int = 0
 
 
-@register_wake_protocol
 class NUMASystem(ClockedModel):
     """A small mesh of MAC-equipped nodes sharing one address space.
 

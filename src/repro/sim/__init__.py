@@ -1,12 +1,13 @@
 """Unified simulation kernel (DESIGN.md section 10).
 
 Shared clocking machinery for every closed-loop model: the
-:class:`Clocked` component protocol, the :class:`ClockedModel` base class
-(cycle counter + run loop, deduplicated out of ``MAC``, ``Node`` and
-``NUMASystem``) and its one run loop — :class:`SkipEngine` (quiescence
-detection + fast-forward to the next wake event, the default) and
-:class:`LockstepEngine` (the same loop ticking every cycle, the test
-oracle), which are bit-identical by contract.
+:class:`ClockedModel` base class (cycle counter + run loop, deduplicated
+out of ``MAC``, ``Node`` and ``NUMASystem``, and the one wake contract:
+a model the skip engine drives implements ``next_event_cycle`` and
+``skip_to``, with no default) and its one run loop — :class:`SkipEngine`
+(quiescence detection + fast-forward to the next wake event, the
+default) and :class:`LockstepEngine` (the same loop ticking every
+cycle, the test oracle), which are bit-identical by contract.
 """
 
 from repro._lazy import lazy_exports
@@ -14,9 +15,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     kernel=(
-        "DEFAULT_ENGINE", "ENGINES", "WAKE_PROTOCOL_REGISTRY", "Clocked",
-        "ClockedModel", "LockstepEngine", "SkipEngine", "engine_names", "get_engine",
-        "register_wake_protocol", "wake_protocol_offenders", "SHARDS_ENV_VAR",
+        "DEFAULT_ENGINE", "ENGINES", "ClockedModel", "LockstepEngine",
+        "SkipEngine", "engine_names", "get_engine", "SHARDS_ENV_VAR",
         "resolve_shards",
     ),
     pdes=("ShardCrash", "ShardError", "ShardFallback", "ShardReport", "run_sharded"),
@@ -27,11 +27,7 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "Clocked",
     "ClockedModel",
-    "WAKE_PROTOCOL_REGISTRY",
-    "register_wake_protocol",
-    "wake_protocol_offenders",
     "LockstepEngine",
     "SkipEngine",
     "ENGINES",

@@ -1,4 +1,4 @@
-"""Shared simulation kernel: the ``Clocked`` protocol and run engines.
+"""Shared simulation kernel: the wake contract and the run engines.
 
 Every top-level clocked model in the reproduction — :class:`repro.core.mac.MAC`,
 :class:`repro.node.node.Node`, :class:`repro.node.system.NUMASystem` — used to
@@ -9,7 +9,8 @@ express: *quiescence skipping*.
 
 One run loop, :meth:`SkipEngine.run`, drives a :class:`ClockedModel`.  After
 each tick it asks the model for its earliest *wake event*
-(``next_event_cycle``).  When the model reports that nothing non-uniform can
+(``next_event_cycle``); a model the engine drives must answer, as there is
+no default wake.  When the model reports that nothing non-uniform can
 happen before cycle ``w`` (all cores blocked on an in-flight memory response,
 MAC drained, fabric empty, no timeout due), the engine calls ``skip_to(w)``:
 the model bulk-applies the per-cycle accounting the skipped ticks would have
@@ -30,86 +31,22 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from typing import Callable, List, Optional
 
 from repro.obs.observers import NO_OBSERVERS
 
 from .watchdog import default_watchdog
 
 
-#: Every component class participating in the per-component wake
-#: protocol registers here (via :func:`register_wake_protocol`).  The
-#: registry exists because ``ClockedModel.next_event_cycle`` defaults to
-#: ``now`` — safe (never skips) but silent: one component forgetting to
-#: override it disables skipping system-wide with no visible symptom
-#: except lost speed.  The sanitizer (``REPRO_SIM_CHECK=1``) and a unit
-#: test audit the registry so that failure mode is loud.
-WAKE_PROTOCOL_REGISTRY: List[type] = []
-
-
-def register_wake_protocol(cls):
-    """Class decorator: enroll ``cls`` in the wake-protocol audit."""
-    WAKE_PROTOCOL_REGISTRY.append(cls)
-    return cls
-
-
-def wake_protocol_offenders(cls=None) -> List[type]:
-    """Registered classes that still use the never-skip default.
-
-    A class offends when it neither defines its own ``next_event_cycle``
-    nor inherits one from anywhere other than :class:`ClockedModel`'s
-    default (which is tagged ``_default_wake``).  Pass ``cls`` to audit
-    a single class instead of the whole registry.
-    """
-    targets = [cls] if cls is not None else WAKE_PROTOCOL_REGISTRY
-    offenders = []
-    for target in targets:
-        fn = getattr(target, "next_event_cycle", None)
-        if fn is None or getattr(fn, "_default_wake", False):
-            offenders.append(target)
-    return offenders
-
-
-def _warn_default_wake(sim) -> None:
-    """Sanitizer warning for a model running on the never-skip default."""
-    cls = type(sim)
-    if wake_protocol_offenders(cls):
-        warnings.warn(
-            f"{cls.__module__}.{cls.__qualname__} does not override "
-            "ClockedModel.next_event_cycle; the skip engine will never "
-            "skip while it is in the loop (lockstep-equivalent but slow)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-@runtime_checkable
-class Clocked(Protocol):
-    """A component advanced by an external clock.
-
-    ``tick(cycle)`` advances one cycle; ``idle()`` reports whether the
-    component has buffered work; ``next_event_cycle(now)`` reports the
-    earliest cycle >= ``now`` at which ticking could change externally
-    visible state (``None`` = no self-scheduled wake; the component only
-    reacts to external events such as a response delivery).
-    """
-
-    def tick(self, cycle: int): ...
-
-    def idle(self) -> bool: ...
-
-    def next_event_cycle(self, now: int) -> Optional[int]: ...
-
-
 class ClockedModel:
     """Base class for top-level simulations (MAC, Node, NUMASystem).
 
     Owns the cycle counter and the run loop; subclasses implement
-    ``done()`` and ``tick()``, and — to benefit from :class:`SkipEngine` —
-    override ``next_event_cycle``/``skip_to``.  The default
-    ``next_event_cycle`` returns ``now`` (never skip), so a model that has
-    not opted in behaves identically under either engine.
+    ``done()`` and ``tick()``.  A model driven by :class:`SkipEngine`
+    (or probed by the watchdog's hang check) must also implement
+    ``next_event_cycle`` and ``skip_to``: there is no default wake, so a
+    model that forgot one fails on its first probe instead of silently
+    ticking every cycle.  :class:`LockstepEngine` needs neither.
     """
 
     #: RuntimeError message raised when the max-cycles guard fires.
@@ -142,7 +79,7 @@ class ClockedModel:
     def tick(self):
         raise NotImplementedError
 
-    # -- quiescence skipping (opt-in) ----------------------------------------
+    # -- quiescence skipping ------------------------------------------------
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest cycle >= ``now`` at which a non-uniform event can occur.
@@ -151,15 +88,11 @@ class ClockedModel:
         the model schedules no wake of its own (the engine then falls back
         to single-stepping, preserving lockstep behaviour — including the
         max-cycles guard — on models that would otherwise spin forever).
-
-        This default is deliberately conservative — and therefore a
-        silent performance trap: a registered component relying on it
-        disables skipping system-wide.  The sanitizer warns (see
-        :func:`wake_protocol_offenders`).
         """
-        return now
-
-    next_event_cycle._default_wake = True  # tagged for the registry audit
+        raise NotImplementedError(
+            f"{type(self).__name__} has no wake: the skip engine and the "
+            "watchdog's hang probe need next_event_cycle"
+        )
 
     def skip_to(self, target: int) -> None:
         """Fast-forward to ``target``, bulk-applying per-cycle accounting.
@@ -226,8 +159,6 @@ class SkipEngine:
         wd = self.watchdog
         if wd.enabled:
             wd.reset()
-            if skipping and getattr(wd, "sanitize", False):
-                _warn_default_wake(sim)
         obs = getattr(sim, "obs", NO_OBSERVERS)
         hooked = obs.hooked
         if hooked:

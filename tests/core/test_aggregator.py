@@ -12,14 +12,26 @@ def req(addr, rtype=RequestType.LOAD, tag=0):
     return MemoryRequest(addr=addr, rtype=rtype, tag=tag)
 
 
+def offer(agg, request):
+    """Tick once offering ``request``: (packets, whether the ARQ took it).
+
+    A request is accepted exactly when the tick counts it as a raw
+    request in the aggregator's stats.
+    """
+    before = agg.stats.raw_requests
+    out = agg.tick(request)
+    return out, agg.stats.raw_requests == before + 1
+
+
 def feed_and_drain(agg, requests):
     out = []
     it = iter(requests)
     pending = next(it, None)
     guard = 0
     while pending is not None:
-        out.extend(agg.tick(pending))
-        if agg.accepted():
+        pkts, accepted = offer(agg, pending)
+        out.extend(pkts)
+        if accepted:
             pending = next(it, None)
         guard += 1
         assert guard < 100_000
@@ -98,8 +110,9 @@ class TestCadence:
 
     def test_accepts_one_per_cycle(self):
         agg = RawRequestAggregator(CFG)
-        agg.tick(req(0x100))
-        assert agg.accepted()
+        _, accepted = offer(agg, req(0x100))
+        assert accepted
+        assert len(agg.arq) == 1
         assert agg.cycle == 1
 
     def test_full_arq_rejects_input(self):
@@ -114,8 +127,8 @@ class TestCadence:
         # rejection is observed with an always-full queue.
         rejected = False
         for i in range(4, 50):
-            agg.tick(req(i << 8))
-            if not agg.accepted():
+            _, accepted = offer(agg, req(i << 8))
+            if not accepted:
                 rejected = True
                 break
         assert rejected

@@ -34,7 +34,6 @@ class TestIdealNoC:
         a = noc.to_vault(100, vault=0, link=0, flits=8)
         b = noc.to_vault(100, vault=0, link=1, flits=8)
         assert a == b == 100 + T.crossbar_latency
-        assert noc.busy_until() == 0
         assert noc.stats.contention_cycles == 0
 
     def test_traffic_counters(self):
@@ -99,12 +98,15 @@ class TestXbarBackpressure:
         service = max(1, flits * T.cycles_per_flit)
         deep = XbarNoC(T, vaults=2, links=4, buffers=4)
         shallow = XbarNoC(T, vaults=2, links=4, buffers=1)
-        for noc in (deep, shallow):
-            for link in range(3):
-                noc.to_vault(0, vault=0, link=link, flits=flits)
+        deep_at, shallow_at = (
+            [noc.to_vault(0, vault=0, link=link, flits=flits) for link in range(3)]
+            for noc in (deep, shallow)
+        )
         # Arrival times (and hence total delay) are identical — the
-        # bounded buffer only moves waiting upstream into the link.
-        assert deep.busy_until() == shallow.busy_until() == 3 * service
+        # bounded buffer only moves waiting upstream into the link.  The
+        # third packet is granted once the first two have serialized.
+        assert deep_at == shallow_at
+        assert deep_at[2] == 2 * service + T.crossbar_latency
         assert deep.stats.buffer_stall_cycles == 0
         assert deep.stats.contention_cycles == 3 * service
         assert shallow.stats.buffer_stall_cycles > 0

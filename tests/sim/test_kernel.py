@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    Clocked,
     ClockedModel,
     DEFAULT_ENGINE,
     LockstepEngine,
@@ -42,11 +41,16 @@ class Pulse(ClockedModel):
         self._cycle = target
 
 
-class Opaque(Pulse):
-    """Same toy, but without opting into skipping (base-class default)."""
+class Opaque(ClockedModel):
+    """Same toy, but answering no wake: neither wake method is defined."""
 
-    def next_event_cycle(self, now):
-        return ClockedModel.next_event_cycle(self, now)
+    def __init__(self, events):
+        self.events = sorted(events)
+        self.fired = []
+        self.ticks = 0
+
+    done = Pulse.done
+    tick = Pulse.tick
 
 
 class Stuck(ClockedModel):
@@ -92,13 +96,20 @@ class TestEngines:
         assert sim.ticks == 4  # cycle 0 probes, then one tick per event
         assert sim.skipped == 21 - 4
 
-    def test_skip_without_opt_in_degrades_to_lockstep(self):
-        # The base-class next_event_cycle returns `now`, so SkipEngine
-        # single-steps models that never implemented skip_to.
+    def test_skip_engine_rejects_a_model_without_a_wake(self):
+        # There is no default wake: the first probe names the class,
+        # instead of the skip engine silently ticking every cycle.
         sim = Opaque([3, 7])
-        SkipEngine().run(sim, max_cycles=100)
-        assert sim.ticks == 8
-        assert sim.skipped == 0
+        with pytest.raises(
+            NotImplementedError, match="Opaque .*next_event_cycle"
+        ):
+            SkipEngine().run(sim, max_cycles=100)
+        assert sim.ticks == 1
+        # Lockstep never probes, so the same model runs there.
+        sim = Opaque([3, 7])
+        LockstepEngine().run(sim, max_cycles=100)
+        assert sim.fired == [3, 7]
+        assert sim.ticks == sim.cycle == 8
 
     @pytest.mark.parametrize("engine", [LockstepEngine(), SkipEngine()])
     def test_overrun_raises_at_identical_cycle(self, engine):
@@ -170,11 +181,6 @@ class TestBoilerplateDedup:
         assert "drain" in MAC._overrun_msg
         assert "node" in Node._overrun_msg
         assert "system" in NUMASystem._overrun_msg
-
-    def test_mac_satisfies_clocked_protocol(self):
-        from repro.core.mac import MAC
-
-        assert isinstance(MAC(), Clocked)
 
     def test_mac_drain_guard_regression(self):
         """MAC.run's max-cycles guard is relative and still fires."""

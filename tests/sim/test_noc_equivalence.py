@@ -71,15 +71,6 @@ class LegacyCrossbarAdapter:
     def to_link(self, cycle, vault=0, link=0, flits=1):
         return self.legacy.to_link(cycle)
 
-    def next_event_cycle(self, now):
-        return self.legacy.next_event_cycle(now)
-
-    def skip_to(self, target):
-        self.legacy.skip_to(target)
-
-    def busy_until(self):
-        return 0
-
 
 def run_node(spec, engine, hmc_config=None, legacy=False, max_cycles=None):
     cores = spec[0]

@@ -66,16 +66,6 @@ class TestAggregatorBoundary:
         skip.tick(None)
         assert skip_at.depth.series("arq") == lock_at.depth.series("arq")
 
-    def test_skip_to_is_a_no_op_at_or_behind_the_current_cycle(self):
-        agg, at = make_aggregator()
-        for _ in range(10):
-            agg.tick(None)
-        before = at.depth.series("arq")
-        agg.skip_to(10)
-        agg.skip_to(3)
-        assert agg.cycle == 10
-        assert at.depth.series("arq") == before
-
 
 def _streams(cores, ops, rows=4):
     return [
@@ -145,3 +135,46 @@ class TestNodeBoundary:
         # ...and every executed skip-side tick is one lockstep also ran
         # (same cycle numbers, no halves or overshoots).
         assert set(skip_ticks) <= set(lock_ticks)
+
+
+class TestFabricWakeConformance:
+    """The credit fabric's wake contract at skip boundaries.
+
+    ``skip_to(target)`` uses half-open semantics: a hop landing exactly
+    on the skip target must be *delivered* by the post-skip tick, never
+    swallowed — the PDES windows lean on this to hand a shard exactly
+    the hops with ``deliver_cycle`` inside its window.
+    """
+
+    def test_numa_skip_lands_on_hop_and_delivers_it(self):
+        """System-level: a skip straight to a hop's deliver cycle works."""
+        from repro.core.request import MemoryRequest, RequestType
+        from repro.node.system import NUMASystem
+
+        def remote_only(node):
+            # One request whose home is the *other* node: forces a hop
+            # out and a completion hop back, with idle spans between.
+            yield MemoryRequest(
+                addr=(1 - node) << 9,
+                rtype=RequestType.LOAD,
+                tid=0,
+                tag=0,
+                core=0,
+                node=node,
+            )
+
+        lock = NUMASystem(
+            [[remote_only(0)], [remote_only(1)]],
+            interconnect_latency=300,
+            interleave_bytes=1 << 9,
+        )
+        st_lock = lock.run(engine="lockstep")
+        skip = NUMASystem(
+            [[remote_only(0)], [remote_only(1)]],
+            interconnect_latency=300,
+            interleave_bytes=1 << 9,
+        )
+        st_skip = skip.run(engine="skip")
+        assert st_skip.responses == st_lock.responses == 2
+        assert skip.cycle == lock.cycle
+        assert st_skip.snapshot() == st_lock.snapshot()

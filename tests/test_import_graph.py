@@ -9,6 +9,7 @@ earlier test imported.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +110,13 @@ def test_star_import_of_the_top_package():
     namespace = {}
     exec("from repro import *", namespace)
     assert set(repro.__all__) <= set(namespace)
+
+
+def test_every_submodule_imports():
+    """No module is left broken because no command happens to load it."""
+    names = [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    assert len(names) > len(PACKAGES)
+    for name in names:
+        importlib.import_module(name)
