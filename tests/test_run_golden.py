@@ -88,6 +88,29 @@ def _faulty_node(**rates) -> Callable[[], dict]:
     return run
 
 
+def _faulty_mesh(**rates) -> Callable[[], dict]:
+    """A 4-node GUPS mesh whose every cube is armed with ``FaultConfig.simple``.
+
+    Remote requests queue behind the Remote Access Queue long enough to
+    time out, so each fault kind also reissues packets and counts
+    duplicate responses system-wide.
+    """
+
+    def run() -> dict:
+        from repro.eval.runner import numa_closed_loop
+        from repro.faults import FaultConfig
+        from repro.hmc.config import HMCConfig
+
+        system = numa_closed_loop(
+            "GUPS", nodes=4, threads=2, ops_per_thread=100,
+            interconnect_latency=23,
+            hmc=HMCConfig(faults=FaultConfig.simple(**rates)),
+        )
+        return system.metrics()
+
+    return run
+
+
 def _attributed_saturated_node() -> dict:
     """Eight IS cores, attribution on: the MAC input queue saturates.
 
@@ -188,6 +211,17 @@ CASES: Dict[str, Callable[[], dict]] = {
     "run-GUPS-nodes3-lat0-attrib": _cli(
         "run", "GUPS", "--nodes", "3", "--threads", "2", "--ops", "150",
         "--interconnect-latency", "0", "--attribution",
+    ),
+    # The fault kinds on a mesh: CRC replays (126 reissues), one dead
+    # link per cube (4 failed links) and dropped responses (835 reissues).
+    "mesh-GUPS-nodes4-flit-ber": _faulty_mesh(
+        flit_ber=1e-3, seed=42, timeout_cycles=5000
+    ),
+    "mesh-GUPS-nodes4-deadlink": _faulty_mesh(
+        dead_links=(1,), seed=7, timeout_cycles=5000
+    ),
+    "mesh-GUPS-nodes4-drop-timeout": _faulty_mesh(
+        drop_rate=5e-3, seed=11, timeout_cycles=2000
     ),
     "node-IS-8core-attrib": _attributed_saturated_node,
     "node-IS-mt128": _multithreaded_saturated_node,
