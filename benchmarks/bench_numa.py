@@ -86,57 +86,3 @@ def test_numa_home_node_coalescing(benchmark):
     assert out["merges"] > 0
     assert out["conflicts"][0] < out["conflicts"][1]
 
-
-def test_numa_sharded_scaling(benchmark):
-    """Sharded PDES over a 64-node mesh: identity always, speedup if cores.
-
-    The equivalence suite proves shards=k is bit-identical on small
-    meshes; this figure measures the wall-clock payoff at scale.  The
-    ≥3x speedup assertion is gated on host parallelism — on a 1-CPU
-    container the forked shards time-slice one core and sharding can
-    only break even.
-    """
-    import os
-
-    from repro.eval.experiments import numa_scaling
-
-    shard_counts = (1, 4)
-
-    def run():
-        return numa_scaling(
-            "GUPS", nodes=64, threads=1, ops_per_thread=60,
-            shard_counts=shard_counts,
-        )
-
-    out = run_figure(benchmark, run, "Sharded PDES scaling, 64-node mesh")
-    rows = [
-        [
-            shards,
-            "PDES" if cell["sharded"] else "serial",
-            cell["windows"],
-            f"{cell['wall_s']:.2f}",
-            f"{cell['speedup']:.2f}x",
-        ]
-        for shards, cell in out["runs"].items()
-    ]
-    print()
-    print(
-        format_table(
-            ["shards", "backend", "windows", "wall s", "speedup"],
-            rows,
-            title=f"64-node {out['benchmark']} mesh, conservative windows",
-        )
-    )
-    best = max(cell["speedup"] for cell in out["runs"].values())
-    attach(
-        benchmark,
-        identical=out["identical"],
-        best_speedup=best,
-        shard_counts=list(shard_counts),
-    )
-    # The contract half: sharding never changes the simulated outcome.
-    assert out["identical"]
-    assert out["runs"][4]["sharded"] and out["runs"][4]["windows"] > 0
-    # The payoff half, only meaningful with real cores to spread over.
-    if (os.cpu_count() or 1) >= 4:
-        assert best >= 3.0, f"expected >=3x at 4 shards, got {best:.2f}x"

@@ -11,10 +11,9 @@ Commands:
   event trace (Chrome/Perfetto JSON, or JSONL for ``.jsonl`` paths),
   ``--metrics-out`` the flat namespaced metrics dict,
   ``--attribution`` adds per-stage latency + stall-cause accounting to
-  the metrics, ``--timeline-out`` a cycle-windowed time-series document
-  (shard-aware under ``REPRO_SIM_SHARDS``), and ``--profile`` the
-  simulator's own ``sim.*`` self-profile (tick/skip ratios, PDES window
-  utilization);
+  the metrics, ``--timeline-out`` a cycle-windowed time-series document,
+  and ``--profile`` the simulator's own ``sim.*`` self-profile
+  (tick/skip ratios, wall time);
 * ``analyze``  — bottleneck report: run a benchmark closed-loop with
   attribution (or load a ``--metrics`` / ``--report-out`` artifact) and
   print the per-stage latency table + top stall sites; ``--diff A B``
@@ -346,17 +345,10 @@ def _write_metrics_out(metrics: dict, path) -> None:
 
 
 def _cmd_run_numa(args) -> int:
-    """`repro run --nodes N`: closed-loop NUMA mesh, optionally sharded."""
+    """`repro run --nodes N`: closed-loop NUMA mesh."""
     from repro.eval.report import format_table
     from repro.eval.runner import numa_closed_loop
 
-    from repro.sim import resolve_shards
-
-    try:
-        resolve_shards(args.shards, args.engine)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
     obs = _obs_from_args(args)
     system = numa_closed_loop(
         args.benchmark,
@@ -367,26 +359,16 @@ def _cmd_run_numa(args) -> int:
         interconnect_latency=args.interconnect_latency,
         interleave_bytes=args.interleave_bytes,
         config=_mac_config(args),
-        shards=args.shards,
         engine=args.engine,
         obs=obs,
         hmc=_hmc_config(args),
     )
     st = system.stats
-    report = system.shard_report
-    backend = (
-        f"PDES x{report.shards} ({report.windows} windows"
-        + (f", {report.restarts} restarts" if report.restarts else "")
-        + ")"
-        if report
-        else "serial"
-    )
     print(
         format_table(
             ["metric", "value"],
             [
                 ["nodes", args.nodes],
-                ["backend", backend],
                 ["cycles", st.cycles],
                 ["local requests", st.local_requests],
                 ["remote requests", st.remote_requests],
@@ -403,7 +385,6 @@ def _cmd_run_numa(args) -> int:
         system.metrics(),
         mode="numa-closed-loop",
         nodes=args.nodes,
-        backend=backend,
     )
     return 0
 
@@ -558,9 +539,9 @@ def cmd_analyze(args) -> int:
             )
 
         if attribution_free(raw_a) and attribution_free(raw_b):
-            # Two plain --metrics-out files: key-by-key determinism diff
-            # (the sharded-vs-serial smoke); attribution-bearing files
-            # still get the bottleneck-stage report diff below.
+            # Two plain --metrics-out files: key-by-key determinism diff;
+            # attribution-bearing files still get the bottleneck-stage
+            # report diff below.
             diff = diff_metrics(raw_a, raw_b)
             if args.json:
                 print(json.dumps(diff, indent=2, sort_keys=True, default=str))
@@ -889,18 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
         "open loop (each node runs its own copy of the benchmark)",
     )
     numa.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker processes for the conservative-PDES backend "
-        "(0 = one per CPU; default $REPRO_SIM_SHARDS or serial); "
-        "results are bit-identical to serial",
-    )
-    numa.add_argument(
         "--interconnect-latency",
         type=int,
         default=120,
-        help="node-to-node hop latency in cycles (the PDES lookahead)",
+        help="node-to-node hop latency in cycles",
     )
     numa.add_argument(
         "--interleave-bytes",
@@ -931,15 +904,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect per-stage latency + stall causes; the breakdown "
         "lands under attribution.* in --metrics-out (readable by "
-        "`repro analyze --metrics`); pins --nodes runs to one process — "
-        "use --timeline-out for a shard-aware view",
+        "`repro analyze --metrics`)",
     )
     obs.add_argument(
         "--timeline-out",
         default=None,
         help="write a cycle-windowed time-series JSON (bandwidth, queue "
         "depths, stall rates per epoch; read with `repro analyze "
-        "--timeline`); shard-aware under REPRO_SIM_SHARDS",
+        "--timeline`)",
     )
     obs.add_argument(
         "--timeline-epoch",
@@ -950,8 +922,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--profile",
         action="store_true",
-        help="self-profile the simulator: tick/skip ratios, PDES window "
-        "utilization; printed as a table, merged into "
+        help="self-profile the simulator: tick/skip ratios and wall "
+        "time; printed as a table, merged into "
         "--metrics-out under sim.*, and added as a process lane to a "
         "Chrome --trace-out",
     )

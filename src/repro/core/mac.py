@@ -106,9 +106,9 @@ class MAC(ClockedModel):
     def timeline_probes(self):
         """Probes for :class:`repro.obs.timeline.Timeline` (DESIGN 13).
 
-        Rates are monotonic counters (per-epoch deltas reconstruct the
-        serial series under shard merge); levels are instantaneous
-        occupancies read at epoch boundaries.
+        Rates are monotonic counters (the timeline records per-epoch
+        deltas); levels are instantaneous occupancies read at epoch
+        boundaries.
         """
         stats = self.stats
         arq = self.aggregator.arq

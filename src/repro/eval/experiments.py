@@ -499,70 +499,6 @@ def ablation_fixed_256(
 
 
 # ---------------------------------------------------------------------------
-# Sharded NUMA scaling (conservative PDES, see repro.sim.pdes)
-# ---------------------------------------------------------------------------
-
-
-def numa_scaling(
-    name: str = "GUPS",
-    nodes: int = 64,
-    threads: int = 1,
-    ops_per_thread: int = 60,
-    shard_counts: Sequence[int] = (1, 4),
-    interconnect_latency: int = 120,
-    interleave_bytes: int = 1 << 10,
-) -> Dict[str, Any]:
-    """Serial-vs-sharded mesh run: wall times, speedups, identity check.
-
-    Runs the same ``nodes``-node mesh once per entry of
-    ``shard_counts`` (1 = serial reference) and reports per-count wall
-    time and speedup plus ``identical``: whether every run produced the
-    same cycle count and the same full metrics dict — the PDES
-    bit-identity contract measured end to end.
-    """
-    import time
-
-    from .runner import numa_closed_loop
-
-    runs: Dict[int, Dict[str, Any]] = {}
-    reference = None
-    identical = True
-    for shards in shard_counts:
-        t0 = time.perf_counter()
-        system = numa_closed_loop(
-            name,
-            nodes=nodes,
-            threads=threads,
-            ops_per_thread=ops_per_thread,
-            interconnect_latency=interconnect_latency,
-            interleave_bytes=interleave_bytes,
-            shards=shards,
-        )
-        wall = time.perf_counter() - t0
-        outcome = (system.cycle, system.metrics())
-        if reference is None:
-            reference = outcome
-        elif outcome != reference:
-            identical = False
-        report = system.shard_report
-        runs[shards] = {
-            "wall_s": wall,
-            "cycles": system.cycle,
-            "windows": report.windows if report else 0,
-            "sharded": report is not None,
-        }
-    base = runs[shard_counts[0]]["wall_s"]
-    for cell in runs.values():
-        cell["speedup"] = base / cell["wall_s"] if cell["wall_s"] else 0.0
-    return {
-        "benchmark": name,
-        "nodes": nodes,
-        "identical": identical,
-        "runs": runs,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Intra-cube NoC topology and DRAM page-policy axes (repro.hmc.noc / .bank)
 # ---------------------------------------------------------------------------
 

@@ -407,7 +407,6 @@ def numa_closed_loop(
     interleave_bytes: int = 1 << 12,
     config: Optional[MACConfig] = None,
     hmc: Optional[HMCConfig] = None,
-    shards: Optional[int] = None,
     engine=None,
     max_cycles: int = 50_000_000,
     obs: Observers = NO_OBSERVERS,
@@ -415,12 +414,7 @@ def numa_closed_loop(
     """Closed-loop NUMA mesh run of one benchmark; returns the system.
 
     The multi-node sibling of :func:`attributed_node_run`: every node is
-    a full Fig. 4 node, remote requests coalesce at their home node, and
-    ``shards`` (or ``$REPRO_SIM_SHARDS``) selects the conservative-PDES
-    backend — bit-identical to serial by contract.  The tracer, timeline
-    and profiler of ``obs`` shard: workers collect locally and the parent
-    merges deterministically at the final barrier.  Attribution pins the
-    run to one process (see ``NUMASystem.shard_blockers``).
+    a full Fig. 4 node and remote requests coalesce at their home node.
     """
     from repro.core.config import SystemConfig
     from repro.node.system import NUMASystem
@@ -433,5 +427,5 @@ def numa_closed_loop(
         hmc_config=hmc,
         obs=obs,
     )
-    system.run(max_cycles, engine=engine, shards=shards)
+    system.run(max_cycles, engine=engine)
     return system

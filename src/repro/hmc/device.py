@@ -329,8 +329,7 @@ class HMCDevice:
         reg = MetricsRegistry()
         reg.register("device", self.stats)
         # The NoC's StatsMixin dataclass rides the same snapshot/merge
-        # contract as every other source (the legacy crossbar's raw
-        # ints were silently dropped by PDES shard merges).
+        # contract as every other source.
         reg.register("noc", self.noc.stats)
 
         def vault_totals() -> dict:

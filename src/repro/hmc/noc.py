@@ -11,8 +11,7 @@ Topologies (``HMCConfig.noc_topology``):
 
 * ``ideal`` — the legacy semantics: a fixed ``crossbar_latency`` per
   direction, no contention, no buffering.  Used by default so every
-  pre-refactor golden, engine-equivalence property and PDES run is
-  unchanged.
+  pre-refactor golden and engine-equivalence property is unchanged.
 * ``xbar``  — per-destination output ports (one per vault on the
   request path, one per link on the response path).  Each port grants
   one packet at a time and stays busy for the packet's FLIT
@@ -44,9 +43,8 @@ Every topology keeps *only absolute cycle stamps* (port ready cycles,
 buffer release cycles) that are consumed by the next :meth:`to_vault` /
 :meth:`to_link` call — exactly the contract of the bank and link
 models.  Nothing observable happens on the NoC's own clock edge, so it
-answers no wake and a skip leaves it untouched, and the SkipEngine /
-sharded-PDES bit-identity guarantees hold for *all* topologies, not
-just ``ideal``.
+answers no wake and a skip leaves it untouched, and the SkipEngine
+bit-identity guarantee holds for *all* topologies, not just ``ideal``.
 """
 
 from __future__ import annotations
@@ -84,8 +82,8 @@ class NoCStats(StatsMixin):
 
     Unlike the legacy crossbar's raw ``forwarded``/``returned`` ints,
     these participate in the :class:`~repro.obs.protocol.StatsMixin`
-    snapshot/merge contract, so PDES shard merges and
-    ``HMCDevice.metrics()`` (the ``noc.*`` namespace) carry them.
+    snapshot/merge contract, so ``HMCDevice.metrics()`` (the ``noc.*``
+    namespace) carries them.
     """
 
     #: Request packets delivered link -> vault.

@@ -1,38 +1,25 @@
 """Node-to-node interconnect of the NUMA system (paper Fig. 4).
 
-The paper leaves node-to-node transport out of scope; PR 1's fabric was
-an ideal fixed-latency mailbox.  This version is an explicit credit-based
-fabric in the shape of blue-rdma's credit/arbiter modules: the wire is
-still fixed-latency and infinite-bandwidth (that latency is the PDES
-lookahead, see :mod:`repro.sim.pdes`), but arrival at a destination is
-flow-controlled — each destination owns a bounded *channel buffer* and a
-credit counter, hops are admitted in a deterministic key order while
-credits last, and a popped slot returns its credit one cycle later, so a
-destination drains at most ``channel_capacity`` payloads per cycle.
+The paper leaves node-to-node transport out of scope.  This fabric is an
+explicit credit-based one in the shape of blue-rdma's credit/arbiter
+modules: the wire is fixed-latency and infinite-bandwidth, but arrival
+at a destination is flow-controlled — each destination owns a bounded
+*channel buffer* and a credit counter, hops are admitted in a
+deterministic key order while credits last, and a popped slot returns
+its credit one cycle later, so a destination drains at most
+``channel_capacity`` payloads per cycle.
 
-Determinism contract (the PDES bit-identity hinge): every hop is keyed
-``(deliver_cycle, src, seq, dst)`` where ``seq`` is a *per-source*
-counter.  A node's send order is a pure function of its own state plus
-the deliveries it has received, so per-source keys are identical whether
-the senders live in one process or are sharded — global arbitration
-(the heap order over those keys) then reconstructs one canonical
-same-cycle order with no reference to insertion order.  The previous
-single global sequence number made same-cycle ties an artifact of
-*which process pushed first*; that is the bug this rewrite pins shut.
-
-Sharding hooks: :meth:`restrict` declares which destinations are local
-to this process.  Sends to non-local destinations accumulate in
-``exports`` (drained at window barriers by the PDES runner) instead of
-entering the wire; :meth:`inject` merges hops imported from other
-shards.  Because hops carry their full key, a shard's wire heap orders
-imported and locally sent hops exactly as the serial heap would.
+Determinism: every hop is keyed ``(deliver_cycle, src, seq, dst)``
+where ``seq`` is a *per-source* counter, so the wire heap orders
+same-cycle arrivals by source id and then by each source's send order,
+never by insertion order.  The mesh goldens pin this order.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 
 class Hop(NamedTuple):
@@ -49,7 +36,7 @@ class Interconnect:
     """Fixed-latency wire feeding credit-gated per-destination channels.
 
     Args:
-        latency_cycles: wire traversal time; also the PDES lookahead.
+        latency_cycles: wire traversal time.
         channel_capacity: per-destination channel buffer depth (= the
             credit pool); bounds how many payloads one destination can
             accept per cycle.
@@ -78,13 +65,8 @@ class Interconnect:
         self._credits: Dict[int, int] = {}
         #: Min-heap of (cycle, dst) credit returns not yet applied.
         self._credit_returns: List[Tuple[int, int]] = []
-        #: Destinations local to this process (None = all of them).
-        self._local: Optional[frozenset] = None
-        #: Hops bound for other shards, drained at window barriers.
-        self.exports: List[Hop] = []
         self.messages_sent = 0
         self.credit_stalls = 0
-        self.exported = 0
 
     # -- send side -----------------------------------------------------------
 
@@ -92,18 +74,14 @@ class Interconnect:
         """Inject a message at ``cycle`` for delivery to node ``dst``.
 
         ``src`` scopes the sequence counter: hops from one source are
-        ordered by send order, hops from different sources by source id
-        — never by which process happened to push first.
+        ordered by send order, hops from different sources by source id.
         """
         seq = self._src_seq.get(src, 0)
         self._src_seq[src] = seq + 1
-        hop = Hop(cycle + self.latency_cycles, src, seq, dst, payload)
         self.messages_sent += 1
-        if self._local is not None and dst not in self._local:
-            self.exports.append(hop)
-            self.exported += 1
-        else:
-            heapq.heappush(self._wire, hop)
+        heapq.heappush(
+            self._wire, Hop(cycle + self.latency_cycles, src, seq, dst, payload)
+        )
 
     # -- arrival / flow control ----------------------------------------------
 
@@ -115,11 +93,11 @@ class Interconnect:
     def pump(self, cycle: int) -> None:
         """Advance arrival/credit state to ``cycle``.
 
-        Order is fixed so serial and sharded runs agree: (1) apply due
-        credit returns, (2) promote stalled hops oldest-first while
-        credits last, (3) pop wire arrivals in key order, admitting or
-        stalling each.  Stalled hops always precede same-destination
-        arrivals of a later pump — channel admission is FIFO per dst.
+        Order is fixed: (1) apply due credit returns, (2) promote
+        stalled hops oldest-first while credits last, (3) pop wire
+        arrivals in key order, admitting or stalling each.  Stalled hops
+        always precede same-destination arrivals of a later pump —
+        channel admission is FIFO per dst.
         """
         returns, wire = self._credit_returns, self._wire
         if returns and returns[0][0] <= cycle:
@@ -178,34 +156,12 @@ class Interconnect:
                 out.append((dst, self.pop(dst, cycle)))
         return out
 
-    # -- sharding ------------------------------------------------------------
-
-    def restrict(self, local_dsts: Iterable[int]) -> None:
-        """Declare the destinations simulated in this process.
-
-        Subsequent sends to other destinations land in ``exports``
-        instead of the wire; the PDES runner routes them at the next
-        window barrier.
-        """
-        self._local = frozenset(local_dsts)
-
-    def inject(self, hops: Iterable[Tuple]) -> None:
-        """Merge hops imported from other shards into the wire."""
-        for hop in hops:
-            heapq.heappush(self._wire, Hop(*hop))
-
-    def drain_exports(self) -> List[Hop]:
-        out = self.exports
-        self.exports = []
-        return out
-
     # -- introspection -------------------------------------------------------
 
     @property
     def in_flight(self) -> int:
         return (
             len(self._wire)
-            + len(self.exports)
             + self._queued
             + sum(len(q) for q in self._stalled.values())
         )
@@ -213,7 +169,6 @@ class Interconnect:
     def pending_payloads(self) -> List[Any]:
         """Payloads anywhere in the fabric (introspection; arbitrary order)."""
         out = [hop.payload for hop in self._wire]
-        out.extend(hop.payload for hop in self.exports)
         for q in self._channels.values():
             out.extend(q)
         for q in self._stalled.values():

@@ -215,9 +215,8 @@ class Node(ClockedModel):
     def timeline_probes(self):
         """Node-level probes plus the MAC's and the device's (DESIGN 13).
 
-        Levels read occupancies whose every mutation happens on this
-        node, so under sharding they land on exactly one shard; rates
-        are monotonic counters whose per-epoch deltas merge by summing.
+        Levels read occupancies; rates are monotonic counters the
+        timeline turns into per-epoch deltas.
         """
         stats = self.stats
         probes = [
@@ -405,20 +404,6 @@ class Node(ClockedModel):
         elif not self._core_active[idx]:
             self._activate(idx, cycle)
         return core.complete(tid, tag, cycle)
-
-    def detach_streams(self) -> None:
-        """Replace per-core request streams with exhausted iterators.
-
-        Generators cannot cross a process boundary; after a completed
-        run the streams are drained anyway, so a shard worker shipping
-        its nodes back to the PDES parent (:mod:`repro.sim.pdes`) swaps
-        them for empty — picklable — iterators first.
-        """
-        for core in self.cores:
-            if hasattr(core, "_stream"):
-                core._stream = iter(())
-            for ctx in getattr(core, "contexts", ()):
-                ctx.stream = iter(())
 
     # -- quiescence skipping -------------------------------------------------
 

@@ -7,14 +7,6 @@ interconnect -> remote Remote Access Queue -> remote MAC -> remote HMC,
 and the response retraces the path.  Remote traffic coalesces in the
 *home* node's MAC together with that node's local traffic — the
 generality claim of section 3.
-
-Large meshes can be sharded across forked worker processes
-(:mod:`repro.sim.pdes`): ``run(shards=k)`` — or ``REPRO_SIM_SHARDS`` —
-partitions the nodes round-robin over ``k`` workers that advance in
-conservative safe windows of the fabric latency, bit-identical to the
-serial engines.  A restricted system (one shard's view of the mesh)
-simulates only ``self._local_ids``; the fabric exports hops bound for
-other shards and the PDES runner routes them at window barriers.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel, resolve_shards
+from repro.sim import ClockedModel
 
 from .interconnect import Interconnect
 from .node import Node
@@ -106,7 +98,7 @@ class NUMASystem(ClockedModel):
         self.obs = obs
         self.attrib = obs.attrib
         # Nodes run under this system's engine hooks: they share only the
-        # per-request instruments, so a shard ships no timeline with them.
+        # per-request instruments.
         node_obs = Observers(tracer=obs.tracer, attrib=obs.attrib)
         self.home = interleaved_home(n, interleave_bytes)
         self.nodes: List[Node] = []
@@ -127,25 +119,10 @@ class NUMASystem(ClockedModel):
         #: Per-node wake table: the cycle each node next acts on its own
         #: (``inf`` = it waits on a fabric delivery).  0 = due at once.
         self._wakes: List[float] = [0] * n
-        #: Node ids simulated by this process (a subset under PDES).
-        self._local_ids: List[int] = list(range(n))
-        #: Filled by a sharded run (see :class:`repro.sim.pdes.ShardReport`).
-        self.shard_report = None
-
-    def restrict_to_shard(self, local_ids: Sequence[int]) -> None:
-        """Confine this system to one shard's node subset (PDES worker).
-
-        Ticking, quiescence probing, and skipping touch only the local
-        nodes; fabric sends to other shards' nodes accumulate as exports
-        for the window barrier.
-        """
-        self._local_ids = sorted(local_ids)
-        self._wakes = [0 if i in local_ids else inf for i in range(len(self.nodes))]
-        self.fabric.restrict(self._local_ids)
 
     def done(self) -> bool:
         return self.fabric.in_flight == 0 and all(
-            self.nodes[i].done() for i in self._local_ids
+            node.done() for node in self.nodes
         )
 
     def tick(self) -> None:
@@ -204,10 +181,9 @@ class NUMASystem(ClockedModel):
         # all then, so the samples arrive in node order.
         sample = at.enabled and not cycle & 63
         send = fabric.send
-        for idx in self._local_ids:
+        for idx, node in enumerate(nodes):
             if wakes[idx] > cycle and not sample:
                 continue
-            node = nodes[idx]
             if node._cycle != cycle:
                 node.skip_to(cycle)
             node.tick()
@@ -244,10 +220,10 @@ class NUMASystem(ClockedModel):
         return wake if wake > now else now
 
     def skip_to(self, target: int) -> None:
-        """Settle every local node at ``target`` — even at the mesh's own
-        cycle, as nodes lag it between their ticks — and move the mesh."""
-        for idx in self._local_ids:
-            self.nodes[idx].skip_to(target)
+        """Settle every node at ``target`` — even at the mesh's own cycle,
+        as nodes lag it between their ticks — and move the mesh."""
+        for node in self.nodes:
+            node.skip_to(target)
         self._cycle = max(self._cycle, target)
 
     # -- robustness introspection (see repro.sim.watchdog) -------------------
@@ -257,7 +233,7 @@ class NUMASystem(ClockedModel):
         return (
             self.fabric.messages_sent,
             self.fabric.in_flight,
-            tuple(self.nodes[i].progress_token() for i in self._local_ids),
+            tuple(node.progress_token() for node in self.nodes),
         )
 
     def hang_snapshot(self) -> dict:
@@ -267,7 +243,7 @@ class NUMASystem(ClockedModel):
             "cycle": self._cycle,
             "fabric_in_flight": self.fabric.in_flight,
             "nodes": {
-                i: self.nodes[i].hang_snapshot() for i in self._local_ids
+                i: node.hang_snapshot() for i, node in enumerate(self.nodes)
             },
         }
 
@@ -280,15 +256,11 @@ class NUMASystem(ClockedModel):
         the fabric: every issuer-map entry in the mesh matches exactly
         one raw in some node's containers or one fabric payload (a raw
         request heading to its home, or completed and heading back).
-        The global check needs the whole mesh, so a shard-restricted
-        system runs only the per-node sweeps.
         """
         from repro.sim.watchdog import InvariantViolation
 
-        for idx in self._local_ids:
-            self.nodes[idx].check_invariants()
-        if len(self._local_ids) != len(self.nodes):
-            return  # one shard cannot see raws held by the others
+        for node in self.nodes:
+            node.check_invariants()
         if any(node.device.injector is not None for node in self.nodes):
             return  # fault injection drops/duplicates responses by design
         issued = sum(len(node._issuer) for node in self.nodes)
@@ -322,17 +294,8 @@ class NUMASystem(ClockedModel):
         return out
 
     def timeline_probes(self):
-        """System-wide rate probes plus every *local* node's (DESIGN 13).
-
-        System-level probes are rate-only: under PDES each shard's
-        restricted system holds disjoint partitions of these counters
-        (remote sends count at the source shard, deliveries and
-        backpressure at the destination shard), so summing per-epoch
-        deltas at the merge reconstructs the serial series exactly.
-        Node probes — including the level probes — are prefixed with the
-        node id and registered only for ``self._local_ids``, so each one
-        lives on exactly one shard.
-        """
+        """System-wide rate probes plus every node's, prefixed with the
+        node id (DESIGN 13)."""
         stats = self.stats
         fabric = self.fabric
         probes = [
@@ -346,74 +309,31 @@ class NUMASystem(ClockedModel):
             ("fabric.messages", "rate", lambda: fabric.messages_sent),
             ("fabric.credit_stalls", "rate", lambda: fabric.credit_stalls),
         ]
-        for idx in self._local_ids:
+        for idx, node in enumerate(self.nodes):
             prefix = f"node{idx}."
-            for name, kind, fn in self.nodes[idx].timeline_probes():
+            for name, kind, fn in node.timeline_probes():
                 probes.append((prefix + name, kind, fn))
         return probes
-
-    def shard_blockers(self) -> List[str]:
-        """Why this system cannot shard (empty list = it can).
-
-        Attribution pins the run to one process: stall spans watermark
-        per shared site, so cross-shard merging would not be exact — and
-        the bit-identity contract admits no "almost" (the shard-aware
-        timeline, ``repro run --timeline-out``, is the time-resolved
-        alternative that does shard).  Event tracing no longer blocks:
-        shards collect events locally and the PDES parent merges them
-        deterministically at collect time.
-        """
-        out: List[str] = []
-        if len(self.nodes) < 2:
-            out.append("fewer than two nodes")
-        if self.fabric.latency_cycles < 1:
-            out.append("zero-latency fabric leaves no lookahead window")
-        if self.attrib.enabled:
-            out.append("attribution enabled")
-        if self.fabric.in_flight:
-            # Hand-seeded pre-run traffic (tests, replay harnesses) is
-            # not re-partitioned: forking would clone it into every
-            # shard instead of routing it to its owner.
-            out.append("fabric holds pre-seeded in-flight traffic")
-        return out
 
     def run(
         self,
         max_cycles: int = 50_000_000,
         engine=None,
-        shards: Optional[int] = None,
+        shards: int = 1,
     ) -> SystemStats:
         """Simulate until every node drains; returns the filled stats.
 
         ``engine`` selects the simulation engine (name or instance, see
-        :mod:`repro.sim`); the default is the skip engine.  ``shards`` > 1 — defaulting to
-        ``$REPRO_SIM_SHARDS`` — runs the mesh under conservative PDES
-        (:mod:`repro.sim.pdes`), bit-identical to the serial engines;
-        configurations that cannot shard (see :meth:`shard_blockers`)
-        fall back to a serial run silently, so the env var is safe to
-        set globally.  The PDES windows skip like the skip engine, so an
-        explicit ``shards`` > 1 with another engine raises
-        ``ValueError``; sharding asked for only by the env var leaves
-        such a run serial (see :func:`repro.sim.resolve_shards`).
+        :mod:`repro.sim`); the default is the skip engine.
         """
-        self.shard_report = None
-        n_shards = min(resolve_shards(shards, engine), len(self.nodes))
-        if n_shards > 1 and not self.shard_blockers():
-            # Only a sharded run loads the PDES backend and multiprocessing.
-            from repro.eval.parallel import pool_available
-            from repro.sim import pdes
-
-            if pool_available():
-                try:
-                    self.shard_report = pdes.run_sharded(self, max_cycles, n_shards)
-                except pdes.ShardFallback as exc:
-                    import warnings
-
-                    warnings.warn(
-                        f"sharded run fell back to serial: {exc}", RuntimeWarning
-                    )
-        if self.shard_report is None:
-            self._run_loop(max_cycles, engine=engine)
+        # perfbench/job.py still passes shards=1; any other count names
+        # the sharded backend, which is gone.
+        if shards != 1:
+            raise ValueError(
+                f"shards={shards}: sharded NUMA runs were removed; "
+                "a mesh always runs serially"
+            )
+        self._run_loop(max_cycles, engine=engine)
         self.skip_to(self._cycle)
         st = self.stats
         st.cycles = self._cycle

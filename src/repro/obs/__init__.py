@@ -18,11 +18,11 @@ on (DESIGN.md section 9):
   ``stall_cycles{site,cause}`` counters, and strided queue-depth
   sampling; consumed by ``repro analyze`` bottleneck reports;
 * :class:`Timeline` / :data:`NULL_TIMELINE` — cycle-windowed time
-  series (per-epoch rates and levels) pumped by the engines, shard-
-  aware under PDES, consumed by ``repro analyze --timeline``;
+  series (per-epoch rates and levels) pumped by the engines, consumed
+  by ``repro analyze --timeline``;
 * :class:`SimProfiler` / :data:`NULL_PROFILER` — wall-clock
-  self-profiling of the simulator (tick/skip ratios, PDES window
-  utilization), the ``sim.*`` metrics namespace;
+  self-profiling of the simulator (tick/skip ratios, run wall time),
+  the ``sim.*`` metrics namespace;
 * :class:`Observers` / :data:`NO_OBSERVERS` — those four in one bundle,
   every component's single ``obs=`` argument.
 """
@@ -40,10 +40,7 @@ __getattr__, __dir__ = lazy_exports(
     profiler=("NULL_PROFILER", "NullProfiler", "SimProfiler"),
     protocol=("StatsMixin", "StatsProtocol", "merge_all"),
     timeline=("NULL_TIMELINE", "NullTimeline", "Timeline"),
-    tracer=(
-        "NULL_TRACER", "EventTracer", "NullTracer", "canonical_key",
-        "merge_shard_traces",
-    ),
+    tracer=("NULL_TRACER", "EventTracer", "NullTracer"),
 )
 
 __all__ = [
@@ -65,8 +62,6 @@ __all__ = [
     "EventTracer",
     "NullTracer",
     "NULL_TRACER",
-    "canonical_key",
-    "merge_shard_traces",
     "Timeline",
     "NullTimeline",
     "NULL_TIMELINE",

@@ -166,10 +166,10 @@ def load_report(path: Union[str, Path]) -> Dict[str, Any]:
 def diff_metrics(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Key-by-key A→B comparison of two flat metrics dicts.
 
-    The determinism check behind the sharded-NUMA smoke: two
-    ``--metrics-out`` files from bit-identical runs (e.g. ``--shards 4``
-    vs serial) must produce ``identical: True`` — every key present in
-    both files with exactly equal values.
+    The determinism check behind the CI smokes: two ``--metrics-out``
+    files from bit-identical runs (e.g. the same command run twice)
+    must produce ``identical: True`` — every key present in both files
+    with exactly equal values.
     """
     changed = {
         k: [a[k], b[k]] for k in sorted(set(a) & set(b)) if a[k] != b[k]

@@ -7,17 +7,15 @@ collects, per driving loop:
 
 * tick and skip counts, executed vs skipped cycles (the skip-engine's
   effectiveness as a ratio, not an anecdote);
-* under the sharded-PDES backend, per-shard busy wall-seconds and window
-  counts reported at each barrier, from which the parent derives barrier
-  wait (window wall time minus the busiest shard).
+* the wall seconds of the run.
 
 Results export two ways: :meth:`SimProfiler.metrics` — a flat ``sim.*``
 namespace printed by ``repro run --profile`` and merged into
 ``--metrics-out`` (only under ``--profile``, so wall-clock noise never
 pollutes determinism diffs) — and :meth:`SimProfiler.chrome_events`, a
 separate Chrome-trace *process lane* (pid 1000, named ``sim``) merged
-into ``--trace-out`` documents so simulated-time events and host-time
-windows line up in one Perfetto view.
+into ``--trace-out`` documents so simulated-time events and the host-time
+run line up in one Perfetto view.
 
 Off by default via the usual NULL-object pattern: engines drive it
 through the model's :class:`repro.obs.observers.Observers` bundle and
@@ -51,9 +49,6 @@ class NullProfiler:
     def run_finished(self, cycle: int) -> None:
         """Ignore the run end."""
 
-    def note_window(self, wall_s: float, busy_s: List[float]) -> None:
-        """Ignore the PDES window."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullProfiler()"
 
@@ -73,10 +68,6 @@ class SimProfiler:
         "skipped_cycles",
         "final_cycle",
         "wall_s",
-        "windows",
-        "barrier_wait_s",
-        "shard_busy_s",
-        "_window_spans",
         "_t0",
     )
 
@@ -88,13 +79,6 @@ class SimProfiler:
         self.skipped_cycles = 0
         self.final_cycle = 0
         self.wall_s = 0.0
-        #: PDES barrier accounting (zero when the run was serial).
-        self.windows = 0
-        self.barrier_wait_s = 0.0
-        self.shard_busy_s: Dict[int, float] = {}
-        #: (start_s, end_s) wall spans of each PDES window, for the
-        #: Chrome lane (relative to run start).
-        self._window_spans: List[tuple] = []
         self._t0 = 0.0
 
     # -- engine hooks --------------------------------------------------------
@@ -119,35 +103,6 @@ class SimProfiler:
             self._t0 = 0.0
         self.final_cycle = max(self.final_cycle, cycle)
 
-    # -- PDES hooks (parent side) --------------------------------------------
-
-    def add_counts(self, shard: "SimProfiler") -> None:
-        """Add one PDES shard's tick and skip counts to this run's."""
-        self.ticks += shard.ticks
-        self.skips += shard.skips
-        self.skipped_cycles += shard.skipped_cycles
-
-    def note_window(self, wall_s: float, busy_s: List[float]) -> None:
-        """Record one window barrier: parent wall time vs shard busy time.
-
-        ``busy_s`` is each shard's *cumulative* busy seconds; barrier
-        wait for this window is its wall time minus the busiest shard's
-        increment (the conservative window cannot close faster than its
-        slowest worker).
-        """
-        self.windows += 1
-        prev = dict(self.shard_busy_s)
-        for s, total in enumerate(busy_s):
-            self.shard_busy_s[s] = total
-        incr = [
-            self.shard_busy_s[s] - prev.get(s, 0.0)
-            for s in range(len(busy_s))
-        ]
-        self.barrier_wait_s += max(0.0, wall_s - max(incr, default=0.0))
-        now = time.perf_counter()
-        start = (now - self._t0 - wall_s) if self._t0 else 0.0
-        self._window_spans.append((max(0.0, start), wall_s))
-
     # -- export --------------------------------------------------------------
 
     @property
@@ -162,7 +117,7 @@ class SimProfiler:
 
     def metrics(self) -> Dict[str, Any]:
         """Flat ``sim.*`` metrics namespace for ``--profile`` output."""
-        out: Dict[str, Any] = {
+        return {
             "sim.engine": self.engine,
             "sim.ticks": self.ticks,
             "sim.skips": self.skips,
@@ -172,30 +127,15 @@ class SimProfiler:
             "sim.final_cycle": self.final_cycle,
             "sim.wall_s": self.wall_s,
         }
-        if self.windows:
-            out["sim.pdes.windows"] = self.windows
-            out["sim.pdes.barrier_wait_s"] = self.barrier_wait_s
-            busy_total = sum(self.shard_busy_s.values())
-            for s in sorted(self.shard_busy_s):
-                out[f"sim.pdes.shard{s}.busy_s"] = self.shard_busy_s[s]
-            # Utilization: busy seconds over the wall-clock each shard
-            # had available (shards run concurrently, so the budget is
-            # wall_s per shard, not wall_s total).
-            if self.wall_s and self.shard_busy_s:
-                out["sim.pdes.utilization"] = busy_total / (
-                    self.wall_s * len(self.shard_busy_s)
-                )
-        return out
 
     def chrome_events(self, pid: int = 1000) -> List[Dict[str, Any]]:
         """Chrome-trace events for the ``sim`` process lane.
 
         Host-time spans (microseconds): one ``X`` for the whole run,
-        one per PDES window, plus a summary instant carrying
-        :meth:`metrics` as args.  Merged into the tracer's document by
-        ``repro run --trace-out --profile``.
+        plus a summary instant carrying :meth:`metrics` as args.  Merged
+        into the tracer's document by ``repro run --trace-out --profile``.
         """
-        events: List[Dict[str, Any]] = [
+        return [
             {
                 "name": "process_name",
                 "ph": "M",
@@ -212,20 +152,6 @@ class SimProfiler:
                 "pid": pid,
                 "tid": 1,
             },
-        ]
-        for i, (start, dur) in enumerate(self._window_spans):
-            events.append(
-                {
-                    "name": f"window {i}",
-                    "cat": "sim.pdes",
-                    "ph": "X",
-                    "ts": int(start * 1e6),
-                    "dur": max(1, int(dur * 1e6)),
-                    "pid": pid,
-                    "tid": 2,
-                }
-            )
-        events.append(
             {
                 "name": "profile",
                 "cat": "sim",
@@ -238,9 +164,8 @@ class SimProfiler:
                     k: v for k, v in self.metrics().items()
                     if isinstance(v, (int, float, str))
                 },
-            }
-        )
-        return events
+            },
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

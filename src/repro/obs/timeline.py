@@ -32,15 +32,7 @@ pin of DESIGN.md section 10).
 
 Probes register via the model's ``timeline_probes()`` hook, composed
 layer by layer (MAC -> Node -> NUMASystem), and are **bound lazily** at
-the start of the driving loop (:meth:`bind`).  Under the sharded-PDES
-backend that matters: a forked worker binds *after*
-``restrict_to_shard``, so only its local nodes' probes register and no
-frozen remote counter ever records.  System-wide probes are rate-only —
-shard-local counters partition the serial counters disjointly, so
-summing per-epoch deltas across shards at the window barrier
-reconstructs the serial series exactly (level probes are per-node and
-land on exactly one shard).  ``serial == merged`` is pinned by the
-hypothesis suite in ``tests/sim/test_timeline_equivalence.py``.
+the start of the driving loop (:meth:`bind`).
 
 Like the tracer and the attribution collector, the timeline is off by
 default: the default ``Observers`` bundle holds :data:`NULL_TIMELINE`,
@@ -117,7 +109,7 @@ class _Series:
     def record(self, epoch: int, value, capacity: int) -> None:
         if not value:
             return
-        if epoch in self.epochs:  # merge path may revisit an epoch
+        if epoch in self.epochs:  # finish() revisits a level's last epoch
             self.epochs[epoch] += value
             if not self.epochs[epoch]:
                 del self.epochs[epoch]
@@ -181,12 +173,10 @@ class Timeline:
     def bind(self, model: Any) -> None:
         """Install ``model.timeline_probes()``; idempotent per model.
 
-        Called by the engines at the start of each driving loop, which
-        is what makes shard-aware collection work: a PDES worker binds
-        *after* ``restrict_to_shard``, so a restricted system registers
-        only its local nodes' probes.  Re-binding the same model (e.g.
-        ``MAC.process``'s feed loop followed by its drain ``run``) is a
-        no-op, preserving rate baselines mid-run.
+        Called by the engines at the start of each driving loop.
+        Re-binding the same model (e.g. ``MAC.process``'s feed loop
+        followed by its drain ``run``) is a no-op, preserving rate
+        baselines mid-run.
         """
         key = id(model)
         if self._bound == key:
@@ -274,14 +264,13 @@ class Timeline:
     def __len__(self) -> int:
         return len(self._series)
 
-    # -- export / merge ------------------------------------------------------
+    # -- export --------------------------------------------------------------
 
     def export(self) -> Dict[str, Any]:
         """JSON-serializable document of everything recorded.
 
-        The same structure ``repro analyze --timeline`` reads and the
-        PDES worker ships to the parent at collect time (epoch keys are
-        ints in memory; :meth:`write_json` stringifies them).
+        The same structure ``repro analyze --timeline`` reads (epoch
+        keys are ints in memory; :meth:`write_json` stringifies them).
         """
         return {
             "version": 1,
@@ -297,31 +286,6 @@ class Timeline:
                 for name, s in sorted(self._series.items())
             },
         }
-
-    def merge_export(self, doc: Dict[str, Any]) -> None:
-        """Fold one shard's :meth:`export` into this timeline.
-
-        Rate epochs sum (shard-local counters partition the serial
-        counters disjointly, so per-epoch sums reconstruct the serial
-        deltas); level series are node-scoped and therefore live on
-        exactly one shard — a collision would mean a probe-naming bug,
-        so colliding level epochs sum too, loudly wrong rather than
-        silently lossy.  Deterministic as long as the caller merges
-        shards in a fixed order (the PDES parent merges in shard order).
-        """
-        if doc.get("epoch") != self.epoch:
-            raise ValueError(
-                f"cannot merge timeline with epoch {doc.get('epoch')} "
-                f"into one with epoch {self.epoch}"
-            )
-        self._cycles = max(self._cycles, int(doc.get("cycles", 0)))
-        for name, payload in doc.get("series", {}).items():
-            s = self._series.get(name)
-            if s is None:
-                s = self._series[name] = _Series(payload["kind"])
-            s.dropped += payload.get("dropped", 0)
-            for epoch, value in payload["epochs"].items():
-                s.record(int(epoch), value, self.capacity)
 
     def write_json(
         self, path: Union[str, Path], meta: Optional[Dict[str, Any]] = None

@@ -38,15 +38,13 @@ import json
 import warnings
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "NullTracer",
     "EventTracer",
     "NULL_TRACER",
     "TraceEvent",
-    "canonical_key",
-    "merge_shard_traces",
 ]
 
 #: (cycle, channel, name, args-or-None)
@@ -78,28 +76,10 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def canonical_key(event: TraceEvent):
-    """Total order on trace events, independent of emit interleaving.
-
-    ``(cycle, channel, name, serialized-args)``: within one cycle the
-    serial engines emit in component order, but that order is not
-    meaningful — the canonical key is what the PDES merge sorts by and
-    what the equivalence suite compares on, so serial and sharded runs
-    agree event for event.
-    """
-    cycle, channel, name, args = event
-    return (
-        cycle,
-        channel,
-        name,
-        json.dumps(args, sort_keys=True) if args else "",
-    )
-
-
 class EventTracer:
     """Bounded ring buffer of cycle-stamped events."""
 
-    __slots__ = ("enabled", "capacity", "dropped", "shard_counts", "_events")
+    __slots__ = ("enabled", "capacity", "dropped", "_events")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
@@ -107,8 +87,6 @@ class EventTracer:
         self.enabled = True
         self.capacity = capacity
         self.dropped = 0
-        #: ``{shard: events collected}`` after a PDES merge, else None.
-        self.shard_counts: Optional[Dict[int, int]] = None
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
 
     # -- recording ---------------------------------------------------------
@@ -152,7 +130,6 @@ class EventTracer:
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
-        self.shard_counts = None
 
     # -- export ------------------------------------------------------------
 
@@ -187,19 +164,14 @@ class EventTracer:
             if args:
                 ev["args"] = args
             events.append(ev)
-        other: Dict[str, Any] = {
-            "source": "repro.obs.tracer",
-            "clock": "simulation cycles (as us)",
-            "dropped_events": self.dropped,
-        }
-        if self.shard_counts is not None:
-            other["shard_events"] = {
-                str(s): n for s, n in sorted(self.shard_counts.items())
-            }
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": other,
+            "otherData": {
+                "source": "repro.obs.tracer",
+                "clock": "simulation cycles (as us)",
+                "dropped_events": self.dropped,
+            },
         }
 
     def write_chrome_trace(self, path: Union[str, Path]) -> int:
@@ -232,31 +204,3 @@ class EventTracer:
             f"dropped={self.dropped})"
         )
 
-
-def merge_shard_traces(
-    tracer: EventTracer,
-    shard_traces: Sequence[Tuple[List[TraceEvent], int]],
-) -> None:
-    """Fold per-shard ``(events, dropped)`` pairs into ``tracer``.
-
-    Events sort by :func:`canonical_key` — a pure function of event
-    identity, so the merge is deterministic regardless of worker timing
-    — and the newest ``tracer.capacity`` survive, mirroring the serial
-    ring's keep-newest policy.  Shard drop counts carry over, and the
-    per-shard event counts land in ``tracer.shard_counts`` for the
-    Chrome-trace metadata.
-    """
-    merged = tracer.events()
-    counts: Dict[int, int] = {}
-    for shard, (events, dropped) in enumerate(shard_traces):
-        counts[shard] = len(events)
-        tracer.dropped += dropped
-        merged.extend(events)
-    merged.sort(key=canonical_key)
-    overflow = len(merged) - tracer.capacity
-    if overflow > 0:
-        tracer.dropped += overflow
-        merged = merged[overflow:]
-    tracer._events.clear()
-    tracer._events.extend(merged)
-    tracer.shard_counts = counts

@@ -16,10 +16,8 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     kernel=(
         "DEFAULT_ENGINE", "ENGINES", "ClockedModel", "LockstepEngine",
-        "SkipEngine", "engine_names", "get_engine", "SHARDS_ENV_VAR",
-        "resolve_shards",
+        "SkipEngine", "engine_names", "get_engine",
     ),
-    pdes=("ShardCrash", "ShardError", "ShardFallback", "ShardReport", "run_sharded"),
     watchdog=(
         "CHECK_ENV_VAR", "NULL_WATCHDOG", "WATCHDOG_ENV_VAR", "InvariantViolation",
         "SimulationHang", "Watchdog", "default_watchdog", "sanitize_enabled",
@@ -34,13 +32,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "engine_names",
     "get_engine",
-    "SHARDS_ENV_VAR",
-    "ShardCrash",
-    "ShardError",
-    "ShardFallback",
-    "ShardReport",
-    "resolve_shards",
-    "run_sharded",
     "Watchdog",
     "NULL_WATCHDOG",
     "SimulationHang",

@@ -30,7 +30,6 @@ Engine selection:  pass an engine instance or name (``"skip"`` /
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable, List, Optional
 
 from repro.obs.observers import NO_OBSERVERS
@@ -244,36 +243,3 @@ def get_engine(spec=None):
         return spec
     raise TypeError(f"engine must be a name or engine instance, got {spec!r}")
 
-
-#: Default shard count for ``NUMASystem.run`` (0 = one per CPU).
-SHARDS_ENV_VAR = "REPRO_SIM_SHARDS"
-
-
-def resolve_shards(spec: Optional[int] = None, engine=None) -> int:
-    """Shard count: ``spec``, else ``$REPRO_SIM_SHARDS`` (unset = 1); 0 = per CPU.
-
-    Sharded windows skip as :class:`SkipEngine` does, so with another
-    ``engine`` (name or instance; ``None`` is skip) an explicit ``spec``
-    above 1 raises ``ValueError``, and the env var alone yields 1: it
-    must stay safe to set globally.
-    """
-    explicit = spec is not None
-    if spec is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        spec = int(raw)
-    if spec < 0:
-        raise ValueError("shard count must be >= 0")
-    if spec == 0:
-        spec = os.cpu_count() or 1
-    if spec > 1 and engine is not None:
-        name = engine if isinstance(engine, str) else getattr(engine, "name", None)
-        if name != SkipEngine.name:
-            if explicit:
-                raise ValueError(
-                    f"shards={spec} runs the skip engine's PDES windows; "
-                    f"it cannot run engine {name!r}"
-                )
-            return 1
-    return spec

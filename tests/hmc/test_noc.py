@@ -176,7 +176,7 @@ class TestHopRouting:
 
 class TestStatsContract:
     def test_snapshot_merge_roundtrip(self):
-        """NoCStats rides StatsMixin: PDES shard merges carry it."""
+        """NoCStats rides the StatsMixin snapshot/merge/reset contract."""
         a, b = NoCStats(), NoCStats()
         a.forwarded, a.contention_cycles = 3, 7
         b.forwarded, b.buffer_stall_cycles = 2, 5

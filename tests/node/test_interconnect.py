@@ -1,18 +1,16 @@
-"""Credit-based fabric unit tests (determinism, flow control, sharding).
+"""Credit-based fabric unit tests (determinism, flow control).
 
-The same-cycle ordering tests are the PR 8 regression for the old
-global-sequence tie-break: delivery order used to depend on *which
-process pushed first*, which sharded simulation cannot reproduce.  The
-fabric now keys every hop ``(deliver_cycle, src, seq, dst)`` with
-per-source sequence numbers, making same-cycle arbitration a pure
-function of message identity.
+The same-cycle ordering tests pin the hop key: the fabric keys every
+hop ``(deliver_cycle, src, seq, dst)`` with per-source sequence
+numbers, making same-cycle arbitration a pure function of message
+identity rather than of insertion order.
 """
 
 import itertools
 
 import pytest
 
-from repro.node.interconnect import Hop, Interconnect
+from repro.node.interconnect import Interconnect
 
 
 def drain(ic, cycle):
@@ -119,37 +117,6 @@ class TestCreditFlowControl:
             Interconnect(-1)
         with pytest.raises(ValueError):
             Interconnect(10, channel_capacity=0)
-
-
-class TestShardingHooks:
-    def test_restrict_exports_remote_sends(self):
-        ic = Interconnect(latency_cycles=10)
-        ic.restrict([0, 2])
-        ic.send(0, dst=2, payload="local", src=0)
-        ic.send(0, dst=1, payload="remote", src=0)
-        assert ic.exported == 1
-        assert ic.messages_sent == 2
-        hops = ic.drain_exports()
-        assert [h.payload for h in hops] == ["remote"]
-        assert ic.exports == []
-        # Local hop still delivers here.
-        assert ic.deliver(10) == [(2, "local")]
-
-    def test_inject_merges_in_key_order(self):
-        """Imported hops interleave with local ones exactly as serial."""
-        serial = Interconnect(latency_cycles=4)
-        for src in (0, 1):
-            for seq in range(3):
-                serial.send(0, dst=0, payload=(src, seq), src=src)
-        expect = [p for _, p in serial.deliver(4)]
-
-        shard = Interconnect(latency_cycles=4)
-        shard.restrict([0])
-        for seq in range(3):
-            shard.send(0, dst=0, payload=(0, seq), src=0)
-        imported = [Hop(4, 1, seq, 0, (1, seq)) for seq in range(3)]
-        shard.inject(imported)
-        assert [p for _, p in shard.deliver(4)] == expect
 
 
 class TestWakeProtocol:

@@ -137,7 +137,7 @@ class TestNUMASystem:
             interleave_bytes=1 << 9,
         )
         with pytest.raises(RuntimeError, match="exceeded max_cycles"):
-            sys3.run(max_cycles=600, shards=1)
+            sys3.run(max_cycles=600)
         snap = sys3.hang_snapshot()
         assert snap["cycle"] == sys3.cycle
         assert {n: s["cycle"] for n, s in snap["nodes"].items()} == {
@@ -153,19 +153,19 @@ class TestNUMASystem:
             interleave_bytes=1 << 9,
         )
 
-    def test_explicit_shards_refuse_a_non_skip_engine(self):
-        with pytest.raises(ValueError, match="shards=2.*'lockstep'"):
-            self._mesh().run(engine="lockstep", shards=2)
+    @pytest.mark.parametrize("shards", [0, 2, 4])
+    def test_run_rejects_shards(self, shards):
+        """Sharding was removed: only the serial count is accepted."""
+        with pytest.raises(ValueError, match="sharded NUMA runs were removed"):
+            self._mesh().run(shards=shards)
 
-    def test_env_sharding_runs_a_lockstep_request_serially(self, monkeypatch):
-        serial = self._mesh()
-        serial.run(engine="lockstep", shards=1)
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
-        env = self._mesh()
-        env.run(engine="lockstep")
-        assert env.shard_report is None
-        assert env.cycle == serial.cycle
-        assert env.metrics() == serial.metrics()
+    def test_run_accepts_one_shard(self):
+        explicit = self._mesh()
+        explicit.run(shards=1)
+        default = self._mesh()
+        default.run()
+        assert explicit.cycle == default.cycle
+        assert explicit.metrics() == default.metrics()
 
     def test_remote_request_stamped_with_another_node_rejected(self):
         """A request carries its issuing node: the fabric sends it home by
@@ -177,9 +177,8 @@ class TestNUMASystem:
             ],
             interleave_bytes=1 << 9,
         )
-        # Serial: a shard worker would wrap the ValueError in a ShardError.
         with pytest.raises(ValueError, match="node 1 issued a request stamped node=0"):
-            sys2.run(shards=1)
+            sys2.run()
 
 
 class TestRemoteResponseAccounting:

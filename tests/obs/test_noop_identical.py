@@ -119,10 +119,7 @@ def _drive(model):
     """Run ``model`` to completion; returns the MAC's packets (or None)."""
     if hasattr(model, "process"):
         return model.process(_requests())
-    if hasattr(model, "shard_blockers"):
-        model.run(shards=1)
-    else:
-        model.run()
+    model.run()
     return None
 
 

@@ -1,8 +1,8 @@
-"""Timeline epoch sampling, export/merge, and engine bit-identity.
+"""Timeline epoch sampling, export, and engine bit-identity.
 
 The contract under test (DESIGN.md section 13): per-epoch rate deltas
 and boundary levels with zero elision, capacity-bounded series, lazy
-idempotent binding, shard-merge by epoch summation — and the pinned
+idempotent binding — and the pinned
 invariant that enabling the timeline never changes the simulation,
 whether the run is driven by the lockstep or the skip engine.
 """
@@ -185,29 +185,6 @@ class TestExportMerge:
         assert doc["cycles"] == 25
         assert doc["series"]["m.count"]["kind"] == "rate"
         json.loads(json.dumps(doc))  # int keys are fine in-memory only
-
-    def test_merge_epoch_mismatch_rejected(self):
-        tl = Timeline(epoch=10)
-        with pytest.raises(ValueError):
-            tl.merge_export({"epoch": 20, "series": {}})
-
-    def test_merge_sums_rates_and_takes_max_cycles(self):
-        def shard(epochs, cycles):
-            return {
-                "version": 1,
-                "epoch": 10,
-                "cycles": cycles,
-                "meta": {},
-                "series": {
-                    "c": {"kind": "rate", "dropped": 0, "epochs": epochs}
-                },
-            }
-
-        parent = Timeline(epoch=10)
-        parent.merge_export(shard({0: 2, 1: 3}, 20))
-        parent.merge_export(shard({1: 5, 2: 1}, 30))
-        assert parent.series("c") == {0: 2, 1: 8, 2: 1}
-        assert parent.export()["cycles"] == 30
 
     def test_write_json_roundtrips_via_load_timeline(self, tmp_path):
         m = _Probed()

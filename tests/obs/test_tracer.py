@@ -5,13 +5,7 @@ import warnings
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    EventTracer,
-    NullTracer,
-    canonical_key,
-    merge_shard_traces,
-)
+from repro.obs import NULL_TRACER, EventTracer, NullTracer
 
 pytestmark = pytest.mark.obs
 
@@ -133,55 +127,6 @@ class TestChromeTrace:
         n = _traced().write_chrome_trace(out)
         doc = json.loads(out.read_text())
         assert n == len(doc["traceEvents"]) == 5  # 3 events + 2 metadata
-
-
-class TestShardMerge:
-    """merge_shard_traces: the PDES parent's collect-time trace fold."""
-
-    def test_merge_is_canonically_ordered_and_counted(self):
-        parent = EventTracer()
-        parent.emit("arq", "alloc", 5, key=1)
-        shard0 = [(3, "vault", "conflict", None), (5, "arq", "merge", {"key": 1})]
-        shard1 = [(4, "link", "nak", {"seq": 2})]
-        merge_shard_traces(parent, [(shard0, 0), (shard1, 0)])
-        assert parent.events() == sorted(
-            [(5, "arq", "alloc", {"key": 1})] + shard0 + shard1,
-            key=canonical_key,
-        )
-        assert parent.shard_counts == {0: 2, 1: 1}
-        assert parent.dropped == 0
-
-    def test_merge_order_independent_of_shard_arrival(self):
-        a = [(1, "c", "x", None), (9, "c", "y", None)]
-        b = [(2, "d", "x", None), (9, "a", "y", None)]
-        t1, t2 = EventTracer(), EventTracer()
-        merge_shard_traces(t1, [(a, 0), (b, 0)])
-        merge_shard_traces(t2, [(b, 0), (a, 0)])
-        assert t1.events() == t2.events()
-
-    def test_merge_respects_capacity_keep_newest(self):
-        parent = EventTracer(capacity=3)
-        events = [(i, "c", "e", None) for i in range(5)]
-        merge_shard_traces(parent, [(events, 2)])
-        assert [e[0] for e in parent.events()] == [2, 3, 4]
-        assert parent.dropped == 2 + 2  # shard drops + merge overflow
-
-    def test_clear_resets_shard_counts(self):
-        parent = EventTracer()
-        merge_shard_traces(parent, [([(1, "c", "e", None)], 0)])
-        assert parent.shard_counts is not None
-        parent.clear()
-        assert parent.shard_counts is None
-
-    def test_chrome_metadata_carries_shard_events(self):
-        parent = EventTracer()
-        merge_shard_traces(
-            parent, [([(1, "c", "e", None)], 0), ([(2, "c", "f", None)], 0)]
-        )
-        doc = parent.to_chrome_trace()
-        assert doc["otherData"]["shard_events"] == {"0": 1, "1": 1}
-        plain = _traced().to_chrome_trace()
-        assert "shard_events" not in plain["otherData"]
 
 
 class TestJsonl:

@@ -1,16 +1,12 @@
 """NoC-refactor equivalence corpus (PR 10's bit-identity contract).
 
-Three guarantees, each hypothesis- or corpus-enforced:
+Two guarantees, each hypothesis- or corpus-enforced:
 
 1. ``noc_topology="ideal"`` is bit-identical to the legacy
    :class:`repro.hmc.crossbar.Crossbar` — pinned by substituting a
    crossbar-backed adapter into the device and comparing full runs
    (cycles + metrics) across both engines and under fault injection.
-2. The sharded conservative-PDES backend agrees with the serial run
-   for every topology/policy, and the NoC's counters survive the shard
-   merge (they ride StatsMixin now — the legacy crossbar's raw ints
-   were silently dropped).
-3. SkipEngine agrees with LockstepEngine for the *new* code paths too:
+2. SkipEngine agrees with LockstepEngine for the *new* code paths too:
    arbitrated xbar, ring/mesh hop routing, open/adaptive page policies.
    The NoC and bank keep only absolute cycle stamps, so skipping must
    never change results, whatever the topology.
@@ -26,7 +22,6 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.crossbar import Crossbar
 from repro.hmc.noc import NoCStats
 from repro.node.node import Node
-from repro.node.system import NUMASystem
 
 ENGINES = ("lockstep", "skip")
 
@@ -156,7 +151,7 @@ class TestIdealMatchesLegacyCrossbar:
 
 
 class TestEnginesAgreeOnNewTopologies:
-    """Guarantee 3: skip == lockstep for every new code path."""
+    """Guarantee 2: skip == lockstep for every new code path."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -187,50 +182,3 @@ class TestEnginesAgreeOnNewTopologies:
         lock = run_node(spec, "lockstep", hmc_config=cfg())
         skip = run_node(spec, "skip", hmc_config=cfg())
         assert skip.metrics() == lock.metrics()
-
-
-class TestShardedPDES:
-    """Guarantee 2: serial == sharded, and NoC counters survive merges."""
-
-    def build_system(self, hmc_config):
-        spec = (2, 40, 32, 9, True)
-        return NUMASystem(
-            [
-                [iter(make_requests(spec, c, node=n)) for c in range(2)]
-                for n in range(2)
-            ],
-            interleave_bytes=256,
-            hmc_config=hmc_config,
-        )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(),
-            dict(noc_topology="xbar"),
-            dict(noc_topology="ring", page_policy="open"),
-            dict(noc_topology="mesh", page_policy="adaptive"),
-        ],
-        ids=["ideal", "xbar", "ring-open", "mesh-adaptive"],
-    )
-    def test_serial_equals_sharded(self, kwargs):
-        serial = self.build_system(HMCConfig(**kwargs))
-        serial.run(shards=1)
-        sharded = self.build_system(HMCConfig(**kwargs))
-        sharded.run(shards=2)
-        assert sharded.cycle == serial.cycle
-        assert sharded.metrics() == serial.metrics()
-
-    def test_noc_counters_survive_the_shard_merge(self):
-        """Satellite 1's regression: the legacy crossbar's forwarded /
-        returned ints were dropped by PDES merges; NoCStats must not be."""
-        serial = self.build_system(HMCConfig())
-        serial.run(shards=1)
-        sharded = self.build_system(HMCConfig())
-        sharded.run(shards=2)
-        key = "noc.forwarded"
-        candidates = [k for k in serial.metrics() if k.endswith(key)]
-        assert candidates, "device metrics must expose the noc.* namespace"
-        for k in candidates:
-            assert serial.metrics()[k] > 0
-            assert sharded.metrics()[k] == serial.metrics()[k]

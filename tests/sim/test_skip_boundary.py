@@ -142,8 +142,7 @@ class TestFabricWakeConformance:
 
     ``skip_to(target)`` uses half-open semantics: a hop landing exactly
     on the skip target must be *delivered* by the post-skip tick, never
-    swallowed — the PDES windows lean on this to hand a shard exactly
-    the hops with ``deliver_cycle`` inside its window.
+    swallowed.
     """
 
     def test_numa_skip_lands_on_hop_and_delivers_it(self):

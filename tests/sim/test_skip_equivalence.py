@@ -18,7 +18,7 @@ from repro.core.request import MemoryRequest, RequestType
 from repro.node.node import Node
 from repro.node.spm import ScratchpadMemory
 from repro.node.system import NUMASystem
-from repro.obs import AttributionCollector, Observers
+from repro.obs import AttributionCollector, Observers, Timeline
 from repro.obs.observers import NO_OBSERVERS
 
 ENGINES = ("lockstep", "skip")
@@ -449,7 +449,7 @@ class TestNUMAEquivalence:
                 for n, c in ((0, 0), (1, 1))
             ]
             system = NUMASystem(streams_per_node, interleave_bytes=256)
-            system.run(engine=engine, shards=1)
+            system.run(engine=engine)
             outcomes[engine] = (system.cycle, system.metrics())
         assert outcomes["skip"] == outcomes["lockstep"]
 
@@ -497,7 +497,7 @@ class TestNUMAEquivalence:
                 channel_capacity=channel_capacity,
                 obs=obs,
             )
-            system.run(engine=engine, shards=1)
+            system.run(engine=engine)
             outcome = [system.cycle, system.metrics()]
             if attributed:
                 depth = obs.attrib.depth
@@ -509,3 +509,74 @@ class TestNUMAEquivalence:
         assert outcomes["skip"] == outcomes["lockstep"]
         assert outcomes["skip"] == outcomes["every node"]
 
+
+def mesh_requests(spec, node, core):
+    """One core's stream on a ``(nodes, cores, n, rows, seed, fences)`` mesh."""
+    nodes, cores, n, rows, seed, fences = spec
+    rng = random.Random(seed * 8191 + node * 131 + core)
+    out = []
+    for i in range(n):
+        if fences and i and i % 13 == 0:
+            out.append(
+                MemoryRequest(
+                    addr=0, rtype=RequestType.FENCE, tid=core, tag=i, core=core
+                )
+            )
+            continue
+        addr = (rng.randrange(rows) << 8) | (rng.randrange(16) << 4)
+        rtype = RequestType.STORE if rng.random() < 0.3 else RequestType.LOAD
+        out.append(
+            MemoryRequest(
+                addr=addr, rtype=rtype, tid=core, tag=i, core=core, node=node
+            )
+        )
+    return out
+
+
+def mesh_outcome(system):
+    return (system.cycle, system.stats.snapshot(), system.metrics())
+
+
+class TestNodesSettled:
+    """A node ticks only when it can act, so it lags the mesh in between;
+    a run must still leave every node on the mesh's final cycle."""
+
+    def test_every_node_ends_on_the_system_cycle(self):
+        spec = (3, 2, 24, 16, 7, False)
+        # Node 2 issues two requests and then idles to the end.
+        issued = (24, 24, 2)
+        system = NUMASystem(
+            [
+                [iter(mesh_requests(spec, n, c)[: issued[n]]) for c in range(2)]
+                for n in range(3)
+            ],
+            interconnect_latency=23,
+            interleave_bytes=256,
+        )
+        system.run()
+        for node in system.nodes:
+            assert node.cycle == system.stats.cycles
+            assert node.mac.stats.total_cycles == system.stats.cycles
+
+
+def test_timeline_never_changes_the_run():
+    spec = (3, 2, 18, 12, 5, False)
+
+    def build(**instruments):
+        return NUMASystem(
+            [
+                [iter(mesh_requests(spec, n, c)) for c in range(spec[1])]
+                for n in range(spec[0])
+            ],
+            system=SystemConfig(mac=MACConfig(arq_entries=32)),
+            interconnect_latency=23,
+            interleave_bytes=256,
+            obs=Observers(**instruments),
+        )
+
+    plain = build()
+    plain.run()
+    timed = build(timeline=Timeline(epoch=64))
+    timed.run()
+    assert mesh_outcome(timed) == mesh_outcome(plain)
+    assert timed.obs.timeline.series_names()

@@ -277,7 +277,7 @@ class TestRunMesh:
     def test_attribution_runs_serially_and_changes_nothing_else(
         self, tmp_path, capsys
     ):
-        mesh = ["--nodes", "2", "--shards", "2"]
+        mesh = ["--nodes", "2"]
         plain = self._metrics(tmp_path, capsys, *mesh)
         attributed = self._metrics(tmp_path, capsys, *mesh, "--attribution")
         assert attributed["attribution.requests_finalized"] > 0
@@ -286,17 +286,16 @@ class TestRunMesh:
         }
         assert rest == plain
 
-    def test_lockstep_with_explicit_shards_exits_2(self, capsys):
-        argv = ["run", "IS", "--nodes", "2", "--engine", "lockstep",
-                "--shards", "2", *self.SIZING]
-        assert main(argv) == 2
+    def test_shards_flag_exits_2(self, capsys):
+        """Sharding was removed; its flag is a usage error, not a crash."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "GUPS", "--nodes", "2", "--shards", "2", *self.SIZING])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "shards=2" in err and "'lockstep'" in err
+        assert "unrecognized arguments: --shards 2" in err
+        assert "Traceback" not in err
 
-    def test_sharded_profile_counts_engine_work(self, tmp_path, capsys):
-        mesh = ["--nodes", "4", "--profile"]
-        serial = self._metrics(tmp_path, capsys, *mesh, "--shards", "1")
-        sharded = self._metrics(tmp_path, capsys, *mesh, "--shards", "2")
-        assert serial["sim.ticks"] > 0 and sharded["sim.ticks"] > 0
-        assert sharded["sim.skipped_cycles"] > 0
-        assert sharded["sim.final_cycle"] == serial["sim.final_cycle"]
+    def test_profile_counts_engine_work(self, tmp_path, capsys):
+        m = self._metrics(tmp_path, capsys, "--nodes", "4", "--profile")
+        assert m["sim.ticks"] > 0 and m["sim.skipped_cycles"] > 0
+        assert m["sim.final_cycle"] == m["system.cycles"]

@@ -54,7 +54,7 @@ def test_cli_import_loads_no_subsystem():
     assert len(ours) <= 5, ours
     assert not _offenders(modules, ["numpy", "multiprocessing"])
     assert not _offenders(
-        modules, ["repro.eval.experiments", "repro.node", "repro.sim.pdes"]
+        modules, ["repro.eval.experiments", "repro.node", "repro.sim"]
     )
 
 
@@ -67,7 +67,7 @@ def test_runner_import_skips_the_sweep_and_node_layers():
         [
             "repro.eval.experiments", "repro.eval.sweeps", "repro.eval.parallel",
             "repro.eval.supervisor", "repro.node", "repro.cache", "repro.ddr",
-            "repro.hbm", "repro.isa", "repro.sim.pdes",
+            "repro.hbm", "repro.isa",
         ],
     )
 
@@ -86,7 +86,7 @@ system = NUMASystem(numa_streams("GUPS", 2, threads=2, ops_per_thread=40))
 before = set(sys.modules)
 node.run()
 after_node = set(sys.modules)
-system.run(shards=1)
+system.run()
 print(json.dumps({
     "node": sorted(after_node - before),
     "system": sorted(set(sys.modules) - after_node),
