@@ -8,10 +8,11 @@ Subpackages:
 * :mod:`repro.hmc`       — cycle-level Hybrid Memory Cube device model
   (the HMCSim-3.0 stand-in).
 * :mod:`repro.node`      — cache-less multicore node and NUMA system.
-* :mod:`repro.trace`     — memory tracing, analysis, execution stats.
+* :mod:`repro.trace`     — memory tracing, efficiency predictor,
+  execution stats.
 * :mod:`repro.workloads` — the 12-benchmark synthetic evaluation suite.
-* :mod:`repro.cache`     — cache hierarchy + MSHR substrate (Fig. 1,
-  section 2.3).
+* :mod:`repro.cache`     — cache hierarchy for the miss-rate study
+  (Fig. 1).
 * :mod:`repro.baselines` — comparator dispatch policies.
 * :mod:`repro.eval`      — metrics, area model and per-figure drivers.
 

@@ -1,4 +1,4 @@
-"""Cache substrate for the motivation study and MSHR baseline (Fig. 1, section 2.3)."""
+"""Cache substrate for the motivation study (Fig. 1)."""
 
 from repro._lazy import lazy_exports
 
@@ -6,15 +6,11 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     cache=("CacheStats", "SetAssociativeCache"),
     hierarchy=("CacheHierarchy", "HierarchyStats"),
-    mshr=("MSHREntry", "MSHRFile", "MSHRStats"),
 )
 
 __all__ = [
     "CacheHierarchy",
     "CacheStats",
     "HierarchyStats",
-    "MSHREntry",
-    "MSHRFile",
-    "MSHRStats",
     "SetAssociativeCache",
 ]

@@ -21,7 +21,6 @@ class MACStats(StatsMixin):
     per entry (Fig. 15).
     """
 
-    MERGE_MAX = frozenset({"total_cycles"})
     SNAPSHOT_DERIVED = (
         "coalescing_efficiency",
         "avg_targets_per_packet",
@@ -135,6 +134,3 @@ class MACStats(StatsMixin):
         more payload than the requests demanded.
         """
         return self.raw_wire_bytes(flit_bytes) - self.coalesced_wire_bytes
-
-    # ``snapshot``/``merge``/``reset`` come from StatsMixin;
-    # ``total_cycles`` combines with ``max`` (wall-clock anchor, not a sum).

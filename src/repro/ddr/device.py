@@ -53,8 +53,6 @@ class DDRConfig:
 
 @dataclass
 class DDRStats(StatsMixin):
-    MERGE_MAX = frozenset({"last_completion"})
-    MERGE_MIN_SENTINEL = frozenset({"first_arrival"})
     SNAPSHOT_DERIVED = ("mean_latency", "makespan")
 
     requests: int = 0

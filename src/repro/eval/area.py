@@ -53,9 +53,3 @@ def mac_area(config: MACConfig | None = None) -> AreaReport:
         comparators=cfg.arq_entries,
         or_gates=cfg.groups_per_row,
     )
-
-
-def entry_capacity(config: MACConfig | None = None) -> int:
-    """Targets one entry can hold (section 5.3.3: (64-10)/4.5 = 12)."""
-    cfg = config or MACConfig()
-    return cfg.target_capacity

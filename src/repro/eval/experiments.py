@@ -14,7 +14,7 @@ the output is bit-identical to a serial run for any worker count.
 from __future__ import annotations
 
 import statistics
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -496,63 +496,3 @@ def ablation_fixed_256(
     tasks = [(name, threads, ops_per_thread) for name in names]
     cells = run_tasks(_ablation_cell, tasks, jobs=jobs)
     return dict(zip(names, cells))
-
-
-# ---------------------------------------------------------------------------
-# Intra-cube NoC topology and DRAM page-policy axes (repro.hmc.noc / .bank)
-# ---------------------------------------------------------------------------
-
-
-def noc_topology_study(
-    topologies: Sequence[str] = ("ideal", "xbar", "ring", "mesh"),
-    packet_sizes: Sequence[int] = (64, 128, 256),
-    workloads: Sequence[str] = ("GUPS", "SG"),
-    threads: int = DEFAULT_THREADS,
-    ops_per_thread: int = DEFAULT_OPS_PER_THREAD,
-    jobs: int = 1,
-) -> List:
-    """NoC topology x MAC packet-size grid (Hadidi et al.'s axis).
-
-    The MAC's packet-size choice and the intra-cube interconnect
-    interact: bigger packets serialize longer at a NoC port, so a
-    saturated xbar/ring/mesh penalizes them where the ideal switch is
-    indifferent.  Returns :class:`repro.eval.sweeps.DeviceSweepPoint`
-    cells; render with :func:`repro.eval.sweeps.format_device_sweep`.
-    """
-    from .sweeps import sweep_device_grid
-
-    return sweep_device_grid(
-        {"noc_topology": list(topologies)},
-        mac_axes={"max_request_bytes": list(packet_sizes)},
-        workloads=workloads,
-        threads=threads,
-        ops_per_thread=ops_per_thread,
-        jobs=jobs,
-    )
-
-
-def page_policy_study(
-    policies: Sequence[str] = ("closed", "open", "adaptive"),
-    workloads: Sequence[str] = ("GUPS", "SG", "MG"),
-    threads: int = DEFAULT_THREADS,
-    ops_per_thread: int = DEFAULT_OPS_PER_THREAD,
-    jobs: int = 1,
-) -> List:
-    """Live page-policy comparison on the real device model.
-
-    Replays each workload's coalesced stream under every bank page
-    policy (section 2.2.1's argument, now measured in-simulator instead
-    of on the offline DDR replica): closed pays activate every access,
-    open harvests row hits but eats ``t_precharge`` on misses, adaptive
-    hedges with a per-bank hit-confidence counter.  Returns
-    :class:`repro.eval.sweeps.DeviceSweepPoint` cells.
-    """
-    from .sweeps import sweep_device_grid
-
-    return sweep_device_grid(
-        {"page_policy": list(policies)},
-        workloads=workloads,
-        threads=threads,
-        ops_per_thread=ops_per_thread,
-        jobs=jobs,
-    )

@@ -6,14 +6,12 @@ Every number reported in section 5.3 derives from these definitions:
 * :func:`coalescing_efficiency` — Eq. 3 under the reduction-fraction
   reading (Figs. 10/11; see DESIGN.md section 3);
 * :func:`requests_per_cycle` — Eq. 2 (Fig. 9);
-* wire-traffic helpers for bandwidth saving (Fig. 14).
+* :func:`speedup` — Fig. 17's latency reduction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.core.packet import CONTROL_BYTES_PER_ACCESS, CoalescedRequest
+from repro.core.packet import CONTROL_BYTES_PER_ACCESS
 
 #: HMC 2.1 request payload sizes (B) the protocol supports.
 HMC_REQUEST_SIZES = (16, 32, 48, 64, 80, 96, 112, 128, 256)
@@ -57,32 +55,6 @@ def requests_per_cycle(
     if min(ipc, rpi, mem_access_rate) <= 0 or cores < 1:
         raise ValueError("all factors must be positive")
     return ipc * rpi * cores * mem_access_rate
-
-
-def mean_bandwidth_efficiency(packets: Sequence[CoalescedRequest]) -> float:
-    """Traffic-weighted Eq. 1 over a packet stream (Fig. 13)."""
-    payload = sum(p.size for p in packets)
-    wire = payload + CONTROL_BYTES_PER_ACCESS * len(packets)
-    return payload / wire if wire else 0.0
-
-
-def wire_bytes(packets: Sequence[CoalescedRequest]) -> int:
-    """Total link bytes: payload + 32 B control per packet."""
-    return sum(p.size for p in packets) + CONTROL_BYTES_PER_ACCESS * len(packets)
-
-
-def bandwidth_saved(
-    raw_packets: Sequence[CoalescedRequest], coalesced: Sequence[CoalescedRequest]
-) -> int:
-    """Wire bytes saved by coalescing (Fig. 14); negative = regression."""
-    return wire_bytes(raw_packets) - wire_bytes(coalesced)
-
-
-def size_histogram(packets: Sequence[CoalescedRequest]) -> Dict[int, int]:
-    hist: Dict[int, int] = {}
-    for p in packets:
-        hist[p.size] = hist.get(p.size, 0) + 1
-    return hist
 
 
 def speedup(latency_without: float, latency_with: float) -> float:

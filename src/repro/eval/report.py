@@ -33,25 +33,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_comparison(
-    title: str,
-    measured: Dict[str, float],
-    paper: Optional[Dict[str, float]] = None,
-    unit: str = "",
-) -> str:
-    """Per-benchmark measured (and paper, when known) values."""
-    headers = ["benchmark", f"measured{(' ' + unit) if unit else ''}"]
-    if paper:
-        headers.append("paper")
-    rows = []
-    for k, v in measured.items():
-        row: List[object] = [k, v]
-        if paper:
-            row.append(paper.get(k, "-"))
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
 def bar_chart(
     values: Dict[str, float],
     width: int = 50,

@@ -38,9 +38,7 @@ DEFAULT_THREADS = 8
 DEFAULT_OPS_PER_THREAD = 3000
 
 #: Default number of traces kept warm per process.  Full traces are the
-#: largest objects the eval layer holds on to, so the cap is deliberately
-#: small; raise it with :func:`set_trace_cache_limit` for wide sweeps over
-#: many (workload, sizing) combinations.
+#: largest objects the eval layer holds on to, so the cap is small.
 DEFAULT_TRACE_CACHE_LIMIT = 32
 
 
@@ -55,7 +53,7 @@ class TraceCache:
 
     Unlike the previous ``functools.lru_cache`` wrapper this cache can be
     emptied mid-session (long sweep sessions no longer pin dozens of full
-    traces for the process lifetime), resized, and warmed up front — each
+    traces for the process lifetime) and warmed up front — each
     pool worker in :mod:`repro.eval.parallel` carries its own instance
     (inherited warm through ``fork`` or primed by the pool initializer),
     so a trace is generated at most once per worker.
@@ -90,14 +88,6 @@ class TraceCache:
 
     def clear(self) -> None:
         self._data.clear()
-
-    def resize(self, maxsize: int) -> None:
-        """Change the capacity, evicting oldest entries if shrinking."""
-        if maxsize < 1:
-            raise ValueError("trace cache needs room for at least one trace")
-        self.maxsize = maxsize
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
 
     def info(self) -> Dict[str, int]:
         return {
@@ -169,11 +159,6 @@ def clear_trace_cache() -> None:
     reclaim memory)."""
     _TRACE_CACHE.clear()
     clear_graph_memo()
-
-
-def set_trace_cache_limit(maxsize: int) -> None:
-    """Cap how many full traces stay warm in this process."""
-    _TRACE_CACHE.resize(maxsize)
 
 
 def trace_cache_info() -> Dict[str, int]:

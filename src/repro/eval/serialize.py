@@ -1,27 +1,22 @@
-"""Configuration and result serialization (JSON) for reproducible runs.
+"""Configuration serialization for reproducible runs.
 
 Experiments are parameterized by frozen dataclass configs; this module
-round-trips them (and the stats objects results come back in) through
-plain dicts/JSON so runs can be archived and replayed exactly.
+round-trips them through tagged plain dicts (JSON-ready) so runs can be
+archived and replayed exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Dict, TypeVar, Union
+from typing import Any, Dict
 
 from repro.core.config import MACConfig, SystemConfig
-from repro.core.stats import MACStats
 from repro.ddr.device import DDRConfig
 from repro.ddr.timing import DDRTiming
 from repro.hbm.config import HBMConfig
 from repro.hbm.timing import HBMTiming
 from repro.hmc.config import HMCConfig
 from repro.hmc.timing import HMCTiming
-
-T = TypeVar("T")
 
 #: Registry of serializable config types, keyed by their class name.
 CONFIG_TYPES: Dict[str, type] = {
@@ -64,31 +59,3 @@ def config_from_dict(data: Dict[str, Any]) -> Any:
             value = config_from_dict(value)
         kwargs[key] = value
     return CONFIG_TYPES[name](**kwargs)
-
-
-def save_config(config: Any, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2))
-
-
-def load_config(path: Union[str, Path]) -> Any:
-    return config_from_dict(json.loads(Path(path).read_text()))
-
-
-def stats_to_dict(stats: MACStats) -> Dict[str, Any]:
-    """MACStats -> plain dict including the derived metrics."""
-    return {
-        "raw_requests": stats.raw_requests,
-        "raw_loads": stats.raw_loads,
-        "raw_stores": stats.raw_stores,
-        "raw_fences": stats.raw_fences,
-        "raw_atomics": stats.raw_atomics,
-        "coalesced_packets": stats.coalesced_packets,
-        "bypassed_packets": stats.bypassed_packets,
-        "packet_sizes": dict(stats.packet_sizes),
-        "coalescing_efficiency": stats.coalescing_efficiency,
-        "avg_targets_per_packet": stats.avg_targets_per_packet,
-        "max_targets_per_packet": stats.max_targets_per_packet,
-        "bandwidth_efficiency": stats.coalesced_bandwidth_efficiency,
-        "control_saved_bytes": stats.bandwidth_saved_bytes(),
-        "wire_saved_bytes": stats.wire_saved_bytes(),
-    }

@@ -33,7 +33,7 @@ not restart from zero.  Passing ``supervise=`` a :class:`SupervisorConfig`
 
 Determinism contract: the supervisor never re-seeds or re-orders work —
 results are slotted by task index and every cell derives its seed from
-its own task descriptor (:func:`repro.seeding.derive_seeds`), so a
+its own task descriptor, so a
 retried, resumed, or quarantine-scarred run is bit-identical, cell for
 surviving cell, to an uninterrupted serial run.
 """

@@ -10,7 +10,8 @@ back.  Used by the design-space example and handy for ad-hoc studies::
         workloads=("MG", "IS"),
         jobs=4,            # process-pool execution, bit-identical to jobs=1
     )
-    print(format_sweep(results))
+    for point in results:
+        print(point.params, point.workload, point.efficiency)
 
 With ``jobs > 1`` the grid cells run on a process pool
 (:mod:`repro.eval.parallel`); results are returned in grid order and are
@@ -22,34 +23,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MACConfig
 from repro.core.flit_table import FlitTablePolicy
 from repro.core.mac import coalesce_trace_fast
 from repro.core.stats import MACStats
-from repro.hmc.config import HMCConfig
 from repro.seeding import DEFAULT_SEED
 from repro.trace.record import to_requests
 
 from .parallel import ProgressFn, run_tasks
-from .report import format_table
 from .runner import cached_trace
 
 _VALID_FIELDS = {f.name for f in dataclasses.fields(MACConfig)}
-
-#: HMCConfig fields a device sweep may vary (the scenario axes the NoC
-#: and page-policy refactor opened, plus the cube geometry knobs).
-_VALID_DEVICE_FIELDS = {
-    "noc_topology",
-    "noc_buffers",
-    "noc_arbitration",
-    "page_policy",
-    "links",
-    "vaults",
-    "banks_per_vault",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,230 +184,3 @@ def sweep_grid(
         supervise=supervise,
         codec=SWEEP_POINT_CODEC,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class DeviceSweepPoint:
-    """One device grid point's replay outcome for one workload."""
-
-    params: Tuple[Tuple[str, Any], ...]
-    workload: str
-    mean_latency: float
-    makespan: int
-    bank_conflicts: int
-    row_hit_rate: float
-    noc_contention_cycles: int
-
-    def param(self, name: str) -> Any:
-        return dict(self.params)[name]
-
-
-@dataclasses.dataclass(frozen=True)
-class _DeviceSweepTask:
-    """Picklable descriptor of one device cell x workload evaluation."""
-
-    params: Tuple[Tuple[str, Any], ...]
-    device_kwargs: Tuple[Tuple[str, Any], ...]
-    mac_kwargs: Tuple[Tuple[str, Any], ...]
-    workload: str
-    threads: int
-    ops_per_thread: int
-    seed: int
-    policy: str
-
-
-def _run_device_sweep_task(task: _DeviceSweepTask) -> DeviceSweepPoint:
-    """Evaluate one device cell (runs in-process or in a pool worker)."""
-    from .runner import replay_on_device
-
-    mac_cfg = MACConfig(**dict(task.mac_kwargs)) if task.mac_kwargs else None
-    hmc_cfg = HMCConfig(**dict(task.device_kwargs))
-    trace = cached_trace(task.workload, task.threads, task.ops_per_thread, task.seed)
-    stats = MACStats()
-    packets = coalesce_trace_fast(
-        list(to_requests(trace)), mac_cfg, FlitTablePolicy(task.policy), stats
-    )
-    replay = replay_on_device(packets, hmc=hmc_cfg)
-    dev = replay.device
-    accesses = sum(v.bank_accesses for v in dev.vaults)
-    noc = dev.noc.stats
-    return DeviceSweepPoint(
-        params=task.params,
-        workload=task.workload,
-        mean_latency=replay.mean_latency,
-        makespan=replay.makespan,
-        bank_conflicts=replay.bank_conflicts,
-        row_hit_rate=(dev.row_hits / accesses) if accesses else 0.0,
-        noc_contention_cycles=noc.contention_cycles + noc.buffer_stall_cycles,
-    )
-
-
-def sweep_device_grid(
-    device_axes: Dict[str, Sequence[Any]],
-    mac_axes: Optional[Dict[str, Sequence[Any]]] = None,
-    workloads: Sequence[str] = ("SG",),
-    threads: int = 4,
-    ops_per_thread: int = 1000,
-    policy: FlitTablePolicy = FlitTablePolicy.SPAN,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    progress: Optional[ProgressFn] = None,
-    log_every: int = 1,
-) -> List[DeviceSweepPoint]:
-    """Sweep HMC device knobs (optionally crossed with MAC knobs).
-
-    The device-side sibling of :func:`sweep_grid`: ``device_axes`` maps
-    :class:`~repro.hmc.config.HMCConfig` fields (NoC topology, buffer
-    depth, arbitration, page policy, geometry) to value lists, and
-    ``mac_axes`` optionally crosses in MAC knobs — the canonical use is
-    the NoC-topology x packet-size grid::
-
-        points = sweep_device_grid(
-            {"noc_topology": ["ideal", "xbar", "ring"]},
-            mac_axes={"max_request_bytes": [64, 128, 256]},
-        )
-
-    Every cell coalesces the workload trace once and replays it on a
-    fresh device built from the cell's config; cells are independent,
-    explicitly seeded, and ``jobs > 1`` distributes them bit-identically
-    over a process pool.
-    """
-    if not device_axes:
-        raise ValueError("need at least one device sweep axis")
-    unknown = set(device_axes) - _VALID_DEVICE_FIELDS
-    if unknown:
-        raise ValueError(f"unknown/unsupported HMCConfig fields: {sorted(unknown)}")
-    mac_axes = mac_axes or {}
-    unknown = set(mac_axes) - _VALID_FIELDS
-    if unknown:
-        raise ValueError(f"unknown MACConfig fields: {sorted(unknown)}")
-    dev_names = list(device_axes)
-    mac_names = list(mac_axes)
-    tasks: List[_DeviceSweepTask] = []
-    for dev_combo in itertools.product(*(device_axes[n] for n in dev_names)):
-        dev_kwargs = dict(zip(dev_names, dev_combo))
-        HMCConfig(**dev_kwargs)  # validate once, in the parent, fail fast
-        for mac_combo in itertools.product(*(mac_axes[n] for n in mac_names)):
-            mac_kwargs = dict(zip(mac_names, mac_combo))
-            if mac_kwargs:
-                MACConfig(**mac_kwargs)
-            params = tuple(zip(dev_names, dev_combo)) + tuple(
-                zip(mac_names, mac_combo)
-            )
-            for name in workloads:
-                tasks.append(
-                    _DeviceSweepTask(
-                        params=params,
-                        device_kwargs=tuple(sorted(dev_kwargs.items())),
-                        mac_kwargs=tuple(sorted(mac_kwargs.items())),
-                        workload=name,
-                        threads=threads,
-                        ops_per_thread=ops_per_thread,
-                        seed=seed,
-                        policy=policy.value,
-                    )
-                )
-    warm = sorted({(t.workload, t.threads, t.ops_per_thread, t.seed) for t in tasks})
-    return run_tasks(
-        _run_device_sweep_task,
-        tasks,
-        jobs=jobs,
-        progress=progress,
-        log_every=log_every,
-        warm=warm,
-    )
-
-
-def format_device_sweep(points: Sequence[DeviceSweepPoint]) -> str:
-    """Result table for a device sweep (one row per cell x workload)."""
-    points = [p for p in points if isinstance(p, DeviceSweepPoint)]
-    if not points:
-        return "(empty sweep)"
-    axis_names = [n for n, _ in points[0].params]
-    headers = axis_names + [
-        "workload", "mean lat", "makespan", "conflicts", "row hits", "noc stall",
-    ]
-    rows = [
-        [dict(p.params)[n] for n in axis_names]
-        + [
-            p.workload,
-            round(p.mean_latency, 1),
-            p.makespan,
-            p.bank_conflicts,
-            round(p.row_hit_rate, 3),
-            p.noc_contention_cycles,
-        ]
-        for p in points
-    ]
-    return format_table(headers, rows, title="HMC device design-space sweep")
-
-
-def format_sweep(points: Sequence[SweepPoint]) -> str:
-    """Result table for a sweep (one row per grid cell x workload).
-
-    Quarantined cells (:class:`repro.eval.supervisor.CellFailure` from a
-    supervised run) are skipped, not rendered.
-    """
-    points = [p for p in points if isinstance(p, SweepPoint)]
-    if not points:
-        return "(empty sweep)"
-    axis_names = [n for n, _ in points[0].params]
-    headers = axis_names + ["workload", "efficiency", "bw eff", "tgt/pkt"]
-    rows = [
-        [dict(p.params)[n] for n in axis_names]
-        + [p.workload, p.efficiency, p.bandwidth_efficiency, p.avg_targets]
-        for p in points
-    ]
-    return format_table(headers, rows, title="MAC design-space sweep")
-
-
-#: Optimization direction per SweepPoint metric: ``True`` = larger is
-#: better (efficiencies, targets merged per packet), ``False`` = smaller
-#: is better (packets — fewer emitted packets means more coalescing).
-METRIC_MAXIMIZE: Dict[str, bool] = {
-    "efficiency": True,
-    "bandwidth_efficiency": True,
-    "avg_targets": True,
-    "packets": False,
-}
-
-
-def best_point(
-    points: Sequence[SweepPoint], metric: str = "efficiency"
-) -> SweepPoint:
-    """Grid cell with the best suite-average of ``metric``.
-
-    Direction-aware: ``efficiency``, ``bandwidth_efficiency`` and
-    ``avg_targets`` are maximized; ``packets`` is *minimized* (packets is
-    a lower-is-better metric — fewer emitted packets for the same raw
-    requests means better coalescing).  See :data:`METRIC_MAXIMIZE`.
-
-    Cells whose suite-average is NaN — e.g. a fence-only stream where
-    ``coalescing_efficiency`` is undefined — are excluded from the
-    ranking rather than silently comparing as best/worst; an all-NaN
-    sweep raises.
-    """
-    points = [p for p in points if isinstance(p, SweepPoint)]
-    if not points:
-        raise ValueError("empty sweep")
-    if metric not in METRIC_MAXIMIZE:
-        raise ValueError(
-            f"unknown metric {metric!r}; choose from {sorted(METRIC_MAXIMIZE)}"
-        )
-    by_params: Dict[Tuple, List[SweepPoint]] = {}
-    for p in points:
-        by_params.setdefault(p.params, []).append(p)
-
-    def score(items: List[SweepPoint]) -> float:
-        return sum(getattr(p, metric) for p in items) / len(items)
-
-    scored = [
-        (cell, score(cell))
-        for cell in by_params.values()
-        if not math.isnan(score(cell))
-    ]
-    if not scored:
-        raise ValueError(f"metric {metric!r} is undefined (NaN) on every cell")
-    choose: Callable = max if METRIC_MAXIMIZE[metric] else min
-    best, _ = choose(scored, key=lambda item: item[1])
-    return best[0]

@@ -53,23 +53,10 @@ class FaultStats:
     def empty(self) -> bool:
         return not self.counters
 
-    # -- StatsProtocol (hand-written: not a dataclass) ---------------------
+    # -- registry source (hand-written: not a dataclass) -------------------
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         return self.as_dict()
-
-    def merge(self, other: "FaultStats") -> None:
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into FaultStats"
-            )
-        for site, bucket in other.counters.items():
-            for event, count in bucket.items():
-                self.record(site, event, count)
-
-    def reset(self) -> None:
-        # Clear in place: the device stats layer aliases this dict.
-        self.counters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         events = sum(len(b) for b in self.counters.values())

@@ -38,8 +38,6 @@ class _Channel:
 
 @dataclass
 class HBMStats(StatsMixin):
-    MERGE_MAX = frozenset({"last_completion"})
-    MERGE_MIN_SENTINEL = frozenset({"first_arrival"})
     SNAPSHOT_DERIVED = ("mean_latency", "makespan")
 
     requests: int = 0

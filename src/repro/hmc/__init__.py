@@ -20,9 +20,7 @@ __getattr__, __dir__ = lazy_exports(
         "NOC_ARBITRATIONS", "NOC_TOPOLOGIES", "IdealNoC", "MeshNoC", "NoCStats",
         "RingNoC", "XbarNoC", "build_noc",
     ),
-    packet=(
-        "AddressMap", "HMCCommand", "WirePacket", "encode", "packet_crc", "verify_crc",
-    ),
+    packet=("AddressMap", "HMCCommand", "WirePacket", "encode"),
     stats=("HMCStats",),
     timing=("HMCTiming",),
     vault=("Vault", "VaultStats"),
@@ -54,6 +52,4 @@ __all__ = [
     "build_noc",
     "encode",
     "open_page_map",
-    "packet_crc",
-    "verify_crc",
 ]

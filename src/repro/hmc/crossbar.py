@@ -6,9 +6,9 @@ configurable NoC subsystem (:mod:`repro.hmc.noc`), whose ``ideal``
 topology reproduces these semantics bit for bit; the class is kept as
 the executable reference for the equivalence property in
 ``tests/sim/test_noc_equivalence.py`` (its raw ``forwarded``/``returned``
-ints never participated in the StatsMixin merge contract — the NoC's
-:class:`repro.hmc.noc.NoCStats` does).  Like the NoC it has no clock
-edge of its own, so it answers no wake.
+ints are not exported — the NoC's :class:`repro.hmc.noc.NoCStats`
+is).  Like the NoC it has no clock edge of its own, so it answers no
+wake.
 """
 
 from __future__ import annotations

@@ -328,8 +328,7 @@ class HMCDevice:
         """Flat namespaced metrics over the device's stats sources."""
         reg = MetricsRegistry()
         reg.register("device", self.stats)
-        # The NoC's StatsMixin dataclass rides the same snapshot/merge
-        # contract as every other source.
+        # The NoC's StatsMixin dataclass snapshots like every other source.
         reg.register("noc", self.noc.stats)
 
         def vault_totals() -> dict:

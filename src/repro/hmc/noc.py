@@ -81,9 +81,8 @@ class NoCStats(StatsMixin):
     """Traffic + contention counters of the intra-cube interconnect.
 
     Unlike the legacy crossbar's raw ``forwarded``/``returned`` ints,
-    these participate in the :class:`~repro.obs.protocol.StatsMixin`
-    snapshot/merge contract, so ``HMCDevice.metrics()`` (the ``noc.*``
-    namespace) carries them.
+    these snapshot through :class:`~repro.obs.protocol.StatsMixin`, so
+    ``HMCDevice.metrics()`` (the ``noc.*`` namespace) carries them.
     """
 
     #: Request packets delivered link -> vault.

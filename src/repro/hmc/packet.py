@@ -2,14 +2,13 @@
 
 The device model consumes :class:`repro.core.packet.CoalescedRequest`
 objects; this module computes their wire representation — FLIT counts,
-header/tail control overhead, CRC-carrying tail — and defines the
+header/tail control overhead — and defines the
 response record returned by the device.
 """
 
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -166,20 +165,3 @@ def encode(
     return WirePacket(
         cmd, size, request_flits, response_flits, *amap.place(req.addr, size), columns
     )
-
-
-def packet_crc(req: CoalescedRequest, seq: int = 0) -> int:
-    """32-bit CRC over the packet's addressing fields and sequence number.
-
-    Stands in for the tail CRC of the HMC protocol; tests use it to
-    exercise the integrity check.  The link's retry protocol does not
-    compute it: CRC failures are drawn from the fault model.  The
-    sequence number is folded in so a replayed packet cannot be mistaken
-    for its neighbour.
-    """
-    blob = f"{req.addr:x}:{req.size}:{req.rtype.value}:{seq}".encode()
-    return zlib.crc32(blob) & 0xFFFFFFFF
-
-
-def verify_crc(req: CoalescedRequest, crc: int, seq: int = 0) -> bool:
-    return packet_crc(req, seq) == crc

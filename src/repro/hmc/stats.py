@@ -22,8 +22,6 @@ class HMCStats(StatsMixin):
     compatibility view over the exact sample prefix.
     """
 
-    MERGE_MAX = frozenset({"last_completion"})
-    MERGE_MIN_SENTINEL = frozenset({"first_arrival"})
     SNAPSHOT_DERIVED = ("mean_latency", "makespan")
 
     requests: int = 0

@@ -2,11 +2,10 @@
 
 Every artifact the toolkit persists — ``BENCH_<name>.json`` bench
 records, ``repro run --metrics-out``/``--trace-out`` exports, ``repro
-analyze --report-out`` reports, serialized configs and trace-cache
-spills — goes through these helpers, so a crash (or SIGKILL) mid-write
-can never leave a corrupt or truncated file behind: readers either see
-the complete previous version or the complete new one, never a torn
-intermediate.
+analyze --report-out`` reports and trace-cache spills — goes through
+these helpers, so a crash (or SIGKILL) mid-write can never leave a
+corrupt or truncated file behind: readers either see the complete
+previous version or the complete new one, never a torn intermediate.
 
 The recipe is the standard POSIX one: write the full payload to a
 temporary file *in the destination directory* (``os.replace`` is only
@@ -15,7 +14,6 @@ atomic within one filesystem), fsync it, then rename over the target.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -61,14 +59,3 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``)."""
     with atomic_open(path, "w", encoding=encoding) as fh:
         fh.write(text)
-
-
-def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``)."""
-    with atomic_open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def atomic_write_json(path: PathLike, obj: Any, **dumps_kwargs: Any) -> None:
-    """Serialize ``obj`` as JSON and write it atomically."""
-    atomic_write_text(path, json.dumps(obj, **dumps_kwargs))

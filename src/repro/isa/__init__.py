@@ -13,9 +13,8 @@ __getattr__, __dir__ = lazy_exports(
     assembler=("AssemblyError", "assemble"),
     instructions=("ALL_OPCODES", "Instruction", "parse_register"),
     kernels=(
-        "GATHER", "GUPS", "REDUCE_ATOMIC", "SPMV_CSR", "STENCIL_1D", "VECTOR_COPY",
-        "run_gather", "run_gups", "run_parallel_reduce", "run_spmv", "run_stencil",
-        "run_vector_copy",
+        "GATHER", "GUPS", "STENCIL_1D", "VECTOR_COPY", "run_gather", "run_gups",
+        "run_stencil", "run_vector_copy",
     ),
     machine=("ExecutionError", "Hart", "Machine", "run_program"),
 )
@@ -29,16 +28,12 @@ __all__ = [
     "Hart",
     "Instruction",
     "Machine",
-    "REDUCE_ATOMIC",
-    "SPMV_CSR",
     "STENCIL_1D",
     "VECTOR_COPY",
     "assemble",
     "parse_register",
     "run_gather",
     "run_gups",
-    "run_parallel_reduce",
-    "run_spmv",
     "run_stencil",
     "run_program",
     "run_vector_copy",

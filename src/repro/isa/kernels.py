@@ -12,8 +12,6 @@ Register conventions: ``a0``.. hold arguments, results land in memory.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .machine import Machine, run_program
 
 #: Vector copy through the SPM: dst[i] = src[i], blocked 256 B at a time.
@@ -64,26 +62,6 @@ loop:
 done:
     halt
 """
-
-#: Parallel sum reduction with an atomic accumulator.
-#: a0=array, a1=start, a2=end (exclusive), a3=&accumulator.
-REDUCE_ATOMIC = """
-    mv    t0, a1
-    li    s1, 0              # local partial sum
-loop:
-    bge   t0, a2, flush
-    slli  t1, t0, 3
-    add   t2, a0, t1
-    ld    t3, 0(t2)
-    add   s1, s1, t3
-    addi  t0, t0, 1
-    j     loop
-flush:
-    fence                    # order the partial sum publication
-    amoadd t4, a3, s1
-    halt
-"""
-
 
 #: 1D 3-point stencil through the SPM: out[i] = in[i-1]+in[i]+in[i+1].
 #: a0=in, a1=out, a2=count (multiple of 32, interior only).
@@ -146,42 +124,6 @@ done:
 """
 
 
-#: CSR SpMV: y[i] = sum_j val[j] * x[col[j]] for j in [ptr[i], ptr[i+1]).
-#: a0=row_ptr, a1=val, a2=col, a3=x, a4=y, a5=row start, a6=row end.
-SPMV_CSR = """
-    mv    s0, a5             # row i
-rows:
-    bge   s0, a6, done
-    slli  t0, s0, 3
-    add   t1, a0, t0
-    ld    t2, 0(t1)          # ptr[i]
-    ld    t3, 8(t1)          # ptr[i+1]
-    li    s1, 0              # accumulator
-nnz:
-    bge   t2, t3, store
-    slli  t4, t2, 3
-    add   t5, a1, t4
-    ld    t6, 0(t5)          # val[j]
-    add   t5, a2, t4
-    ld    s2, 0(t5)          # col[j]
-    slli  s2, s2, 3
-    add   s2, a3, s2
-    ld    s3, 0(s2)          # x[col[j]]  (the gather)
-    mul   s4, t6, s3
-    add   s1, s1, s4
-    addi  t2, t2, 1
-    j     nnz
-store:
-    slli  t0, s0, 3
-    add   t1, a4, t0
-    sd    s1, 0(t1)          # y[i]
-    addi  s0, s0, 1
-    j     rows
-done:
-    halt
-"""
-
-
 def run_vector_copy(elements: int = 128, src: int = 0x10000, dst: int = 0x40000) -> Machine:
     """Execute VECTOR_COPY over ``elements`` words; returns the machine."""
     if elements % 32:
@@ -220,58 +162,6 @@ def run_gather(
     )
 
 
-def run_spmv(
-    rows: int = 32,
-    nnz_per_row: int = 8,
-    n_cols: int = 1 << 12,
-    harts: int = 1,
-    seed: int = 5,
-    row_ptr: int = 0x10000,
-    val: int = 0x40000,
-    col: int = 0x80000,
-    x: int = 0x200000,
-    y: int = 0x300000,
-) -> Machine:
-    """Execute SPMV_CSR on a random sparse matrix; returns the machine.
-
-    The reference result is stored on the machine as ``expected_y`` for
-    functional checking.
-    """
-    import random
-
-    rng = random.Random(seed)
-    ptr = [i * nnz_per_row for i in range(rows + 1)]
-    cols = [rng.randrange(n_cols) for _ in range(rows * nnz_per_row)]
-    vals = [rng.randrange(1, 9) for _ in range(rows * nnz_per_row)]
-    xs = [rng.randrange(1, 9) for _ in range(n_cols)]
-    chunk = rows // harts
-    if chunk * harts != rows:
-        raise ValueError("rows must divide evenly among harts")
-    machine = run_program(
-        SPMV_CSR,
-        harts=harts,
-        data={row_ptr: ptr, val: vals, col: cols, x: xs},
-        init_regs={
-            h: {
-                10: row_ptr,
-                11: val,
-                12: col,
-                13: x,
-                14: y,
-                15: h * chunk,
-                16: (h + 1) * chunk,
-            }
-            for h in range(harts)
-        },
-    )
-    machine.expected_y = [
-        sum(vals[j] * xs[cols[j]] for j in range(ptr[i], ptr[i + 1]))
-        for i in range(rows)
-    ]
-    machine.y_base = y
-    return machine
-
-
 def run_stencil(elements: int = 128, src: int = 0x10000, dst: int = 0x40000) -> Machine:
     """Execute STENCIL_1D over ``elements`` interior words."""
     if elements % 32:
@@ -299,25 +189,3 @@ def run_gups(
         for h in range(harts)
     }
     return run_program(GUPS, harts=harts, init_regs=init)
-
-
-def run_parallel_reduce(
-    harts: int = 4,
-    elements: int = 256,
-    array: int = 0x20000,
-    accumulator: int = 0x900000,
-) -> Machine:
-    """Execute REDUCE_ATOMIC on ``harts`` threads over disjoint chunks."""
-    if elements % harts:
-        raise ValueError("elements must divide evenly among harts")
-    chunk = elements // harts
-    init: Dict[int, Dict[int, int]] = {
-        h: {10: array, 11: h * chunk, 12: (h + 1) * chunk, 13: accumulator}
-        for h in range(harts)
-    }
-    return run_program(
-        REDUCE_ATOMIC,
-        harts=harts,
-        data={array: list(range(elements))},
-        init_regs=init,
-    )

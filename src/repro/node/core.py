@@ -27,8 +27,6 @@ from .spm import ScratchpadMemory
 
 @dataclass
 class CoreStats(StatsMixin):
-    MERGE_MAX = frozenset({"finished_cycle"})
-
     issued: int = 0
     spm_hits: int = 0
     mac_requests: int = 0

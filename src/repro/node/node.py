@@ -33,13 +33,6 @@ from .spm import ScratchpadMemory
 
 @dataclass
 class NodeStats(StatsMixin):
-    # The derived fills are per-run summaries, not additive counters:
-    # the pessimistic (max) value is the honest cross-worker aggregate.
-    MERGE_MAX = frozenset(
-        {"cycles", "coalescing_efficiency", "mean_memory_latency",
-         "link_bandwidth_loss"}
-    )
-
     cycles: int = 0
     requests_issued: int = 0
     responses_delivered: int = 0

@@ -45,8 +45,6 @@ def interleaved_home(nodes: int, granularity: int = 1 << 12):
 
 @dataclass
 class SystemStats(StatsMixin):
-    MERGE_MAX = frozenset({"cycles", "link_bandwidth_loss"})
-
     cycles: int = 0
     local_requests: int = 0
     remote_requests: int = 0

@@ -3,12 +3,10 @@
 ``repro.obs`` gives the simulator the substrate its evaluation depends
 on (DESIGN.md section 9):
 
-* :class:`MetricsRegistry` + :class:`Counter`/:class:`Gauge`/
-  :class:`Histogram` — one flat, namespaced ``metrics()`` view over
-  every stats source;
-* :class:`StatsMixin` / :class:`StatsProtocol` — the shared
-  snapshot/merge/reset contract every ``*Stats`` dataclass adopts,
-  making parallel-eval workers mergeable by construction;
+* :class:`MetricsRegistry` + :class:`Histogram` — one flat, namespaced
+  ``metrics()`` view over every stats source;
+* :class:`StatsMixin` — the shared ``snapshot()`` every ``*Stats``
+  dataclass adopts;
 * :class:`EventTracer` / :data:`NULL_TRACER` — cycle-stamped structured
   event traces with Chrome-trace (Perfetto) and JSONL export, off by
   default with a bit-identical no-op path;
@@ -33,12 +31,12 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     attribution=(
         "NULL_ATTRIBUTION", "STAGES", "AttributionCollector", "DepthSampler",
-        "NullAttribution", "StallCause", "request_breakdown",
+        "NullAttribution", "StallCause",
     ),
-    metrics=("Counter", "Gauge", "Histogram", "MetricsRegistry", "flatten"),
+    metrics=("Histogram", "MetricsRegistry", "flatten"),
     observers=("NO_OBSERVERS", "Observers"),
     profiler=("NULL_PROFILER", "NullProfiler", "SimProfiler"),
-    protocol=("StatsMixin", "StatsProtocol", "merge_all"),
+    protocol=("StatsMixin",),
     timeline=("NULL_TIMELINE", "NullTimeline", "Timeline"),
     tracer=("NULL_TRACER", "EventTracer", "NullTracer"),
 )
@@ -50,15 +48,10 @@ __all__ = [
     "NULL_ATTRIBUTION",
     "STAGES",
     "StallCause",
-    "request_breakdown",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "flatten",
     "StatsMixin",
-    "StatsProtocol",
-    "merge_all",
     "EventTracer",
     "NullTracer",
     "NULL_TRACER",

@@ -50,7 +50,6 @@ __all__ = [
     "NullAttribution",
     "AttributionCollector",
     "NULL_ATTRIBUTION",
-    "request_breakdown",
 ]
 
 #: Pipeline boundary marks, in path order.  Each raw request stores the
@@ -180,11 +179,6 @@ class DepthSampler:
             }
         return out
 
-    def reset(self) -> None:
-        self._series.clear()
-        self._stride.clear()
-        self._seen.clear()
-
 
 class NullAttribution:
     """No-op collector every instrumented component holds by default.
@@ -220,42 +214,13 @@ class NullAttribution:
 NULL_ATTRIBUTION = NullAttribution()
 
 
-def request_breakdown(request) -> Optional[Dict[str, int]]:
-    """Per-stage cycle breakdown of one stamped raw request.
-
-    Returns ``{stage: cycles, ..., "end_to_end": cycles}`` over the
-    stages the request actually crossed, or ``None`` when the request
-    carries fewer than two marks (attribution off, or still in flight).
-    The stage values telescope: they sum to ``end_to_end`` exactly.
-    """
-    marks = getattr(request, "marks", None)
-    if not marks or len(marks) < 2:
-        return None
-    out: Dict[str, int] = {}
-    first: Optional[int] = None
-    prev: Optional[int] = None
-    for name in MARKS:
-        cycle = marks.get(name)
-        if cycle is None:
-            continue
-        if prev is None:
-            first = cycle
-        else:
-            out[STAGE_OF_MARK[name]] = cycle - prev
-        prev = cycle
-    assert first is not None and prev is not None
-    out["end_to_end"] = prev - first
-    return out
-
-
 class AttributionCollector:
     """Aggregates stamps, stall charges and occupancy samples of one run.
 
     One collector is wired through a MAC + device (or node/system) the
     same way an :class:`~repro.obs.tracer.EventTracer` is; it is purely
     an observer.  ``snapshot()`` is registry-compatible, so the
-    collector can be dropped into a :class:`MetricsRegistry` or merged
-    across parallel workers.
+    collector can be dropped into a :class:`MetricsRegistry`.
     """
 
     __slots__ = (
@@ -487,43 +452,6 @@ class AttributionCollector:
             "stalls": {site: dict(causes) for site, causes in self.stalls.items()},
             "depth": self.depth.snapshot(),
         }
-
-    def merge(self, other: "AttributionCollector") -> None:
-        """Accumulate another collector (parallel-worker aggregation).
-
-        Histograms and counters add; span watermarks take the max (the
-        union clipping stays conservative across workers); depth series
-        are summaries only, so the other's raw points are not imported.
-        """
-        self._flush()
-        other._flush()
-        for stage in STAGES:
-            self._stage_hists[stage].merge(other._stage_hists[stage])
-            self._stage_cycles[stage] += other._stage_cycles[stage]
-        self._end_hist.merge(other._end_hist)
-        for site, causes in other.stalls.items():
-            per_site = self.stalls.setdefault(site, {})
-            for cause, n in causes.items():
-                per_site[cause] = per_site.get(cause, 0) + n
-        for key, watermark in other._watermarks.items():
-            if watermark > self._watermarks.get(key, 0):
-                self._watermarks[key] = watermark
-        self._finalized += other._finalized
-        self.incomplete += other.incomplete
-
-    def reset(self) -> None:
-        for stage in STAGES:
-            self._stage_hists[stage].reset()
-            self._pending[stage].clear()
-            self._stage_cycles[stage] = 0
-        self._end_hist.reset()
-        self._pending_end.clear()
-        self._finalize_buf.clear()
-        self.stalls.clear()
-        self._watermarks.clear()
-        self.depth.reset()
-        self._finalized = 0
-        self.incomplete = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

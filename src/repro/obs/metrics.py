@@ -1,19 +1,14 @@
-"""Metric primitives and the registry behind ``system.metrics()``.
+"""The histogram primitive and the registry behind ``system.metrics()``.
 
-Three primitives cover every counter the evaluation layer consumes:
+:class:`Histogram` is a bounded distribution sketch: fixed (geometric by
+default) buckets plus an exact sample prefix, so latency distributions
+(Figs. 12-17 style analyses, Hadidi et al.'s characterization metrics)
+stay available without unbounded Python lists.
 
-* :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — last-written value with an explicit merge policy;
-* :class:`Histogram` — bounded distribution sketch: fixed (geometric by
-  default) buckets plus an exact sample prefix, so latency distributions
-  (Figs. 12-17 style analyses, Hadidi et al.'s characterization metrics)
-  stay available without the unbounded Python lists the stats layer used
-  to accumulate.
-
-All three share the snapshot/merge/reset contract of
-:class:`repro.obs.protocol.StatsProtocol`, so they compose with the
-``*Stats`` dataclasses inside one :class:`MetricsRegistry`, which
-flattens every registered source into a single namespaced dict —
+Like the ``*Stats`` dataclasses (:class:`repro.obs.protocol.StatsMixin`)
+it exposes ``snapshot()``, so both compose inside one
+:class:`MetricsRegistry`, which flattens every registered source into a
+single namespaced dict —
 ``{"mac.raw_requests": 71, "device.latency.p99": 431.0, ...}``.
 """
 
@@ -23,8 +18,6 @@ from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "flatten",
@@ -37,83 +30,6 @@ DEFAULT_BOUNDS: Tuple[int, ...] = tuple(1 << i for i in range(31))
 DEFAULT_SAMPLE_LIMIT = 8192
 
 
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only increase; use a Gauge")
-        self.value += n
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Counter) and self.value == other.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.value})"
-
-
-class Gauge:
-    """Last-written value with an explicit merge policy.
-
-    ``policy`` decides how parallel-worker copies combine: ``"last"``
-    (other wins), ``"max"``, ``"min"`` or ``"sum"``.  ``max``/``min``/
-    ``sum`` are associative; ``last`` is merge-order defined.
-    """
-
-    __slots__ = ("value", "policy")
-
-    _POLICIES = ("last", "max", "min", "sum")
-
-    def __init__(self, value: float = 0.0, policy: str = "last") -> None:
-        if policy not in self._POLICIES:
-            raise ValueError(f"unknown gauge policy {policy!r}")
-        self.value = value
-        self.policy = policy
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def merge(self, other: "Gauge") -> None:
-        if self.policy == "last":
-            self.value = other.value
-        elif self.policy == "max":
-            self.value = max(self.value, other.value)
-        elif self.policy == "min":
-            self.value = min(self.value, other.value)
-        else:
-            self.value += other.value
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gauge)
-            and self.value == other.value
-            and self.policy == other.policy
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.value}, policy={self.policy!r})"
-
-
 class Histogram:
     """Bounded distribution sketch: fixed buckets + exact sample prefix.
 
@@ -123,10 +39,6 @@ class Histogram:
     order, so short runs (tests, single figures) get *exact* quantiles
     and a faithful ``samples`` list, while million-request sweeps stay
     O(buckets) in memory and fall back to interpolated bucket quantiles.
-
-    Merging keeps the first ``sample_limit`` samples in concatenation
-    order — a policy chosen because it is associative, which the
-    parallel evaluation engine's chunked aggregation relies on.
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "min", "max",
@@ -271,29 +183,6 @@ class Histogram:
             },
         }
 
-    def merge(self, other: "Histogram") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
-        room = self.sample_limit - len(self._samples)
-        if room > 0:
-            self._samples.extend(other._samples[:room])
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self._samples = []
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
@@ -319,8 +208,8 @@ class Histogram:
             setattr(self, name, value)
 
 
-#: Anything the registry can read: a StatsProtocol object, a metric
-#: primitive, a plain dict, or a zero-arg callable returning a dict.
+#: Anything the registry can read: an object with ``snapshot()``, a
+#: plain dict, or a zero-arg callable returning a dict.
 MetricSource = Union[Any, Callable[[], Mapping[str, Any]]]
 
 
@@ -355,12 +244,6 @@ class MetricsRegistry:
         if namespace in self._sources:
             raise ValueError(f"namespace {namespace!r} already registered")
         self._sources[namespace] = source
-
-    def unregister(self, namespace: str) -> None:
-        self._sources.pop(namespace, None)
-
-    def namespaces(self) -> List[str]:
-        return sorted(self._sources)
 
     @staticmethod
     def _read(source: MetricSource) -> Mapping[str, Any]:

@@ -1,64 +1,27 @@
-"""The snapshot/merge/reset contract shared by every ``*Stats`` type.
+"""The ``snapshot()`` contract shared by every ``*Stats`` type.
 
-Before this module each stats dataclass grew ad-hoc ``record_*`` methods
-and (at most) a hand-written ``merge`` — ``HMCStats`` had none at all, so
-aggregating per-worker results from :mod:`repro.eval.parallel` silently
-dropped ``size_histogram``/``fault_events`` and mis-combined the
-``first_arrival`` sentinel.  :class:`StatsMixin` derives all three
-operations from the dataclass fields once, with per-class policy knobs
-for the non-additive fields:
-
-* ``MERGE_MAX`` — combined with ``max`` (makespan anchors, high-water
-  marks, ratios where the pessimistic value is the honest aggregate);
-* ``MERGE_MIN_SENTINEL`` — combined with ``min`` treating ``-1`` as
-  "never recorded" (arrival anchors);
-* ``MERGE_CONFIG`` — structural parameters that must match and are kept
-  (e.g. a sliding-window size).
-
-Everything else merges by type: numbers add, dicts add recursively
-(preserving :class:`collections.Counter`), lists concatenate, and metric
-primitives (:class:`repro.obs.metrics.Histogram` etc.) delegate to their
-own ``merge``.  All policies are associative, a property the parallel
-engine's chunked aggregation depends on and the hypothesis suite pins.
+:class:`StatsMixin` derives a plain-dict copy of a stats dataclass from
+its fields once, so every ``metrics()`` view and the
+:class:`repro.obs.metrics.MetricsRegistry` read stats the same way:
+numbers and strings are copied as-is, dicts and lists are copied (a
+:class:`collections.Counter` field becomes a plain dict), and a
+:class:`repro.obs.metrics.Histogram` field becomes its own snapshot.
+``SNAPSHOT_DERIVED`` names the derived properties (rates, means) that
+ride along with the fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter as _CollCounter
-from typing import Any, ClassVar, Dict, FrozenSet, Iterable, Optional, Protocol, Tuple, TypeVar, runtime_checkable
+from typing import Any, ClassVar, Dict, Tuple
 
-from .metrics import Counter, Gauge, Histogram
+from .metrics import Histogram
 
-__all__ = ["StatsProtocol", "StatsMixin", "merge_all"]
-
-_METRIC_TYPES = (Counter, Gauge, Histogram)
-
-S = TypeVar("S", bound="StatsMixin")
-
-
-@runtime_checkable
-class StatsProtocol(Protocol):
-    """What the registry and the parallel aggregator require."""
-
-    def snapshot(self) -> Dict[str, Any]: ...
-
-    def merge(self, other: Any) -> None: ...
-
-    def reset(self) -> None: ...
-
-
-def _add_dicts(into: dict, other: dict) -> None:
-    """Recursively add ``other`` into ``into`` (numbers add, dicts recurse)."""
-    for key, value in other.items():
-        if isinstance(value, dict):
-            _add_dicts(into.setdefault(key, {}), value)
-        else:
-            into[key] = into.get(key, 0) + value
+__all__ = ["StatsMixin"]
 
 
 def _copy_value(value: Any) -> Any:
-    if isinstance(value, _METRIC_TYPES):
+    if isinstance(value, Histogram):
         return value.snapshot()
     if isinstance(value, dict):
         return {k: _copy_value(v) for k, v in value.items()}
@@ -68,20 +31,12 @@ def _copy_value(value: Any) -> Any:
 
 
 class StatsMixin:
-    """Field-driven snapshot/merge/reset for stats dataclasses."""
+    """Field-driven ``snapshot()`` for stats dataclasses."""
 
     __slots__ = ()
 
-    #: Fields combined with ``max`` on merge.
-    MERGE_MAX: ClassVar[FrozenSet[str]] = frozenset()
-    #: Fields combined with ``min``, where ``-1`` means "unset".
-    MERGE_MIN_SENTINEL: ClassVar[FrozenSet[str]] = frozenset()
-    #: Structural fields that must match between merged instances.
-    MERGE_CONFIG: ClassVar[FrozenSet[str]] = frozenset()
     #: Derived property names included in :meth:`snapshot`.
     SNAPSHOT_DERIVED: ClassVar[Tuple[str, ...]] = ()
-
-    # -- protocol ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict copy of every field (+ declared derived metrics)."""
@@ -91,76 +46,3 @@ class StatsMixin:
         for name in self.SNAPSHOT_DERIVED:
             out[name] = getattr(self, name)
         return out
-
-    def merge(self: S, other: S) -> None:
-        """Accumulate ``other`` into ``self`` (associative per policy)."""
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-        for f in dataclasses.fields(self):
-            name = f.name
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            if name in self.MERGE_CONFIG:
-                if mine != theirs:
-                    raise ValueError(
-                        f"cannot merge {type(self).__name__}: "
-                        f"config field {name!r} differs ({mine!r} != {theirs!r})"
-                    )
-            elif name in self.MERGE_MAX:
-                setattr(self, name, max(mine, theirs))
-            elif name in self.MERGE_MIN_SENTINEL:
-                if mine < 0:
-                    setattr(self, name, theirs)
-                elif theirs >= 0:
-                    setattr(self, name, min(mine, theirs))
-            elif isinstance(mine, _METRIC_TYPES):
-                mine.merge(theirs)
-            elif isinstance(mine, _CollCounter):
-                mine.update(theirs)
-            elif isinstance(mine, dict):
-                _add_dicts(mine, theirs)
-            elif isinstance(mine, list):
-                mine.extend(theirs)
-            elif isinstance(mine, (int, float)):
-                setattr(self, name, mine + theirs)
-            else:
-                raise TypeError(
-                    f"no merge rule for field {name!r} of {type(self).__name__}"
-                )
-        self._post_merge(other)
-
-    def reset(self) -> None:
-        """Restore every field to its declared default."""
-        for f in dataclasses.fields(self):
-            if f.name in self.MERGE_CONFIG:
-                continue  # structural parameters survive a reset
-            if f.default is not dataclasses.MISSING:
-                setattr(self, f.name, f.default)
-            elif f.default_factory is not dataclasses.MISSING:
-                setattr(self, f.name, f.default_factory())
-            # fields with no default are structural; keep them
-
-    # -- hooks -------------------------------------------------------------
-
-    def _post_merge(self, other: Any) -> None:
-        """Per-class fix-up after the generic field merge (optional)."""
-
-
-def merge_all(stats: Iterable[S], into: Optional[S] = None) -> S:
-    """Fold an iterable of stats objects into one (left to right).
-
-    With ``into`` given the fold accumulates there; otherwise the first
-    element is used as the accumulator (and mutated).  Raises on an
-    empty iterable with no accumulator.
-    """
-    it = iter(stats)
-    if into is None:
-        try:
-            into = next(it)
-        except StopIteration:
-            raise ValueError("merge_all needs at least one stats object") from None
-    for item in it:
-        into.merge(item)
-    return into

@@ -109,16 +109,24 @@ class _Series:
     def record(self, epoch: int, value, capacity: int) -> None:
         if not value:
             return
-        if epoch in self.epochs:  # finish() revisits a level's last epoch
-            self.epochs[epoch] += value
-            if not self.epochs[epoch]:
-                del self.epochs[epoch]
-            return
         if len(self.epochs) >= capacity:
             oldest = next(iter(self.epochs))
             del self.epochs[oldest]
             self.dropped += 1
         self.epochs[epoch] = value
+
+    def settle(self, epoch: int, value, capacity: int) -> None:
+        """Store a level's end-of-run value for its final epoch.
+
+        It replaces the boundary sample ``pump`` may already have taken
+        in the same epoch; a zero value removes that sample.
+        """
+        if epoch not in self.epochs:
+            self.record(epoch, value, capacity)
+        elif value:
+            self.epochs[epoch] = value
+        else:
+            del self.epochs[epoch]
 
 
 class Timeline:
@@ -233,7 +241,8 @@ class Timeline:
         if cycle % self.epoch == 0:
             return
         # Rates accrued since the last boundary land in the final,
-        # partial epoch; levels are end-of-run state, same epoch.
+        # partial epoch; a level's end-of-run value replaces the one
+        # sampled at that epoch's opening boundary.
         final_epoch = cycle // self.epoch
         cap = self.capacity
         for name, kind, fn in self._probes:
@@ -245,7 +254,7 @@ class Timeline:
                 s.record(final_epoch, value - self._last[name], cap)
                 self._last[name] = value
             else:
-                s.record(final_epoch, value, cap)
+                s.settle(final_epoch, value, cap)
 
     # -- introspection -------------------------------------------------------
 

@@ -11,7 +11,7 @@ whole run (trace + faults) end to end.
 from __future__ import annotations
 
 import zlib
-from typing import Tuple, Union
+from typing import Union
 
 #: Root seed used across the package (the paper's publication year).
 DEFAULT_SEED = 2019
@@ -27,16 +27,3 @@ def derive_seed(root: int, *parts: Union[int, str]) -> int:
     """
     blob = ":".join([str(root), *map(str, parts)]).encode()
     return zlib.crc32(blob) & 0x7FFFFFFF
-
-
-def derive_seeds(root: int, count: int, *parts: Union[int, str]) -> Tuple[int, ...]:
-    """``count`` independent sub-seeds for a parallel fan-out.
-
-    Seed *i* depends only on ``(root, parts, i)`` — never on which worker
-    runs the task or in what order — so :mod:`repro.eval.parallel` runs
-    that fan out stochastic tasks stay bit-identical to their serial
-    equivalent (the determinism contract of ``run_tasks``).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return tuple(derive_seed(root, *parts, i) for i in range(count))

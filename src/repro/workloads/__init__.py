@@ -14,15 +14,12 @@ __getattr__, __dir__ = lazy_exports(
     bots_extra=("BotsFib", "BotsHealth"),
     gap=("GAPBFS", "GAPPageRank"),
     gap_extra=("GAPConnectedComponents", "GAPSSSP", "GAPTriangleCounting"),
-    graphs=(
-        "CSRGraph", "edges_to_csr", "rmat_csr", "rmat_edges", "uniform_csr",
-        "uniform_edges",
-    ),
+    graphs=("CSRGraph", "edges_to_csr", "rmat_csr", "rmat_edges"),
     grappolo=("Grappolo",),
     hpcg=("HPCG",),
     nas=("NASIS", "NASMG", "NASSP"),
     nas_extra=("NASCG", "NASFT"),
-    registry=("AUXILIARY", "BENCHMARKS", "all_benchmarks", "benchmark_names", "make"),
+    registry=("AUXILIARY", "BENCHMARKS", "benchmark_names", "make"),
     sg=("ScatterGather", "SequentialSG"),
     ssca2=("SSCA2",),
 )
@@ -56,12 +53,9 @@ __all__ = [
     "SSCA2",
     "WORD",
     "Workload",
-    "all_benchmarks",
     "benchmark_names",
     "edges_to_csr",
     "make",
     "rmat_csr",
     "rmat_edges",
-    "uniform_csr",
-    "uniform_edges",
 ]

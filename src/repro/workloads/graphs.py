@@ -1,8 +1,8 @@
 """Shared graph substrate for the graph-analytics workloads.
 
 SSCA2, Grappolo and the GAP kernels all traverse compressed-sparse-row
-(CSR) graphs.  This module builds deterministic R-MAT (power-law) and
-uniform random graphs as CSR arrays — real adjacency structure, so the
+(CSR) graphs.  This module builds deterministic R-MAT (power-law) graphs
+as CSR arrays — real adjacency structure, so the
 generators below issue the genuine gather/scatter address streams of
 graph analytics rather than unstructured noise.
 
@@ -134,12 +134,6 @@ def rmat_edges(
     return perm[edges]
 
 
-def uniform_edges(n: int, m: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Erdos-Renyi-style random edge list: m directed edges over n vertices."""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, n, size=(m, 2), dtype=np.int64)
-
-
 def edges_to_csr(edges: np.ndarray, n: int) -> CSRGraph:
     """Build a CSR adjacency from a directed edge list (self-loops kept)."""
     src = edges[:, 0]
@@ -165,9 +159,3 @@ def rmat_csr(scale: int, edge_factor: int = 16, seed: int = DEFAULT_SEED) -> CSR
 @graph_memo
 def _rmat_csr(scale: int, edge_factor: int, seed: int) -> CSRGraph:
     return edges_to_csr(rmat_edges(scale, edge_factor, seed=seed), 1 << scale)
-
-
-def uniform_csr(n: int, degree: int = 16, seed: int = DEFAULT_SEED) -> CSRGraph:
-    """Uniform random graph in CSR form."""
-    edges = uniform_edges(n, n * degree, seed)
-    return edges_to_csr(edges, n)

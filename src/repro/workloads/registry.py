@@ -77,8 +77,3 @@ def make(name: str, scale: int = 1, seed: int = DEFAULT_SEED, **kwargs) -> Workl
         known = ", ".join(sorted({**BENCHMARKS, **AUXILIARY}))
         raise KeyError(f"unknown benchmark {name!r}; known: {known}")
     return cls(scale=scale, seed=seed, **kwargs)
-
-
-def all_benchmarks(scale: int = 1, seed: int = DEFAULT_SEED) -> Dict[str, Workload]:
-    """Instantiate the full evaluation set."""
-    return {name: cls(scale=scale, seed=seed) for name, cls in BENCHMARKS.items()}

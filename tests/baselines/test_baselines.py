@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.direct import dispatch_raw
 from repro.baselines.fixed import dispatch_fixed, useful_data_fraction
-from repro.baselines.mshr_coalescer import dispatch_mshr
 from repro.core.request import MemoryRequest, RequestType
 from repro.core.stats import MACStats
 
@@ -39,47 +38,6 @@ class TestDirectDispatch:
         dispatch_raw([load(16 * i) for i in range(100)], stats=st)
         assert st.coalesced_bandwidth_efficiency == pytest.approx(1 / 3)
         assert st.coalescing_efficiency == 0.0
-
-
-class TestMSHRCoalescer:
-    def test_line_merging(self):
-        reqs = [load(0x100 + 8 * i, tag=i) for i in range(8)]  # one 64 B line
-        pkts = dispatch_mshr(reqs, fill_latency=1000)
-        assert len(pkts) == 1
-        assert pkts[0].size == 64
-        assert pkts[0].raw_count == 8
-
-    def test_merge_window_is_fill_latency(self):
-        reqs = [load(0x100, tag=0), load(0x108, tag=1)]
-        # At 1 req/cycle with a 1-cycle fill, the second request arrives
-        # after the fill: two transactions.
-        pkts = dispatch_mshr(reqs, fill_latency=1, requests_per_cycle=0.5)
-        assert len(pkts) == 2
-
-    def test_fixed_64B_regardless_of_usage(self):
-        """Section 2.3.2: MHA always requests one full cache line."""
-        pkts = dispatch_mshr([load(0x100)])
-        assert pkts[0].size == 64
-
-    def test_conservation(self):
-        import random
-
-        rng = random.Random(3)
-        reqs = [load(rng.randrange(1 << 16) & ~0x7, tag=i) for i in range(500)]
-        pkts = dispatch_mshr(reqs)
-        assert sum(p.raw_count for p in pkts) == 500
-
-    def test_types_not_merged(self):
-        reqs = [
-            load(0x100, tag=0),
-            MemoryRequest(addr=0x108, rtype=RequestType.STORE, tag=1),
-        ]
-        pkts = dispatch_mshr(reqs, fill_latency=1000)
-        assert len(pkts) == 2
-
-    def test_invalid_line_size(self):
-        with pytest.raises(ValueError):
-            dispatch_mshr([], line_bytes=60)
 
 
 class TestFixed256:

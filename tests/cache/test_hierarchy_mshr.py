@@ -1,10 +1,7 @@
-"""Cache hierarchy and MSHR tests."""
-
-import pytest
+"""Cache hierarchy tests."""
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.mshr import MSHRFile
-from repro.core.request import MemoryRequest, RequestType
+from repro.core.request import RequestType
 from repro.trace.record import TraceRecord
 
 
@@ -42,50 +39,3 @@ class TestHierarchy:
         h.access(1, 0x100)  # other core's L1 misses, LLC hits
         assert h.stats.l1_misses == 2
         assert h.stats.llc_misses == 1
-
-
-class TestMSHR:
-    def req(self, addr, tag=0):
-        return MemoryRequest(addr=addr, rtype=RequestType.LOAD, tag=tag)
-
-    def test_merge_within_fill_window(self):
-        m = MSHRFile(entries=4, fill_latency=100)
-        assert m.miss(self.req(0x100, 1), cycle=0)
-        assert m.miss(self.req(0x120, 2), cycle=50)  # same 64 B line
-        assert m.stats.allocations == 1
-        assert m.stats.merges == 1
-
-    def test_no_merge_after_fill(self):
-        m = MSHRFile(entries=4, fill_latency=100)
-        m.miss(self.req(0x100, 1), cycle=0)
-        m.miss(self.req(0x120, 2), cycle=150)  # fill already returned
-        assert m.stats.allocations == 2
-
-    def test_file_full_stalls(self):
-        m = MSHRFile(entries=1, fill_latency=1000)
-        assert m.miss(self.req(0x100), 0)
-        assert not m.miss(self.req(0x900), 1)
-        assert m.stats.stalls == 1
-
-    def test_fixed_line_size(self):
-        """The structural limit of section 2.3.2: always one 64 B line."""
-        m = MSHRFile(entries=8, line_bytes=64)
-        m.miss(self.req(0x100), 0)
-        entries = m.drain()
-        assert entries[0].line == 0x100 >> 6
-
-    def test_coalescing_efficiency(self):
-        m = MSHRFile(entries=8, fill_latency=1000)
-        for i in range(4):
-            m.miss(self.req(0x100 + i * 8, i), cycle=i)
-        assert m.coalescing_efficiency == 0.75
-
-    def test_drain_returns_everything(self):
-        m = MSHRFile(entries=8)
-        m.miss(self.req(0x100), 0)
-        m.miss(self.req(0x900), 0)
-        assert len(m.drain()) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MSHRFile(entries=0)

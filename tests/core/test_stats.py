@@ -121,17 +121,6 @@ class TestMACStats:
         st.record_packet(pkt(size=128))
         assert st.packet_sizes == {64: 2, 128: 1}
 
-    def test_merge(self):
-        a, b = MACStats(), MACStats()
-        a.record_raw(RequestType.LOAD)
-        a.record_packet(pkt(n=1))
-        b.record_raw(RequestType.STORE)
-        b.record_packet(pkt(n=1, rtype=RequestType.STORE))
-        a.merge(b)
-        assert a.raw_requests == 2
-        assert a.coalesced_packets == 2
-        assert a.raw_stores == 1
-
     def test_empty_stats(self):
         st = MACStats()
         assert st.coalescing_efficiency == 0.0

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.config import MACConfig
 from repro.eval import metrics
-from repro.eval.area import arq_bytes, builder_bytes, entry_capacity, mac_area
+from repro.eval.area import arq_bytes, builder_bytes, mac_area
 
 
 class TestEq1BandwidthEfficiency:
@@ -85,9 +85,6 @@ class TestAreaModel:
         assert report.total_bytes == 2062
         assert report.comparators == 32
         assert report.or_gates == 4
-
-    def test_entry_capacity_12(self):
-        assert entry_capacity() == 12
 
     def test_scales_with_entries(self):
         r = mac_area(MACConfig(arq_entries=128))

@@ -1,4 +1,4 @@
-"""Config/stats serialization tests."""
+"""Config serialization tests."""
 
 import dataclasses
 import json
@@ -8,18 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MACConfig, SystemConfig
-from repro.core.mac import coalesce_trace_fast
-from repro.core.request import MemoryRequest, RequestType
-from repro.core.stats import MACStats
 from repro.ddr.device import DDRConfig
-from repro.eval.serialize import (
-    CONFIG_TYPES,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-    stats_to_dict,
-)
+from repro.eval.serialize import CONFIG_TYPES, config_from_dict, config_to_dict
 from repro.hbm.config import HBMConfig
 from repro.hmc.config import HMCConfig
 
@@ -44,11 +34,6 @@ class TestConfigRoundtrip:
         sysc = SystemConfig(mac=MACConfig(arq_entries=8))
         back = config_from_dict(config_to_dict(sysc))
         assert back.mac.arq_entries == 8
-
-    def test_file_roundtrip(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        save_config(HMCConfig(), p)
-        assert load_config(p) == HMCConfig()
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
@@ -123,20 +108,3 @@ class TestRoundtripProperty:
         back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert back == cfg
         assert back.mac == cfg.mac
-
-
-class TestStatsExport:
-    def test_dict_matches_properties(self):
-        reqs = [
-            MemoryRequest(addr=0xA00 | (f << 4), rtype=RequestType.LOAD, tag=f)
-            for f in range(6)
-        ]
-        st = MACStats()
-        coalesce_trace_fast(reqs, MACConfig(), stats=st)
-        d = stats_to_dict(st)
-        assert d["raw_requests"] == 6
-        assert d["coalescing_efficiency"] == st.coalescing_efficiency
-        assert d["packet_sizes"] == st.packet_sizes
-        import json
-
-        json.dumps(d)  # must be JSON-serializable

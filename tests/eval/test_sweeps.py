@@ -3,24 +3,7 @@
 import pytest
 
 from repro.core.config import MACConfig
-from repro.eval.sweeps import (
-    METRIC_MAXIMIZE,
-    SweepPoint,
-    best_point,
-    format_sweep,
-    sweep_grid,
-)
-
-
-def _point(params, workload="SG", efficiency=0.5, packets=100, bw=0.5, tgt=2.0):
-    return SweepPoint(
-        params=params,
-        workload=workload,
-        efficiency=efficiency,
-        packets=packets,
-        bandwidth_efficiency=bw,
-        avg_targets=tgt,
-    )
+from repro.eval.sweeps import sweep_grid
 
 
 class TestSweepGrid:
@@ -96,72 +79,3 @@ class TestSweepGrid:
             {"arq_entries": [8]}, workloads=("SG",), ops_per_thread=300, base=base
         )
         assert pts  # runs without error under a custom base
-
-
-class TestReporting:
-    def test_format_sweep(self):
-        pts = sweep_grid({"arq_entries": [8]}, workloads=("SG",), ops_per_thread=200)
-        text = format_sweep(pts)
-        assert "arq_entries" in text and "SG" in text
-
-    def test_format_empty(self):
-        assert "empty" in format_sweep([])
-
-    def test_best_point(self):
-        pts = sweep_grid(
-            {"arq_entries": [4, 64]}, workloads=("SG", "MG"), ops_per_thread=300
-        )
-        best = best_point(pts)
-        assert best.param("arq_entries") == 64
-
-    def test_best_point_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_point([])
-
-    def test_best_point_packets_minimizes(self):
-        # Regression: ``packets`` is lower-is-better (fewer packets =
-        # more coalescing); best_point used to always take max and
-        # return the *worst* cell.
-        pts = [
-            _point((("arq_entries", 8),), packets=900),
-            _point((("arq_entries", 64),), packets=300),
-            _point((("arq_entries", 32),), packets=600),
-        ]
-        assert best_point(pts, metric="packets").param("arq_entries") == 64
-
-    def test_best_point_efficiency_maximizes(self):
-        pts = [
-            _point((("arq_entries", 8),), efficiency=0.2),
-            _point((("arq_entries", 64),), efficiency=0.8),
-        ]
-        assert best_point(pts, metric="efficiency").param("arq_entries") == 64
-
-    def test_best_point_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            best_point([_point((("arq_entries", 8),))], metric="workload")
-
-    def test_best_point_skips_nan_cells(self):
-        # Regression: a NaN suite-average (undefined efficiency on a
-        # degenerate cell) compares as neither larger nor smaller, so
-        # max() could hand back the NaN cell as "best"; such cells must
-        # be excluded from the ranking.
-        nan = float("nan")
-        pts = [
-            _point((("arq_entries", 8),), efficiency=nan),
-            _point((("arq_entries", 64),), efficiency=0.4),
-        ]
-        assert best_point(pts, metric="efficiency").param("arq_entries") == 64
-        assert best_point(list(reversed(pts)), metric="efficiency").param(
-            "arq_entries"
-        ) == 64
-
-    def test_best_point_all_nan_rejected(self):
-        pts = [_point((("arq_entries", 8),), efficiency=float("nan"))]
-        with pytest.raises(ValueError, match="NaN"):
-            best_point(pts, metric="efficiency")
-
-    def test_metric_direction_map_covers_sweep_metrics(self):
-        assert METRIC_MAXIMIZE["packets"] is False
-        assert METRIC_MAXIMIZE["efficiency"] is True
-        assert METRIC_MAXIMIZE["bandwidth_efficiency"] is True
-        assert METRIC_MAXIMIZE["avg_targets"] is True

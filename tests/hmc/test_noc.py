@@ -9,7 +9,6 @@ from repro.hmc.noc import (
     NOC_TOPOLOGIES,
     IdealNoC,
     MeshNoC,
-    NoCStats,
     RingNoC,
     XbarNoC,
     build_noc,
@@ -175,20 +174,6 @@ class TestHopRouting:
 
 
 class TestStatsContract:
-    def test_snapshot_merge_roundtrip(self):
-        """NoCStats rides the StatsMixin snapshot/merge/reset contract."""
-        a, b = NoCStats(), NoCStats()
-        a.forwarded, a.contention_cycles = 3, 7
-        b.forwarded, b.buffer_stall_cycles = 2, 5
-        merged = NoCStats()
-        merged.merge(a)
-        merged.merge(b)
-        assert merged.forwarded == 5
-        assert merged.contention_cycles == 7
-        assert merged.buffer_stall_cycles == 5
-        merged.reset()
-        assert merged.snapshot() == NoCStats().snapshot()
-
     def test_device_metrics_expose_noc_namespace(self):
         from repro.hmc.device import HMCDevice
 

@@ -8,7 +8,7 @@ from repro.core.flit_table import FlitTablePolicy
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
 from repro.hmc.config import HMCConfig
-from repro.hmc.packet import AddressMap, HMCCommand, encode, packet_crc, verify_crc
+from repro.hmc.packet import AddressMap, HMCCommand, encode
 
 CFG = HMCConfig()
 
@@ -109,19 +109,3 @@ class TestShapeCache:
         with pytest.raises(AttributeError):
             w.vault = 3
         assert w == tuple(w)
-
-
-class TestCRC:
-    def test_roundtrip(self):
-        p = pkt()
-        assert verify_crc(p, packet_crc(p))
-
-    def test_detects_corruption(self):
-        a, b = pkt(addr=0x1000), pkt(addr=0x1010)
-        assert packet_crc(a) != packet_crc(b)
-        assert not verify_crc(b, packet_crc(a))
-
-    def test_type_matters(self):
-        a = pkt(rtype=RequestType.LOAD)
-        b = pkt(rtype=RequestType.STORE)
-        assert packet_crc(a) != packet_crc(b)

@@ -75,41 +75,6 @@ class TestBoundedLatencies:
         # sample limit) and in range.
         assert 0 < st.p50_latency <= n + 100
 
-    def test_reset_preserves_derived_contract(self):
-        # Regression: mean_latency/makespan must read 0 again after a
-        # reset instead of dividing stale sums by a cleared count.
-        st = HMCStats()
-        st.record(5, 50, 64, 1)
-        st.reset()
-        assert st.requests == 0
-        assert st.mean_latency == 0.0
-        assert st.makespan == 0
-        assert st.first_arrival == -1
-        assert st.latencies == []
-
-    def test_merge_covers_every_field(self):
-        # Regression: hand-rolled aggregation dropped size_histogram /
-        # fault_events and mis-combined the first_arrival sentinel.
-        a, b = HMCStats(), HMCStats()
-        a.record(arrival=10, completion=40, size=64, conflicts_delta=1)
-        b.record(arrival=4, completion=90, size=16, conflicts_delta=0)
-        b.record(arrival=6, completion=20, size=16, conflicts_delta=2)
-        a.merge(b)
-        assert a.requests == 3
-        assert a.size_histogram == {64: 1, 16: 2}
-        assert a.first_arrival == 4  # min of the two, not the sum
-        assert a.last_completion == 90
-        assert a.bank_conflicts == 3
-        assert sorted(a.latencies) == [14, 30, 86]
-        assert a.makespan == 86
-        assert a.mean_latency == pytest.approx((30 + 86 + 14) / 3)
-
-    def test_merge_with_unset_arrival_sentinel(self):
-        a, b = HMCStats(), HMCStats()
-        b.record(arrival=7, completion=9, size=16, conflicts_delta=0)
-        a.merge(b)  # a never saw a request: its -1 must not win the min
-        assert a.first_arrival == 7
-
 
 class TestReportHelpers:
     def test_bar_chart(self):

@@ -13,7 +13,7 @@ from repro.core.config import MACConfig
 from repro.core.mac import coalesce_trace_fast
 from repro.core.request import RequestType
 from repro.core.stats import MACStats
-from repro.isa.kernels import run_gather, run_parallel_reduce, run_vector_copy
+from repro.isa.kernels import run_gather, run_vector_copy
 from repro.trace.record import to_requests
 
 
@@ -71,26 +71,3 @@ class TestGather:
         m = run_gather(count=32)
         # Each iteration: idx load, table load, dst store = 3 records.
         assert len(m.trace) == 3 * 32
-
-
-class TestParallelReduce:
-    def test_functional(self):
-        m = run_parallel_reduce(harts=4, elements=128)
-        assert m.peek(0x900000) == sum(range(128))
-
-    def test_fences_and_atomics_in_trace(self):
-        m = run_parallel_reduce(harts=4, elements=64)
-        kinds = [r.op for r in m.trace]
-        assert kinds.count(RequestType.FENCE) == 4
-        assert kinds.count(RequestType.ATOMIC) == 4
-
-    def test_interleaved_harts_share_rows(self):
-        """Four harts scanning adjacent chunks produce cross-thread
-        same-row adjacency — the Fig. 2 situation, from real execution."""
-        m = run_parallel_reduce(harts=4, elements=256)
-        st = efficiency(m.trace)
-        assert st.coalescing_efficiency > 0.5
-
-    def test_division_validated(self):
-        with pytest.raises(ValueError):
-            run_parallel_reduce(harts=3, elements=100)

@@ -1,44 +1,18 @@
-"""Unit tests for the metric primitives and the registry."""
+"""Unit tests for the histogram primitive and the registry."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, flatten
+from repro.obs import Histogram, MetricsRegistry, StatsMixin, flatten
 
 pytestmark = pytest.mark.obs
 
 
-class TestCounter:
-    def test_inc_and_snapshot(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.snapshot() == {"value": 5}
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1)
-
-    def test_merge_and_reset(self):
-        a, b = Counter(3), Counter(4)
-        a.merge(b)
-        assert a.value == 7
-        a.reset()
-        assert a.value == 0
-
-
-class TestGauge:
-    def test_policies(self):
-        for policy, expect in (("last", 2.0), ("max", 5.0), ("min", 2.0), ("sum", 7.0)):
-            g = Gauge(5.0, policy=policy)
-            g.merge(Gauge(2.0, policy=policy))
-            assert g.value == expect, policy
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            Gauge(policy="median")
+@dataclass
+class _Hits(StatsMixin):
+    value: int = 0
 
 
 class TestHistogram:
@@ -82,19 +56,6 @@ class TestHistogram:
             assert val >= last
             last = val
 
-    def test_merge_requires_matching_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1, 2)).merge(Histogram(bounds=(1, 4)))
-
-    def test_merge_accumulates(self):
-        a, b = Histogram(), Histogram()
-        a.add(5)
-        b.add(7, n=2)
-        a.merge(b)
-        assert a.count == 3
-        assert a.total == 19
-        assert a.min == 5 and a.max == 7
-
     def test_pickle_roundtrip(self):
         h = Histogram()
         h.add(42)
@@ -122,17 +83,14 @@ class TestHistogram:
         # The prefix is arrival-ordered, not a reservoir.
         assert h.samples == [0, 1, 2, 3]
 
-    def test_dropped_tracks_bulk_adds_and_merge(self):
+    def test_dropped_tracks_bulk_adds(self):
         h = Histogram(sample_limit=3)
         h.add(5, n=10)
         assert h.dropped == 7
-        other = Histogram(sample_limit=3)
-        other.add(7, n=2)
-        h.merge(other)
+        h.add(7, n=2)
         assert h.count == 12
-        assert h.dropped == 9  # merge cannot grow a full sample prefix
-        h.reset()
-        assert h.dropped == 0 and h.exact
+        assert h.dropped == 9  # a full sample prefix does not grow
+        assert h.samples == [5, 5, 5]
 
 
 class TestRegistry:
@@ -141,8 +99,7 @@ class TestRegistry:
 
     def test_collect_namespaces_and_sources(self):
         reg = MetricsRegistry()
-        c = Counter(3)
-        reg.register("ctr", c)
+        reg.register("ctr", _Hits(3))
         reg.register("fn", lambda: {"x": {"y": 1}})
         reg.register("raw", {"z": 9})
         out = reg.collect()
@@ -150,11 +107,11 @@ class TestRegistry:
 
     def test_rejects_dots_and_duplicates(self):
         reg = MetricsRegistry()
-        reg.register("a", Counter())
+        reg.register("a", _Hits())
         with pytest.raises(ValueError):
-            reg.register("a", Counter())
+            reg.register("a", _Hits())
         with pytest.raises(ValueError):
-            reg.register("a.b", Counter())
+            reg.register("a.b", _Hits())
 
     def test_bad_source(self):
         reg = MetricsRegistry()

@@ -102,6 +102,24 @@ class TestSampling:
         assert tl.series("c") == {0: 4, 1: 5}
         assert tl.export()["cycles"] == 17
 
+    def test_finish_replaces_the_final_level_sample(self):
+        # The boundary at 20 opens epoch 2 with level 5; the end-of-run
+        # level in the same epoch replaces that sample instead of adding.
+        tl = Timeline(epoch=10)
+        tl.add_probe("lvl", "level", lambda: 5)
+        tl.pump(25)
+        tl.finish(25)
+        assert tl.series("lvl") == {1: 5, 2: 5}
+
+    def test_finish_zero_level_removes_the_final_sample(self):
+        state = {"depth": 3}
+        tl = Timeline(epoch=10)
+        tl.add_probe("d", "level", lambda: state["depth"])
+        tl.pump(25)
+        state["depth"] = 0  # the run drains before it ends
+        tl.finish(25)
+        assert tl.series("d") == {1: 3}
+
     def test_finish_is_idempotent_and_boundary_exact(self):
         state = {"count": 0}
         tl = Timeline(epoch=10)

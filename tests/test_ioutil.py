@@ -1,16 +1,10 @@
 """Tests for atomic artifact writes (repro.ioutil)."""
 
-import json
 import os
 
 import pytest
 
-from repro.ioutil import (
-    atomic_open,
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-)
+from repro.ioutil import atomic_open, atomic_write_text
 
 
 def test_atomic_write_text_roundtrip(tmp_path):
@@ -24,13 +18,6 @@ def test_atomic_write_replaces_existing(tmp_path):
     path.write_text("old")
     atomic_write_text(path, "new")
     assert path.read_text() == "new"
-
-
-def test_atomic_write_bytes_and_json(tmp_path):
-    atomic_write_bytes(tmp_path / "b.bin", b"\x00\x01")
-    assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
-    atomic_write_json(tmp_path / "d.json", {"a": 1}, sort_keys=True)
-    assert json.loads((tmp_path / "d.json").read_text()) == {"a": 1}
 
 
 def test_atomic_open_creates_parent_dirs(tmp_path):
