@@ -111,6 +111,26 @@ def _faulty_mesh(**rates) -> Callable[[], dict]:
     return run
 
 
+def _capacity1_mesh() -> dict:
+    """A 4-node GUPS mesh whose fabric channels hold one payload each.
+
+    Every destination admits one hop per cycle and gets its credit back
+    one cycle after the pop, so the credit rule binds on almost every
+    remote request: 578 fabric credit stalls and 26 Remote Access Queue
+    backpressure stalls.
+    """
+    from repro.eval.runner import numa_streams
+    from repro.node.system import NUMASystem
+
+    system = NUMASystem(
+        numa_streams("GUPS", 4, 2, 100, 2019),
+        interconnect_latency=23,
+        channel_capacity=1,
+    )
+    system.run()
+    return system.metrics()
+
+
 def _attributed_saturated_node() -> dict:
     """Eight IS cores, attribution on: the MAC input queue saturates.
 
@@ -223,6 +243,7 @@ CASES: Dict[str, Callable[[], dict]] = {
     "mesh-GUPS-nodes4-drop-timeout": _faulty_mesh(
         drop_rate=5e-3, seed=11, timeout_cycles=2000
     ),
+    "mesh-GUPS-nodes4-cap1": _capacity1_mesh,
     "node-IS-8core-attrib": _attributed_saturated_node,
     "node-IS-mt128": _multithreaded_saturated_node,
     "node-IS-spm": _spm_saturated_node,
