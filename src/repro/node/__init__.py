@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     core=("CoreStats", "InOrderCore"),
-    interconnect=("Hop", "Interconnect"),
+    interconnect=("Interconnect",),
     lsq=("LoadStoreQueue",),
     mt_core=("MTCoreStats", "MultithreadedCore"),
     node=("Node", "NodeStats"),
@@ -15,7 +15,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "CoreStats",
-    "Hop",
     "InOrderCore",
     "Interconnect",
     "LoadStoreQueue",

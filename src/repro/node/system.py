@@ -133,24 +133,26 @@ class NUMASystem(ClockedModel):
         nodes = self.nodes
         wakes = self._wakes
 
-        # Fabric arrivals: pump credit/admission state, then drain each
-        # ready channel — raw requests into remote queues, completed raw
+        # Fabric arrivals: pump admission state (only when a hop is due
+        # or stalled, the only state it reads), then drain each ready
+        # channel — raw requests into remote queues, completed raw
         # requests back to the issuing core.  A full Remote Access
-        # Queue head-of-line blocks its channel (the hop keeps its slot
-        # and retries next cycle) instead of bouncing across the fabric:
-        # flow control stays local and deterministic.
-        fabric.pump(cycle)
-        for dst in fabric.ready_dsts():
-            node = nodes[dst]
-            if node._cycle != cycle:
-                node.skip_to(cycle)
-            wakes[dst] = cycle
-            while True:
-                payload = fabric.peek(dst)
-                if payload is None:
-                    break
-                if payload.node != dst:  # a remote request at its home
-                    if not node.mac.submit_remote(payload):
+        # Queue head-of-line blocks its channel (the refused hops keep
+        # their slots and retry next cycle) instead of bouncing across
+        # the fabric: flow control stays local and deterministic.
+        if fabric.stalled_hops or fabric.next_arrival <= cycle:
+            fabric.pump(cycle)
+        if fabric.queued:
+            for dst, payloads in fabric.take_ready(cycle):
+                node = nodes[dst]
+                if node._cycle != cycle:
+                    node.skip_to(cycle)
+                wakes[dst] = cycle
+                for i, payload in enumerate(payloads):
+                    if payload.node != dst:  # a remote request at its home
+                        if node.mac.submit_remote(payload):
+                            continue
+                        fabric.refuse(dst, payloads[i:])
                         stats.remote_backpressure_stalls += 1
                         if at.enabled:
                             at.stall_span(
@@ -160,17 +162,15 @@ class NUMASystem(ClockedModel):
                                 cycle + 1,
                             )
                         break
-                    fabric.pop(dst, cycle)
-                else:  # a completed raw request back at its issuer
-                    raw = fabric.pop(dst, cycle)
-                    if node.deliver_completion(raw, cycle):
+                    # A completed raw request back at its issuer.
+                    if node.deliver_completion(payload, cycle):
                         stats.responses += 1
                         if at.enabled:
-                            m = raw.marks
+                            m = payload.marks
                             if m is None:
-                                m = raw.marks = {}
+                                m = payload.marks = {}
                             m["deliver"] = cycle
-                            at.finalize(raw)
+                            at.finalize(payload)
                     else:
                         stats.duplicate_remote_drops += 1
 
@@ -188,15 +188,14 @@ class NUMASystem(ClockedModel):
             # Outbound remote raw requests, then responses for remote
             # requesters (collected by node.tick).
             router = node.mac.request_router
-            while True:
+            while router.global_queue._q:
                 req = router.next_outbound()
-                if req is None:
-                    break
                 stats.remote_requests += 1
                 send(cycle, self.home(req.addr), req, idx)
-            for raw in node.pending_remote:
-                send(cycle, raw.node, raw, idx)
-            node.pending_remote.clear()
+            if node.pending_remote:
+                for raw in node.pending_remote:
+                    send(cycle, raw.node, raw, idx)
+                node.pending_remote.clear()
             wake = node.next_event_cycle(cycle + 1)
             wakes[idx] = inf if wake is None else wake
 
@@ -218,11 +217,17 @@ class NUMASystem(ClockedModel):
         return wake if wake > now else now
 
     def skip_to(self, target: int) -> None:
-        """Settle every node at ``target`` — even at the mesh's own cycle,
-        as nodes lag it between their ticks — and move the mesh."""
+        """Move the mesh's cycle only.  A node lags the mesh until it is
+        next ticked or delivered to, which catches it up first; reads of
+        node state settle every node with :meth:`_settle`."""
+        if target > self._cycle:
+            self._cycle = target
+
+    def _settle(self) -> None:
+        """Catch every node up to the mesh's cycle (before node state is read)."""
+        cycle = self._cycle
         for node in self.nodes:
-            node.skip_to(target)
-        self._cycle = max(self._cycle, target)
+            node.skip_to(cycle)
 
     # -- robustness introspection (see repro.sim.watchdog) -------------------
 
@@ -236,7 +241,7 @@ class NUMASystem(ClockedModel):
 
     def hang_snapshot(self) -> dict:
         """Diagnostic state attached to a :class:`SimulationHang`."""
-        self.skip_to(self._cycle)
+        self._settle()
         return {
             "cycle": self._cycle,
             "fabric_in_flight": self.fabric.in_flight,
@@ -273,10 +278,6 @@ class NUMASystem(ClockedModel):
                 f"in-flight requests but containers+fabric hold {counted}",
             )
 
-    def degraded_nodes(self) -> List[int]:
-        """Nodes whose device lost at least one link to a hard fault."""
-        return [n.node_id for n in self.nodes if n.degraded]
-
     def metrics(self) -> dict:
         """One flat namespaced dict over every stats source in the system.
 
@@ -285,7 +286,7 @@ class NUMASystem(ClockedModel):
         :meth:`repro.node.node.Node.metrics`) appears under
         ``node<id>.*``.
         """
-        self.skip_to(self._cycle)
+        self._settle()
         out = flatten(self.stats.snapshot(), "system.")
         for node in self.nodes:
             out.update(flatten(node.metrics(), f"node{node.node_id}."))
@@ -332,7 +333,7 @@ class NUMASystem(ClockedModel):
                 "a mesh always runs serially"
             )
         self._run_loop(max_cycles, engine=engine)
-        self.skip_to(self._cycle)
+        self._settle()
         st = self.stats
         st.cycles = self._cycle
         st.local_requests = sum(

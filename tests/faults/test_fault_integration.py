@@ -138,7 +138,7 @@ class TestSystemDegradedMode:
         stats = system.run(max_cycles=2_000_000)
         assert stats.failed_links == 2  # one dead link per node
         assert stats.link_bandwidth_loss == pytest.approx(0.25)
-        assert system.degraded_nodes() == [0, 1]
+        assert [n.node_id for n in system.nodes if n.degraded] == [0, 1]
 
     def test_fault_free_system_reports_no_degradation(self):
         core_streams, _ = streams(threads=2, ops=40)
@@ -146,4 +146,4 @@ class TestSystemDegradedMode:
         stats = system.run(max_cycles=2_000_000)
         assert stats.failed_links == 0
         assert stats.link_bandwidth_loss == 0.0
-        assert system.degraded_nodes() == []
+        assert [n.node_id for n in system.nodes if n.degraded] == []

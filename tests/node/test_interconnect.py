@@ -9,6 +9,8 @@ identity rather than of insertion order.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.node.interconnect import Interconnect
 
@@ -148,3 +150,126 @@ class TestWakeProtocol:
     def test_idle_fabric_reports_no_wake(self):
         ic = Interconnect(latency_cycles=3)
         assert ic.next_event_cycle(0) is None
+
+
+def occupancy(ic, cycle):
+    """dst -> payloads admitted and not yet popped, read without consuming:
+    a whole-channel take handed straight back leaves the fabric as it was."""
+    out = {}
+    for dst, payloads in ic.take_ready(cycle):
+        out[dst] = len(payloads)
+        ic.refuse(dst, payloads)
+    return out
+
+
+class TestCreditRule:
+    """room(dst) = capacity - occupancy - slots popped this cycle."""
+
+    def test_second_pump_in_pop_cycle_admits_nothing(self):
+        ic = Interconnect(latency_cycles=2, channel_capacity=1)
+        ic.send(0, dst=4, payload="a", src=0)
+        ic.send(0, dst=4, payload="b", src=0)
+        ic.pump(2)
+        assert ic.pop(4, 2) == "a"
+        ic.pump(2)  # the freed slot's credit is still on its way back
+        assert ic.peek(4) is None and ic.stalled_hops == 1
+        assert ic.next_event_cycle(2) == 3
+        ic.pump(3)
+        assert ic.peek(4) == "b"
+
+    def test_refused_tail_keeps_its_slots(self):
+        ic = Interconnect(latency_cycles=1, channel_capacity=2)
+        for i in range(3):
+            ic.send(0, dst=0, payload=i, src=0)
+        ic.pump(1)
+        [(dst, payloads)] = ic.take_ready(1)
+        assert (dst, payloads) == (0, [0, 1])
+        ic.refuse(0, payloads[1:])  # 0 accepted, 1 refused
+        ic.pump(2)  # one credit back: hop 2 joins behind the refused 1
+        assert [p for _, p in ic.deliver(2)] == [1, 2]
+        assert ic.in_flight == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=3),
+        latency=st.integers(min_value=0, max_value=2),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("send"),
+                    st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=1),
+                    st.integers(min_value=1, max_value=4),
+                ),
+                st.tuples(st.just("pump")),
+                st.tuples(st.just("pop"), st.integers(min_value=0, max_value=1)),
+                st.tuples(st.just("take"), st.integers(min_value=0, max_value=3)),
+                st.tuples(st.just("next")),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_random_sequences(self, capacity, latency, ops):
+        """Random send/pump/pop/take sequences keep the fabric's contract.
+
+        ``pop`` and ``take`` are each followed by a second pump in the
+        same cycle, which must not reuse the slots they freed.
+        """
+        ic = Interconnect(latency_cycles=latency, channel_capacity=capacity)
+        cycle = 0
+        sent = {}
+        delivered = {}
+        popped_now = {}
+
+        def consumed(dst, payload):
+            delivered.setdefault((payload[0], dst), []).append(payload[1])
+            popped_now[dst] = popped_now.get(dst, 0) + 1
+
+        def check():
+            assert ic.in_flight == len(ic.pending_payloads())
+            for dst, held in occupancy(ic, cycle).items():
+                # No channel over capacity, and a slot popped this cycle
+                # stays taken for any pump in the same cycle.
+                assert held + popped_now.get(dst, 0) <= capacity
+
+        for op in ops:
+            if op[0] == "send":
+                _, src, dst, count = op
+                for _ in range(count):
+                    seq = sent.setdefault((src, dst), 0)
+                    sent[(src, dst)] = seq + 1
+                    ic.send(cycle, dst, (src, seq), src)
+            elif op[0] == "pump":
+                ic.pump(cycle)
+            elif op[0] == "pop":
+                if ic.peek(op[1]) is not None:
+                    consumed(op[1], ic.pop(op[1], cycle))
+                    check()
+                    ic.pump(cycle)
+            elif op[0] == "take":
+                # Accept up to op[1] payloads per channel, refuse the rest.
+                for dst, payloads in ic.take_ready(cycle):
+                    for payload in payloads[: op[1]]:
+                        consumed(dst, payload)
+                    if payloads[op[1]:]:
+                        ic.refuse(dst, payloads[op[1]:])
+                check()
+                ic.pump(cycle)
+            else:
+                cycle += 1
+                popped_now.clear()
+            check()
+        # Drain: everything sent arrives, once, in per-(src, dst) order.
+        for _ in range(10 * (len(ops) + latency + 2)):
+            if not ic.in_flight:
+                break
+            cycle += 1
+            popped_now.clear()
+            for dst, payload in ic.deliver(cycle):
+                consumed(dst, payload)
+            check()
+        assert ic.in_flight == 0
+        assert ic.next_event_cycle(cycle) is None
+        assert delivered == {
+            key: list(range(n)) for key, n in sent.items()
+        }

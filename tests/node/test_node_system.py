@@ -238,3 +238,32 @@ class TestRemoteResponseAccounting:
         )
         for node in sys2.nodes:
             assert all(c.done for c in node.cores)
+
+
+class TestSettleContract:
+    """The mesh's skip moves only its own cycle; a node is caught up when
+    it is ticked or delivered to, and every read of node state first
+    settles every node at the mesh's cycle."""
+
+    @staticmethod
+    def mesh():
+        return NUMASystem(
+            [[stream(0, n=60 if n < 2 else 4, node=n)] for n in range(3)],
+            interconnect_latency=30,
+            interleave_bytes=1 << 9,
+        )
+
+    def test_run_settles_every_node(self):
+        system = self.mesh()
+        system.run()
+        assert [n.cycle for n in system.nodes] == [system.cycle] * 3
+
+    @pytest.mark.parametrize("read", ["metrics", "hang_snapshot"])
+    def test_reads_settle_every_node(self, read):
+        system = self.mesh()
+        with pytest.raises(RuntimeError, match="exceeded max_cycles"):
+            system.run(max_cycles=600)
+        # The stopped run leaves the lightly loaded node behind.
+        assert any(n.cycle != system.cycle for n in system.nodes)
+        getattr(system, read)()
+        assert [n.cycle for n in system.nodes] == [system.cycle] * 3
