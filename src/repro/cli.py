@@ -904,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect per-stage latency + stall causes; the breakdown "
         "lands under attribution.* in --metrics-out (readable by "
-        "`repro analyze --metrics`)",
+        "`repro analyze --metrics`); on a mesh each node's stall and "
+        "depth sites carry a node<k>. prefix (the fabric's do not)",
     )
     obs.add_argument(
         "--timeline-out",

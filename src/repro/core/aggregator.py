@@ -184,22 +184,13 @@ class RawRequestAggregator:
         already the builder's wake, so the slot itself is no wake then.
         Intake is the MAC's to report.  Idle, the aggregator schedules
         no wake: the next event belongs to whoever offers a request.
-
-        With attribution on, every tick of a blocked pop charges a
-        ``BUILDER_BUSY`` stall, so the pop slot stays a wake: a stall
-        span is only charged by a tick, never by :meth:`skip`.
         """
         builder = self.builder
         wake = builder.next_event_cycle(now)
         queue = self._queue
         if queue:
             head = queue[0]
-            if (
-                builder._stage1 is None
-                or head.fence
-                or head.bypass
-                or self.attrib.enabled
-            ):
+            if builder._stage1 is None or head.fence or head.bypass:
                 pop = self._next_pop
                 if pop <= now:
                     return now
@@ -219,6 +210,9 @@ class RawRequestAggregator:
         same as after idle lockstep cycles.  With attribution on they
         offered the every-64th-cycle ARQ depth samples, replayed here so
         the strided sampler sees an identical observation sequence.
+        From the pop slot on, each also charged a builder-bound head
+        waiting on a latched stage 1 a ``BUILDER_BUSY`` cycle; head and
+        latch are constant over the span, so it is charged as one span.
 
         Boundary pin (skip-equivalence audit): the span is half-open —
         cycle ``end`` itself is *not* accounted here.  A wake landing
@@ -233,11 +227,21 @@ class RawRequestAggregator:
         """
         at = self.attrib
         if at.enabled:
-            depth = len(self.arq)
+            queue = self._queue
+            depth = len(queue)
             cycle = start + (-start & 63)  # first multiple of 64 >= start
             while cycle < end:
                 at.sample_depth("arq", cycle, depth)
                 cycle += 64
+            if queue and self.builder._stage1 is not None:
+                head = queue[0]
+                if not (head.fence or head.bypass):
+                    at.stall_span(
+                        "builder",
+                        StallCause.BUILDER_BUSY,
+                        max(start, self._next_pop),
+                        end,
+                    )
         self.builder.skip(start, end)
         self._cycle = end
         self.stats.total_cycles = end

@@ -178,42 +178,44 @@ class MAC(ClockedModel):
 
         A request in an input queue enters the ARQ on the next tick
         while the ARQ has a free entry (``now``).  With every entry
-        taken it waits for a pop, which the aggregator's wake covers —
-        unless attribution is on: then each such tick charges an ARQ
-        stall (and a core waiting on the full queue an input-queue
-        stall), and stall spans are only charged by ticks.  Otherwise
-        the aggregator reports its own wake (builder emit or transfer,
-        next pop slot; ``None`` when drained).
+        taken it waits for a pop, which the aggregator's wake covers,
+        as do the builder emit or transfer and the next pop slot
+        (``None`` when drained).
         """
         rr = self.request_router
         if rr.local_queue._q or rr.remote_queue._q:
-            if len(self._arq_queue) < self._arq_entries or self.attrib.enabled:
+            if len(self._arq_queue) < self._arq_entries:
                 return now
         return self.aggregator.next_event_cycle(now)
 
     def skip_to(self, target: int) -> None:
-        """Fast-forward to ``target`` (see RawRequestAggregator.skip)."""
-        self.aggregator.skip(self.aggregator.cycle, target)
+        """Fast-forward to ``target`` (see RawRequestAggregator.skip),
+        charging the ARQ stall each skipped tick would have charged."""
+        start = self.aggregator.cycle
+        if self.attrib.enabled and len(self._arq_queue) >= self._arq_entries:
+            self._charge_full_arq(start, target)
+        self.aggregator.skip(start, target)
+
+    def _charge_full_arq(self, begin: int, end: int) -> None:
+        """Charge ``[begin, end)`` to the ARQ if a request waits on it,
+        to the pending fence when the drain is what keeps it full."""
+        rr = self.request_router
+        if rr.local_queue._q or rr.remote_queue._q:
+            cause = (
+                StallCause.ARQ_FULL
+                if self.aggregator.arq.comparators_enabled
+                else StallCause.FENCE_DRAIN
+            )
+            self.attrib.stall_span("arq", cause, begin, end)
 
     def tick(self) -> List[CoalescedRequest]:
         """Advance one cycle; returns packets dispatched to the device."""
         incoming = None
         if len(self._arq_queue) < self._arq_entries:
             incoming = self.request_router.next_for_mac()
-        elif self.attrib.enabled and not (
-            self.request_router.local_queue.empty
-            and self.request_router.remote_queue.empty
-        ):
-            # A request is waiting but every ARQ entry is occupied: one
-            # stall cycle, attributed to the pending fence when the
-            # drain is what keeps the queue full.
+        elif self.attrib.enabled:
             cycle = self.aggregator.cycle
-            cause = (
-                StallCause.FENCE_DRAIN
-                if not self.aggregator.arq.comparators_enabled
-                else StallCause.ARQ_FULL
-            )
-            self.attrib.stall_span("arq", cause, cycle, cycle + 1)
+            self._charge_full_arq(cycle, cycle + 1)
         return self.aggregator.tick(incoming)
 
     def run(

@@ -331,8 +331,8 @@ class Link:
     ) -> None:
         self.index = index
         # Underscore site names: stall sites become metrics keys under
-        # ``attribution.stalls.<site>.<cause>`` and must stay one dotted
-        # path segment.
+        # ``attribution.stalls.<site>.<cause>``, and a site stays one
+        # dotted path segment apart from a mesh node's ``node<k>.``.
         self.request = LinkChannel(
             timing, tracer=obs.tracer, attrib=obs.attrib, site=f"link{index}_req"
         )

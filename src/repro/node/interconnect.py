@@ -142,41 +142,18 @@ class Interconnect:
 
     # -- consumer side -------------------------------------------------------
 
-    def ready_dsts(self) -> List[int]:
-        """Destinations with a non-empty channel, in ascending id order."""
-        if not self.queued:
-            return []
-        return sorted(d for d, q in self._channels.items() if q)
-
-    def peek(self, dst: int) -> Optional[Any]:
-        q = self._channels.get(dst)
-        return q[0] if q else None
-
-    def _pops_at(self, cycle: int) -> Dict[int, int]:
-        """The per-dst pop counts of ``cycle``, started afresh on a new cycle."""
-        if self._pop_cycle != cycle:
-            self._pop_cycle = cycle
-            self._popped = {}
-        return self._popped
-
-    def pop(self, dst: int, cycle: int) -> Any:
-        """Consume the head of ``dst``'s channel; credit returns next cycle."""
-        payload = self._channels[dst].popleft()
-        popped = self._pops_at(cycle)
-        popped[dst] = popped.get(dst, 0) + 1
-        self.queued -= 1
-        self.in_flight -= 1
-        return payload
-
     def take_ready(self, cycle: int) -> List[Tuple[int, List[Any]]]:
         """Consume every non-empty channel whole: ``(dst, payloads)`` in
         ascending dst order, each channel head first.
 
-        Same as popping each ready channel empty in ``cycle``; payloads
-        the consumer cannot accept go back with :meth:`refuse` in the
-        same cycle.
+        Each taken slot's credit returns next cycle; payloads the
+        consumer cannot accept go back with :meth:`refuse` in the same
+        cycle.
         """
-        popped = self._pops_at(cycle)
+        if self._pop_cycle != cycle:  # a new cycle: last cycle's credits are back
+            self._pop_cycle = cycle
+            self._popped = {}
+        popped = self._popped
         channels = self._channels
         out = []
         for dst in sorted(channels):
@@ -203,20 +180,6 @@ class Interconnect:
         self._popped[dst] -= len(payloads)
         self.queued += len(payloads)
         self.in_flight += len(payloads)
-
-    def deliver(self, cycle: int) -> List[Tuple[int, Any]]:
-        """Pump and drain every ready channel: (dst, payload) in key order.
-
-        Convenience for single-consumer callers; at most
-        ``channel_capacity`` payloads per destination per call (the
-        credit pool), the remainder waiting for returned credits.
-        """
-        self.pump(cycle)
-        return [
-            (dst, payload)
-            for dst, payloads in self.take_ready(cycle)
-            for payload in payloads
-        ]
 
     # -- introspection -------------------------------------------------------
 

@@ -410,12 +410,6 @@ class Node(ClockedModel):
         (builder emit, next pop slot), the core wake heap head, the
         in-flight response heap head, and the loss-recovery timeout
         deadline (fault injection).
-
-        With attribution on, each tick charges a waiting core's bounce as
-        an input-queue stall, and stall spans are only charged by ticks
-        (DESIGN §10).  No skip covers such a tick: a waiting core whose
-        queue is full leaves a request in the MAC input, which pins the
-        MAC to ``now`` under attribution.
         """
         if self._wheel_size != len(self.cores):
             return now  # cores were swapped; next tick rebuilds the wheel
@@ -466,13 +460,18 @@ class Node(ClockedModel):
         deferred spans simply grow to ``target`` and settle at
         reactivation (or in :meth:`_sync_cores` before stats are read).
         ``next_event_cycle`` only ever returns a future wake when no
-        core is active and no waiting core's queue has room, so there is
-        no core accounting to replay here; the MAC applies its own
-        (builder countdown, cycle counters, depth samples).
+        core is active and no waiting core's queue has room, so the only
+        core accounting to replay is the input-queue stall each skipped
+        tick charged for the waiting cores' bounces; the MAC applies its
+        own (builder countdown, cycle counters, depth samples, stalls).
         """
         start = self._cycle
         if target <= start:
             return
+        if self._waiting_count and self.attrib.enabled:
+            self.attrib.stall_span(
+                "router", StallCause.INPUT_QUEUE_FULL, start, target
+            )
         self.mac.skip_to(target)
         self._cycle = target
 

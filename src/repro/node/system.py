@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
 from repro.core.request import MemoryRequest
-from repro.obs.attribution import StallCause
+from repro.obs.attribution import NodeAttribution, StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
@@ -94,19 +94,22 @@ class NUMASystem(ClockedModel):
         if n < 1:
             raise ValueError("need at least one node")
         self.obs = obs
-        self.attrib = obs.attrib
-        # Nodes run under this system's engine hooks: they share only the
-        # per-request instruments.
-        node_obs = Observers(tracer=obs.tracer, attrib=obs.attrib)
+        at = self.attrib = obs.attrib
         self.home = interleaved_home(n, interleave_bytes)
         self.nodes: List[Node] = []
         for nid, streams in enumerate(streams_per_node):
+            # Nodes run under this system's engine hooks: they share only
+            # the per-request instruments, each node charging its own
+            # ``node<k>.`` stall and depth sites.
             node = Node(
                 streams,
                 system=system,
                 hmc_config=hmc_config,
                 node_id=nid,
-                obs=node_obs,
+                obs=Observers(
+                    tracer=obs.tracer,
+                    attrib=NodeAttribution(at, nid) if at.enabled else at,
+                ),
             )
             # Rewire the request router with the shared home function.
             node.mac.request_router.home_fn = self.home
@@ -127,7 +130,6 @@ class NUMASystem(ClockedModel):
         """One mesh cycle: fabric arrivals, then every node whose cached wake
         is due or that the fabric delivered to, caught up to ``cycle`` first."""
         cycle = self._cycle
-        at = self.attrib
         stats = self.stats
         fabric = self.fabric
         nodes = self.nodes
@@ -135,52 +137,16 @@ class NUMASystem(ClockedModel):
 
         # Fabric arrivals: pump admission state (only when a hop is due
         # or stalled, the only state it reads), then drain each ready
-        # channel — raw requests into remote queues, completed raw
-        # requests back to the issuing core.  A full Remote Access
-        # Queue head-of-line blocks its channel (the refused hops keep
-        # their slots and retry next cycle) instead of bouncing across
-        # the fabric: flow control stays local and deterministic.
+        # channel.
         if fabric.stalled_hops or fabric.next_arrival <= cycle:
             fabric.pump(cycle)
         if fabric.queued:
-            for dst, payloads in fabric.take_ready(cycle):
-                node = nodes[dst]
-                if node._cycle != cycle:
-                    node.skip_to(cycle)
-                wakes[dst] = cycle
-                for i, payload in enumerate(payloads):
-                    if payload.node != dst:  # a remote request at its home
-                        if node.mac.submit_remote(payload):
-                            continue
-                        fabric.refuse(dst, payloads[i:])
-                        stats.remote_backpressure_stalls += 1
-                        if at.enabled:
-                            at.stall_span(
-                                "fabric",
-                                StallCause.RESPONSE_BACKPRESSURE,
-                                cycle,
-                                cycle + 1,
-                            )
-                        break
-                    # A completed raw request back at its issuer.
-                    if node.deliver_completion(payload, cycle):
-                        stats.responses += 1
-                        if at.enabled:
-                            m = payload.marks
-                            if m is None:
-                                m = payload.marks = {}
-                            m["deliver"] = cycle
-                            at.finalize(payload)
-                    else:
-                        stats.duplicate_remote_drops += 1
+            self._take_arrivals(cycle)
 
-        # Per-node progress, with remote routing.  All nodes feed one
-        # attribution sampler their ARQ depth every 64th cycle: tick them
-        # all then, so the samples arrive in node order.
-        sample = at.enabled and not cycle & 63
+        # Per-node progress, with remote routing.
         send = fabric.send
         for idx, node in enumerate(nodes):
-            if wakes[idx] > cycle and not sample:
+            if wakes[idx] > cycle:
                 continue
             if node._cycle != cycle:
                 node.skip_to(cycle)
@@ -201,19 +167,52 @@ class NUMASystem(ClockedModel):
 
         self._cycle = cycle + 1
 
+    def _take_arrivals(self, cycle: int) -> None:
+        """Drain every ready fabric channel into its node, caught up and
+        marked due first: raw requests into remote queues, completed raw
+        requests back to the issuing core.  A full Remote Access Queue
+        head-of-line blocks its channel (the refused hops keep their
+        slots and retry next cycle) instead of bouncing across the
+        fabric: flow control stays local and deterministic."""
+        at = self.attrib
+        stats = self.stats
+        fabric = self.fabric
+        for dst, payloads in fabric.take_ready(cycle):
+            node = self.nodes[dst]
+            if node._cycle != cycle:
+                node.skip_to(cycle)
+            self._wakes[dst] = cycle
+            for i, payload in enumerate(payloads):
+                if payload.node != dst:  # a remote request at its home
+                    if node.mac.submit_remote(payload):
+                        continue
+                    fabric.refuse(dst, payloads[i:])
+                    stats.remote_backpressure_stalls += 1
+                    if at.enabled:
+                        at.stall_span(
+                            "fabric", StallCause.RESPONSE_BACKPRESSURE, cycle, cycle + 1
+                        )
+                    break
+                # A completed raw request back at its issuer.
+                if node.deliver_completion(payload, cycle):
+                    stats.responses += 1
+                    if at.enabled:
+                        at.mark(payload, "deliver", cycle)
+                        at.finalize(payload)
+                else:
+                    stats.duplicate_remote_drops += 1
+
     # -- quiescence skipping -------------------------------------------------
 
     def next_event_cycle(self, now: int) -> Optional[int]:
-        """Earliest cycle >= ``now`` at which the fabric or any cached node wake
-        acts (with attribution on, at latest the next depth-sampling cycle)."""
+        """Earliest cycle >= ``now`` at which the fabric or any cached node
+        wake acts."""
         wake = min(self._wakes)
         fabric_wake = self.fabric.next_event_cycle(now)
         if fabric_wake is not None and fabric_wake < wake:
             wake = fabric_wake
         if wake == inf:
             return None
-        if self.attrib.enabled:
-            wake = min(wake, (now + 63) & ~63)
         return wake if wake > now else now
 
     def skip_to(self, target: int) -> None:

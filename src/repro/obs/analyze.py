@@ -95,6 +95,9 @@ def report_from_metrics(metrics: Dict[str, Any]) -> Dict[str, Any]:
         if not key.startswith(prefix):
             continue
         parts = key[len(prefix):].split(".")
+        if parts[0] in ("stalls", "depth"):
+            # ``<site>.<leaf>``: a mesh node's site ``node<k>.arq`` is dotted.
+            parts = [parts[0], ".".join(parts[1:-1]), parts[-1]]
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})

@@ -16,7 +16,8 @@ module says *where the cycles went*.  Two complementary views:
 * **Stall taxonomy** — whenever a component fails to make progress it
   charges one cause from the closed :class:`StallCause` enum against its
   site, Top-down style (Yasin, ISPASS '14).  Cycle-ticked components
-  (MAC front-end, builder) charge one cycle at a time; event-timed
+  (MAC front-end, builder) charge one cycle per tick and the whole span
+  of a skip that covers the wait; event-timed
   components (links, vaults) charge wall-clock *spans* that are clipped
   against a per-``(site, cause)`` watermark, so overlapping per-request
   waits collapse into their union and no counter can exceed the elapsed
@@ -49,6 +50,7 @@ __all__ = [
     "DepthSampler",
     "NullAttribution",
     "AttributionCollector",
+    "NodeAttribution",
     "NULL_ATTRIBUTION",
 ]
 
@@ -196,9 +198,6 @@ class NullAttribution:
 
     def finalize(self, request) -> None:
         """Discard the completed request."""
-
-    def stall(self, site: str, cause: "StallCause", n: int = 1) -> None:
-        """Discard the stall charge."""
 
     def stall_span(self, site: str, cause: "StallCause", begin: int, end: int) -> None:
         """Discard the stall span."""
@@ -388,12 +387,6 @@ class AttributionCollector:
 
     # -- stall taxonomy ----------------------------------------------------
 
-    def stall(self, site: str, cause: StallCause, n: int = 1) -> None:
-        """Charge ``n`` stall cycles (cycle-ticked sites: once per cycle)."""
-        per_site = self.stalls.setdefault(site, {})
-        key = cause.value
-        per_site[key] = per_site.get(key, 0) + n
-
     def stall_span(self, site: str, cause: StallCause, begin: int, end: int) -> None:
         """Charge the wall-clock span ``[begin, end)`` of a blocked wait.
 
@@ -437,10 +430,6 @@ class AttributionCollector:
         stages = self.stages  # flushes pending deltas
         return {stage: self._hist_summary(stages[stage]) for stage in STAGES}
 
-    def total_stall_cycles(self) -> Dict[str, int]:
-        """Total stall cycles per site (all causes summed)."""
-        return {site: sum(causes.values()) for site, causes in self.stalls.items()}
-
     def snapshot(self) -> Dict[str, Any]:
         self._flush()
         return {
@@ -458,3 +447,29 @@ class AttributionCollector:
             f"AttributionCollector(finalized={self.finalized}, "
             f"sites={len(self.stalls)})"
         )
+
+
+class NodeAttribution:
+    """One mesh node's handle on the mesh's collector.
+
+    Every stall and depth site the node's components charge gains the
+    node's ``node<k>.`` prefix, so each node's cube, MAC and router own
+    their sites and watermarks; marks, ``finalize`` and the stage
+    histograms are the collector's own.  The components stay
+    mesh-agnostic: they charge ``arq`` or ``link0_req`` either way.
+    """
+
+    __slots__ = ("collector", "prefix", "mark", "finalize")
+    enabled = True
+
+    def __init__(self, collector: AttributionCollector, node_id: int) -> None:
+        self.collector = collector
+        self.prefix = f"node{node_id}."
+        self.mark = collector.mark
+        self.finalize = collector.finalize
+
+    def stall_span(self, site: str, cause: StallCause, begin: int, end: int) -> None:
+        self.collector.stall_span(self.prefix + site, cause, begin, end)
+
+    def sample_depth(self, site: str, cycle: int, value: float) -> None:
+        self.collector.sample_depth(self.prefix + site, cycle, value)

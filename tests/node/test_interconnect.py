@@ -15,11 +15,18 @@ from hypothesis import strategies as st
 from repro.node.interconnect import Interconnect
 
 
+def deliver(ic, cycle):
+    """The mesh's consumer: pump, then take every ready channel whole;
+    ``(dst, payload)`` in key order."""
+    ic.pump(cycle)
+    return [(dst, p) for dst, payloads in ic.take_ready(cycle) for p in payloads]
+
+
 def drain(ic, cycle):
     """Deliver repeatedly until the fabric is empty; (cycle, dst, payload)s."""
     out = []
     while ic.in_flight:
-        for dst, payload in ic.deliver(cycle):
+        for dst, payload in deliver(ic, cycle):
             out.append((cycle, dst, payload))
         cycle += 1
     return out
@@ -33,7 +40,7 @@ class TestDeterministicOrdering:
         for src in (2, 0, 1):
             ic.send(0, dst=7, payload=f"s{src}m0", src=src)
         ic.send(0, dst=7, payload="s0m1", src=0)
-        got = [p for _, p in ic.deliver(10)]
+        got = [p for _, p in deliver(ic, 10)]
         assert got == ["s0m0", "s0m1", "s1m0", "s2m0"]
 
     def test_order_invariant_under_send_interleaving(self):
@@ -73,7 +80,7 @@ class TestDeterministicOrdering:
         for dst in expect:
             expect[dst].sort()  # (src, seq) order, never insertion order
         delivered = {}
-        for dst, payload in ic.deliver(1):
+        for dst, payload in deliver(ic, 1):
             delivered.setdefault(dst, []).append(payload)
         assert delivered == expect
 
@@ -84,10 +91,10 @@ class TestCreditFlowControl:
         for i in range(5):
             ic.send(0, dst=1, payload=i, src=0)
         # Credits gate admission: two per cycle, the rest stall.
-        assert [p for _, p in ic.deliver(10)] == [0, 1]
+        assert [p for _, p in deliver(ic, 10)] == [0, 1]
         assert ic.credit_stalls == 3
-        assert [p for _, p in ic.deliver(11)] == [2, 3]
-        assert [p for _, p in ic.deliver(12)] == [4]
+        assert [p for _, p in deliver(ic, 11)] == [2, 3]
+        assert [p for _, p in deliver(ic, 12)] == [4]
         assert ic.in_flight == 0
 
     def test_stalled_hops_precede_later_arrivals(self):
@@ -95,23 +102,23 @@ class TestCreditFlowControl:
         ic.send(0, dst=1, payload="old0", src=0)
         ic.send(0, dst=1, payload="old1", src=0)
         ic.send(1, dst=1, payload="new", src=0)  # arrives a cycle later
-        assert [p for _, p in ic.deliver(10)] == ["old0"]
-        assert [p for _, p in ic.deliver(11)] == ["old1"]
-        assert [p for _, p in ic.deliver(12)] == ["new"]
+        assert [p for _, p in deliver(ic, 10)] == ["old0"]
+        assert [p for _, p in deliver(ic, 11)] == ["old1"]
+        assert [p for _, p in deliver(ic, 12)] == ["new"]
 
-    def test_peek_pop_hold_slot_until_popped(self):
-        """Head-of-line blocking: an unpopped payload keeps its credit."""
+    def test_refused_head_holds_its_slot(self):
+        """Head-of-line blocking: a refused payload keeps its credit."""
         ic = Interconnect(latency_cycles=5, channel_capacity=1)
         ic.send(0, dst=2, payload="a", src=0)
         ic.send(0, dst=2, payload="b", src=0)
         ic.pump(5)
-        assert ic.ready_dsts() == [2]
-        assert ic.peek(2) == "a"
+        [(dst, payloads)] = ic.take_ready(5)
+        assert (dst, payloads) == (2, ["a"])
+        ic.refuse(2, payloads)
         ic.pump(6)  # consumer refused: "a" still holds the only credit
-        assert ic.peek(2) == "a"
-        assert ic.pop(2, 6) == "a"
+        assert ic.take_ready(6) == [(2, ["a"])]
         ic.pump(7)  # credit returned at 7: "b" admitted
-        assert ic.pop(2, 7) == "b"
+        assert ic.take_ready(7) == [(2, ["b"])]
         assert ic.in_flight == 0
 
     def test_validation(self):
@@ -129,7 +136,7 @@ class TestWakeProtocol:
         assert ic.next_event_cycle(0) == 7
         assert ic.next_event_cycle(7) == 7
         ic.pump(7)
-        assert ic.peek(3) == "x"
+        assert ic.take_ready(7) == [(3, ["x"])]
 
     def test_undrained_channel_pins_to_now(self):
         ic = Interconnect(latency_cycles=3)
@@ -143,7 +150,7 @@ class TestWakeProtocol:
         ic.send(0, dst=1, payload="a", src=0)
         ic.send(0, dst=1, payload="b", src=0)
         ic.pump(3)
-        assert ic.pop(1, 3) == "a"  # credit returns at cycle 4
+        assert ic.take_ready(3) == [(1, ["a"])]  # credit returns at cycle 4
         # Channel empty but "b" stalled: the fabric must wake at 4.
         assert ic.next_event_cycle(3) == 4
 
@@ -170,12 +177,12 @@ class TestCreditRule:
         ic.send(0, dst=4, payload="a", src=0)
         ic.send(0, dst=4, payload="b", src=0)
         ic.pump(2)
-        assert ic.pop(4, 2) == "a"
+        assert ic.take_ready(2) == [(4, ["a"])]
         ic.pump(2)  # the freed slot's credit is still on its way back
-        assert ic.peek(4) is None and ic.stalled_hops == 1
+        assert ic.queued == 0 and ic.stalled_hops == 1
         assert ic.next_event_cycle(2) == 3
         ic.pump(3)
-        assert ic.peek(4) == "b"
+        assert ic.take_ready(3) == [(4, ["b"])]
 
     def test_refused_tail_keeps_its_slots(self):
         ic = Interconnect(latency_cycles=1, channel_capacity=2)
@@ -186,7 +193,7 @@ class TestCreditRule:
         assert (dst, payloads) == (0, [0, 1])
         ic.refuse(0, payloads[1:])  # 0 accepted, 1 refused
         ic.pump(2)  # one credit back: hop 2 joins behind the refused 1
-        assert [p for _, p in ic.deliver(2)] == [1, 2]
+        assert [p for _, p in deliver(ic, 2)] == [1, 2]
         assert ic.in_flight == 0
 
     @settings(max_examples=200, deadline=None)
@@ -242,8 +249,16 @@ class TestCreditRule:
             elif op[0] == "pump":
                 ic.pump(cycle)
             elif op[0] == "pop":
-                if ic.peek(op[1]) is not None:
-                    consumed(op[1], ic.pop(op[1], cycle))
+                # Accept the head of channel op[1] alone; every other
+                # taken payload goes back.
+                ready = ic.take_ready(cycle)
+                for dst, payloads in ready:
+                    if dst == op[1]:
+                        consumed(dst, payloads[0])
+                        payloads = payloads[1:]
+                    if payloads:
+                        ic.refuse(dst, payloads)
+                if any(dst == op[1] for dst, _ in ready):
                     check()
                     ic.pump(cycle)
             elif op[0] == "take":
@@ -265,7 +280,7 @@ class TestCreditRule:
                 break
             cycle += 1
             popped_now.clear()
-            for dst, payload in ic.deliver(cycle):
+            for dst, payload in deliver(ic, cycle):
                 consumed(dst, payload)
             check()
         assert ic.in_flight == 0

@@ -26,9 +26,9 @@ class TestInterconnect:
         ic = Interconnect(latency_cycles=10)
         ic.send(0, dst=1, payload="a")
         ic.send(5, dst=0, payload="b")
-        assert ic.deliver(9) == []
-        assert ic.deliver(10) == [(1, "a")]
-        assert ic.deliver(20) == [(0, "b")]
+        for cycle, arrived in ((9, []), (10, [(1, ["a"])]), (20, [(0, ["b"])])):
+            ic.pump(cycle)
+            assert ic.take_ready(cycle) == arrived
         assert ic.in_flight == 0
 
     def test_negative_latency_rejected(self):

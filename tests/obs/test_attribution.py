@@ -10,6 +10,7 @@ from repro.obs.attribution import (
     STAGES,
     AttributionCollector,
     DepthSampler,
+    NodeAttribution,
     NullAttribution,
     StallCause,
 )
@@ -83,11 +84,30 @@ class TestBreakdown:
 class TestStalls:
     def test_stall_accumulates_per_site_and_cause(self):
         at = AttributionCollector()
-        at.stall("arq", StallCause.ARQ_FULL)
-        at.stall("arq", StallCause.ARQ_FULL, 4)
-        at.stall("arq", StallCause.FENCE_DRAIN)
+        at.stall_span("arq", StallCause.ARQ_FULL, 0, 1)
+        at.stall_span("arq", StallCause.ARQ_FULL, 1, 5)
+        at.stall_span("arq", StallCause.FENCE_DRAIN, 5, 6)
         assert at.stalls["arq"] == {"arq_full": 5, "fence_drain": 1}
-        assert at.total_stall_cycles() == {"arq": 6}
+
+    def test_node_handles_own_their_sites(self):
+        """A mesh node's handle prefixes its sites, so two cubes' spans
+        over the same cycles both count; marks and finalize are shared."""
+        at = AttributionCollector()
+        node0, node1 = NodeAttribution(at, 0), NodeAttribution(at, 1)
+        node0.stall_span("bank", StallCause.BANK_CONFLICT, 10, 20)
+        node1.stall_span("bank", StallCause.BANK_CONFLICT, 10, 20)
+        node1.sample_depth("arq", 0, 3.0)
+        req = _req()
+        node0.mark(req, "submit", 1)
+        node1.mark(req, "arq_admit", 4)
+        node1.finalize(req)
+        assert at.stalls == {
+            "node0.bank": {"bank_conflict": 10},
+            "node1.bank": {"bank_conflict": 10},
+        }
+        assert at.depth.sites() == ["node1.arq"]
+        assert at.finalized == 1
+        assert at.stage_cycles["router_queue"] == 3
 
     def test_stall_span_clips_overlaps_to_their_union(self):
         at = AttributionCollector()
@@ -146,7 +166,6 @@ class TestNullAttribution:
         req = _req()
         NULL_ATTRIBUTION.mark(req, "submit", 1)
         NULL_ATTRIBUTION.finalize(req)
-        NULL_ATTRIBUTION.stall("x", StallCause.ARQ_FULL)
         NULL_ATTRIBUTION.stall_span("x", StallCause.ARQ_FULL, 0, 5)
         NULL_ATTRIBUTION.sample_depth("x", 0, 1.0)
         assert req.marks is None
@@ -159,7 +178,7 @@ class TestProtocol:
         for i, mark in enumerate(MARKS):
             at.mark(req, mark, offset + 7 * i)
         at.finalize(req)
-        at.stall("arq", StallCause.ARQ_FULL, 3)
+        at.stall_span("arq", StallCause.ARQ_FULL, offset, offset + 3)
         at.stall_span("bank", StallCause.BANK_CONFLICT, offset, offset + 9)
         at.sample_depth("arq", offset, 2.0)
         return at

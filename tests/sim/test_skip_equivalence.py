@@ -510,6 +510,124 @@ class TestNUMAEquivalence:
         assert outcomes["skip"] == outcomes["every node"]
 
 
+def logged_ticks(parts):
+    """Log ``(name, cycle)`` at every tick of each ``(name, model)`` part,
+    in call order."""
+    log = []
+    for name, part in parts:
+
+        def logged(name=name, part=part, tick=part.tick):
+            log.append((name, part.cycle))
+            return tick()
+
+        part.tick = logged
+    return log
+
+
+def attribution_obs(attributed):
+    return Observers(attrib=AttributionCollector()) if attributed else NO_OBSERVERS
+
+
+class TestAttributedRunsTickLikePlain:
+    """Attribution observes; it never adds a tick.  Every stall span a
+    tick charges, a skip over the same cycles charges too, so an
+    attributed run takes the plain run's wakes and ticks exactly its
+    cycles — of the mesh, of every node and of every MAC."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nodes=st.integers(min_value=2, max_value=4),
+        spec=workload_specs,
+        cores=st.sampled_from([1, 2, 8]),
+        latency=st.sampled_from([0, 1, 3, 23]),
+        channel_capacity=st.sampled_from([1, 2, 64]),
+        arq_entries=st.sampled_from([2, 32]),
+    )
+    def test_meshes(
+        self, nodes, spec, cores, latency, channel_capacity, arq_entries
+    ):
+        logs = {}
+        for attributed in (False, True):
+            obs = attribution_obs(attributed)
+            system = NUMASystem(
+                [
+                    [iter(make_requests(spec, c, node=n)) for c in range(cores)]
+                    for n in range(nodes)
+                ],
+                system=SystemConfig(mac=MACConfig(arq_entries=arq_entries)),
+                interconnect_latency=latency,
+                interleave_bytes=256,
+                channel_capacity=channel_capacity,
+                obs=obs,
+            )
+            logs[attributed] = logged_ticks(
+                [("mesh", system)]
+                + [(f"node{n.node_id}", n) for n in system.nodes]
+                + [(f"mac{n.node_id}", n.mac) for n in system.nodes]
+            )
+            system.run()
+        assert logs[True] == logs[False]
+        # Each node charges its own sites; only the fabric is the mesh's.
+        owners = {f"node{k}" for k in range(nodes)}
+        sites = set(obs.attrib.stalls) | set(obs.attrib.depth.sites())
+        assert all(
+            site == "fabric" or site.split(".")[0] in owners for site in sites
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        spec=st.tuples(
+            st.just(8),  # cores
+            st.integers(min_value=32, max_value=48),  # requests per core
+            st.integers(min_value=1, max_value=64),  # distinct rows
+            st.integers(min_value=0, max_value=2**16),  # stream seed
+            st.booleans(),  # sprinkle fences
+        ),
+        pop_interval=st.sampled_from([2, 4]),
+    )
+    def test_saturated_node(self, spec, pop_interval):
+        """Eight cores on a two-entry ARQ: the input queue fills and
+        cores wait on it while the ARQ is full."""
+        logs = {}
+        for attributed in (False, True):
+            obs = attribution_obs(attributed)
+            node = Node(
+                [iter(make_requests(spec, c)) for c in range(8)],
+                system=SystemConfig(
+                    mac=MACConfig(arq_entries=2, pop_interval=pop_interval)
+                ),
+                obs=obs,
+            )
+            logs[attributed] = logged_ticks([("node", node), ("mac", node.mac)])
+            node.run()
+        assert logs[True] == logs[False]
+        stalls = obs.attrib.stalls
+        assert stalls["router"]["input_queue_full"] > 0
+        assert sum(stalls["arq"].values()) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=workload_specs,
+        arq_entries=st.sampled_from([1, 2, 4, 32]),
+        pop_interval=st.integers(min_value=1, max_value=4),
+    )
+    def test_mac_process(self, spec, arq_entries, pop_interval):
+        """A five-cycle stage 2 keeps stage 1 latched past pop slots."""
+        cfg = MACConfig(
+            arq_entries=arq_entries,
+            pop_interval=pop_interval,
+            builder_stage2_cycles=5,
+        )
+        logs = {}
+        for attributed in (False, True):
+            mac = MAC(cfg, obs=attribution_obs(attributed))
+            logs[attributed] = logged_ticks([("mac", mac)])
+            mac.process(
+                [r for c in range(spec[0]) for r in make_requests(spec, c)]
+            )
+        assert logs[True] == logs[False]
+
+
 def mesh_requests(spec, node, core):
     """One core's stream on a ``(nodes, cores, n, rows, seed, fences)`` mesh."""
     nodes, cores, n, rows, seed, fences = spec

@@ -286,6 +286,22 @@ class TestRunMesh:
         }
         assert rest == plain
 
+    def test_node_sites_round_trip_through_analyze(self, tmp_path, capsys):
+        """``node<k>.`` sites add a dotted level to the flat keys; the
+        report rebuilt from the file names them whole again."""
+        from repro.obs.analyze import report_from_metrics
+
+        m = self._metrics(tmp_path, capsys, "--nodes", "2", "--attribution")
+        report = report_from_metrics(m)
+        assert report["exact"] is True
+        assert "node0.arq" in report["depth"]
+        assert report["stalls"] and all(
+            site.split(".")[0] in ("node0", "node1", "fabric")
+            for site in report["stalls"]
+        )
+        assert main(["analyze", "--metrics", str(tmp_path / "m.json")]) == 0
+        assert ": yes" in capsys.readouterr().out
+
     def test_shards_flag_exits_2(self, capsys):
         """Sharding was removed; its flag is a usage error, not a crash."""
         with pytest.raises(SystemExit) as exc:

@@ -226,8 +226,9 @@ CASES: Dict[str, Callable[[], dict]] = {
         "run", "IS", "--nodes", "4", "--threads", "2", "--ops", "200",
         "--interconnect-latency", "7", "--interleave-bytes", "256",
     ),
-    # The zero-latency fabric, and the attribution keys, which depend on
-    # the order in which nodes replay their shared ARQ depth samples.
+    # The zero-latency fabric, and the attribution keys: every node
+    # charges its stall spans and depth samples to its own node<k>.
+    # sites, whenever it is caught up.
     "run-GUPS-nodes3-lat0-attrib": _cli(
         "run", "GUPS", "--nodes", "3", "--threads", "2", "--ops", "150",
         "--interconnect-latency", "0", "--attribution",
