@@ -22,8 +22,11 @@ check):
   engine-pumped counter-delta sampling, so its cost is one boundary
   check per tick plus one probe sweep per epoch.
 
-Variants are interleaved round-robin and the best round of each is
-kept, so machine-load drift hits all variants equally.  The result
+Variants are interleaved round-robin, so machine-load drift hits all
+variants equally.  Each budget gates the median over rounds of the
+per-round on/off ratio: one round whose plain run was slowed by host
+noise can neither pass nor fail it alone.  The best-of times are
+reported beside it.  The result
 streams are also cross-checked for equality — the deep bit-identical
 regressions live in ``tests/obs/test_noop_identical.py`` and
 ``tests/obs/test_attribution_noop.py``; here they guard the
@@ -35,6 +38,7 @@ and the ``BENCH_obs_overhead.json`` artifact), so the cost of the
 instrumentation is tracked across runs by ``scripts/bench_compare.py``.
 """
 
+import statistics
 import time
 
 import pytest
@@ -82,6 +86,11 @@ def _closed_loop(obs=NO_OBSERVERS):
     )
 
 
+def _median_ratio(rounds, on, off):
+    """Median over rounds of ``rounds[i][on] / rounds[i][off]``."""
+    return statistics.median(r[on] / r[off] for r in rounds if r[off] > 0)
+
+
 def test_obs_overhead(benchmark):
     def measure():
         cached_trace(WORKLOAD, THREADS, OPS_PER_THREAD)  # warm: time engines only
@@ -90,9 +99,10 @@ def test_obs_overhead(benchmark):
         # Interleave the variants round-robin so machine-load drift hits
         # all of them equally.  Per variant pair the ratio is taken
         # per-round (off and on measured back-to-back share machine
-        # conditions) and the best round wins — independent best-of
-        # minima would compare an off-spike-free round against an
-        # on-spiked one and report phantom overhead.
+        # conditions) and the median round is gated — independent
+        # best-of minima would compare an off-spike-free round against
+        # an on-spiked one, and the smallest ratio would let one
+        # slowed plain run hide any overhead.
         rounds = []
         off = traced = node_off = node_attr = node_tl = timeline = None
         for _ in range(ROUNDS):
@@ -144,9 +154,9 @@ def test_obs_overhead(benchmark):
     assert tl_node.mac.stats.snapshot() == plain_node.mac.stats.snapshot()
     assert sum(len(s["epochs"]) for s in timeline.export()["series"].values()) > 0
 
-    trace_ratio = min(r[1] / r[0] for r in rounds if r[0] > 0)
-    attr_ratio = min(r[3] / r[2] for r in rounds if r[2] > 0)
-    timeline_ratio = min(r[4] / r[2] for r in rounds if r[2] > 0)
+    trace_ratio = _median_ratio(rounds, on=1, off=0)
+    attr_ratio = _median_ratio(rounds, on=3, off=2)
+    timeline_ratio = _median_ratio(rounds, on=4, off=2)
     attach(
         benchmark,
         tracer_off_s=t_off,
@@ -164,10 +174,10 @@ def test_obs_overhead(benchmark):
     )
     print(
         f"\nobs overhead: open-loop off {t_off * 1e3:.1f} ms, tracer "
-        f"{t_trace * 1e3:.1f} ms (best paired x{trace_ratio:.3f}); node off "
+        f"{t_trace * 1e3:.1f} ms (median paired x{trace_ratio:.3f}); node off "
         f"{t_node_off * 1e3:.1f} ms, attribution {t_node_attr * 1e3:.1f} ms "
-        f"(best paired x{attr_ratio:.3f}), timeline {t_node_tl * 1e3:.1f} ms "
-        f"(best paired x{timeline_ratio:.3f}), {len(tracer)} events, "
+        f"(median paired x{attr_ratio:.3f}), timeline {t_node_tl * 1e3:.1f} ms "
+        f"(median paired x{timeline_ratio:.3f}), {len(tracer)} events, "
         f"{attrib.finalized} requests attributed"
     )
     assert attr_ratio <= ATTRIBUTION_BUDGET, (

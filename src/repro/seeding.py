@@ -1,11 +1,12 @@
 """Single-knob seeding for reproducible runs.
 
 Every stochastic component of the reproduction — workload generators
-(numpy RNGs), ISA kernel input builders (``random.Random``) and the
-fault injector — accepts a seed.  This module gives them one shared
-default and a deterministic way to derive independent per-component
-streams from a single root seed, so ``repro --seed N ...`` reproduces a
-whole run (trace + faults) end to end.
+(PCG64 streams, :mod:`repro.workloads.rng`), ISA kernel input builders
+(``random.Random``) and the fault injector — accepts a seed.  This
+module gives them one shared default and a deterministic way to derive
+independent per-component streams from a single root seed, so
+``repro --seed N ...`` reproduces a whole run (trace + faults) end to
+end.
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ import abc
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.seeding import DEFAULT_SEED
 from repro.trace.record import TraceRecord
 from repro.trace.stats import ExecutionProfile
+
+from .rng import RandomStream
 
 #: (address, op, size) tuples produced by per-thread streams.
 Op = Tuple[int, RequestType, int]
@@ -98,7 +98,7 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         """Yield up to ``ops`` operations for thread ``tid`` of ``threads``."""
 
@@ -128,7 +128,7 @@ class Workload(abc.ABC):
                     tid,
                     threads,
                     ops_per_thread,
-                    np.random.default_rng((base_seed, tid)),
+                    RandomStream((base_seed, tid)),
                 )
             )
             for tid in range(threads)
@@ -147,12 +147,6 @@ class Workload(abc.ABC):
         return out
 
     # -- helpers for subclasses ----------------------------------------------
-
-    @staticmethod
-    def seq_loads(base: int, start: int, count: int, stride: int = WORD) -> Iterator[Op]:
-        """Unit/strided sequential load run over an array."""
-        for i in range(count):
-            yield base + (start + i) * stride, RequestType.LOAD, WORD
 
     # The paper's node has software-managed SPMs with ISA extensions for
     # prefetch and write-back (section 5.1).  Streamable data therefore
@@ -178,18 +172,6 @@ class Workload(abc.ABC):
         while start < end:
             yield base + start, RequestType.STORE, flit
             start += flit
-
-    @staticmethod
-    def zipf_indices(
-        rng: np.random.Generator, n: int, count: int, s: float = 1.1
-    ) -> np.ndarray:
-        """Zipf-popular gather indices over ``n`` elements.
-
-        Real lookup tables (graph hubs, symbol tables, histogram heads)
-        exhibit power-law popularity; ``s`` controls the skew.
-        """
-        ranks = rng.zipf(s + 1.0, size=count)
-        return np.minimum(ranks - 1, n - 1)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(scale={self.scale}, seed={self.seed})"

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class NQueens(Workload):
@@ -52,7 +51,7 @@ class NQueens(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         stack = self.stacks[tid % len(self.stacks)]
         words = self.stack_bytes // WORD
@@ -62,7 +61,7 @@ class NQueens(Workload):
         while emitted < ops:
             # Spawn: allocate a task descriptor somewhere in the runtime
             # heap (scattered) and link it into the stealing deque.
-            t_desc = int(rng.integers(0, heap_words - 4))
+            t_desc = rng.integers(0, heap_words - 4)
             yield self.task_heap + t_desc * WORD, RequestType.STORE, WORD
             yield self.task_heap + (t_desc + 1) * WORD, RequestType.STORE, WORD
             emitted += 2
@@ -70,7 +69,7 @@ class NQueens(Workload):
                 return
             # Work-stealing deque probes scan other threads' deques.
             for _ in range(12):
-                p_ = int(rng.integers(0, heap_words))
+                p_ = rng.integers(0, heap_words)
                 yield self.task_heap + p_ * WORD, RequestType.LOAD, WORD
                 emitted += 1
                 if emitted >= ops:
@@ -120,28 +119,27 @@ class SparseLU(Workload):
         self.matrix = layout.alloc("matrix", nblocks * self.block_words * WORD)
         self.layout = layout
         # ~40 % of blocks are non-empty (sparse block structure).
-        rng = np.random.default_rng(seed)
-        self.present = rng.random(nblocks) < 0.4
+        self.present = [u < 0.4 for u in RandomStream(seed).random(nblocks)]
 
     def _block_base(self, bi: int, bj: int) -> int:
         idx = bi * self.blocks + bj
         return self.matrix + idx * self.block_words * WORD
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         emitted = 0
         k = 0
         nblocks = self.blocks * self.blocks
         while emitted < ops:
             # bmod task: A[i][j] -= L[i][k] * U[k][j] over dense tiles.
-            bi = int(rng.integers(0, self.blocks))
+            bi = rng.integers(0, self.blocks)
             bj = (tid + k) % self.blocks
             k += 1
             # Sparse block-header probes: pointer chasing across the block
             # matrix (headers sit 8 KB apart, one row each).
             for probe in range(7):
-                p = int(rng.integers(0, nblocks))
+                p = rng.integers(0, nblocks)
                 yield self.matrix + p * self.block_words * WORD, RequestType.LOAD, WORD
                 emitted += 1
                 if emitted >= ops:
@@ -153,7 +151,7 @@ class SparseLU(Workload):
             a_base = self._block_base(bi, bj)
             # SPM-prefetch one tile row from L and U, write back to A:
             # three unit-stride 256 B block transfers per task step.
-            row = int(rng.integers(0, self.block_dim))
+            row = rng.integers(0, self.block_dim)
             off = row * self.block_dim * WORD
             nbytes = self.block_dim * WORD
             for op in self.spm_prefetch(l_base, off, nbytes):
@@ -189,7 +187,7 @@ class BotsSort(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         chunk = self.elements // threads
         lo = tid * chunk
@@ -200,7 +198,7 @@ class BotsSort(Workload):
             # Task spawn/retire bookkeeping in the scattered runtime heap,
             # plus the binary-search splitter probes of pmerge.
             for _ in range(12):
-                p = int(rng.integers(0, heap_words))
+                p = rng.integers(0, heap_words)
                 yield self.tmp + p * WORD, RequestType.LOAD, WORD
                 emitted += 1
                 if emitted >= ops:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class BotsFib(Workload):
@@ -36,7 +35,7 @@ class BotsFib(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         heap_words = self.heap_bytes // WORD
         deque_base = self.deques[tid % len(self.deques)]
@@ -45,7 +44,7 @@ class BotsFib(Workload):
         while emitted < ops:
             # Allocate a task descriptor (bump allocator with reuse:
             # scattered over the heap as freed slots recycle).
-            d = int(rng.integers(0, heap_words - 8))
+            d = rng.integers(0, heap_words - 8)
             for k in range(4):  # 32 B descriptor
                 yield self.task_heap + (d + k) * WORD, RequestType.STORE, WORD
                 emitted += 1
@@ -57,7 +56,7 @@ class BotsFib(Workload):
             top += 1
             # Occasionally steal: probe a victim's deque head.
             if rng.random() < 0.15:
-                victim = self.deques[int(rng.integers(0, len(self.deques)))]
+                victim = self.deques[rng.integers(0, len(self.deques))]
                 yield victim, RequestType.ATOMIC, WORD
                 emitted += 1
                 if emitted >= ops:
@@ -85,15 +84,19 @@ class BotsHealth(Workload):
         self.records = layout.alloc("records", self.patients * 64)
         self.villages = layout.alloc("villages", 4096 * 64)
         self.layout = layout
-        rng = np.random.default_rng(seed)
+        # One draw per patient (65 K at scale 1): numpy's vector draw.
+        import numpy as np
+
         #: next-pointer targets: mostly random (heap churn).
-        self._next = rng.integers(0, self.patients, size=self.patients)
+        self._next = np.random.default_rng(seed).integers(
+            0, self.patients, size=self.patients
+        )
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         emitted = 0
-        node = int(rng.integers(0, self.patients))
+        node = rng.integers(0, self.patients)
         while emitted < ops:
             # Visit the village header (hot shared row per subtree).
             village = (tid * 37 + node) % 4096

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
 from .graphs import CSRGraph, rmat_csr
+from .rng import RandomStream
 
 
 class GAPBFS(Workload):
@@ -43,13 +42,15 @@ class GAPBFS(Workload):
         self.frontier = layout.alloc("frontier", n * WORD)
         self.next_frontier = layout.alloc("next_frontier", n * WORD)
         self.layout = layout
+        import numpy as np
+
         # Precompute a BFS-like vertex visit order: hubs first (as a real
         # BFS frontier would discover them early).
         degrees = np.diff(self.graph.row_ptr)
         self._visit_order = np.argsort(-degrees, kind="stable")
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices
@@ -108,7 +109,7 @@ class GAPPageRank(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices

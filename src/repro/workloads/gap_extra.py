@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
 from .graphs import CSRGraph, rmat_csr, rmat_edges
+from .rng import RandomStream
 
 
 class GAPConnectedComponents(Workload):
@@ -44,7 +43,7 @@ class GAPConnectedComponents(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         m = len(self.edges)
         chunk = m // threads
@@ -92,7 +91,7 @@ class GAPSSSP(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices
@@ -103,7 +102,7 @@ class GAPSSSP(Workload):
             yield self.bucket + (bpos % n) * WORD, RequestType.LOAD, WORD
             emitted += 1
             bpos += threads
-            v = int(rng.integers(0, n))
+            v = rng.integers(0, n)
             ptr = int(g.row_ptr[v])
             deg = g.degree(v)
             if deg:
@@ -149,7 +148,7 @@ class GAPTriangleCounting(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices

@@ -10,17 +10,21 @@ Several workloads traverse the same graph (SSCA2, BFS and PR all walk
 ``rmat_csr(14, seed=2019)``), so the CSR builders are memoized per
 process with :func:`graph_memo`.  Memoized graphs are shared, so their
 arrays are read-only.
+
+Graph builders draw millions of values, so they use numpy, imported on
+first build: commands that build no graph never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Callable, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.seeding import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,8 @@ def rmat_edges(
     probabilities must be non-negative with ``a + b < 1`` and
     ``a + b + c <= 1`` (``d`` is the remainder); ``ValueError`` otherwise.
     """
+    import numpy as np
+
     _check_rmat_size(scale, edge_factor)
     for name, p in (("a", a), ("b", b), ("c", c)):
         if p < 0:
@@ -136,6 +142,8 @@ def rmat_edges(
 
 def edges_to_csr(edges: np.ndarray, n: int) -> CSRGraph:
     """Build a CSR adjacency from a directed edge list (self-loops kept)."""
+    import numpy as np
+
     src = edges[:, 0]
     dst = edges[:, 1]
     order = np.argsort(src, kind="stable")

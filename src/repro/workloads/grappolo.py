@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
 from .graphs import CSRGraph, edges_to_csr, graph_memo
+from .rng import RandomStream
 
 
 @graph_memo
@@ -33,6 +32,8 @@ def _community_graph(
     Converged Louvain phases see >90 % intra-community edges.  Memoized
     per process (:func:`~repro.workloads.graphs.graph_memo`): read-only.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     m = n * degree
     src = rng.integers(0, n, size=m, dtype=np.int64)
@@ -74,7 +75,7 @@ class Grappolo(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices
@@ -107,7 +108,7 @@ class Grappolo(Workload):
                 if emitted >= ops:
                     return
             # Candidate-community weight table is tiny (64 entries): hot rows.
-            c = int(rng.integers(0, self.communities))
+            c = rng.integers(0, self.communities)
             yield self.comm_weight + c * WORD, RequestType.LOAD, WORD
             yield self.comm_id + v * WORD, RequestType.STORE, WORD
             emitted += 2

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class HPCG(Workload):
@@ -48,7 +47,7 @@ class HPCG(Workload):
         ]
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         chunk = self.n // threads
         start = tid * chunk
@@ -87,7 +86,7 @@ class HPCG(Workload):
                 if col < 0 or col >= self.n:
                     continue
                 if k % 3 == 1:
-                    col = int(rng.integers(0, self.n))
+                    col = rng.integers(0, self.n)
                 yield self.x + col * WORD, RequestType.LOAD, WORD
                 emitted += 1
                 if emitted >= ops:

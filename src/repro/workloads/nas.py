@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class NASMG(Workload):
@@ -41,7 +40,7 @@ class NASMG(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         nx = self.nx
         nxy = nx * nx
@@ -128,7 +127,7 @@ class NASSP(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         nx = self.nx
         nxy = nx * nx
@@ -204,7 +203,7 @@ class NASIS(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         chunk = self.keys // threads
         start = tid * chunk
@@ -217,7 +216,7 @@ class NASIS(Workload):
             # Sequential key read...
             yield self.key_array + i * WORD, RequestType.LOAD, WORD
             # ... random histogram increment: load + store the bucket.
-            b = int(bucket_idx[j % len(bucket_idx)])
+            b = bucket_idx[j % len(bucket_idx)]
             yield self.histogram + b * WORD, RequestType.LOAD, WORD
             yield self.histogram + b * WORD, RequestType.STORE, WORD
             emitted += 3

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class NASCG(Workload):
@@ -40,12 +39,14 @@ class NASCG(Workload):
         self.p = layout.alloc("p", self.n * WORD)
         self.q = layout.alloc("q", self.n * WORD)
         self.layout = layout
-        rng = np.random.default_rng(seed)
+        # One draw per nonzero (262 K at scale 1): numpy's vector draw.
+        import numpy as np
+
         # NAS CG's makea(): random column positions, no stencil structure.
-        self._cols = rng.integers(0, self.n, size=nnz)
+        self._cols = np.random.default_rng(seed).integers(0, self.n, size=nnz)
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         chunk = self.n // threads
         start = tid * chunk
@@ -108,7 +109,7 @@ class NASFT(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         nx = self.nx
         nxy = nx * nx

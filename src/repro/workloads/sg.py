@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
+from .rng import RandomStream
 
 
 class ScatterGather(Workload):
@@ -54,7 +53,7 @@ class ScatterGather(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         # Block-partitioned parallel loop: thread t owns a contiguous
         # chunk of the index space, as an OpenMP static schedule would.
@@ -81,12 +80,15 @@ class ScatterGather(Workload):
                 hot_rows = 8 * 32  # 8 rows' worth of words
                 hot = rng.integers(0, hot_rows, size=blk)
                 cold = rng.integers(0, self.elements, size=blk)
-                pick_hot = rng.random(blk) < self.hot_frac
-                idx = np.where(pick_hot, hot, cold)
+                hot_frac = self.hot_frac
+                idx = [
+                    h if u < hot_frac else c
+                    for h, c, u in zip(hot, cold, rng.random(blk))
+                ]
             else:
                 idx = rng.integers(0, self.elements, size=blk)
             for k in range(blk):
-                yield self.b + int(idx[k]) * WORD, RequestType.LOAD, WORD
+                yield self.b + idx[k] * WORD, RequestType.LOAD, WORD
                 emitted += 1
                 if emitted >= ops:
                     return
@@ -116,7 +118,7 @@ class SequentialSG(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         chunk = self.elements // threads
         start = tid * chunk

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import RequestType
 from repro.trace.stats import ExecutionProfile
 
 from .base import MemoryLayout, Op, WORD, Workload
 from .graphs import CSRGraph, rmat_csr
+from .rng import RandomStream
 
 
 class SSCA2(Workload):
@@ -41,7 +40,7 @@ class SSCA2(Workload):
         self.layout = layout
 
     def thread_stream(
-        self, tid: int, threads: int, ops: int, rng: np.random.Generator
+        self, tid: int, threads: int, ops: int, rng: RandomStream
     ) -> Iterator[Op]:
         g = self.graph
         n = g.num_vertices
@@ -54,7 +53,7 @@ class SSCA2(Workload):
             # Edge-centric vertex selection: traversal reaches vertices in
             # proportion to their in-degree, so R-MAT hubs (with their long
             # contiguous adjacency runs) dominate the stream.
-            e = int(rng.integers(0, g.num_edges))
+            e = rng.integers(0, g.num_edges)
             v = int(g.neighbors[e])
             # CSR bounds: two adjacent row_ptr words.
             yield self.row_ptr + v * WORD, RequestType.LOAD, WORD

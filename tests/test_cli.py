@@ -1,8 +1,17 @@
 """CLI round-trip tests (``python -m repro ...``)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = str(Path(repro.__file__).parents[1])
+FIGURES_FAST = Path(__file__).resolve().parent / "golden" / "figures_fast.txt"
 
 
 class TestParser:
@@ -133,9 +142,19 @@ class TestCommands:
         assert "2062" in text
         assert "GRAPPOLO" in text
 
-    def test_figures_fast(self, capsys):
-        assert main(["figures", "--fast", "--only", "fig11"]) == 0
-        assert "fig11" in capsys.readouterr().out
+    def test_figures_fast(self):
+        """``figures --fast`` stdout is pinned byte for byte.
+
+        A fresh process, so no trace or graph memo of an earlier test
+        is reused; progress lines go to stderr.
+        """
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "figures", "--fast", "--jobs", "1"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+        )
+        assert out.returncode == 0, out.stderr.decode()
+        assert out.stdout == FIGURES_FAST.read_bytes()
 
     def test_unknown_benchmark_raises(self, tmp_path):
         with pytest.raises(KeyError):

@@ -96,6 +96,35 @@ print(json.dumps({
     assert new == {"node": [], "system": []}
 
 
+def test_workload_registry_loads_no_numpy():
+    modules = _modules_after("import repro.workloads.registry")
+    assert not _offenders(modules, ["numpy"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "SG", "--ops", "200"],
+        ["run", "IS", "--ops", "200"],
+        ["run", "GUPS", "--nodes", "4", "--threads", "2", "--ops", "100"],
+    ],
+)
+def test_non_graph_runs_load_no_numpy(argv):
+    """Thread streams draw from ``repro.workloads.rng``, not numpy."""
+    modules = _modules_after(
+        f"from repro.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert not _offenders(modules, ["numpy"])
+
+
+def test_graph_benchmark_loads_numpy_and_runs():
+    modules = _modules_after(
+        "from repro.workloads.registry import make\n"
+        'assert len(make("BFS").generate(threads=2, ops_per_thread=50)) == 100'
+    )
+    assert "numpy" in modules
+
+
 @pytest.mark.parametrize("name", PACKAGES)
 def test_every_exported_name_resolves(name):
     pkg = importlib.import_module(name)

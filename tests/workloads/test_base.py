@@ -1,6 +1,5 @@
 """Tests for the workload framework (layout, helpers, interleaving)."""
 
-import numpy as np
 import pytest
 
 from repro.core.request import RequestType
@@ -57,15 +56,6 @@ class TestHelpers:
         ops = list(Workload.spm_writeback(0x2000, 0, 32))
         assert len(ops) == 2
         assert all(op is RequestType.STORE for _, op, _ in ops)
-
-    def test_zipf_indices_bounds(self):
-        rng = np.random.default_rng(1)
-        idx = Workload.zipf_indices(rng, 1000, 500, s=1.1)
-        assert idx.min() >= 0 and idx.max() < 1000
-
-    def test_seq_loads(self):
-        ops = list(Workload.seq_loads(0x100, start=2, count=3))
-        assert [a for a, _, _ in ops] == [0x110, 0x118, 0x120]
 
 
 class _TwoOpWorkload(Workload):
