@@ -23,7 +23,8 @@ check):
   check per tick plus one probe sweep per epoch.
 
 Variants are interleaved round-robin, so machine-load drift hits all
-variants equally.  Each budget gates the median over rounds of the
+variants equally; the order rotates each round and garbage is collected
+before each timed variant, so none always pays for its predecessor.  Each budget gates the median over rounds of the
 per-round on/off ratio: one round whose plain run was slowed by host
 noise can neither pass nor fail it alone.  The best-of times are
 reported beside it.  The result
@@ -38,6 +39,7 @@ and the ``BENCH_obs_overhead.json`` artifact), so the cost of the
 instrumentation is tracked across runs by ``scripts/bench_compare.py``.
 """
 
+import gc
 import statistics
 import time
 
@@ -98,35 +100,37 @@ def test_obs_overhead(benchmark):
         attrib = AttributionCollector()
         # Interleave the variants round-robin so machine-load drift hits
         # all of them equally.  Per variant pair the ratio is taken
-        # per-round (off and on measured back-to-back share machine
+        # per-round (off and on measured in the same round share machine
         # conditions) and the median round is gated — independent
         # best-of minima would compare an off-spike-free round against
         # an on-spiked one, and the smallest ratio would let one
-        # slowed plain run hide any overhead.
+        # slowed plain run hide any overhead.  The order rotates each
+        # round and garbage is collected before every timed variant, so
+        # no variant always pays for the garbage of the one before it
+        # (the traced open loop leaves ~10^5 tracer events behind).
         rounds = []
-        off = traced = node_off = node_attr = node_tl = timeline = None
-        for _ in range(ROUNDS):
-            t0 = time.perf_counter()
-            off = _open_loop()
-            t_off = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            traced = _open_loop(Observers(tracer=tracer))
-            t_trace = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            node_off = _closed_loop()
-            t_node_off = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            node_attr = _closed_loop(Observers(attrib=attrib))
-            t_node_attr = time.perf_counter() - t0
+        for k in range(ROUNDS):
             # Fresh Timeline per round: bind() is keyed on id(model) and
             # each round builds a new node, so a recycled object id must
             # never be mistaken for an already-bound model.
             timeline = Timeline()
-            t0 = time.perf_counter()
-            node_tl = _closed_loop(Observers(timeline=timeline))
-            t_node_tl = time.perf_counter() - t0
-            rounds.append((t_off, t_trace, t_node_off, t_node_attr, t_node_tl))
-        return rounds, off, traced, node_off, node_attr, node_tl, tracer, attrib, timeline
+            variants = (
+                _open_loop,
+                lambda: _open_loop(Observers(tracer=tracer)),
+                _closed_loop,
+                lambda: _closed_loop(Observers(attrib=attrib)),
+                lambda: _closed_loop(Observers(timeline=timeline)),
+            )
+            times = [0.0] * len(variants)
+            outs = [None] * len(variants)
+            for j in range(len(variants)):
+                i = (k + j) % len(variants)
+                gc.collect()
+                t0 = time.perf_counter()
+                outs[i] = variants[i]()
+                times[i] = time.perf_counter() - t0
+            rounds.append(tuple(times))
+        return (rounds, *outs, tracer, attrib, timeline)
 
     rounds, off, traced, node_off, node_attr, node_tl, tracer, attrib, timeline = run_figure(
         benchmark, measure, "observability overhead (tracer/attribution off vs on)"

@@ -42,6 +42,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for worker counts: an int >= 0 (0 = all cores)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_mac_args(p: argparse.ArgumentParser) -> None:
     from repro.core.flit_table import FlitTablePolicy
 
@@ -653,22 +661,12 @@ def _cmd_analyze_timeline(args) -> int:
     return 0
 
 
-#: Default checkpoint journal of ``repro figures`` supervised runs.
-DEFAULT_FIGURES_CHECKPOINT = "repro-figures.ckpt.jsonl"
-
-
 def cmd_figures(args) -> int:
     import statistics
 
     from repro.eval import experiments as E
     from repro.eval.parallel import print_progress, resolve_jobs
     from repro.eval.report import pct
-    from repro.eval.supervisor import (
-        CheckpointJournal,
-        SupervisorConfig,
-        SweepInterrupted,
-        SweepReport,
-    )
 
     jobs = resolve_jobs(args.jobs)
     kw = dict(threads=2, ops_per_thread=500) if args.fast else {}
@@ -682,87 +680,22 @@ def cmd_figures(args) -> int:
         # Log every few cells so long figure fan-outs show liveness.
         return print_progress(prefix=f"{tag}: ") if jobs > 1 else None
 
-    # Any resilience flag engages the supervisor; one checkpoint journal
-    # spans all three figure drivers (cells are content-keyed, so records
-    # never collide across figures).
-    supervised = bool(
-        args.supervised
-        or args.resume
-        or args.checkpoint
-        or args.cell_timeout is not None
-        or args.max_retries is not None
-    )
-    journal = None
-    supervise = None
-    report = None
-    if supervised:
-        journal = CheckpointJournal(args.checkpoint or DEFAULT_FIGURES_CHECKPOINT)
-        report = SweepReport()
-        try:
-            supervise = SupervisorConfig(
-                cell_timeout=args.cell_timeout,
-                max_retries=2 if args.max_retries is None else args.max_retries,
-                journal=journal,
-                resume=args.resume,
-                report=report,
-            )
-        except ValueError as exc:
-            print(f"figures: {exc}", file=sys.stderr)
-            return 2
-        journal.open(fresh=not args.resume)
-
-    try:
-        if want("fig10"):
-            table = E.fig10_coalescing_efficiency(
-                total_ops=4000 if args.fast else 24000,
-                jobs=jobs,
-                progress=progress("fig10"),
-                log_every=4,
-                supervise=supervise,
-            )
-            vals = table.get(8, {})
-            if vals:
-                avg = statistics.mean(vals.values())
-                print(f"fig10: avg efficiency @8 threads {pct(avg)} (paper 52.86%)")
-            else:
-                print("fig10: no surviving cells @8 threads")
-        if want("fig11"):
-            sweep = E.fig11_arq_sweep(
-                progress=progress("fig11"), log_every=4, supervise=supervise, **kw
-            )
-            print(f"fig11: {[pct(v) for v in sweep.values()]}")
-        if want("fig17"):
-            f17 = E.fig17_speedup(
-                progress=progress("fig17"), log_every=4, supervise=supervise, **kw
-            )
-            if f17:
-                mk = statistics.mean(v["makespan_speedup"] for v in f17.values())
-                print(f"fig17: avg makespan speedup {pct(mk)} (paper 60.73%)")
-            else:
-                print("fig17: no surviving cells")
-    except SweepInterrupted as exc:
-        print(f"figures: {exc}", file=sys.stderr)
-        ckpt = args.checkpoint or DEFAULT_FIGURES_CHECKPOINT
-        print(
-            f"figures: partial results saved; rerun with "
-            f"`repro figures --resume --checkpoint {ckpt}` to continue",
-            file=sys.stderr,
+    if want("fig10"):
+        table = E.fig10_coalescing_efficiency(
+            total_ops=4000 if args.fast else 24000,
+            jobs=jobs,
+            progress=progress("fig10"),
+            log_every=4,
         )
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if report is not None:
-        done = report.completed + report.resumed
-        resumed = f" ({report.resumed} resumed from checkpoint)" if report.resumed else ""
-        print(f"supervised: {done}/{report.total} cells{resumed}")
-        for f in report.failures:
-            print(
-                f"  quarantined cell {f.index} ({f.kind} after "
-                f"{f.attempts} attempts): {f.message}",
-                file=sys.stderr,
-            )
+        avg = statistics.mean(table[8].values())
+        print(f"fig10: avg efficiency @8 threads {pct(avg)} (paper 52.86%)")
+    if want("fig11"):
+        sweep = E.fig11_arq_sweep(progress=progress("fig11"), log_every=4, **kw)
+        print(f"fig11: {[pct(v) for v in sweep.values()]}")
+    if want("fig17"):
+        f17 = E.fig17_speedup(progress=progress("fig17"), log_every=4, **kw)
+        mk = statistics.mean(v["makespan_speedup"] for v in f17.values())
+        print(f"fig17: avg makespan speedup {pct(mk)} (paper 60.73%)")
     print("done; see `pytest benchmarks/ --benchmark-only -s` for every figure")
     return 0
 
@@ -987,46 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", nargs="*", help="e.g. fig10 fig11 fig17")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="worker processes for figure fan-out (1 = serial, 0 = all "
         "cores); results are bit-identical for any value",
-    )
-    res = p.add_argument_group(
-        "resilience (any of these engages the supervised pool)"
-    )
-    res.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run cells under the crash-resilient supervisor: dead "
-        "workers respawn, failing cells retry then quarantine, and "
-        "completed cells checkpoint to a journal",
-    )
-    res.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed cells from the checkpoint journal and "
-        "re-run only the missing ones (after a crash or SIGKILL)",
-    )
-    res.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help=f"checkpoint journal path (default {DEFAULT_FIGURES_CHECKPOINT})",
-    )
-    res.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any cell running longer than this (> 0); "
-        "enforced at any --jobs, since a timed run forks at least one worker",
-    )
-    res.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="retries per cell before quarantine (>= 0, default 2)",
     )
     p.set_defaults(func=cmd_figures)
 

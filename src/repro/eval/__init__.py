@@ -6,10 +6,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     area=("AreaReport", "arq_bytes", "builder_bytes", "mac_area"),
     parallel=("print_progress", "resolve_jobs", "run_tasks"),
-    supervisor=(
-        "CellFailure", "CheckpointJournal", "SupervisorConfig", "SweepInterrupted",
-        "SweepReport", "cell_key",
-    ),
     metrics=(
         "HMC_REQUEST_SIZES", "bandwidth_efficiency", "coalescing_efficiency",
         "control_overhead_fraction", "requests_per_cycle", "speedup",
@@ -25,14 +21,7 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "AreaReport",
-    "CellFailure",
-    "CheckpointJournal",
     "DispatchResult",
-    "SupervisorConfig",
-    "SweepInterrupted",
-    "SweepReport",
-    "cell_key",
-    "supervisor",
     "HMC_REQUEST_SIZES",
     "ReplayResult",
     "TraceCache",

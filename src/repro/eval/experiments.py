@@ -27,7 +27,6 @@ from repro.workloads.registry import BENCHMARKS, benchmark_names
 from . import metrics
 from .area import mac_area
 from .parallel import ProgressFn, run_tasks
-from .supervisor import CellFailure
 from .runner import (
     DEFAULT_OPS_PER_THREAD,
     DEFAULT_THREADS,
@@ -210,27 +209,21 @@ def fig10_coalescing_efficiency(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     log_every: int = 1,
-    supervise=None,
 ) -> Dict[int, Dict[str, float]]:
     """Fig. 10: {threads: {benchmark: efficiency}}.
 
     Paper: averages 48.37 / 50.51 / 52.86 % for 2/4/8 threads; >60 % for
-    MG, GRAPPOLO, SG, SP and SPARSELU at 8 threads.  Under a supervised
-    run (``supervise``), quarantined cells are simply absent from the
-    inner dicts.
+    MG, GRAPPOLO, SG, SP and SPARSELU at 8 threads.
     """
     names = benchmark_names()
     tasks = [
         (name, t, total_ops // t, ()) for t in thread_counts for name in names
     ]
     cells = run_tasks(
-        _mac_cell, tasks, jobs=jobs, progress=progress, log_every=log_every,
-        supervise=supervise,
+        _mac_cell, tasks, jobs=jobs, progress=progress, log_every=log_every
     )
     out: Dict[int, Dict[str, float]] = {t: {} for t in thread_counts}
     for (name, t, _ops, _cfg), cell in zip(tasks, cells):
-        if isinstance(cell, CellFailure):
-            continue
         out[t][name] = cell["efficiency"]
     return out
 
@@ -247,14 +240,11 @@ def fig11_arq_sweep(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     log_every: int = 1,
-    supervise=None,
 ) -> Dict[int, float]:
     """Fig. 11: suite-average efficiency per ARQ entry count.
 
     Paper: 37.58 % -> 56.04 % from 8 to 256 entries with diminishing
-    returns (+22.11 / +15.72 / +5.53 % relative at 16/32/64).  Under a
-    supervised run, each entry count averages over its surviving cells;
-    an entry count whose cells all quarantined is omitted.
+    returns (+22.11 / +15.72 / +5.53 % relative at 16/32/64).
     """
     names = benchmark_names()
     tasks = [
@@ -263,15 +253,12 @@ def fig11_arq_sweep(
         for name in names
     ]
     cells = run_tasks(
-        _mac_cell, tasks, jobs=jobs, progress=progress, log_every=log_every,
-        supervise=supervise,
+        _mac_cell, tasks, jobs=jobs, progress=progress, log_every=log_every
     )
     acc: Dict[int, list] = {n: [] for n in entries}
     for (_name, _th, _ops, cfg), cell in zip(tasks, cells):
-        if isinstance(cell, CellFailure):
-            continue
         acc[dict(cfg)["arq_entries"]].append(cell["efficiency"])
-    return {n: statistics.mean(vals) for n, vals in acc.items() if vals}
+    return {n: statistics.mean(vals) for n, vals in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +272,6 @@ def fig12_bank_conflicts(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     log_every: int = 1,
-    supervise=None,
 ) -> Dict[str, Tuple[int, int]]:
     """Fig. 12: {benchmark: (conflicts without MAC, with MAC)}.
 
@@ -297,13 +283,11 @@ def fig12_bank_conflicts(
     names = benchmark_names()
     tasks = [(name, threads, ops_per_thread) for name in names]
     cells = run_tasks(
-        _compare_cell, tasks, jobs=jobs, progress=progress, log_every=log_every,
-        supervise=supervise,
+        _compare_cell, tasks, jobs=jobs, progress=progress, log_every=log_every
     )
     return {
         name: (cell["raw_conflicts"], cell["mac_conflicts"])
         for name, cell in zip(names, cells)
-        if not isinstance(cell, CellFailure)
     }
 
 
@@ -410,7 +394,6 @@ def fig17_speedup(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     log_every: int = 1,
-    supervise=None,
 ) -> Dict[str, Dict[str, float]]:
     """Fig. 17: per-benchmark memory-system latency reduction.
 
@@ -422,8 +405,7 @@ def fig17_speedup(
     names = benchmark_names()
     tasks = [(name, threads, ops_per_thread) for name in names]
     cells = run_tasks(
-        _compare_cell, tasks, jobs=jobs, progress=progress, log_every=log_every,
-        supervise=supervise,
+        _compare_cell, tasks, jobs=jobs, progress=progress, log_every=log_every
     )
     return {
         name: {
@@ -435,7 +417,6 @@ def fig17_speedup(
             ),
         }
         for name, cell in zip(names, cells)
-        if not isinstance(cell, CellFailure)
     }
 
 

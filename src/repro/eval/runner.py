@@ -10,11 +10,9 @@ packets at the builder's 0.5/cycle issue rate, section 4.4).
 
 from __future__ import annotations
 
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.direct import dispatch_raw
 from repro.core.config import MACConfig
@@ -42,20 +40,13 @@ DEFAULT_OPS_PER_THREAD = 3000
 DEFAULT_TRACE_CACHE_LIMIT = 32
 
 
-#: First bytes of a :meth:`TraceCache.save` snapshot.  Version 2 holds
-#: ``TraceRecord`` named tuples; version 1 (one pickled dict of
-#: frozen-dataclass records) is refused by the header check.
-_SNAPSHOT_HEADER = b"repro-trace-cache v2\n"
-
-
 class TraceCache:
-    """Explicit, clearable LRU cache for generated benchmark traces.
+    """Bounded, clearable LRU cache of generated benchmark traces.
 
-    Unlike the previous ``functools.lru_cache`` wrapper this cache can be
-    emptied mid-session (long sweep sessions no longer pin dozens of full
-    traces for the process lifetime) and warmed up front — each
-    pool worker in :mod:`repro.eval.parallel` carries its own instance
-    (inherited warm through ``fork`` or primed by the pool initializer),
+    It can be emptied mid-session (a long sweep session need not pin
+    dozens of full traces for the process lifetime) and warmed up front:
+    each pool worker in :mod:`repro.eval.parallel` holds its own copy,
+    inherited warm through ``fork`` or primed from ``run_tasks(warm=)``,
     so a trace is generated at most once per worker.
     """
 
@@ -96,40 +87,6 @@ class TraceCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    def save(self, path: Union[str, Path]) -> int:
-        """Persist the cached traces to ``path`` (atomic pickle).
-
-        The write goes through :func:`repro.ioutil.atomic_open`, so a
-        crash mid-save leaves any previous snapshot intact.  The pickle
-        follows a plain-bytes version header, so :meth:`load` rejects
-        another format before it unpickles any record.  Returns the
-        number of traces written.
-        """
-        from repro.ioutil import atomic_open
-
-        with atomic_open(path, "wb") as fh:
-            fh.write(_SNAPSHOT_HEADER)
-            pickle.dump(dict(self._data), fh)
-        return len(self._data)
-
-    def load(self, path: Union[str, Path]) -> int:
-        """Merge a :meth:`save` snapshot into this cache (LRU order kept).
-
-        Entries beyond ``maxsize`` are evicted oldest-first as usual.
-        Returns the number of traces loaded.  Raises ``ValueError`` on a
-        snapshot this version cannot read.
-        """
-        with open(path, "rb") as fh:
-            if fh.read(len(_SNAPSHOT_HEADER)) != _SNAPSHOT_HEADER:
-                raise ValueError(f"unrecognized trace-cache snapshot: {path}")
-            traces = pickle.load(fh)
-        for key, value in traces.items():
-            self._data[key] = value
-            self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-        return len(traces)
 
 
 #: Per-process trace cache (per *worker* under the parallel engine).

@@ -84,34 +84,6 @@ def _run_sweep_task(task: _SweepTask) -> SweepPoint:
     )
 
 
-def _encode_sweep_point(point: SweepPoint) -> Dict[str, Any]:
-    """SweepPoint -> JSON payload for the supervisor checkpoint journal."""
-    return {
-        "params": [[k, v] for k, v in point.params],
-        "workload": point.workload,
-        "efficiency": point.efficiency,
-        "packets": point.packets,
-        "bandwidth_efficiency": point.bandwidth_efficiency,
-        "avg_targets": point.avg_targets,
-    }
-
-
-def _decode_sweep_point(payload: Dict[str, Any]) -> SweepPoint:
-    """Inverse of :func:`_encode_sweep_point` (exact: JSON floats round-trip)."""
-    return SweepPoint(
-        params=tuple((k, v) for k, v in payload["params"]),
-        workload=payload["workload"],
-        efficiency=payload["efficiency"],
-        packets=payload["packets"],
-        bandwidth_efficiency=payload["bandwidth_efficiency"],
-        avg_targets=payload["avg_targets"],
-    )
-
-
-#: Codec for running sweeps under the supervisor's checkpoint journal.
-SWEEP_POINT_CODEC = (_encode_sweep_point, _decode_sweep_point)
-
-
 def sweep_grid(
     axes: Dict[str, Sequence[Any]],
     workloads: Sequence[str] = ("SG",),
@@ -123,18 +95,13 @@ def sweep_grid(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     log_every: int = 1,
-    supervise=None,
 ) -> List[SweepPoint]:
     """Run the full cartesian grid; returns one SweepPoint per cell.
 
     ``jobs`` > 1 distributes cells over a process pool; the returned list
     is bit-identical (same order, same values) to the serial run.
     ``progress(done, total)`` is invoked every ``log_every`` completed
-    cells when given.  ``supervise`` (a
-    :class:`repro.eval.supervisor.SupervisorConfig`) runs the grid under
-    the crash-resilient supervisor: quarantined cells come back as
-    :class:`repro.eval.supervisor.CellFailure` entries in the list, and
-    a checkpoint journal makes interrupted sweeps resumable.
+    cells when given.
     """
     if not axes:
         raise ValueError("need at least one sweep axis")
@@ -181,6 +148,4 @@ def sweep_grid(
         progress=progress,
         log_every=log_every,
         warm=warm,
-        supervise=supervise,
-        codec=SWEEP_POINT_CODEC,
     )

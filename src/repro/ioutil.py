@@ -2,7 +2,7 @@
 
 Every artifact the toolkit persists — ``BENCH_<name>.json`` bench
 records, ``repro run --metrics-out``/``--trace-out`` exports, ``repro
-analyze --report-out`` reports and trace-cache spills — goes through
+analyze --report-out`` reports — goes through
 these helpers, so a crash (or SIGKILL) mid-write can never leave a
 corrupt or truncated file behind: readers either see the complete
 previous version or the complete new one, never a torn intermediate.

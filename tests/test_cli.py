@@ -114,22 +114,37 @@ class TestCommands:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "flag,value,message",
+        "removed",
         [
-            ("--cell-timeout", "0", "cell_timeout must be > 0 seconds, got 0.0"),
-            ("--max-retries", "-1", "max_retries must be >= 0, got -1"),
+            ["--supervised"],
+            ["--resume"],
+            ["--checkpoint", "figs.ckpt.jsonl"],
+            ["--cell-timeout", "1"],
+            ["--max-retries", "1"],
         ],
     )
-    def test_figures_rejects_bad_resilience_knob(
-        self, tmp_path, capsys, flag, value, message
-    ):
-        ckpt = tmp_path / "figs.ckpt.jsonl"
-        argv = ["figures", "--fast", "--only", "fig11", "--checkpoint", str(ckpt)]
-        assert main(argv + [flag, value]) == 2
+    def test_figures_rejects_removed_resilience_flag(self, capsys, removed):
+        """The crash-resilient sweep layer is gone; its flags are usage errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--fast", "--only", "fig11", *removed])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert f"unrecognized arguments: {' '.join(removed)}" in captured.err
+        assert captured.out == ""  # rejected before any cell ran
+
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_figures_rejects_negative_jobs(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--fast", "--only", "fig11", "--jobs", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--jobs: must be >= 0, got {value}" in captured.err
         assert captured.out == ""
-        assert not ckpt.exists()  # rejected before any journal or cell
+
+    def test_figures_jobs_0_runs_on_all_cores(self, capsys):
+        assert main(["figures", "--fast", "--only", "fig11", "--jobs", "0"]) == 0
+        fig11 = FIGURES_FAST.read_text().splitlines()[1]
+        assert capsys.readouterr().out.splitlines()[0] == fig11
 
     def test_replay_policy_and_arq_flags(self, tmp_path, capsys):
         out = tmp_path / "t.trc"

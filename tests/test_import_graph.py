@@ -66,8 +66,7 @@ def test_runner_import_skips_the_sweep_and_node_layers():
         modules,
         [
             "repro.eval.experiments", "repro.eval.sweeps", "repro.eval.parallel",
-            "repro.eval.supervisor", "repro.node", "repro.cache", "repro.ddr",
-            "repro.hbm", "repro.isa",
+            "repro.node", "repro.cache", "repro.ddr", "repro.hbm", "repro.isa",
         ],
     )
 
