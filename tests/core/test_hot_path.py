@@ -9,8 +9,10 @@ geometry; every range and packet check must still raise.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.direct import dispatch_raw
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
+from repro.core.mac import coalesce_trace_fast
 from repro.core.packet import CoalescedRequest
 from repro.core.request import MemoryRequest, RequestType
 from repro.hmc.config import HMCConfig
@@ -66,6 +68,20 @@ class TestLocate:
             ValueError, match=r"exceeds 52-bit physical address space$"
         ):
             codec.locate(1 << 52, rtype)
+
+
+@pytest.mark.parametrize("name,mac,hmc", GEOMETRIES, ids=IDS)
+@pytest.mark.parametrize("engine", [coalesce_trace_fast, dispatch_raw])
+@pytest.mark.parametrize(
+    "rtype", [RequestType.LOAD, RequestType.STORE, RequestType.ATOMIC]
+)
+def test_engines_raise_the_range_error(name, mac, hmc, engine, rtype):
+    """The window engine and direct dispatch decode without ``locate`` for
+    some request types, but must raise the codec's exact range errors."""
+    with pytest.raises(ValueError, match=r"^negative address -0x40$"):
+        engine([MemoryRequest(addr=-64, rtype=rtype)], mac)
+    with pytest.raises(ValueError, match=r"exceeds 52-bit physical address space$"):
+        engine([MemoryRequest(addr=1 << 52, rtype=rtype)], mac)
 
 
 @pytest.mark.parametrize("name,mac,hmc", GEOMETRIES, ids=IDS)

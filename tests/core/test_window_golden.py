@@ -1,7 +1,8 @@
-"""Absolute golden digests for the window engine (``coalesce_trace_fast``).
+"""Absolute golden digests for the window engine (``coalesce_trace_fast``)
+and the direct dispatch comparator (``dispatch_raw``).
 
-Each case runs one trace through the window engine and hashes the
-packet stream (per packet: ``addr``, ``size``, ``rtype``, ``bypassed``
+Each case runs one trace through the window engine (the ``raw-<BENCH>``
+cases: through direct dispatch) and hashes the packet stream (per packet: ``addr``, ``size``, ``rtype``, ``bypassed``
 and ``(tid, tag, flit_id)`` of every satisfied request, in emission
 order; the FLIT id comes from the request's address) together with
 ``MACStats.snapshot()``.  The digests live in
@@ -22,10 +23,11 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.baselines.direct import dispatch_raw
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.flit_table import FlitTablePolicy
@@ -42,7 +44,10 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "window_engine.json"
 #: The ``figures --fast`` trace sizing.
 THREADS, OPS_PER_THREAD = 2, 500
 
-Case = Callable[[], Tuple[List[MemoryRequest], MACConfig, FlitTablePolicy]]
+#: ``policy`` ``None`` selects direct dispatch instead of the window engine.
+Case = Callable[
+    [], Tuple[List[MemoryRequest], MACConfig, Optional[FlitTablePolicy]]
+]
 
 
 def _bench(name: str, policy=FlitTablePolicy.SPAN, **cfg) -> Case:
@@ -88,12 +93,17 @@ for _name in ("SG", "IS"):
     CASES[f"{_name}-max64"] = _bench(_name, max_request_bytes=64)
 CASES["SG-row1024"] = _bench("SG", row_bytes=1024)
 CASES["synthetic-fence-atomic"] = _synthetic
+for _name in benchmark_names():
+    CASES[f"raw-{_name}"] = _bench(_name, None)
 
 
 def run_case(name: str):
     requests, cfg, policy = CASES[name]()
     stats = MACStats()
-    packets = coalesce_trace_fast(requests, cfg, policy, stats)
+    if policy is None:
+        packets = dispatch_raw(requests, cfg, stats)
+    else:
+        packets = coalesce_trace_fast(requests, cfg, policy, stats)
     return packets, stats, AddressCodec(cfg)
 
 
