@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.core.address import AddressCodec
+from repro.core.builder import bypass_packet
 from repro.core.config import MACConfig
 from repro.core.packet import CoalescedRequest
 from repro.core.request import MemoryRequest
@@ -23,23 +24,24 @@ def dispatch_raw(
     config: Optional[MACConfig] = None,
     stats: Optional[MACStats] = None,
 ) -> List[CoalescedRequest]:
-    """One FLIT-sized packet per raw request, no aggregation."""
+    """One FLIT-sized packet per raw request, no aggregation.
+
+    Each packet is the single-FLIT B-bit packet of
+    :func:`repro.core.builder.bypass_packet`, made after one range check
+    of the request's address.
+    """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
+    addr_limit, check = codec.addr_limit, codec.check
     st = stats if stats is not None else MACStats()
     out: List[CoalescedRequest] = []
     for req in requests:
         st.record_raw(req.rtype)
         if req.is_fence:
             continue
-        flit = codec.flit_id(req.addr)
-        pkt = CoalescedRequest(
-            addr=codec.row_base(req.addr) + flit * cfg.flit_bytes,
-            size=cfg.flit_bytes,
-            rtype=req.rtype,
-            requests=[req],
-            bypassed=True,
-        )
+        if not 0 <= req.addr < addr_limit:
+            check(req.addr)
+        pkt = bypass_packet([req], cfg)
         st.record_packet(pkt)
         out.append(pkt)
     return out

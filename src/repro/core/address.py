@@ -42,8 +42,6 @@ class AddressCodec:
     row_mask: int = field(init=False, repr=False, compare=False)
     #: Address bits below the FLIT id (4 for 16 B FLITs).
     flit_shift: int = field(init=False, repr=False, compare=False)
-    #: ``flit_bytes - 1``: the in-FLIT byte offset.
-    flit_mask: int = field(init=False, repr=False, compare=False)
     #: The T bit of a store's ARQ key, just above the row-number bits.
     store_bit: int = field(init=False, repr=False, compare=False)
     #: ``1 << phys_addr_bits``: first address outside the address space.
@@ -57,7 +55,6 @@ class AddressCodec:
             ("row_shift", row_shift),
             ("row_mask", cfg.row_bytes - 1),
             ("flit_shift", cfg.flit_offset_bits),
-            ("flit_mask", cfg.flit_bytes - 1),
             ("store_bit", 1 << key_row_bits),
             ("addr_limit", 1 << cfg.phys_addr_bits),
         ):
@@ -72,7 +69,7 @@ class AddressCodec:
         coalesce, get key ``-1``.  Fences carry no address and raise.
         """
         if not 0 <= addr < self.addr_limit:
-            self._check(addr)
+            self.check(addr)
         flit = (addr & self.row_mask) >> self.flit_shift
         if rtype is RequestType.LOAD:
             return addr >> self.row_shift, flit
@@ -86,41 +83,18 @@ class AddressCodec:
 
     def row_number(self, addr: int) -> int:
         """DRAM row index of ``addr`` (address >> row_offset_bits)."""
-        self._check(addr)
+        self.check(addr)
         return addr >> self.row_shift
-
-    def row_offset(self, addr: int) -> int:
-        """Byte offset of ``addr`` inside its DRAM row."""
-        self._check(addr)
-        return addr & self.row_mask
 
     def flit_id(self, addr: int) -> int:
         """FLIT index (0..15 for 256 B rows) of ``addr`` inside its row."""
-        self._check(addr)
+        self.check(addr)
         return (addr & self.row_mask) >> self.flit_shift
-
-    def flit_offset(self, addr: int) -> int:
-        """Byte offset of ``addr`` inside its FLIT (bits 0..3)."""
-        self._check(addr)
-        return addr & self.flit_mask
 
     def row_base(self, addr: int) -> int:
         """Byte address of the first byte of the row containing ``addr``."""
-        self._check(addr)
+        self.check(addr)
         return addr & ~self.row_mask
-
-    # -- composition ------------------------------------------------------
-
-    def compose(self, row: int, flit: int = 0, offset: int = 0) -> int:
-        """Build a physical address from (row number, flit id, byte offset)."""
-        cfg = self.config
-        if not 0 <= flit < cfg.flits_per_row:
-            raise ValueError(f"flit id {flit} out of range")
-        if not 0 <= offset < cfg.flit_bytes:
-            raise ValueError(f"flit offset {offset} out of range")
-        addr = (row << self.row_shift) | (flit << self.flit_shift) | offset
-        self._check(addr)
-        return addr
 
     # -- ARQ comparator key ------------------------------------------------
 
@@ -135,17 +109,14 @@ class AddressCodec:
             raise ValueError("only loads/stores carry an ARQ key")
         return self.locate(request.addr, request.rtype)[0]
 
-    def key_row(self, key: int) -> int:
-        """Recover the row number from an ARQ key."""
-        return key & (self.store_bit - 1)
+    # -- range check -------------------------------------------------------
 
-    def key_type(self, key: int) -> RequestType:
-        """Recover the request type (load/store) from an ARQ key."""
-        return RequestType.STORE if key & self.store_bit else RequestType.LOAD
+    def check(self, addr: int) -> None:
+        """Raise ``ValueError`` unless ``addr`` is in the address space.
 
-    # -- helpers -----------------------------------------------------------
-
-    def _check(self, addr: int) -> None:
+        The one range error of every decode; hot loops that decode inline
+        test ``0 <= addr < addr_limit`` first and call this only to raise.
+        """
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
         if addr >= self.addr_limit:

@@ -13,6 +13,8 @@ Two engines are provided (DESIGN.md section 6):
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..obs.attribution import StallCause
@@ -21,9 +23,9 @@ from ..obs.observers import NO_OBSERVERS, Observers
 from ..sim import ClockedModel
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
-from .builder import RequestBuilder, bypass_packet, emit_row
+from .builder import RequestBuilder, emit_row
 from .config import MACConfig
-from .flit_table import FlitTablePolicy, group_or
+from .flit_table import FlitTablePolicy, Segments, group_or
 from .packet import CoalescedRequest, CoalescedResponse
 from .request import MemoryRequest, RequestType
 from .router import RequestRouter, ResponseRouter
@@ -408,12 +410,19 @@ def coalesce_trace_fast(
     paper evaluates (input rate > 2x drain rate, Fig. 9), and is orders of
     magnitude faster for million-request sweeps.
 
-    Each open row is a plain slot ``[bits, requests]``: the FLIT map as
-    an int plus the row's merged requests (their TID, tag and address
-    FLIT id are the row's targets), held in an insertion-ordered dict
-    whose first key is the oldest row.  A closed row goes through
-    :func:`repro.core.builder.emit_row`, the same routine the pipelined
-    builder uses.
+    Each open row is the list of its merged requests (their TID, tag and
+    address FLIT id are the row's targets), held in an insertion-ordered
+    dict by ARQ key, whose first key is the oldest row.  Requests are
+    decoded inline from the codec's shifts and masks, with the codec's
+    own range check (:meth:`AddressCodec.check`, the error
+    :meth:`AddressCodec.locate` raises) for an address outside the
+    address space.  A closed row of one request is the B-bit packet
+    :func:`repro.core.builder.bypass_packet` builds, made in place.  Any
+    other row ORs its FLIT map from its requests' addresses and goes
+    through :func:`repro.core.builder.emit_row`, the routine the
+    pipelined builder uses, with the FLIT table's plan memoized per FLIT
+    map for the call.  The packet counters are read off the emitted
+    packets once, in emission order.
 
     Returns the emitted packets in eviction order and fills the same
     :class:`MACStats` fields as the cycle engine, under steady-state
@@ -425,82 +434,86 @@ def coalesce_trace_fast(
     codec = AddressCodec(cfg)
     builder = RequestBuilder(cfg, codec, policy)
     st = stats if stats is not None else MACStats()
-    locate = codec.locate
+    row_shift, row_mask, flit_shift = codec.row_shift, codec.row_mask, codec.flit_shift
+    store_bit, addr_limit, check = codec.store_bit, codec.addr_limit, codec.check
     masks = builder.group_masks
     row_segments = builder.segments
+    #: FLIT map -> the FLIT table's plan for its group pattern.
+    plans: Dict[int, Segments] = {}
     fb = cfg.flit_bytes
+    flit_align = -fb
     cap = cfg.target_capacity
     arq_entries = cfg.arq_entries
     LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
     window: Dict[int, list] = {}
     out: List[CoalescedRequest] = []
-    sizes = st.packet_sizes
-    per_packet = st.targets_per_packet
-    bypassed = built_payload = built_requests = 0
+    emit = out.append
 
-    def close(key: int, slot: list) -> None:
-        """Emit one closed row (``key`` -1: an atomic) and count it."""
-        nonlocal bypassed, built_payload, built_requests
-        bits, requests = slot
-        if len(requests) == 1:
+    def close(key: int, rows: list) -> None:
+        """Emit one closed row."""
+        if len(rows) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
-            out.append(bypass_packet(requests, cfg))
-            sizes[fb] = sizes.get(fb, 0) + 1
-            per_packet.append(1)
-            bypassed += 1
+            first = rows[0]
+            emit(CoalescedRequest(first.addr & flit_align, fb, first.rtype, rows, True))
             return
-        for pkt in emit_row(codec, key, row_segments[group_or(bits, masks)], requests):
-            out.append(pkt)
-            size = pkt.size
-            sizes[size] = sizes.get(size, 0) + 1
-            n = len(pkt.requests)
-            per_packet.append(n)
-            built_payload += size
-            built_requests += n
+        bits = 0
+        for r in rows:
+            bits |= 1 << ((r.addr & row_mask) >> flit_shift)
+        plan = plans.get(bits)
+        if plan is None:
+            plan = plans[bits] = row_segments[group_or(bits, masks)]
+        out.extend(emit_row(codec, key, plan, rows))
 
     loads = stores = fences = atomics = 0
     for req in requests:
         rtype = req.rtype
-        if rtype is LOAD:
-            loads += 1
-        elif rtype is STORE:
-            stores += 1
-        elif rtype is FENCE:
+        if rtype is FENCE:
             fences += 1
-            for key, slot in window.items():
-                close(key, slot)
+            for key, rows in window.items():
+                close(key, rows)
             window.clear()
             continue
+        addr = req.addr
+        if not 0 <= addr < addr_limit:
+            check(addr)
+        if rtype is LOAD:
+            loads += 1
+            key = addr >> row_shift
+        elif rtype is STORE:
+            stores += 1
+            key = store_bit | (addr >> row_shift)
         else:
             atomics += 1
-            _, flit = locate(req.addr, rtype)
-            close(-1, [1 << flit, [req]])
+            close(-1, [req])
             continue
-        key, flit = locate(req.addr, rtype)
-        slot = window.get(key)
-        if slot is not None:
-            merged = slot[1]
-            if len(merged) < cap:
-                slot[0] |= 1 << flit
-                merged.append(req)
+        rows = window.get(key)
+        if rows is not None:
+            if len(rows) < cap:
+                rows.append(req)
                 continue
             # Capacity-full entry: close it and start a fresh one.
             del window[key]
-            close(key, slot)
+            close(key, rows)
         elif len(window) >= arq_entries:
             oldest = next(iter(window))
             close(oldest, window.pop(oldest))
-        window[key] = [1 << flit, [req]]
-    for key, slot in window.items():
-        close(key, slot)
+        window[key] = [req]
+    for key, rows in window.items():
+        close(key, rows)
 
+    emitted_sizes = Counter(map(attrgetter("size"), out))
+    sizes = st.packet_sizes
+    for size, n in emitted_sizes.items():
+        sizes[size] = sizes.get(size, 0) + n
+    per_packet = list(map(len, map(attrgetter("requests"), out)))
+    st.targets_per_packet += per_packet
     st.raw_loads += loads
     st.raw_stores += stores
     st.raw_fences += fences
     st.raw_atomics += atomics
     st.raw_requests += loads + stores + fences + atomics
     st.coalesced_packets += len(out)
-    st.bypassed_packets += bypassed
-    st.merged_requests += bypassed + built_requests
-    st.payload_bytes += bypassed * fb + built_payload
+    st.bypassed_packets += sum(map(attrgetter("bypassed"), out))
+    st.merged_requests += sum(per_packet)
+    st.payload_bytes += sum(size * n for size, n in emitted_sizes.items())
     return out

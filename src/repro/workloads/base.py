@@ -136,13 +136,18 @@ class Workload(abc.ABC):
         rpc = max(self.profile.rpc(cores=threads), 1e-6)
         out: List[TraceRecord] = []
         append = out.append
+        issuers = [(tid, tid % 8) for tid in range(threads)]
+        # A record is built straight from its field tuple: TraceRecord's
+        # keyword-capable __new__ is a Python call per record.
+        record = tuple.__new__
         k = 0
         # Round r takes the r-th op of every thread that still has one.
         for round_ops in zip_longest(*ops):
-            for tid, op in enumerate(round_ops):
+            for (tid, core), op in zip(issuers, round_ops):
                 if op is not None:
                     addr, rtype, size = op
-                    append(TraceRecord(rtype, addr, size, tid, tid % 8, int(k / rpc)))
+                    cycle = int(k / rpc)
+                    append(record(TraceRecord, (rtype, addr, size, tid, core, cycle)))
                     k += 1
         return out
 

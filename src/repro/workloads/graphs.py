@@ -122,17 +122,18 @@ def rmat_edges(
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
     ab = a + b
-    for bit in range(scale):
+    # P(dst bit | src bit set): quadrant c's share of the bottom half.
+    c_given_src = c / (1 - ab)
+    for _ in range(scale):
         r = rng.random(m)
         r2 = rng.random(m)
-        # Within top half: bit of src set for quadrants b? Standard RMAT:
-        # a=00, b=01, c=10, d=11 over (src_bit, dst_bit).
-        src_bit = (r >= ab).astype(np.int64)
-        dst_bit = np.where(
-            src_bit == 0, (r >= a).astype(np.int64), (r2 >= c / (1 - ab)).astype(np.int64)
-        )
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        # Standard R-MAT: a=00, b=01, c=10, d=11 over (src_bit, dst_bit).
+        src_bit = r >= ab
+        dst_bit = np.where(src_bit, r2 >= c_given_src, r >= a)
+        src <<= 1
+        src |= src_bit
+        dst <<= 1
+        dst |= dst_bit
     edges = np.stack([src, dst], axis=1)
     # Permute vertex labels to avoid degree-locality artifacts of the
     # Kronecker construction (Graph500 does the same).
@@ -146,8 +147,10 @@ def edges_to_csr(edges: np.ndarray, n: int) -> CSRGraph:
 
     src = edges[:, 0]
     dst = edges[:, 1]
-    order = np.argsort(src, kind="stable")
-    sorted_dst = dst[order].astype(np.int64)
+    # A stable order is unique, so sorting the narrowest dtype that holds
+    # every vertex id (radix sort for 16 bits and under) gives the same CSR.
+    order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
+    sorted_dst = dst[order].astype(np.int64, copy=False)
     counts = np.bincount(src, minlength=n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])

@@ -76,8 +76,8 @@ class TestLocate:
     "rtype", [RequestType.LOAD, RequestType.STORE, RequestType.ATOMIC]
 )
 def test_engines_raise_the_range_error(name, mac, hmc, engine, rtype):
-    """The window engine and direct dispatch decode without ``locate`` for
-    some request types, but must raise the codec's exact range errors."""
+    """The window engine and direct dispatch range-check inline, without
+    ``locate``, but must raise the codec's exact range errors."""
     with pytest.raises(ValueError, match=r"^negative address -0x40$"):
         engine([MemoryRequest(addr=-64, rtype=rtype)], mac)
     with pytest.raises(ValueError, match=r"exceeds 52-bit physical address space$"):

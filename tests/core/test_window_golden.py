@@ -2,9 +2,10 @@
 and the direct dispatch comparator (``dispatch_raw``).
 
 Each case runs one trace through the window engine (the ``raw-<BENCH>``
-cases: through direct dispatch) and hashes the packet stream (per packet: ``addr``, ``size``, ``rtype``, ``bypassed``
-and ``(tid, tag, flit_id)`` of every satisfied request, in emission
-order; the FLIT id comes from the request's address) together with
+cases: through direct dispatch) and hashes the packet stream (per
+packet: ``addr``, ``size``, ``rtype``, ``bypassed`` and ``(tid, tag,
+flit_id)`` of every satisfied request, in emission order; the FLIT id
+comes from the request's address) together with
 ``MACStats.snapshot()``.  The digests live in
 ``tests/golden/window_engine.json``; relative tests (window vs cycle
 engine) cannot catch both sides drifting together, these can.
