@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..obs.attribution import StallCause
 from ..obs.metrics import MetricsRegistry
 from ..obs.observers import NO_OBSERVERS, Observers
-from ..sim import ClockedModel
+from ..sim import ClockedModel, get_engine
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
 from .builder import RequestBuilder, emit_row
@@ -72,6 +72,12 @@ class MAC(ClockedModel):
         # Bound once for the per-cycle ARQ-full check in :meth:`tick`.
         self._arq_queue = self.aggregator.arq._entries
         self._arq_entries = self.config.arq_entries
+        # The input FIFO's deque, read directly by the feed in :meth:`tick`.
+        local = self.request_router.local_queue
+        self._local_q, self._local_cap = local._q, local.capacity
+        # :meth:`process`'s trace iterator and its next unsubmitted request.
+        self._feed: Iterator[MemoryRequest] = iter(())
+        self._pending: Optional[MemoryRequest] = None
 
     # -- stats wiring -------------------------------------------------------
 
@@ -162,7 +168,8 @@ class MAC(ClockedModel):
 
     @property
     def cycle(self) -> int:
-        return self.aggregator.cycle
+        # Read by the engine every iteration: skip the aggregator's property.
+        return self.aggregator._cycle
 
     def idle(self) -> bool:
         return (
@@ -172,18 +179,21 @@ class MAC(ClockedModel):
         )
 
     def done(self) -> bool:
-        """Kernel-facing completion predicate: nothing left to drain."""
-        return self.idle()
+        """Kernel-facing completion predicate: fed and drained."""
+        return self._pending is None and self.idle()
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Earliest cycle >= ``now`` at which a tick changes the MAC.
 
-        A request in an input queue enters the ARQ on the next tick
-        while the ARQ has a free entry (``now``).  With every entry
-        taken it waits for a pop, which the aggregator's wake covers,
-        as do the builder emit or transfer and the next pop slot
-        (``None`` when drained).
+        A pending :meth:`process` request enters the input queue on the
+        next tick while the queue has room (``now``).  A request in an
+        input queue enters the ARQ on the next tick while the ARQ has a
+        free entry (``now``).  With every entry taken it waits for a
+        pop, which the aggregator's wake covers, as do the builder emit
+        or transfer and the next pop slot (``None`` when drained).
         """
+        if self._pending is not None and len(self._local_q) < self._local_cap:
+            return now
         rr = self.request_router
         if rr.local_queue._q or rr.remote_queue._q:
             if len(self._arq_queue) < self._arq_entries:
@@ -211,7 +221,20 @@ class MAC(ClockedModel):
             self.attrib.stall_span("arq", cause, begin, end)
 
     def tick(self) -> List[CoalescedRequest]:
-        """Advance one cycle; returns packets dispatched to the device."""
+        """Advance one cycle; returns packets dispatched to the device.
+
+        While :meth:`process` holds a pending request, the cycle first
+        offers requests until the input queue is full or :meth:`submit`
+        refuses one (the router's back-pressure, section 4.4).
+        """
+        pending = self._pending
+        if pending is not None:
+            local_q, cap, feed = self._local_q, self._local_cap, self._feed
+            while len(local_q) < cap and self.submit(pending):
+                pending = next(feed, None)
+                if pending is None:
+                    break
+            self._pending = pending
         incoming = None
         if len(self._arq_queue) < self._arq_entries:
             incoming = self.request_router.next_for_mac()
@@ -225,12 +248,12 @@ class MAC(ClockedModel):
     ) -> List[CoalescedRequest]:
         """Clock until all buffered requests have been emitted.
 
-        The max-cycles guard is *relative*: it budgets the cycles spent
-        draining in this call, not the absolute cycle counter (the MAC
-        may have been ticking long before ``run`` is called).
+        The max-cycles guard budgets the cycles spent in this call, not
+        the absolute cycle counter (the MAC may have been ticking long
+        before ``run`` is called).
         """
         out: List[CoalescedRequest] = []
-        self._run_loop(max_cycles, engine=engine, on_tick=out.extend, relative=True)
+        get_engine(engine).run(self, max_cycles, on_tick=out.extend)
         return out
 
     def process(
@@ -241,49 +264,15 @@ class MAC(ClockedModel):
     ) -> List[CoalescedRequest]:
         """Feed a whole trace with backpressure, then drain.
 
-        Offers the next raw request whenever the input queue has room
-        (otherwise the MAC keeps ticking until space frees up), so no
-        request is dropped.  This is the standard way to coalesce a
-        pre-recorded trace with the cycle engine.
+        One engine run covers both: each :meth:`tick` first offers the
+        next raw requests while the input queue has room, so no request
+        is dropped, and the run ends once the trace is fed and drained.
+        ``max_cycles`` budgets the whole run.  This is the standard way
+        to coalesce a pre-recorded trace with the cycle engine.
         """
-        from ..sim import get_engine
-        from ..sim.watchdog import NULL_WATCHDOG
-
-        eng = get_engine(engine)
-        # The drain phase runs under the engine's watchdog; the manual
-        # backpressure feed loop here must be observed by the same one so
-        # a MAC that stops accepting *and* stops draining is caught too.
-        wd = getattr(eng, "watchdog", NULL_WATCHDOG)
-        if wd.enabled:
-            wd.reset()
-        # Same for the timeline/profiler: binding here makes the engine's
-        # own bind in the drain run() a no-op, so feed-phase epochs and
-        # rate baselines survive into the drain phase.
-        obs = self.obs
-        hooked = obs.hooked
-        if hooked:
-            obs.run_started(self)
-        out: List[CoalescedRequest] = []
-        cycles = 0
-        # The input FIFO's deque, read directly: one len() per iteration.
-        local = self.request_router.local_queue
-        local_q, local_cap = local._q, local.capacity
-        it = iter(requests)
-        pending: Optional[MemoryRequest] = next(it, None)
-        while pending is not None:
-            if len(local_q) < local_cap and self.submit(pending):
-                pending = next(it, None)
-            else:
-                out.extend(self.tick())
-                if hooked:
-                    obs.after_tick(self.cycle)
-                if wd.enabled:
-                    wd.observe(self)
-                cycles += 1
-                if cycles > max_cycles:
-                    raise RuntimeError("MAC made no progress within max_cycles")
-        out.extend(self.run(max_cycles, engine=eng))
-        return out
+        self._feed = iter(requests)
+        self._pending = next(self._feed, None)
+        return self.run(max_cycles, engine=engine)
 
     # -- robustness introspection (see repro.sim.watchdog) -------------------
 

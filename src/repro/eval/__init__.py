@@ -7,7 +7,7 @@ __getattr__, __dir__ = lazy_exports(
     area=("AreaReport", "arq_bytes", "builder_bytes", "mac_area"),
     parallel=("print_progress", "resolve_jobs", "run_tasks"),
     metrics=(
-        "HMC_REQUEST_SIZES", "bandwidth_efficiency", "coalescing_efficiency",
+        "HMC_REQUEST_SIZES", "bandwidth_efficiency",
         "control_overhead_fraction", "requests_per_cycle", "speedup",
     ),
     report=("format_table", "human_bytes", "pct"),
@@ -36,7 +36,6 @@ __all__ = [
     "bandwidth_efficiency",
     "builder_bytes",
     "cached_trace",
-    "coalescing_efficiency",
     "compare_policies",
     "control_overhead_fraction",
     "dispatch",

@@ -3,8 +3,6 @@
 Every number reported in section 5.3 derives from these definitions:
 
 * :func:`bandwidth_efficiency` — Eq. 1 (Fig. 3, Fig. 13);
-* :func:`coalescing_efficiency` — Eq. 3 under the reduction-fraction
-  reading (Figs. 10/11; see DESIGN.md section 3);
 * :func:`requests_per_cycle` — Eq. 2 (Fig. 9);
 * :func:`speedup` — Fig. 17's latency reduction.
 """
@@ -35,17 +33,6 @@ def bandwidth_efficiency(request_bytes: int, overhead_bytes: int = CONTROL_BYTES
 def control_overhead_fraction(request_bytes: int, overhead_bytes: int = CONTROL_BYTES_PER_ACCESS) -> float:
     """1 - Eq. 1: the control fraction plotted in Fig. 3."""
     return 1.0 - bandwidth_efficiency(request_bytes, overhead_bytes)
-
-
-def coalescing_efficiency(raw_requests: int, coalesced_requests: int) -> float:
-    """Eq. 3 (reduction reading): fraction of raw requests eliminated."""
-    if raw_requests < 0 or coalesced_requests < 0:
-        raise ValueError("counts must be non-negative")
-    if coalesced_requests > raw_requests:
-        raise ValueError("cannot emit more packets than raw requests")
-    if raw_requests == 0:
-        return 0.0
-    return 1.0 - coalesced_requests / raw_requests
 
 
 def requests_per_cycle(

@@ -49,9 +49,6 @@ class SweepPoint:
     bandwidth_efficiency: float
     avg_targets: float
 
-    def param(self, name: str) -> Any:
-        return dict(self.params)[name]
-
 
 @dataclasses.dataclass(frozen=True)
 class _SweepTask:

@@ -73,10 +73,6 @@ class FaultInjector:
         """Arm ``model`` for exactly one cycle (inject-at-cycle-N)."""
         return self.schedule(_rewindow(model, Window.at(cycle)))
 
-    def schedule_window(self, start: int, end: int, model) -> "FaultInjector":
-        """Arm ``model`` over the cycle window ``[start, end)``."""
-        return self.schedule(_rewindow(model, Window(start, end)))
-
     # -- link data path ------------------------------------------------------
 
     def flit_corrupted(self, link: int, cycle: int, nflits: int, site: str) -> bool:

@@ -151,10 +151,6 @@ class HMCConfig:
         """In-bank row index (above vault+bank bits)."""
         return addr >> (self.row_offset_bits + self.vault_bits + self.bank_bits)
 
-    def global_row_of(self, addr: int) -> int:
-        """Device-wide row number (the MAC's coalescing unit)."""
-        return addr >> self.row_offset_bits
-
     def data_flits(self, size: int) -> int:
         """Payload FLITs for a request of ``size`` bytes."""
         if size < 1:

@@ -25,7 +25,7 @@ from repro.obs.attribution import StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel
+from repro.sim import ClockedModel, get_engine
 
 from .core import InOrderCore
 from .spm import ScratchpadMemory
@@ -634,7 +634,7 @@ class Node(ClockedModel):
         ``engine`` selects the simulation engine (name or instance, see
         :mod:`repro.sim`); the default is the skip engine.
         """
-        self._run_loop(max_cycles, engine=engine)
+        get_engine(engine).run(self, max_cycles)
         self._sync_cores()
         st = self.stats
         st.cycles = self._cycle

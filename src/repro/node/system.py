@@ -21,7 +21,7 @@ from repro.obs.attribution import NodeAttribution, StallCause
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.obs.protocol import StatsMixin
-from repro.sim import ClockedModel
+from repro.sim import ClockedModel, get_engine
 
 from .interconnect import Interconnect
 from .node import Node
@@ -331,7 +331,7 @@ class NUMASystem(ClockedModel):
                 f"shards={shards}: sharded NUMA runs were removed; "
                 "a mesh always runs serially"
             )
-        self._run_loop(max_cycles, engine=engine)
+        get_engine(engine).run(self, max_cycles)
         self._settle()
         st = self.stats
         st.cycles = self._cycle

@@ -181,10 +181,9 @@ class Timeline:
     def bind(self, model: Any) -> None:
         """Install ``model.timeline_probes()``; idempotent per model.
 
-        Called by the engines at the start of each driving loop.
-        Re-binding the same model (e.g. ``MAC.process``'s feed loop
-        followed by its drain ``run``) is a no-op, preserving rate
-        baselines mid-run.
+        Called by the engines at the start of each run.  Re-binding the
+        same model (a second ``run`` of a model already driven once) is
+        a no-op, so rate baselines carry over from the earlier run.
         """
         key = id(model)
         if self._bound == key:

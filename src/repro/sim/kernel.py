@@ -40,8 +40,9 @@ from .watchdog import default_watchdog
 class ClockedModel:
     """Base class for top-level simulations (MAC, Node, NUMASystem).
 
-    Owns the cycle counter and the run loop; subclasses implement
-    ``done()`` and ``tick()``.  A model driven by :class:`SkipEngine`
+    Owns the cycle counter; subclasses implement ``done()`` and
+    ``tick()``, and their ``run`` hands the model to an engine's
+    :meth:`SkipEngine.run`.  A model driven by :class:`SkipEngine`
     (or probed by the watchdog's hang check) must also implement
     ``next_event_cycle`` and ``skip_to``: there is no default wake, so a
     model that forgot one fails on its first probe instead of silently
@@ -104,26 +105,6 @@ class ClockedModel:
             "implement skip_to"
         )
 
-    # -- run loop ------------------------------------------------------------
-
-    def _run_loop(
-        self,
-        max_cycles: int,
-        engine=None,
-        on_tick: Optional[Callable[[list], None]] = None,
-        relative: bool = False,
-    ) -> int:
-        """Drive this model with ``engine`` until ``done()``.
-
-        ``on_tick`` receives any non-empty value returned by ``tick()``
-        (the MAC emits packets from its tick).  With ``relative`` the
-        max-cycles budget counts from the current cycle instead of zero —
-        the MAC's historical drain guard.
-        """
-        return get_engine(engine).run(
-            self, max_cycles, on_tick=on_tick, relative=relative
-        )
-
 
 class SkipEngine:
     """Event-wheel scheduler: fast-forwards through quiescent spans.
@@ -150,9 +131,14 @@ class SkipEngine:
         sim: ClockedModel,
         max_cycles: int,
         on_tick: Optional[Callable[[list], None]] = None,
-        relative: bool = False,
     ) -> int:
-        start = sim.cycle if relative else 0
+        """Drive ``sim`` until ``done()``; returns the final cycle.
+
+        ``on_tick`` receives any non-empty value returned by ``tick()``
+        (the MAC emits packets from its tick).  The max-cycles budget
+        counts from the cycle the run starts at.
+        """
+        start = sim.cycle
         limit = start + max_cycles
         skipping = self.skipping
         wd = self.watchdog

@@ -84,6 +84,31 @@ class TestCycleEngine:
         assert len(pkts) == 2
 
 
+class TestFeedPhase:
+    """``process`` feeds the trace from ``tick``: one engine run covers
+    the feed and the drain."""
+
+    @pytest.mark.parametrize("engine", ["lockstep", "skip"])
+    def test_one_budget_covers_the_feed(self, engine):
+        mac = MAC()
+        with pytest.raises(
+            RuntimeError, match="MAC failed to drain within max_cycles"
+        ):
+            mac.process(random_trace(500, 60, seed=3), max_cycles=10, engine=engine)
+        assert mac._pending is not None  # still feeding
+        assert mac.cycle == 11
+
+    def test_profiled_run_accounts_for_every_cycle(self):
+        from repro.obs import SimProfiler
+
+        mac = MAC()
+        prof = mac.profiler = SimProfiler()
+        mac.process(random_trace(2000, 60, seed=5))
+        assert prof.engine == "skip"
+        assert prof.skips > 0
+        assert prof.ticks + prof.skipped_cycles == prof.final_cycle == mac.cycle
+
+
 class TestWindowEngine:
     def test_conservation(self):
         trace = random_trace(2000, 80, seed=2, fence_frac=0.01)

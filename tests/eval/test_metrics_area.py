@@ -43,24 +43,6 @@ class TestEq2RPC:
             metrics.requests_per_cycle(1, 0.5, 0, 0.5)
 
 
-class TestEq3CoalescingEfficiency:
-    def test_reduction_reading(self):
-        assert metrics.coalescing_efficiency(100, 47) == pytest.approx(0.53)
-
-    def test_bounds(self):
-        assert metrics.coalescing_efficiency(0, 0) == 0.0
-        assert metrics.coalescing_efficiency(10, 10) == 0.0
-        with pytest.raises(ValueError):
-            metrics.coalescing_efficiency(5, 6)
-        with pytest.raises(ValueError):
-            metrics.coalescing_efficiency(-1, 0)
-
-    @given(raw=st.integers(1, 10_000))
-    def test_range(self, raw):
-        # N raw requests can shrink to at most 1 packet.
-        assert 0 <= metrics.coalescing_efficiency(raw, max(raw // 2, 1)) <= 1 - 1 / raw
-
-
 class TestSpeedup:
     def test_definition(self):
         assert metrics.speedup(100, 40) == pytest.approx(0.6)

@@ -25,7 +25,7 @@ class TestSweepGrid:
         pts = sweep_grid(
             {"arq_entries": [4, 64]}, workloads=("MG",), ops_per_thread=400
         )
-        by_entries = {p.param("arq_entries"): p.efficiency for p in pts}
+        by_entries = {dict(p.params)["arq_entries"]: p.efficiency for p in pts}
         assert by_entries[64] >= by_entries[4]
 
     def test_row_bytes_axis_adjusts_max_request(self):

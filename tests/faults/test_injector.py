@@ -173,13 +173,6 @@ class TestScheduleAPI:
         assert inj.flit_corrupted(0, 1000, 4, "s")
         assert not inj.flit_corrupted(0, 1001, 4, "s")
 
-    def test_schedule_window(self):
-        inj = FaultInjector()
-        inj.schedule_window(100, 200, AckError(rate=0.999999))
-        assert not inj.ack_corrupted(0, 99, "s")
-        assert inj.ack_corrupted(0, 150, "s")
-        assert not inj.ack_corrupted(0, 200, "s")
-
     def test_schedule_at_link_failure_uses_start(self):
         inj = FaultInjector()
         inj.schedule_at(4096, LinkFailure(link=1))

@@ -72,9 +72,6 @@ class TestAddressMapping:
         vaults = {PAPER_HMC.vault_of(i * 8192) for i in range(64)}
         assert len(vaults) > 8
 
-    def test_global_row(self):
-        assert PAPER_HMC.global_row_of(0x1234_00) == 0x1234
-
 
 class TestFlitArithmetic:
     def test_data_flits(self):

@@ -69,7 +69,7 @@ class Stuck(ClockedModel):
 class TestEngines:
     def test_lockstep_ticks_every_cycle(self):
         sim = Pulse([3, 7, 20])
-        sim._run_loop(100, engine="lockstep")
+        get_engine("lockstep").run(sim, 100)
         assert sim.fired == [3, 7, 20]
         assert sim.cycle == 21
         assert sim.ticks == 21  # one tick per cycle, no skipping
@@ -77,7 +77,7 @@ class TestEngines:
 
     def test_default_run_loop_skips(self):
         sim = Pulse([3, 7, 20])
-        sim._run_loop(100)
+        get_engine(None).run(sim, 100)
         assert sim.fired == [3, 7, 20]
         assert sim.cycle == 21
         assert sim.ticks == 4
@@ -132,8 +132,8 @@ class TestEngines:
         sim = Pulse([3, 7])
         LockstepEngine().run(sim, max_cycles=100)
         sim.events = [sim.cycle + 5]
-        # Absolute budget of 5 would be long blown; relative is fine.
-        LockstepEngine().run(sim, max_cycles=50, relative=True)
+        # The budget counts from cycle 8: an absolute one would end at 6.
+        LockstepEngine().run(sim, max_cycles=6)
         assert sim.fired[-1] == 8 + 5
 
 

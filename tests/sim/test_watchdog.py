@@ -229,3 +229,24 @@ def test_mac_process_respects_engine_watchdog():
     out = watched.process(list(reqs), engine=engine)
     assert len(out) == len(base)
     assert [p.addr for p in out] == [p.addr for p in base]
+
+
+@pytest.mark.parametrize("engine_cls", [LockstepEngine, SkipEngine])
+def test_mac_wedged_in_the_feed_phase_raises_hang(engine_cls):
+    """A MAC that neither accepts nor drains while ``process`` still
+    feeds it is caught by the engine's watchdog."""
+    from repro.core.mac import MAC
+
+    mac = MAC()
+    mac._arq_entries = 0  # the router never hands the ARQ a request
+    reqs = [
+        MemoryRequest(addr=i << 8, rtype=RequestType.LOAD, tag=i)
+        for i in range(200)
+    ]
+    engine = engine_cls(watchdog=Watchdog(stall_cycles=500, check_interval=1))
+    with pytest.raises(SimulationHang) as exc:
+        mac.process(reqs, engine=engine)
+    assert exc.value.stalled_cycles >= 500
+    assert exc.value.snapshot["local_queue"] == 64
+    assert exc.value.snapshot["arq_occupancy"] == 0
+    assert mac._pending is not None  # still feeding
