@@ -12,9 +12,9 @@ miss itself".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Union
 
-from repro.trace.record import TraceRecord
+from repro.trace.record import PackedTrace, TraceRecord
 from repro.core.request import RequestType
 from repro.obs.protocol import StatsMixin
 
@@ -75,9 +75,12 @@ class CacheHierarchy:
         self.stats.llc_misses += 1
         return False
 
-    def run_trace(self, records: Iterable[TraceRecord]) -> HierarchyStats:
+    def run_trace(
+        self, records: Union[Iterable[TraceRecord], PackedTrace]
+    ) -> HierarchyStats:
         """Replay every load/store of a trace through the hierarchy."""
-        for rec in records:
-            if rec.op in (RequestType.LOAD, RequestType.STORE):
-                self.access(rec.core, rec.addr)
+        data_ops = (RequestType.LOAD, RequestType.STORE)
+        for op, addr, _size, _tid, core, _cycle in records:
+            if op in data_ops:
+                self.access(core, addr)
         return self.stats

@@ -75,6 +75,9 @@ class MAC(ClockedModel):
         # The input FIFO's deque, read directly by the feed in :meth:`tick`.
         local = self.request_router.local_queue
         self._local_q, self._local_cap = local._q, local.capacity
+        # Read directly by :meth:`idle`, which the engine calls every cycle.
+        self._remote_q = self.request_router.remote_queue._q
+        self._builder = self.aggregator.builder
         # :meth:`process`'s trace iterator and its next unsubmitted request.
         self._feed: Iterator[MemoryRequest] = iter(())
         self._pending: Optional[MemoryRequest] = None
@@ -172,10 +175,15 @@ class MAC(ClockedModel):
         return self.aggregator._cycle
 
     def idle(self) -> bool:
+        """No request buffered in an input queue, the ARQ or the builder
+        (``aggregator.idle()`` and both queues' ``empty``, inlined)."""
+        builder = self._builder
         return (
-            self.request_router.local_queue.empty
-            and self.request_router.remote_queue.empty
-            and self.aggregator.idle()
+            not self._local_q
+            and not self._remote_q
+            and not self._arq_queue
+            and builder._stage1 is None
+            and builder._stage2 is None
         )
 
     def done(self) -> bool:

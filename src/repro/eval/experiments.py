@@ -14,14 +14,14 @@ the output is bit-identical to a serial run for any worker count.
 from __future__ import annotations
 
 import statistics
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.fixed import dispatch_fixed, useful_data_fraction
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import MACConfig, PAPER_SYSTEM
-from repro.trace.record import TraceRecord
+from repro.trace.record import PackedTrace, TraceRecord
 from repro.workloads.registry import BENCHMARKS, benchmark_names
 
 from . import metrics
@@ -87,7 +87,7 @@ def _missrate_cell(task: Tuple) -> float:
 
     if name == "SG":
         wl = make_wl("SG", hot_frac=0.0)
-        trace: Sequence[TraceRecord] = wl.generate(
+        trace: Union[List[TraceRecord], PackedTrace] = wl.generate(
             threads=threads, ops_per_thread=ops_per_thread
         )
     else:

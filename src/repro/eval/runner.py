@@ -26,7 +26,7 @@ from repro.obs.attribution import AttributionCollector
 from repro.obs.metrics import flatten
 from repro.obs.observers import NO_OBSERVERS, Observers
 from repro.seeding import DEFAULT_SEED
-from repro.trace.record import TraceRecord, to_requests
+from repro.trace.record import PackedTrace, to_requests
 from repro.workloads.graphs import clear_graph_memo
 from repro.workloads.registry import make
 
@@ -35,14 +35,19 @@ from repro.workloads.registry import make
 DEFAULT_THREADS = 8
 DEFAULT_OPS_PER_THREAD = 3000
 
-#: Default number of traces kept warm per process.  Full traces are the
-#: largest objects the eval layer holds on to, so the cap is small.
+#: Default number of traces kept warm per process.  A cached trace is
+#: packed at 48 B per record (a 24,000-record full-scale trace is about
+#: 1.1 MB), so the cap bounds the cache to tens of MB.
 DEFAULT_TRACE_CACHE_LIMIT = 32
 
 
 class TraceCache:
     """Bounded, clearable LRU cache of generated benchmark traces.
 
+    :func:`cached_trace` stores each trace as a
+    :class:`~repro.trace.record.PackedTrace`: one int64 array per trace
+    rather than one ``TraceRecord`` tuple per record, so a warm cache
+    adds one object per trace to what the cyclic garbage collector scans.
     It can be emptied mid-session (a long sweep session need not pin
     dozens of full traces for the process lifetime) and warmed up front:
     each pool worker in :mod:`repro.eval.parallel` holds its own copy,
@@ -54,16 +59,14 @@ class TraceCache:
         if maxsize < 1:
             raise ValueError("trace cache needs room for at least one trace")
         self.maxsize = maxsize
-        self._data: "OrderedDict[Tuple, Tuple[TraceRecord, ...]]" = OrderedDict()
+        self._data: "OrderedDict[Tuple, PackedTrace]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(
-        self, key: Tuple, factory: Callable[[], Tuple[TraceRecord, ...]]
-    ) -> Tuple[TraceRecord, ...]:
+    def get(self, key: Tuple, factory: Callable[[], PackedTrace]) -> PackedTrace:
         """Return the cached value for ``key``, generating it on a miss."""
         hit = self._data.get(key)
         if hit is not None:
@@ -98,12 +101,18 @@ def cached_trace(
     threads: int = DEFAULT_THREADS,
     ops_per_thread: int = DEFAULT_OPS_PER_THREAD,
     seed: int = DEFAULT_SEED,
-) -> Tuple[TraceRecord, ...]:
-    """Deterministic benchmark trace, cached per process."""
+) -> PackedTrace:
+    """Deterministic benchmark trace, cached per process.
+
+    The trace comes packed: iterating it yields plain
+    ``(op, addr, size, tid, core, cycle)`` int tuples in
+    ``TraceRecord`` field order, ``op`` as its ``RequestType`` value.
+    :func:`repro.trace.record.to_requests` turns it into requests.
+    """
     key = (name, threads, ops_per_thread, seed)
     return _TRACE_CACHE.get(
         key,
-        lambda: tuple(
+        lambda: PackedTrace(
             make(name, seed=seed).generate(
                 threads=threads, ops_per_thread=ops_per_thread
             )

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.request import RequestType
 
-from .record import TraceRecord
+from .record import PackedTrace, TraceRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +42,7 @@ class EfficiencyPrediction:
 
 
 def predict_efficiency(
-    records: Iterable[TraceRecord],
+    records: Union[Iterable[TraceRecord], PackedTrace],
     config: Optional[MACConfig] = None,
 ) -> EfficiencyPrediction:
     """Predict the window engine's coalescing efficiency exactly.
@@ -61,17 +61,17 @@ def predict_efficiency(
     merges = 0
     cap_evictions = 0
 
-    for rec in records:
-        if rec.op is RequestType.FENCE:
+    row_bits = cfg.phys_addr_bits - cfg.row_offset_bits
+    fence, atomic, store = RequestType.FENCE, RequestType.ATOMIC, RequestType.STORE
+    for op, addr, _size, _tid, _core, _cycle in records:
+        if op == fence:
             window.clear()
             continue
-        if rec.op is RequestType.ATOMIC:
-            accesses += 1
-            continue
         accesses += 1
-        t_bit = rec.op.t_bit
-        row_bits = cfg.phys_addr_bits - cfg.row_offset_bits
-        key = (t_bit << row_bits) | codec.row_number(rec.addr)
+        if op == atomic:
+            continue
+        t_bit = 1 if op == store else 0
+        key = (t_bit << row_bits) | codec.row_number(addr)
         count = window.get(key)
         if count is not None and count < cap:
             window[key] = count + 1

@@ -3,7 +3,9 @@
 Each case generates one benchmark trace at one of the ``figures --fast``
 sizings and hashes every record (``op`` name, ``addr``, ``size``,
 ``tid``, ``core``, ``cycle``, in trace order).  The digests live in
-``tests/golden/traces.json``.  Fig. 10 runs 4000 operations over 2, 4
+``tests/golden/traces.json``.  The packed copy that
+:func:`repro.eval.runner.cached_trace` keeps must hash to the same
+digest.  Fig. 10 runs 4000 operations over 2, 4
 and 8 threads; Fig. 11 and Fig. 17 run 2 threads of 500.  At 4 x 1000,
 GRAPPOLO and PR give their threads streams of unequal length, so the
 round-robin interleave's tail is pinned too.
@@ -21,10 +23,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
+from repro.core.request import RequestType
+from repro.eval.runner import cached_trace
 from repro.seeding import DEFAULT_SEED
 from repro.trace.record import TraceRecord
 from repro.workloads.registry import benchmark_names, make
@@ -48,10 +52,11 @@ def generate(name: str) -> List[TraceRecord]:
     )
 
 
-def digest(trace: List[TraceRecord]) -> str:
+def digest(trace: Iterable[Tuple[int, ...]]) -> str:
+    """Hash records or packed ``(op, ...)`` int tuples alike."""
     h = hashlib.sha256()
     for op, addr, size, tid, core, cycle in trace:
-        h.update(repr((op.name, addr, size, tid, core, cycle)).encode())
+        h.update(repr((RequestType(op).name, addr, size, tid, core, cycle)).encode())
     return h.hexdigest()
 
 
@@ -68,6 +73,13 @@ def test_trace_golden(name):
     trace = generate(name)
     assert all(type(rec) is TraceRecord for rec in trace)
     assert digest(trace) == load_golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cached_trace_golden(name):
+    """Packing for the trace cache loses and reorders nothing."""
+    bench, threads, ops = CASES[name]
+    assert digest(cached_trace(bench, threads, ops, DEFAULT_SEED)) == load_golden()[name]
 
 
 @pytest.mark.parametrize("name", ["GRAPPOLO", "PR"])
