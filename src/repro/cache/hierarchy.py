@@ -12,9 +12,8 @@ miss itself".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Tuple
 
-from repro.trace.record import PackedTrace, TraceRecord
 from repro.core.request import RequestType
 from repro.obs.protocol import StatsMixin
 
@@ -75,10 +74,9 @@ class CacheHierarchy:
         self.stats.llc_misses += 1
         return False
 
-    def run_trace(
-        self, records: Union[Iterable[TraceRecord], PackedTrace]
-    ) -> HierarchyStats:
-        """Replay every load/store of a trace through the hierarchy."""
+    def run_trace(self, records: Iterable[Tuple[int, ...]]) -> HierarchyStats:
+        """Replay every load/store of a trace (``TraceRecord`` tuples or
+        a packed trace's int tuples) through the hierarchy."""
         data_ops = (RequestType.LOAD, RequestType.STORE)
         for op, addr, _size, _tid, core, _cycle in records:
             if op in data_ops:

@@ -14,14 +14,13 @@ the output is bit-identical to a serial run for any worker count.
 from __future__ import annotations
 
 import statistics
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.fixed import dispatch_fixed, useful_data_fraction
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import MACConfig, PAPER_SYSTEM
-from repro.trace.record import PackedTrace, TraceRecord
 from repro.workloads.registry import BENCHMARKS, benchmark_names
 
 from . import metrics
@@ -87,7 +86,7 @@ def _missrate_cell(task: Tuple) -> float:
 
     if name == "SG":
         wl = make_wl("SG", hot_frac=0.0)
-        trace: Union[List[TraceRecord], PackedTrace] = wl.generate(
+        trace: Iterable[Tuple[int, ...]] = wl.generate(
             threads=threads, ops_per_thread=ops_per_thread
         )
     else:

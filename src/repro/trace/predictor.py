@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple
 
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.request import RequestType
-
-from .record import PackedTrace, TraceRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +40,7 @@ class EfficiencyPrediction:
 
 
 def predict_efficiency(
-    records: Union[Iterable[TraceRecord], PackedTrace],
+    records: Iterable[Tuple[int, ...]],
     config: Optional[MACConfig] = None,
 ) -> EfficiencyPrediction:
     """Predict the window engine's coalescing efficiency exactly.
@@ -51,7 +49,9 @@ def predict_efficiency(
     (FIFO eviction, per-entry target capacity, fences), counting merges
     without building FLIT maps, targets or packets — ~3x faster and
     allocation-free, and provably equivalent to the engine's efficiency
-    (both implement the same merge predicate).
+    (both implement the same merge predicate).  ``records`` may be
+    ``TraceRecord`` tuples or a packed trace's int tuples: they are
+    unpacked positionally and ``op`` is compared by value.
     """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)

@@ -75,7 +75,7 @@ class PackedTrace:
 
     __slots__ = ("_data",)
 
-    def __init__(self, records: Iterable[Tuple[int, ...]] = ()) -> None:
+    def __init__(self, records: Iterable[Tuple[int, ...]]) -> None:
         # From a list, the array allocates its exact size in one step.
         data = array("q", list(chain.from_iterable(records)))
         if len(data) % _FIELDS:
