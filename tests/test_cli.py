@@ -12,6 +12,7 @@ from repro.cli import build_parser, main
 
 SRC = str(Path(repro.__file__).parents[1])
 FIGURES_FAST = Path(__file__).resolve().parent / "golden" / "figures_fast.txt"
+CLI_SMOKE = Path(__file__).resolve().parent / "golden" / "cli_smoke.txt"
 
 
 class TestParser:
@@ -145,6 +146,19 @@ class TestCommands:
         assert main(["figures", "--fast", "--only", "fig11", "--jobs", "0"]) == 0
         fig11 = FIGURES_FAST.read_text().splitlines()[1]
         assert capsys.readouterr().out.splitlines()[0] == fig11
+
+    def test_coalesce_and_raw_replay_golden(self, tmp_path, capsys, monkeypatch):
+        """``coalesce`` and ``replay --no-mac`` stdout is pinned byte for byte.
+
+        The trace is named by a relative path, as in the golden; CI's CLI
+        smoke compares the same two commands in fresh interpreters.
+        """
+        monkeypatch.chdir(tmp_path)
+        main(["trace", "SG", "--threads", "2", "--ops", "100", "-o", "smoke.trc"])
+        capsys.readouterr()
+        assert main(["coalesce", "smoke.trc"]) == 0
+        assert main(["replay", "smoke.trc", "--no-mac"]) == 0
+        assert capsys.readouterr().out == CLI_SMOKE.read_text()
 
     def test_replay_policy_and_arq_flags(self, tmp_path, capsys):
         out = tmp_path / "t.trc"
