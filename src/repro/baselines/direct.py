@@ -9,13 +9,13 @@ against.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, List, Optional
 
 from repro.core.address import AddressCodec
-from repro.core.builder import bypass_packet
 from repro.core.config import MACConfig
-from repro.core.packet import CoalescedRequest
-from repro.core.request import MemoryRequest
+from repro.core.packet import CoalescedRequest, Targets, request_columns
+from repro.core.request import MemoryRequest, RequestType
 from repro.core.stats import MACStats
 
 
@@ -27,21 +27,31 @@ def dispatch_raw(
     """One FLIT-sized packet per raw request, no aggregation.
 
     Each packet is the single-FLIT B-bit packet of
-    :func:`repro.core.builder.bypass_packet`, made after one range check
-    of the request's address.
+    :func:`repro.core.builder.bypass_packet`, made in place after one
+    range check of the request's address.  ``requests`` is a
+    :class:`repro.trace.record.PackedTrace` or a sequence of requests,
+    read from its op and address columns as the window engine reads it
+    (:func:`repro.core.mac.coalesce_trace_fast`); each packet's target
+    is built when first read.
     """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
     addr_limit, check = codec.addr_limit, codec.check
     st = stats if stats is not None else MACStats()
+    ops, addrs, build = request_columns(requests)
+    fb = cfg.flit_bytes
+    flit_align = -fb
+    rtypes = tuple(RequestType)
+    FENCE = RequestType.FENCE
     out: List[CoalescedRequest] = []
-    for req in requests:
-        st.record_raw(req.rtype)
-        if req.is_fence:
+    emit = out.append
+    for i, op, addr in zip(count(), ops, addrs):
+        if op == FENCE:
             continue
-        if not 0 <= req.addr < addr_limit:
-            check(req.addr)
-        pkt = bypass_packet([req], cfg)
-        st.record_packet(pkt)
-        out.append(pkt)
+        if not 0 <= addr < addr_limit:
+            check(addr)
+        targets = Targets((i,))
+        targets._build = build
+        emit(CoalescedRequest(addr & flit_align, fb, rtypes[op], targets, True))
+    st.record_stream(ops, out)
     return out

@@ -195,8 +195,8 @@ def cmd_trace(args) -> int:
     from repro.workloads.registry import make
 
     wl = make(args.benchmark, seed=_effective_seed(args))
-    records = wl.generate(threads=args.threads, ops_per_thread=args.ops)
-    n = dump(records, args.output)
+    trace = wl.generate(threads=args.threads, ops_per_thread=args.ops)
+    n = dump(trace.records(), args.output)
     print(f"wrote {n} records of {wl.name} to {args.output}")
     return 0
 
@@ -210,11 +210,11 @@ def _dispatch_trace(args, raw: bool = False):
     from repro.core.flit_table import FlitTablePolicy
     from repro.core.mac import coalesce_trace_fast
     from repro.core.stats import MACStats
-    from repro.trace.record import to_requests
+    from repro.trace.record import PackedTrace
     from repro.trace.tracefile import load
 
     try:
-        requests = list(to_requests(list(load(args.trace))))
+        trace = PackedTrace(load(args.trace))
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return None
@@ -223,9 +223,9 @@ def _dispatch_trace(args, raw: bool = False):
     if raw:
         from repro.baselines.direct import dispatch_raw
 
-        return dispatch_raw(requests, cfg, stats), stats
+        return dispatch_raw(trace, cfg, stats), stats
     policy = FlitTablePolicy(args.policy)
-    return coalesce_trace_fast(requests, cfg, policy, stats), stats
+    return coalesce_trace_fast(trace, cfg, policy, stats), stats
 
 
 def cmd_coalesce(args) -> int:

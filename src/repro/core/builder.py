@@ -10,7 +10,7 @@ of one packet every 2 cycles once primed (section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .address import AddressCodec
 from .arq import ARQEntry
@@ -30,10 +30,11 @@ def emit_row(
     codec: AddressCodec,
     key: int,
     segments: Segments,
-    requests: List[MemoryRequest],
+    requests: List,
     cycle: int = 0,
     bypassed: bool = False,
     rtype: Optional[RequestType] = None,
+    addrs: Optional[Sequence[int]] = None,
 ) -> List[CoalescedRequest]:
     """Assemble the packets of one ARQ row from plain fields.
 
@@ -44,7 +45,9 @@ def emit_row(
     goes to the packet whose FLIT range holds its FLIT id (address bits
     ``row_mask >> flit_shift``).  A single-packet plan covers every
     request, so that packet takes ``requests`` whole: callers hand the
-    row's list over.
+    row's list over.  With ``addrs``, ``requests`` holds indices into
+    ``addrs`` (the window engine's rows), and ``addrs[i]`` is the
+    address of index ``i``.
     """
     store_bit = codec.store_bit
     row_base = (key & (store_bit - 1)) << codec.row_shift
@@ -56,12 +59,16 @@ def emit_row(
             CoalescedRequest(row_base + offset, size, rtype, requests, bypassed, cycle)
         ]
     row_mask, flit_shift = codec.row_mask, codec.flit_shift
+    if addrs is None:
+        flits = [(r.addr & row_mask) >> flit_shift for r in requests]
+    else:
+        flits = [(addrs[i] & row_mask) >> flit_shift for i in requests]
     return [
         CoalescedRequest(
             row_base + offset,
             size,
             rtype,
-            [r for r in requests if lo <= (r.addr & row_mask) >> flit_shift < hi],
+            [r for r, f in zip(requests, flits) if lo <= f < hi],
             bypassed,
             cycle,
         )

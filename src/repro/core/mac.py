@@ -13,8 +13,7 @@ Two engines are provided (DESIGN.md section 6):
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import attrgetter
+from itertools import count
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..obs.attribution import StallCause
@@ -26,7 +25,7 @@ from .aggregator import RawRequestAggregator
 from .builder import RequestBuilder, emit_row
 from .config import MACConfig
 from .flit_table import FlitTablePolicy, Segments, group_or
-from .packet import CoalescedRequest, CoalescedResponse
+from .packet import CoalescedRequest, CoalescedResponse, Targets, request_columns
 from .request import MemoryRequest, RequestType
 from .router import RequestRouter, ResponseRouter
 from .stats import MACStats
@@ -407,9 +406,11 @@ def coalesce_trace_fast(
     paper evaluates (input rate > 2x drain rate, Fig. 9), and is orders of
     magnitude faster for million-request sweeps.
 
-    Each open row is the list of its merged requests (their TID, tag and
-    address FLIT id are the row's targets), held in an insertion-ordered
-    dict by ARQ key, whose first key is the oldest row.  Requests are
+    ``requests`` is a :class:`repro.trace.record.PackedTrace` or a
+    sequence of requests; the loop reads only its op and address columns
+    (:func:`repro.core.packet.request_columns`).  Each open row is the
+    list of its requests' input indices, held in an insertion-ordered
+    dict by ARQ key, whose first key is the oldest row.  Addresses are
     decoded inline from the codec's shifts and masks, with the codec's
     own range check (:meth:`AddressCodec.check`, the error
     :meth:`AddressCodec.locate` raises) for an address outside the
@@ -418,8 +419,11 @@ def coalesce_trace_fast(
     other row ORs its FLIT map from its requests' addresses and goes
     through :func:`repro.core.builder.emit_row`, the routine the
     pipelined builder uses, with the FLIT table's plan memoized per FLIT
-    map for the call.  The packet counters are read off the emitted
-    packets once, in emission order.
+    map for the call.  Each packet holds its targets as
+    :class:`~repro.core.packet.Targets`: the requests are built (from a
+    packed trace, tagged as ``to_requests`` tags them; from a sequence,
+    its own objects) when a reader first reads them.  The packet
+    counters are read off the emitted packets once, in emission order.
 
     Returns the emitted packets in eviction order and fills the same
     :class:`MACStats` fields as the cycle engine, under steady-state
@@ -431,6 +435,7 @@ def coalesce_trace_fast(
     codec = AddressCodec(cfg)
     builder = RequestBuilder(cfg, codec, policy)
     st = stats if stats is not None else MACStats()
+    ops, addrs, build = request_columns(requests)
     row_shift, row_mask, flit_shift = codec.row_shift, codec.row_mask, codec.flit_shift
     store_bit, addr_limit, check = codec.store_bit, codec.addr_limit, codec.check
     masks = builder.group_masks
@@ -441,52 +446,52 @@ def coalesce_trace_fast(
     flit_align = -fb
     cap = cfg.target_capacity
     arq_entries = cfg.arq_entries
+    rtypes = tuple(RequestType)
     LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
-    window: Dict[int, list] = {}
+    window: Dict[int, List[int]] = {}
     out: List[CoalescedRequest] = []
     emit = out.append
 
-    def close(key: int, rows: list) -> None:
+    def close(key: int, rows: List[int]) -> None:
         """Emit one closed row."""
         if len(rows) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
-            first = rows[0]
-            emit(CoalescedRequest(first.addr & flit_align, fb, first.rtype, rows, True))
+            i = rows[0]
+            targets = Targets(rows)
+            targets._build = build
+            emit(CoalescedRequest(addrs[i] & flit_align, fb, rtypes[ops[i]], targets, True))
             return
         bits = 0
-        for r in rows:
-            bits |= 1 << ((r.addr & row_mask) >> flit_shift)
+        for i in rows:
+            bits |= 1 << ((addrs[i] & row_mask) >> flit_shift)
         plan = plans.get(bits)
         if plan is None:
             plan = plans[bits] = row_segments[group_or(bits, masks)]
-        out.extend(emit_row(codec, key, plan, rows))
+        for pkt in emit_row(codec, key, plan, rows, addrs=addrs):
+            targets = Targets(pkt.requests)
+            targets._build = build
+            pkt.requests = targets
+            emit(pkt)
 
-    loads = stores = fences = atomics = 0
-    for req in requests:
-        rtype = req.rtype
-        if rtype is FENCE:
-            fences += 1
+    for i, op, addr in zip(count(), ops, addrs):
+        if op == FENCE:
             for key, rows in window.items():
                 close(key, rows)
             window.clear()
             continue
-        addr = req.addr
         if not 0 <= addr < addr_limit:
             check(addr)
-        if rtype is LOAD:
-            loads += 1
+        if op == LOAD:
             key = addr >> row_shift
-        elif rtype is STORE:
-            stores += 1
+        elif op == STORE:
             key = store_bit | (addr >> row_shift)
         else:
-            atomics += 1
-            close(-1, [req])
+            close(-1, [i])
             continue
         rows = window.get(key)
         if rows is not None:
             if len(rows) < cap:
-                rows.append(req)
+                rows.append(i)
                 continue
             # Capacity-full entry: close it and start a fresh one.
             del window[key]
@@ -494,23 +499,9 @@ def coalesce_trace_fast(
         elif len(window) >= arq_entries:
             oldest = next(iter(window))
             close(oldest, window.pop(oldest))
-        window[key] = [req]
+        window[key] = [i]
     for key, rows in window.items():
         close(key, rows)
 
-    emitted_sizes = Counter(map(attrgetter("size"), out))
-    sizes = st.packet_sizes
-    for size, n in emitted_sizes.items():
-        sizes[size] = sizes.get(size, 0) + n
-    per_packet = list(map(len, map(attrgetter("requests"), out)))
-    st.targets_per_packet += per_packet
-    st.raw_loads += loads
-    st.raw_stores += stores
-    st.raw_fences += fences
-    st.raw_atomics += atomics
-    st.raw_requests += loads + stores + fences + atomics
-    st.coalesced_packets += len(out)
-    st.bypassed_packets += sum(map(attrgetter("bypassed"), out))
-    st.merged_requests += sum(per_packet)
-    st.payload_bytes += sum(size * n for size, n in emitted_sizes.items())
+    st.record_stream(ops, out)
     return out

@@ -5,15 +5,83 @@ contiguous byte range inside one DRAM row plus the raw requests it
 satisfies (each carries its own TID, tag and FLIT id, the paper's
 target word).  The HMC device model (:mod:`repro.hmc`) consumes these
 and produces :class:`CoalescedResponse` objects carrying the same
-requests back.
+requests back.  The window and raw engines, which read a whole trace,
+hold each packet's requests as :class:`Targets`, built when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .request import MemoryRequest, RequestType
+
+#: ``build(indices)``: the requests of those input indices, in order.
+Builder = Callable[[Iterable[int]], List[MemoryRequest]]
+
+
+class Targets(list):
+    """A packet's satisfied requests, built from input indices on first read.
+
+    Until an element is read the list holds indices into the engine's
+    input; the first read replaces them, in place, with the requests
+    ``_build`` makes, so every later read returns the same objects (the
+    attribution marks a device stamps on them stick).  ``len`` and truth
+    count the indices and build nothing.  A copy or a pickle is a plain
+    list of the built requests.
+    """
+
+    __slots__ = ("_build",)
+
+    def _resolve(self) -> None:
+        build, self._build = self._build, None
+        list.__setitem__(self, slice(None), build(list.__iter__(self)))
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+def _built_first(name: str):
+    method = getattr(list, name)
+
+    def read(self, *args):
+        if self._build is not None:
+            self._resolve()
+        return method(self, *args)
+
+    read.__name__ = name
+    return read
+
+
+# Every list method that reads or writes elements builds them first.
+for _name in (
+    "__iter__", "__reversed__", "__getitem__", "__contains__", "__repr__",
+    "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__add__", "__mul__", "__rmul__", "__iadd__", "__imul__",
+    "__setitem__", "__delitem__", "append", "extend", "insert", "pop",
+    "remove", "index", "count", "copy", "sort", "reverse", "clear",
+):
+    setattr(Targets, _name, _built_first(_name))
+
+
+def request_columns(
+    requests: Iterable[MemoryRequest],
+) -> Tuple[Sequence[int], Sequence[int], Builder]:
+    """``(ops, addrs, build)`` of an engine input: op and address columns.
+
+    A :class:`repro.trace.record.PackedTrace` answers from its own
+    columns (its ``request_columns``); any other input is a sequence of
+    requests, and ``build`` returns the input's own objects.
+    """
+    columns = getattr(requests, "request_columns", None)
+    if columns is not None:
+        return columns()
+    reqs = requests if type(requests) is list else list(requests)
+    return (
+        [r.rtype for r in reqs],
+        [r.addr for r in reqs],
+        lambda indices: list(map(reqs.__getitem__, indices)),
+    )
 
 #: Control overhead per HMC access: one 16 B header/tail FLIT on the
 #: request packet and one on the response packet (paper section 2.2.2).
@@ -31,7 +99,8 @@ class CoalescedRequest:
         size: payload size in bytes (16..256 for HMC 2.1).
         rtype: LOAD or STORE (atomics travel as ATOMIC bypass packets).
         requests: the satisfied raw requests; their TID/tag/FLIT id are
-            the packet's targets.
+            the packet's targets (:class:`Targets` from the window and
+            raw engines).
         bypassed: True when the packet skipped the request builder via the
             B bit (single-request rows, fences excluded).
         issue_cycle: cycle the MAC dispatched the packet.
@@ -76,10 +145,6 @@ class CoalescedRequest:
         pair per packet of the request/response exchange.
         """
         return self.size + CONTROL_BYTES_PER_ACCESS
-
-    def covers(self, addr: int) -> bool:
-        """Whether a byte address falls inside this transaction."""
-        return self.addr <= addr < self.end
 
 
 @dataclass(slots=True)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Sequence
 
 from ..obs.protocol import StatsMixin
 from .packet import CONTROL_BYTES_PER_ACCESS, CoalescedRequest
@@ -66,6 +68,34 @@ class MACStats(StatsMixin):
         self.packet_sizes[size] = self.packet_sizes.get(size, 0) + 1
         self.targets_per_packet.append(raw)
         self.payload_bytes += size
+
+    def record_stream(
+        self, ops: Sequence[int], packets: Sequence[CoalescedRequest]
+    ) -> None:
+        """:meth:`record_raw` for each op, then :meth:`record_packet` for
+        each packet, counted in bulk (the window and raw engines).
+
+        ``ops`` holds ``RequestType`` values; sizes enter the histogram in
+        first-emission order, as they do packet by packet.
+        """
+        loads = ops.count(RequestType.LOAD)
+        stores = ops.count(RequestType.STORE)
+        fences = ops.count(RequestType.FENCE)
+        self.raw_requests += len(ops)
+        self.raw_loads += loads
+        self.raw_stores += stores
+        self.raw_fences += fences
+        self.raw_atomics += len(ops) - loads - stores - fences
+        emitted_sizes = Counter(map(attrgetter("size"), packets))
+        sizes = self.packet_sizes
+        for size, n in emitted_sizes.items():
+            sizes[size] = sizes.get(size, 0) + n
+        per_packet = list(map(len, map(attrgetter("requests"), packets)))
+        self.targets_per_packet += per_packet
+        self.coalesced_packets += len(packets)
+        self.bypassed_packets += sum(map(attrgetter("bypassed"), packets))
+        self.merged_requests += sum(per_packet)
+        self.payload_bytes += sum(size * n for size, n in emitted_sizes.items())
 
     # -- derived metrics -------------------------------------------------------
 

@@ -104,18 +104,17 @@ def cached_trace(
 ) -> PackedTrace:
     """Deterministic benchmark trace, cached per process.
 
-    The trace comes packed: iterating it yields plain
-    ``(op, addr, size, tid, core, cycle)`` int tuples in
-    ``TraceRecord`` field order, ``op`` as its ``RequestType`` value.
+    The trace comes packed, as ``Workload.generate`` returns it:
+    iterating it yields plain ``(op, addr, size, tid, core, cycle)`` int
+    tuples in ``TraceRecord`` field order, ``op`` as its ``RequestType``
+    value.  The window and raw engines read it as it is;
     :func:`repro.trace.record.to_requests` turns it into requests.
     """
     key = (name, threads, ops_per_thread, seed)
     return _TRACE_CACHE.get(
         key,
-        lambda: PackedTrace(
-            make(name, seed=seed).generate(
-                threads=threads, ops_per_thread=ops_per_thread
-            )
+        lambda: make(name, seed=seed).generate(
+            threads=threads, ops_per_thread=ops_per_thread
         ),
     )
 
@@ -171,7 +170,9 @@ def dispatch(
     """Run one benchmark trace through a dispatch policy.
 
     policy: "mac" (window engine), "mac-cycle" (cycle engine), "raw"
-    (direct 16 B dispatch).  ``obs`` observes the cycle engine only: its
+    (direct 16 B dispatch).  The window and raw engines read the cached
+    packed trace and build a packet's requests only when a reader first
+    reads ``pkt.requests``; the cycle engine takes requests.  ``obs`` observes the cycle engine only: its
     tracer records ARQ/builder events, its collector stage stamps and
     stall causes, its timeline and profiler sample/time the run (the
     window and raw engines are not clocked, so they emit nothing).
@@ -179,16 +180,15 @@ def dispatch(
     :mod:`repro.sim`); the other policies are not clocked and ignore it.
     """
     trace = cached_trace(name, threads, ops_per_thread, seed)
-    requests = list(to_requests(trace))
     stats = MACStats()
     if policy == "mac":
-        packets = coalesce_trace_fast(requests, config, flit_policy, stats)
+        packets = coalesce_trace_fast(trace, config, flit_policy, stats)
     elif policy == "mac-cycle":
         mac = MAC(config, policy=flit_policy, obs=obs)
         mac.attach_stats(stats)
-        packets = mac.process(requests, engine=engine)
+        packets = mac.process(list(to_requests(trace)), engine=engine)
     elif policy == "raw":
-        packets = dispatch_raw(requests, config, stats)
+        packets = dispatch_raw(trace, config, stats)
     else:
         raise ValueError(f"unknown policy {policy!r}")
     return DispatchResult(name, policy, packets, stats)

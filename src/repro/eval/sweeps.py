@@ -30,7 +30,6 @@ from repro.core.flit_table import FlitTablePolicy
 from repro.core.mac import coalesce_trace_fast
 from repro.core.stats import MACStats
 from repro.seeding import DEFAULT_SEED
-from repro.trace.record import to_requests
 
 from .parallel import ProgressFn, run_tasks
 from .runner import cached_trace
@@ -68,9 +67,7 @@ def _run_sweep_task(task: _SweepTask) -> SweepPoint:
     cfg = MACConfig(**dict(task.config_kwargs))
     trace = cached_trace(task.workload, task.threads, task.ops_per_thread, task.seed)
     stats = MACStats()
-    coalesce_trace_fast(
-        list(to_requests(trace)), cfg, FlitTablePolicy(task.policy), stats
-    )
+    coalesce_trace_fast(trace, cfg, FlitTablePolicy(task.policy), stats)
     return SweepPoint(
         params=task.params,
         workload=task.workload,

@@ -5,17 +5,19 @@ multiprocessor together with its originating thread and core
 (section 5.1).  :class:`TraceRecord` is that capture unit; a *trace* is
 any iterable of records.  Records convert 1:1 into
 :class:`repro.core.request.MemoryRequest` objects via :func:`to_request`.
-:class:`PackedTrace` stores a whole trace as one flat int64 array, the
-form the evaluation layer keeps its traces in.
+:class:`PackedTrace` stores a whole trace as one flat int64 array: the
+form :meth:`repro.workloads.base.Workload.generate` returns, the
+evaluation layer caches and the window and raw engines read.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import chain, count
-from typing import Iterable, Iterator, NamedTuple, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
-from repro.core.request import MemoryRequest, RequestType, check_tid
+from repro.core.request import MAX_TID, MemoryRequest, RequestType, check_tid
 
 #: Trace op mnemonics (text trace format, column 1).
 OP_NAMES = {
@@ -71,16 +73,29 @@ class PackedTrace:
     Iterating yields plain ``(op, addr, size, tid, core, cycle)`` int
     tuples, so readers unpack records positionally and compare ``op``
     with ``RequestType`` members (an ``IntEnum``) by value.
+    :meth:`records` is the ``TraceRecord`` view for readers of fields.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, records: Iterable[Tuple[int, ...]]) -> None:
         # From a list, the array allocates its exact size in one step.
-        data = array("q", list(chain.from_iterable(records)))
+        self._data = self._checked(array("q", list(chain.from_iterable(records))))
+
+    @classmethod
+    def from_array(cls, data: array) -> "PackedTrace":
+        """Wrap ``data``, already packed six slots per record, without a copy."""
+        trace = cls.__new__(cls)
+        trace._data = cls._checked(data)
+        return trace
+
+    @staticmethod
+    def _checked(data: array) -> array:
+        if data.typecode != "q":
+            raise ValueError("packed records are int64 ('q') slots")
         if len(data) % _FIELDS:
             raise ValueError(f"packed records need {_FIELDS} fields each")
-        self._data = data
+        return data
 
     def __len__(self) -> int:
         return len(self._data) // _FIELDS
@@ -93,6 +108,49 @@ class PackedTrace:
         if not isinstance(other, PackedTrace):
             return NotImplemented
         return self._data == other._data
+
+    def records(self) -> Iterator[TraceRecord]:
+        """The records as ``TraceRecord`` tuples, ``op`` a ``RequestType``."""
+        ops = _OPS
+        for op, addr, size, tid, core, cycle in self:
+            yield TraceRecord(ops[op], addr, size, tid, core, cycle)
+
+    def request_columns(
+        self,
+    ) -> Tuple[Sequence[int], Sequence[int], Callable[[Iterable[int]], List[MemoryRequest]]]:
+        """``(ops, addrs, build)``: the input of the window and raw engines.
+
+        ``ops`` and ``addrs`` are the op and address columns;
+        ``build(indices)`` makes the ``MemoryRequest`` of each record
+        index, tagged exactly as :func:`to_requests` tags it (node 0).
+        The TIDs are range checked here, so a bad one raises the error
+        :func:`to_requests` raises before any request is built.
+        """
+        data = self._data
+        tids = data[3::_FIELDS]
+        if tids and not (0 <= min(tids) and max(tids) <= MAX_TID):
+            check_tid(next(t for t in tids if not 0 <= t <= MAX_TID))
+        tags = None
+
+        def build(indices: Iterable[int]) -> List[MemoryRequest]:
+            nonlocal tags
+            if tags is None:
+                tags = _thread_tags(data[3::_FIELDS])
+            tag, ops = tags, _OPS
+            out = []
+            for i in indices:
+                j = i * _FIELDS
+                op, addr, size, tid, core, cycle = data[j : j + _FIELDS]
+                out.append(MemoryRequest(addr, ops[op], tid, tag[i], size, core, 0, cycle))
+            return out
+
+        return data[0::_FIELDS], data[1::_FIELDS], build
+
+
+def _thread_tags(tids: Iterable[int]) -> array:
+    """Per-record tags: sequential per thread, modulo the 16-bit tag space."""
+    counters: defaultdict = defaultdict(count)
+    return array("H", [next(counters[tid]) & 0xFFFF for tid in tids])
 
 
 def to_requests(

@@ -20,12 +20,13 @@ A workload describes:
 from __future__ import annotations
 
 import abc
+from array import array
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.request import RequestType
 from repro.seeding import DEFAULT_SEED
-from repro.trace.record import TraceRecord
+from repro.trace.record import PackedTrace
 from repro.trace.stats import ExecutionProfile
 
 from .rng import RandomStream
@@ -109,13 +110,16 @@ class Workload(abc.ABC):
         threads: int = 8,
         ops_per_thread: int = 4096,
         seed: Optional[int] = None,
-    ) -> List[TraceRecord]:
-        """Produce the interleaved, cycle-stamped trace.
+    ) -> PackedTrace:
+        """Produce the interleaved, cycle-stamped trace, packed.
 
         Threads are interleaved round-robin, one operation per turn —
         the arrival pattern of symmetric cores issuing in lockstep; the
         cycle stamps spread the aggregate stream at the profile's
-        offered rate (Eq. 2) so trace timing matches Fig. 9.
+        offered rate (Eq. 2) so trace timing matches Fig. 9.  The
+        interleave writes each record's six fields straight into the
+        :class:`PackedTrace` (no ``TraceRecord`` per record); its
+        :meth:`~PackedTrace.records` view yields ``TraceRecord`` tuples.
         """
         if threads < 1:
             raise ValueError("need at least one thread")
@@ -134,22 +138,18 @@ class Workload(abc.ABC):
             for tid in range(threads)
         ]
         rpc = max(self.profile.rpc(cores=threads), 1e-6)
-        out: List[TraceRecord] = []
-        append = out.append
+        # Fields in TraceRecord order; one list of ints, packed in one step.
+        fields: List[int] = []
         issuers = [(tid, tid % 8) for tid in range(threads)]
-        # A record is built straight from its field tuple: TraceRecord's
-        # keyword-capable __new__ is a Python call per record.
-        record = tuple.__new__
         k = 0
         # Round r takes the r-th op of every thread that still has one.
         for round_ops in zip_longest(*ops):
             for (tid, core), op in zip(issuers, round_ops):
                 if op is not None:
                     addr, rtype, size = op
-                    cycle = int(k / rpc)
-                    append(record(TraceRecord, (rtype, addr, size, tid, core, cycle)))
+                    fields += (rtype, addr, size, tid, core, int(k / rpc))
                     k += 1
-        return out
+        return PackedTrace.from_array(array("q", fields))
 
     # -- helpers for subclasses ----------------------------------------------
 

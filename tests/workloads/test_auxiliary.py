@@ -21,7 +21,7 @@ def efficiency(trace):
 @pytest.fixture(scope="module")
 def traces():
     return {
-        name: make(name).generate(threads=4, ops_per_thread=700)
+        name: list(make(name).generate(threads=4, ops_per_thread=700).records())
         for name in AUX_NAMES
     }
 

@@ -70,18 +70,18 @@ class _TwoOpWorkload(Workload):
 class TestGenerate:
     def test_round_robin_interleave(self):
         wl = _TwoOpWorkload()
-        trace = wl.generate(threads=2, ops_per_thread=3)
+        trace = list(wl.generate(threads=2, ops_per_thread=3).records())
         assert [r.tid for r in trace] == [0, 1, 0, 1, 0, 1]
 
     def test_cycle_stamps_monotone(self):
         wl = _TwoOpWorkload()
-        trace = wl.generate(threads=4, ops_per_thread=10)
+        trace = list(wl.generate(threads=4, ops_per_thread=10).records())
         cycles = [r.cycle for r in trace]
         assert cycles == sorted(cycles)
 
     def test_offered_rate_matches_profile(self):
         wl = _TwoOpWorkload()
-        trace = wl.generate(threads=8, ops_per_thread=100)
+        trace = list(wl.generate(threads=8, ops_per_thread=100).records())
         span = trace[-1].cycle - trace[0].cycle + 1
         rpc = len(trace) / span
         assert rpc == pytest.approx(wl.profile.rpc(8), rel=0.1)
@@ -110,7 +110,7 @@ class _UnevenWorkload(_TwoOpWorkload):
 
 class TestInterleave:
     def test_uneven_streams(self):
-        trace = _UnevenWorkload().generate(threads=3, ops_per_thread=1)
+        trace = list(_UnevenWorkload().generate(threads=3, ops_per_thread=1).records())
         # Round r takes the r-th op of each thread that still has one.
         assert [r.tid for r in trace] == [0, 1, 2, 1, 2, 2]
         assert [r.addr & 0xFFF for r in trace] == [0, 0, 0, 8, 8, 16]

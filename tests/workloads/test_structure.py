@@ -9,7 +9,8 @@ from repro.workloads.registry import make
 
 
 def records_of(name, threads=4, ops=800, **kw):
-    return make(name, **kw).generate(threads=threads, ops_per_thread=ops)
+    trace = make(name, **kw).generate(threads=threads, ops_per_thread=ops)
+    return list(trace.records())
 
 
 def region_of(wl, rec, names):
@@ -22,7 +23,7 @@ def region_of(wl, rec, names):
 class TestSG:
     def test_three_region_mix(self):
         wl = make("SG")
-        trace = wl.generate(threads=2, ops_per_thread=600)
+        trace = list(wl.generate(threads=2, ops_per_thread=600).records())
         counts = collections.Counter(
             region_of(wl, r, ("A", "B", "C")) for r in trace
         )
@@ -31,7 +32,7 @@ class TestSG:
 
     def test_streams_are_flit_sized_blocks(self):
         wl = make("SG")
-        trace = wl.generate(threads=2, ops_per_thread=600)
+        trace = list(wl.generate(threads=2, ops_per_thread=600).records())
         for r in trace:
             region = region_of(wl, r, ("A", "C"))
             if region:
@@ -39,7 +40,7 @@ class TestSG:
 
     def test_gathers_are_word_sized_loads(self):
         wl = make("SG")
-        trace = wl.generate(threads=2, ops_per_thread=600)
+        trace = list(wl.generate(threads=2, ops_per_thread=600).records())
         b_recs = [r for r in trace if region_of(wl, r, ("B",))]
         assert all(r.size == 8 and r.op is RequestType.LOAD for r in b_recs)
 
@@ -48,7 +49,7 @@ class TestHPCG:
     def test_multicolor_ordering_strides_rows(self):
         """Consecutive matrix rows of one thread are `colors` apart."""
         wl = make("HPCG")
-        trace = wl.generate(threads=1, ops_per_thread=2000)
+        trace = list(wl.generate(threads=1, ops_per_thread=2000).records())
         y_stores = [
             r.addr for r in trace
             if r.op is RequestType.STORE and wl.layout.contains("y", r.addr)
@@ -65,7 +66,7 @@ class TestGrappolo:
         """>60 % of comm_id gathers land within a few rows of each
         other — the planted community structure."""
         wl = make("GRAPPOLO")
-        trace = wl.generate(threads=1, ops_per_thread=2000)
+        trace = list(wl.generate(threads=1, ops_per_thread=2000).records())
         comm_reads = [
             r.addr >> 8
             for r in trace
@@ -81,7 +82,7 @@ class TestSSCA2:
     def test_hub_bias(self):
         """Edge-centric selection revisits high-degree vertices."""
         wl = make("SSCA2")
-        trace = wl.generate(threads=2, ops_per_thread=1500)
+        trace = list(wl.generate(threads=2, ops_per_thread=1500).records())
         nbr_reads = [
             r.addr
             for r in trace
@@ -98,7 +99,7 @@ class TestSP:
         """The ADI pattern emits both blocked (16 B) and strided (8 B)
         rhs accesses — x-sweeps vs y/z sweeps."""
         wl = make("SP")
-        trace = wl.generate(threads=2, ops_per_thread=3000)
+        trace = list(wl.generate(threads=2, ops_per_thread=3000).records())
         rhs = [r for r in trace if wl.layout.contains("rhs", r.addr)]
         sizes = {r.size for r in rhs}
         assert sizes == {8, 16}
@@ -107,7 +108,7 @@ class TestSP:
 class TestIS:
     def test_histogram_load_store_pairs(self):
         wl = make("IS")
-        trace = wl.generate(threads=1, ops_per_thread=600)
+        trace = list(wl.generate(threads=1, ops_per_thread=600).records())
         hist = [r for r in trace if wl.layout.contains("histogram", r.addr)]
         # Pairs: each bucket update is load then store on the same address.
         for ld, st_ in zip(hist[::2], hist[1::2]):
@@ -119,7 +120,7 @@ class TestIS:
 class TestNQueens:
     def test_stack_locality_dominates(self):
         wl = make("NQUEENS")
-        trace = wl.generate(threads=1, ops_per_thread=800)
+        trace = list(wl.generate(threads=1, ops_per_thread=800).records())
         stack0 = wl.stacks[0]
         stack_ops = sum(1 for r in trace if stack0 <= r.addr < stack0 + wl.stack_bytes)
         heap_ops = sum(1 for r in trace if wl.layout.contains("task_heap", r.addr))
@@ -129,7 +130,7 @@ class TestNQueens:
 class TestMG:
     def test_fine_and_coarse_phases(self):
         wl = make("MG")
-        trace = wl.generate(threads=1, ops_per_thread=3000)
+        trace = list(wl.generate(threads=1, ops_per_thread=3000).records())
         sizes = collections.Counter(r.size for r in trace)
         assert sizes[16] > 0  # pencil block transfers
         assert sizes[8] > 0  # coarse-level strided words

@@ -3,9 +3,9 @@
 Each case generates one benchmark trace at one of the ``figures --fast``
 sizings and hashes every record (``op`` name, ``addr``, ``size``,
 ``tid``, ``core``, ``cycle``, in trace order).  The digests live in
-``tests/golden/traces.json``.  The packed copy that
-:func:`repro.eval.runner.cached_trace` keeps must hash to the same
-digest.  Fig. 10 runs 4000 operations over 2, 4
+``tests/golden/traces.json``.  The packed trace ``generate`` returns, its
+``TraceRecord`` view and the copy :func:`repro.eval.runner.cached_trace`
+keeps must all hash to the same digest.  Fig. 10 runs 4000 operations over 2, 4
 and 8 threads; Fig. 11 and Fig. 17 run 2 threads of 500.  At 4 x 1000,
 GRAPPOLO and PR give their threads streams of unequal length, so the
 round-robin interleave's tail is pinned too.
@@ -23,14 +23,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import pytest
 
 from repro.core.request import RequestType
 from repro.eval.runner import cached_trace
 from repro.seeding import DEFAULT_SEED
-from repro.trace.record import TraceRecord
+from repro.trace.record import PackedTrace, TraceRecord
 from repro.workloads.registry import benchmark_names, make
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "traces.json"
@@ -45,7 +45,7 @@ CASES: Dict[str, Tuple[str, int, int]] = {
 }
 
 
-def generate(name: str) -> List[TraceRecord]:
+def generate(name: str) -> PackedTrace:
     bench, threads, ops = CASES[name]
     return make(bench, seed=DEFAULT_SEED).generate(
         threads=threads, ops_per_thread=ops
@@ -71,8 +71,12 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_golden(name):
     trace = generate(name)
-    assert all(type(rec) is TraceRecord for rec in trace)
+    assert type(trace) is PackedTrace
     assert digest(trace) == load_golden()[name]
+    records = list(trace.records())
+    assert all(type(rec) is TraceRecord for rec in records)
+    assert all(type(rec.op) is RequestType for rec in records)
+    assert digest(records) == load_golden()[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -86,7 +90,7 @@ def test_cached_trace_golden(name):
 def test_unequal_thread_streams_are_pinned(name):
     """The 4 x 1000 traces of GRAPPOLO and PR end in a ragged round."""
     per_thread: Dict[int, int] = {}
-    for rec in generate(f"{name}-4x1000"):
+    for rec in generate(f"{name}-4x1000").records():
         per_thread[rec.tid] = per_thread.get(rec.tid, 0) + 1
     assert len(set(per_thread.values())) > 1
 

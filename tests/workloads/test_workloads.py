@@ -15,7 +15,7 @@ ALL_NAMES = benchmark_names()
 @pytest.fixture(scope="module")
 def small_traces():
     return {
-        name: make(name).generate(threads=4, ops_per_thread=600)
+        name: list(make(name).generate(threads=4, ops_per_thread=600).records())
         for name in ALL_NAMES
     }
 
@@ -110,7 +110,7 @@ class TestCoalescingShape:
 
     def test_bfs_stores_at_realistic_scale(self):
         trace = make("BFS").generate(threads=4, ops_per_thread=4000)
-        ops = [r.op for r in trace]
+        ops = [r.op for r in trace.records()]
         assert ops.count(RequestType.STORE) > 0
 
 
