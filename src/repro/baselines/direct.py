@@ -27,29 +27,26 @@ def dispatch_raw(
     """One FLIT-sized packet per raw request, no aggregation.
 
     Each packet is the single-FLIT B-bit packet of
-    :func:`repro.core.builder.bypass_packet`, made in place after one
-    range check of the request's address.  ``requests`` is a
-    :class:`repro.trace.record.PackedTrace` or a sequence of requests,
-    read from its op and address columns as the window engine reads it
+    :func:`repro.core.builder.bypass_packet`, made in place.
+    ``requests`` is a :class:`repro.trace.record.PackedTrace` or a
+    sequence of requests, read from its op and address columns (range
+    checked before the loop) as the window engine reads it
     (:func:`repro.core.mac.coalesce_trace_fast`); each packet's target
     is built when first read.
     """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
-    addr_limit, check = codec.addr_limit, codec.check
     st = stats if stats is not None else MACStats()
-    ops, addrs, build = request_columns(requests)
+    ops, addrs, build = request_columns(requests, codec)
     fb = cfg.flit_bytes
     flit_align = -fb
     rtypes = tuple(RequestType)
-    FENCE = RequestType.FENCE
+    FENCE = int(RequestType.FENCE)
     out: List[CoalescedRequest] = []
     emit = out.append
     for i, op, addr in zip(count(), ops, addrs):
         if op == FENCE:
             continue
-        if not 0 <= addr < addr_limit:
-            check(addr)
         targets = Targets((i,))
         targets._build = build
         emit(CoalescedRequest(addr & flit_align, fb, rtypes[op], targets, True))

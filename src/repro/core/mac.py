@@ -408,14 +408,15 @@ def coalesce_trace_fast(
 
     ``requests`` is a :class:`repro.trace.record.PackedTrace` or a
     sequence of requests; the loop reads only its op and address columns
-    (:func:`repro.core.packet.request_columns`).  Each open row is the
-    list of its requests' input indices, held in an insertion-ordered
-    dict by ARQ key, whose first key is the oldest row.  Addresses are
-    decoded inline from the codec's shifts and masks, with the codec's
-    own range check (:meth:`AddressCodec.check`, the error
-    :meth:`AddressCodec.locate` raises) for an address outside the
-    address space.  A closed row of one request is the B-bit packet
-    :func:`repro.core.builder.bypass_packet` builds, made in place.  Any
+    (:func:`repro.core.packet.request_columns`, which range checks every
+    address through :meth:`AddressCodec.check`, the error
+    :meth:`AddressCodec.locate` raises, before the loop).  Each open row
+    is the list of its requests' input indices, held in an
+    insertion-ordered dict by ARQ key, whose first key is the oldest
+    row.  Addresses are decoded inline from the codec's shifts and
+    masks.  A closed row of one request, and every atomic, is the B-bit
+    packet :func:`repro.core.builder.bypass_packet` builds, made in
+    place.  Any
     other row ORs its FLIT map from its requests' addresses and goes
     through :func:`repro.core.builder.emit_row`, the routine the
     pipelined builder uses, with the FLIT table's plan memoized per FLIT
@@ -435,9 +436,9 @@ def coalesce_trace_fast(
     codec = AddressCodec(cfg)
     builder = RequestBuilder(cfg, codec, policy)
     st = stats if stats is not None else MACStats()
-    ops, addrs, build = request_columns(requests)
+    ops, addrs, build = request_columns(requests, codec)
     row_shift, row_mask, flit_shift = codec.row_shift, codec.row_mask, codec.flit_shift
-    store_bit, addr_limit, check = codec.store_bit, codec.addr_limit, codec.check
+    store_bit = codec.store_bit
     masks = builder.group_masks
     row_segments = builder.segments
     #: FLIT map -> the FLIT table's plan for its group pattern.
@@ -446,8 +447,9 @@ def coalesce_trace_fast(
     flit_align = -fb
     cap = cfg.target_capacity
     arq_entries = cfg.arq_entries
-    rtypes = tuple(RequestType)
-    LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
+    LOAD_T, STORE_T, ATOMIC = RequestType.LOAD, RequestType.STORE, RequestType.ATOMIC
+    # Plain ints: a packed trace's ops compare fastest against ints.
+    LOAD, STORE, FENCE = int(RequestType.LOAD), int(RequestType.STORE), int(RequestType.FENCE)
     window: Dict[int, List[int]] = {}
     out: List[CoalescedRequest] = []
     emit = out.append
@@ -456,10 +458,10 @@ def coalesce_trace_fast(
         """Emit one closed row."""
         if len(rows) == 1:
             # B bit: one FLIT-sized packet, builder skipped.
-            i = rows[0]
             targets = Targets(rows)
             targets._build = build
-            emit(CoalescedRequest(addrs[i] & flit_align, fb, rtypes[ops[i]], targets, True))
+            rtype = STORE_T if key & store_bit else LOAD_T
+            emit(CoalescedRequest(addrs[rows[0]] & flit_align, fb, rtype, targets, True))
             return
         bits = 0
         for i in rows:
@@ -479,14 +481,15 @@ def coalesce_trace_fast(
                 close(key, rows)
             window.clear()
             continue
-        if not 0 <= addr < addr_limit:
-            check(addr)
         if op == LOAD:
             key = addr >> row_shift
         elif op == STORE:
             key = store_bit | (addr >> row_shift)
         else:
-            close(-1, [i])
+            # An atomic: its own B-bit packet, never merged.
+            targets = Targets((i,))
+            targets._build = build
+            emit(CoalescedRequest(addr & flit_align, fb, ATOMIC, targets, True))
             continue
         rows = window.get(key)
         if rows is not None:

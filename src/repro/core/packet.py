@@ -12,76 +12,12 @@ hold each packet's requests as :class:`Targets`, built when first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple
 
 from .request import MemoryRequest, RequestType
 
-#: ``build(indices)``: the requests of those input indices, in order.
-Builder = Callable[[Iterable[int]], List[MemoryRequest]]
-
-
-class Targets(list):
-    """A packet's satisfied requests, built from input indices on first read.
-
-    Until an element is read the list holds indices into the engine's
-    input; the first read replaces them, in place, with the requests
-    ``_build`` makes, so every later read returns the same objects (the
-    attribution marks a device stamps on them stick).  ``len`` and truth
-    count the indices and build nothing.  A copy or a pickle is a plain
-    list of the built requests.
-    """
-
-    __slots__ = ("_build",)
-
-    def _resolve(self) -> None:
-        build, self._build = self._build, None
-        list.__setitem__(self, slice(None), build(list.__iter__(self)))
-
-    def __reduce_ex__(self, protocol):
-        return list, (list(self),)
-
-
-def _built_first(name: str):
-    method = getattr(list, name)
-
-    def read(self, *args):
-        if self._build is not None:
-            self._resolve()
-        return method(self, *args)
-
-    read.__name__ = name
-    return read
-
-
-# Every list method that reads or writes elements builds them first.
-for _name in (
-    "__iter__", "__reversed__", "__getitem__", "__contains__", "__repr__",
-    "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
-    "__add__", "__mul__", "__rmul__", "__iadd__", "__imul__",
-    "__setitem__", "__delitem__", "append", "extend", "insert", "pop",
-    "remove", "index", "count", "copy", "sort", "reverse", "clear",
-):
-    setattr(Targets, _name, _built_first(_name))
-
-
-def request_columns(
-    requests: Iterable[MemoryRequest],
-) -> Tuple[Sequence[int], Sequence[int], Builder]:
-    """``(ops, addrs, build)`` of an engine input: op and address columns.
-
-    A :class:`repro.trace.record.PackedTrace` answers from its own
-    columns (its ``request_columns``); any other input is a sequence of
-    requests, and ``build`` returns the input's own objects.
-    """
-    columns = getattr(requests, "request_columns", None)
-    if columns is not None:
-        return columns()
-    reqs = requests if type(requests) is list else list(requests)
-    return (
-        [r.rtype for r in reqs],
-        [r.addr for r in reqs],
-        lambda indices: list(map(reqs.__getitem__, indices)),
-    )
+if TYPE_CHECKING:
+    from .address import AddressCodec
 
 #: Control overhead per HMC access: one 16 B header/tail FLIT on the
 #: request packet and one on the response packet (paper section 2.2.2).
@@ -164,3 +100,78 @@ class CoalescedResponse:
     def latency(self) -> int:
         return self.complete_cycle - self.request.issue_cycle
 
+
+#: ``build(indices)``: the requests of those input indices, in order.
+Builder = Callable[[Iterable[int]], List[MemoryRequest]]
+
+
+class Targets(list):
+    """A packet's satisfied requests, built from input indices on first read.
+
+    Until an element is read the list holds indices into the engine's
+    input; the first read replaces them, in place, with the requests
+    ``_build`` makes, so every later read returns the same objects (the
+    attribution marks a device stamps on them stick).  ``len`` and truth
+    count the indices and build nothing.  A copy or a pickle is a plain
+    list of the built requests.
+    """
+
+    __slots__ = ("_build",)
+
+    def _resolve(self) -> None:
+        build, self._build = self._build, None
+        list.__setitem__(self, slice(None), build(list.__iter__(self)))
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+def _built_first(name: str):
+    method = getattr(list, name)
+
+    def read(self, *args):
+        if self._build is not None:
+            self._resolve()
+        return method(self, *args)
+
+    read.__name__ = name
+    return read
+
+
+# Every list method that reads or writes elements builds them first.
+for _name in (
+    "__iter__", "__reversed__", "__getitem__", "__contains__", "__repr__",
+    "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__add__", "__mul__", "__rmul__", "__iadd__", "__imul__",
+    "__setitem__", "__delitem__", "append", "extend", "insert", "pop",
+    "remove", "index", "count", "copy", "sort", "reverse", "clear",
+):
+    setattr(Targets, _name, _built_first(_name))
+
+
+def request_columns(
+    requests: Iterable[MemoryRequest], codec: "AddressCodec"
+) -> Tuple[Sequence[int], Sequence[int], Builder]:
+    """``(ops, addrs, build)`` of an engine input: op and address columns.
+
+    A :class:`repro.trace.record.PackedTrace` answers from its own
+    columns (its ``request_columns``, which checks the TIDs); any other
+    input is a sequence of requests, and ``build`` returns the input's
+    own objects.  Every non-fence address is range checked here, before
+    the engine's loop: the first one outside the address space raises
+    through ``codec.check``, the error a decode raises.
+    """
+    columns = getattr(requests, "request_columns", None)
+    if columns is not None:
+        ops, addrs, build = columns()
+    else:
+        reqs = requests if type(requests) is list else list(requests)
+        ops, addrs = [r.rtype for r in reqs], [r.addr for r in reqs]
+        build = lambda indices: list(map(reqs.__getitem__, indices))  # noqa: E731
+    limit = codec.addr_limit
+    if addrs and not (0 <= min(addrs) and max(addrs) < limit):
+        fence = RequestType.FENCE
+        for op, addr in zip(ops, addrs):
+            if op != fence and not 0 <= addr < limit:
+                codec.check(addr)
+    return ops, addrs, build

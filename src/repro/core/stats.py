@@ -78,9 +78,10 @@ class MACStats(StatsMixin):
         ``ops`` holds ``RequestType`` values; sizes enter the histogram in
         first-emission order, as they do packet by packet.
         """
-        loads = ops.count(RequestType.LOAD)
-        stores = ops.count(RequestType.STORE)
-        fences = ops.count(RequestType.FENCE)
+        # Plain ints: a packed trace's ops count fastest against ints.
+        loads = ops.count(int(RequestType.LOAD))
+        stores = ops.count(int(RequestType.STORE))
+        fences = ops.count(int(RequestType.FENCE))
         self.raw_requests += len(ops)
         self.raw_loads += loads
         self.raw_stores += stores

@@ -128,7 +128,9 @@ class PackedTrace:
         """
         data = self._data
         tids = data[3::_FIELDS]
-        if tids and not (0 <= min(tids) and max(tids) <= MAX_TID):
+        # One pass over the column: a trace holds few distinct TIDs.
+        distinct = set(tids)
+        if distinct and not (0 <= min(distinct) and max(distinct) <= MAX_TID):
             check_tid(next(t for t in tids if not 0 <= t <= MAX_TID))
         tags = None
 
@@ -144,7 +146,7 @@ class PackedTrace:
                 out.append(MemoryRequest(addr, ops[op], tid, tag[i], size, core, 0, cycle))
             return out
 
-        return data[0::_FIELDS], data[1::_FIELDS], build
+        return data[0::_FIELDS].tolist(), data[1::_FIELDS].tolist(), build
 
 
 def _thread_tags(tids: Iterable[int]) -> array:
