@@ -167,7 +167,10 @@ def request_columns(
     else:
         reqs = requests if type(requests) is list else list(requests)
         ops, addrs = [r.rtype for r in reqs], [r.addr for r in reqs]
-        build = lambda indices: list(map(reqs.__getitem__, indices))  # noqa: E731
+
+        def build(indices: Iterable[int]) -> List[MemoryRequest]:
+            return list(map(reqs.__getitem__, indices))
+
     limit = codec.addr_limit
     if addrs and not (0 <= min(addrs) and max(addrs) < limit):
         fence = RequestType.FENCE
