@@ -4,8 +4,8 @@ Commands:
 
 * ``trace``    — generate a benchmark trace file;
 * ``coalesce`` — run a trace through the MAC and print statistics;
-* ``replay``   — replay a trace on a device (hmc / hbm / ddr), with or
-  without coalescing, and print the timing outcome;
+* ``replay``   — replay a trace on the HMC device, with or without
+  coalescing, and print the timing outcome;
 * ``run``      — run one benchmark through the cycle engine + device
   replay with observability: ``--trace-out`` writes a cycle-stamped
   event trace (Chrome/Perfetto JSON, or JSONL for ``.jsonl`` paths),
@@ -260,74 +260,39 @@ def cmd_coalesce(args) -> int:
 
 def cmd_replay(args) -> int:
     from repro.eval.report import format_table, human_bytes, pct
+    from repro.eval.runner import replay_on_device
 
     dispatched = _dispatch_trace(args, raw=args.no_mac)
     if dispatched is None:
         return 2
     packets, stats = dispatched
+    try:
+        hmc_config = _hmc_config(args, faults=_fault_config(args))
+    except ValueError as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return 2
     cadence = 1.0 if args.no_mac else 2.0
+    dev = replay_on_device(packets, cadence, hmc_config).device
     rows: List[List[object]] = [
         ["packets", len(packets)],
         ["coalescing efficiency", pct(stats.coalescing_efficiency)],
+        ["bank conflicts", dev.bank_conflicts],
+        ["mean latency (cycles)", round(dev.stats.mean_latency, 1)],
+        ["makespan (cycles)", dev.stats.makespan],
+        ["wire traffic", human_bytes(dev.stats.wire_bytes)],
     ]
-    if args.device == "hmc":
-        from repro.hmc.device import HMCDevice
-
-        try:
-            hmc_config = _hmc_config(args, faults=_fault_config(args))
-        except ValueError as exc:
-            print(f"replay: {exc}", file=sys.stderr)
-            return 2
-        dev = HMCDevice(hmc_config)
-        t = 0.0
-        for p in packets:
-            dev.submit(p, int(t))
-            t += cadence
+    if dev.fault_stats is not None:
         rows += [
-            ["bank conflicts", dev.bank_conflicts],
-            ["mean latency (cycles)", round(dev.stats.mean_latency, 1)],
-            ["makespan (cycles)", dev.stats.makespan],
-            ["wire traffic", human_bytes(dev.stats.wire_bytes)],
-        ]
-        if dev.fault_stats is not None:
-            rows += [
-                ["crc errors", dev.fault_stats.total("crc_error")],
-                ["link retries", dev.fault_stats.total("retry")],
-                ["failed links", len(dev.failed_links)],
-                ["link bandwidth loss", pct(dev.link_bandwidth_loss)],
-            ]
-    elif args.device == "hbm":
-        from repro.hbm.device import HBMDevice
-
-        dev = HBMDevice()
-        t = 0.0
-        for p in packets:
-            dev.submit(p, int(t))
-            t += cadence
-        rows += [
-            ["bank conflicts", dev.bank_conflicts],
-            ["mean latency (cycles)", round(dev.stats.mean_latency, 1)],
-            ["data-bus traffic", human_bytes(dev.stats.data_bus_bytes)],
-        ]
-    else:  # ddr
-        from repro.ddr.device import DDRDevice
-
-        dev = DDRDevice()
-        t = 0.0
-        for p in packets:
-            dev.submit(p, int(t))
-            t += cadence
-        dev.run()
-        rows += [
-            ["row-hit rate", pct(dev.row_hit_rate)],
-            ["bank conflicts", dev.bank_conflicts],
-            ["mean latency (cycles)", round(dev.stats.mean_latency, 1)],
+            ["crc errors", dev.fault_stats.total("crc_error")],
+            ["link retries", dev.fault_stats.total("retry")],
+            ["failed links", len(dev.failed_links)],
+            ["link bandwidth loss", pct(dev.link_bandwidth_loss)],
         ]
     print(
         format_table(
             ["metric", "value"],
             rows,
-            title=f"replay of {args.trace} on {args.device} "
+            title=f"replay of {args.trace} on hmc "
             f"({'raw' if args.no_mac else 'MAC'})",
         )
     )
@@ -753,11 +718,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a trace on a memory device")
     p.add_argument("trace")
-    p.add_argument("--device", choices=("hmc", "hbm", "ddr"), default="hmc")
     p.add_argument("--no-mac", action="store_true", help="raw 16 B dispatch")
     _add_mac_args(p)
     _add_device_args(p)
-    fault = p.add_argument_group("fault injection (hmc only)")
+    fault = p.add_argument_group("fault injection")
     fault.add_argument(
         "--flit-ber", type=float, default=0.0, help="per-FLIT error rate on links"
     )

@@ -39,8 +39,6 @@ __all__ = [
     "compare_policies",
     "control_overhead_fraction",
     "dispatch",
-    "energy",
-    "serialize",
     "sweep_grid",
     "sweeps",
     "SweepPoint",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_table(
@@ -30,30 +30,6 @@ def format_table(
     lines.append(sep)
     for row in srows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def bar_chart(
-    values: Dict[str, float],
-    width: int = 50,
-    fmt=None,
-    title: Optional[str] = None,
-) -> str:
-    """Horizontal ASCII bar chart (one labelled bar per key).
-
-    Bars scale to the maximum value; ``fmt`` renders the value label
-    (defaults to 4 significant digits).
-    """
-    if not values:
-        return title or ""
-    fmt = fmt or (lambda v: f"{v:.4g}")
-    label_w = max(len(k) for k in values)
-    peak = max(abs(v) for v in values.values()) or 1.0
-    lines: List[str] = [title] if title else []
-    for key, value in values.items():
-        n = int(round(abs(value) / peak * width))
-        bar = ("#" * n) if value >= 0 else ("-" * n)
-        lines.append(f"{key.ljust(label_w)} |{bar.ljust(width)}| {fmt(value)}")
     return "\n".join(lines)
 
 

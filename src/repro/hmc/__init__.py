@@ -11,7 +11,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
-    bank=("PAGE_POLICIES", "Bank", "open_page_map"),
+    bank=("PAGE_POLICIES", "Bank"),
     config=("HMCConfig", "PAPER_HMC"),
     crossbar=("Crossbar",),
     device=("HMCDevice",),
@@ -51,5 +51,4 @@ __all__ = [
     "XbarNoC",
     "build_noc",
     "encode",
-    "open_page_map",
 ]

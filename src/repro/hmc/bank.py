@@ -7,8 +7,7 @@ conflict* and waits.  That remains the default and is bit-identical to
 the original closed-page-only model.
 
 Two live alternatives quantify the paper's justification for it on the
-real device model (not just the offline DDR replica the evaluation used
-to use):
+device model:
 
 * ``open``     — the row stays latched in the sense amplifiers.  A
   *row hit* (same row) skips activation; a *row miss* (different row
@@ -22,7 +21,6 @@ to use):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .timing import HMCTiming
 
@@ -32,24 +30,6 @@ PAGE_POLICIES = ("closed", "open", "adaptive")
 #: Adaptive policy: 2-bit saturating hit-confidence counter bounds.
 _ADAPTIVE_MAX = 3
 _ADAPTIVE_START = 1
-
-
-def open_page_map(addr: int, row_bytes: int, banks: int) -> Tuple[int, int]:
-    """Row-interleaved address mapping: ``addr`` -> ``(bank, row)``.
-
-    The single source of truth for how an open-page controller maps
-    physical addresses onto its banks: consecutive ``row_bytes`` rows
-    interleave across ``banks``, and the in-bank row index is what the
-    row buffer latches.  Shared by the live :class:`Bank` studies and
-    :func:`repro.eval.page_policy.open_page_hit_rate` (which used to
-    duplicate this shift arithmetic).
-    """
-    if row_bytes & (row_bytes - 1):
-        raise ValueError("row size must be a power of two")
-    if banks & (banks - 1):
-        raise ValueError("bank count must be a power of two")
-    row = addr >> (row_bytes - 1).bit_length()
-    return row & (banks - 1), row >> (banks - 1).bit_length()
 
 
 @dataclass(slots=True)

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Every timing field, validated uniformly in ``__post_init__``.  All
-#: are cycle counts and must be non-negative; zeros are legal because
-#: derived models (e.g. the HBM channel reuse in :mod:`repro.hbm`)
-#: null out the link/crossbar stages they do not have.
+#: are cycle counts and must be non-negative; a zero is legal and
+#: means the stage takes no time (nothing divides by a timing).
 TIMING_FIELDS = (
     "link_latency",
     "cycles_per_flit",

@@ -257,9 +257,6 @@ class Timeline:
 
     # -- introspection -------------------------------------------------------
 
-    def series_names(self) -> List[str]:
-        return sorted(self._series)
-
     def series(self, name: str) -> Dict[int, float]:
         """Sparse ``{epoch_index: value}`` view of one series."""
         s = self._series.get(name)

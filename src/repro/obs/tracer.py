@@ -107,12 +107,6 @@ class EventTracer:
             self.dropped += 1
         self._events.append((cycle, channel, name, args or None))
 
-    def pause(self) -> None:
-        self.enabled = False
-
-    def resume(self) -> None:
-        self.enabled = True
-
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:

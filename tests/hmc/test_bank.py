@@ -228,25 +228,3 @@ class TestAdaptivePolicy:
             ]
 
         assert run() == run()
-
-
-class TestOpenPageMap:
-    def test_row_interleaving(self):
-        from repro.hmc.bank import open_page_map
-
-        # 256 B rows over 4 banks: consecutive rows rotate banks, the
-        # in-bank row index increments once per full rotation.
-        assert open_page_map(0, 256, 4) == (0, 0)
-        assert open_page_map(256, 256, 4) == (1, 0)
-        assert open_page_map(3 * 256, 256, 4) == (3, 0)
-        assert open_page_map(4 * 256, 256, 4) == (0, 1)
-        # Same row, different byte offset: identical mapping.
-        assert open_page_map(256 + 255, 256, 4) == open_page_map(256, 256, 4)
-
-    def test_rejects_non_power_of_two(self):
-        from repro.hmc.bank import open_page_map
-
-        with pytest.raises(ValueError):
-            open_page_map(0, 300, 4)
-        with pytest.raises(ValueError):
-            open_page_map(0, 256, 3)

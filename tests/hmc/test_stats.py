@@ -74,25 +74,3 @@ class TestBoundedLatencies:
         # Percentiles remain available (bucket-approximated past the
         # sample limit) and in range.
         assert 0 < st.p50_latency <= n + 100
-
-
-class TestReportHelpers:
-    def test_bar_chart(self):
-        from repro.eval.report import bar_chart
-
-        text = bar_chart({"a": 1.0, "bb": 0.5}, width=10)
-        lines = text.splitlines()
-        assert lines[0].startswith("a ")
-        assert "##########" in lines[0]
-        assert "#####" in lines[1]
-
-    def test_bar_chart_negative(self):
-        from repro.eval.report import bar_chart
-
-        text = bar_chart({"x": -0.5, "y": 1.0}, width=10)
-        assert "-----" in text
-
-    def test_bar_chart_empty(self):
-        from repro.eval.report import bar_chart
-
-        assert bar_chart({}, title="t") == "t"

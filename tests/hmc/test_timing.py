@@ -26,7 +26,7 @@ class TestTiming:
 
     @pytest.mark.parametrize("name", TIMING_FIELDS)
     def test_zero_is_legal(self, name):
-        # Derived models (HBM channel reuse) null out stages they lack.
+        # A zero-cycle stage is well defined: nothing divides by a timing.
         assert getattr(HMCTiming(**{name: 0}), name) == 0
 
     def test_timing_fields_cover_every_dataclass_field(self):

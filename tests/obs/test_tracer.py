@@ -57,15 +57,6 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             EventTracer(capacity=0)
 
-    def test_pause_resume(self):
-        t = EventTracer()
-        t.pause()
-        t.emit("c", "e", 0)
-        assert len(t) == 0
-        t.resume()
-        t.emit("c", "e", 1)
-        assert len(t) == 1
-
     def test_clear(self):
         t = EventTracer(capacity=1)
         t.emit("c", "e", 0)

@@ -697,4 +697,4 @@ def test_timeline_never_changes_the_run():
     timed = build(timeline=Timeline(epoch=64))
     timed.run()
     assert mesh_outcome(timed) == mesh_outcome(plain)
-    assert timed.obs.timeline.series_names()
+    assert timed.obs.timeline.export()["series"]

@@ -21,9 +21,9 @@ import repro
 SRC = str(Path(repro.__file__).parents[1])
 
 PACKAGES = [
-    "repro", "repro.baselines", "repro.cache", "repro.core", "repro.ddr",
-    "repro.eval", "repro.faults", "repro.hbm", "repro.hmc", "repro.isa",
-    "repro.node", "repro.obs", "repro.sim", "repro.trace", "repro.workloads",
+    "repro", "repro.baselines", "repro.cache", "repro.core", "repro.eval",
+    "repro.faults", "repro.hmc", "repro.isa", "repro.node", "repro.obs",
+    "repro.sim", "repro.trace", "repro.workloads",
 ]
 
 
@@ -66,7 +66,7 @@ def test_runner_import_skips_the_sweep_and_node_layers():
         modules,
         [
             "repro.eval.experiments", "repro.eval.sweeps", "repro.eval.parallel",
-            "repro.node", "repro.cache", "repro.ddr", "repro.hbm", "repro.isa",
+            "repro.node", "repro.cache", "repro.isa",
         ],
     )
 

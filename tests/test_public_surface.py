@@ -3,7 +3,8 @@
 A top-level ``def`` or ``class`` whose name does not start with ``_``
 must be used by the program: named by another module of ``src``,
 ``benchmarks``, ``examples``, ``perfbench`` or ``scripts`` (a word
-match), or referenced by code of its own module.  The package
+match), or read by code of its own module outside its own definition
+(a function that only calls itself has no user).  The package
 ``__init__``s above a module do not count, because they only re-export
 it, and tests do not count: a definition that only its tests run is
 library surface that no run uses, and it goes instead of accumulating.
@@ -33,17 +34,17 @@ def _public_definitions(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node.name
+                yield node
 
 
-def _referenced_names(tree: ast.Module):
-    """Names the module's code reads (a definition itself is not a read)."""
+def _referenced_names(node: ast.AST):
+    """Names ``node``'s code reads (a definition itself is not a read)."""
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
     return names
 
 
@@ -67,10 +68,15 @@ def unused_public_definitions():
     offenders = []
     for module in _python_files(PACKAGE):
         tree = ast.parse(sources[module])
-        own = _referenced_names(tree)
+        reads = [(node, _referenced_names(node)) for node in tree.body]
         skip = {module} | _re_exporters(module)
-        for name in _public_definitions(tree):
-            if name in ALLOWED or name in own:
+        for definition in _public_definitions(tree):
+            name = definition.name
+            if name in ALLOWED:
+                continue
+            if any(
+                name in names for node, names in reads if node is not definition
+            ):
                 continue
             if not any(name in found for path, found in words.items() if path not in skip):
                 offenders.append(f"{module.relative_to(ROOT)}: {name}")
@@ -88,8 +94,8 @@ def test_every_public_definition_has_a_user():
 
 def test_allowlist_names_existing_definitions():
     defined = {
-        name
+        definition.name
         for module in _python_files(PACKAGE)
-        for name in _public_definitions(ast.parse(module.read_text()))
+        for definition in _public_definitions(ast.parse(module.read_text()))
     }
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined
